@@ -27,7 +27,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data", default=BUILTIN_TAG)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--output-dir", default=None,
                         help="write one JSON report per model here")
     args = parser.parse_args()
@@ -41,7 +40,7 @@ def main() -> None:
         problem = FitProblem(
             dataset=dataset, model=ModelSpec.parse(label),
             multistart=multistart, seed=args.seed)
-        results[label] = fit(problem, threads=args.threads)
+        results[label] = fit(problem)
 
     print("\nmodel ranking (best first):")
     ranking = compare_models(list(results.values()))

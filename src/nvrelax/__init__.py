@@ -19,9 +19,7 @@ __version__ = "0.1.0"
 
 from .core import (
     BUILTIN_TAG,
-    CONSTANTS,
     Dataset,
-    PhysicalConstants,
     RateMeasurement,
     TransitionChannel,
     convert_energy,
@@ -44,12 +42,10 @@ from .models import (
 
 __all__ = [
     "BUILTIN_TAG",
-    "CONSTANTS",
     "CoherenceLimit",
     "Dataset",
     "Mode",
     "NModeParams",
-    "PhysicalConstants",
     "PriorModelParams",
     "RateMeasurement",
     "SampleConstants",

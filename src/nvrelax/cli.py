@@ -49,12 +49,7 @@ from .fitting import (
     fit,
     params_from_dict,
 )
-from .models import (
-    NModeParams,
-    coherence_limits,
-    eval_n_mode,
-    eval_prior_model,
-)
+from .models import coherence_limits
 from .spectral import (
     MAX_MODE_ENERGY_MEV,
     anchor_coupling_table,
@@ -162,7 +157,7 @@ def _cmd_fit(args) -> int:
         problem = FitProblem(
             dataset=dataset, model=model, constants=args.constants,
             t_min=args.t_min, multistart=args.multistart, seed=args.seed)
-    result = fit(problem, threads=args.threads)
+    result = fit(problem)
     report = _metadata_dict(config, dataset.checksum())
     report.update(result.to_report_dict())
     _emit_json(report, args.output)
@@ -193,12 +188,6 @@ def _read_params_file(path: str) -> tuple[str, dict[str, float], str]:
     return document["model"], values, _sha256(text)
 
 
-def _eval_rates(params, sample, temperature):
-    if isinstance(params, NModeParams):
-        return eval_n_mode(params, sample, temperature)
-    return eval_prior_model(params, sample, temperature)
-
-
 def _temperature_grid(args, geometric: bool) -> np.ndarray:
     if getattr(args, "temps", None):
         temps = np.array([float(t) for t in args.temps.split(",")])
@@ -226,7 +215,7 @@ def _cmd_eval(args) -> int:
     lines = [_metadata_lines(config, checksum)
              + "temperature_k,omega_s,gamma_s,gamma_over_omega,t2_sq_s,t2_dq_s,t1_s"]
     for t in temps:
-        omega, gamma = _eval_rates(params, args.sample, float(t))
+        omega, gamma = params.rates(args.sample, float(t))
         ratio = gamma / omega if omega > 0 else math.nan
         lim = coherence_limits(omega, gamma)
         lines.append(f"{float(t)!r},{omega!r},{gamma!r},{ratio!r},"
@@ -341,26 +330,23 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- compare
 
 
-def _fit_samples(result) -> list[str | None]:
-    samples = sorted(name.split("_", 1)[1] for name in result.param_names
-                     if name.startswith("a3_"))
-    return samples or [None]
-
-
 def _cmd_compare(args) -> int:
     config = RunConfig.from_namespace(args, format="structured-report")
     if len(args.models) < 2:
         raise _UsageError("compare: need at least two models")
     dataset = _load_dataset(args.data)
     specs = [ModelSpec.parse(m) for m in args.models]
+    for i, spec in enumerate(specs):
+        if spec in specs[:i]:
+            raise _UsageError(f"compare: model {spec.label} given more than once")
     results = []
     for spec in specs:
         problem = FitProblem(
             dataset=dataset, model=spec, constants=args.constants,
             t_min=args.t_min, multistart=args.multistart, seed=args.seed)
-        results.append(fit(problem, threads=args.threads))
+        results.append(fit(problem))
     ranking = compare_models(results)
-    by_label = {_ranking_label(r): r for r in results}
+    by_label = {r.label: r for r in results}
 
     report = _metadata_dict(config, dataset.checksum())
     report["ranking"] = [
@@ -386,8 +372,8 @@ def _cmd_compare(args) -> int:
             result = by_label[row.label]
             params = result.to_model_params()
             per_sample = {}
-            for sample in _fit_samples(result):
-                omega, gamma = _eval_rates(params, sample, temperature)
+            for sample in params.samples:
+                omega, gamma = params.rates(sample, temperature)
                 per_sample[sample or "lattice"] = {"omega_s": omega, "gamma_s": gamma}
             predictions[row.label] = per_sample
         divergence = {}
@@ -415,13 +401,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _ranking_label(result) -> str:
-    label = result.model.label
-    if result.t_min is not None:
-        label += f" (T>={result.t_min:g}K)"
-    return label
-
-
 # ---------------------------------------------------------------- parser
 
 
@@ -435,8 +414,14 @@ def _add_fit_options(sub, multistart_default: int) -> None:
                      help="drop rows below this temperature (K)")
     sub.add_argument("--multistart", type=int, default=multistart_default,
                      help="number of optimizer starts")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="parallel starts; results independent of this")
+
+
+def _add_run_options(sub, output_help: str = "output file (default: standard output)",
+                     output_required: bool = False) -> None:
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                     help="seed for every random draw in the run "
+                          f"(default {DEFAULT_SEED}); recorded in outputs")
+    sub.add_argument("-o", "--output", required=output_required, help=output_help)
 
 
 def _build_parser() -> _Parser:
@@ -449,20 +434,13 @@ def _build_parser() -> _Parser:
     subparsers = parser.add_subparsers(dest="subcommand", required=True,
                                        parser_class=_Parser)
 
-    def common(sub):
-        sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                         help="seed for every random draw in the run "
-                              f"(default {DEFAULT_SEED}); recorded in outputs")
-        sub.add_argument("-o", "--output", default=None,
-                         help="output file (default: standard output)")
-
     p_fit = subparsers.add_parser("fit", help="fit a rate model to a dataset")
     p_fit.add_argument("--model", default="n-mode:2",
                        help="model label: n-mode:1..3 or prior")
     _add_fit_options(p_fit, multistart_default=16)
     p_fit.add_argument("--phonon-limited", action="store_true",
                        help="restrict to T >= 125 K and drop constant floors")
-    common(p_fit)
+    _add_run_options(p_fit)
     p_fit.set_defaults(handler=_cmd_fit)
 
     p_eval = subparsers.add_parser(
@@ -476,7 +454,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--t-min", type=float, default=200.0)
     p_eval.add_argument("--t-max", type=float, default=474.0)
     p_eval.add_argument("--n-temps", type=int, default=20)
-    common(p_eval)
+    _add_run_options(p_eval)
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_spec = subparsers.add_parser(
@@ -491,12 +469,9 @@ def _build_parser() -> _Parser:
     p_spec.add_argument("--refit", action="store_true",
                         help="append a two-mode fit of the rate curve")
     p_spec.add_argument("--multistart", type=int, default=8)
-    p_spec.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for every random draw in the run "
-                             f"(default {DEFAULT_SEED}); recorded in outputs")
-    p_spec.add_argument("-o", "--output", required=True,
-                        help="output prefix: writes PREFIX.sq.csv, "
-                             "PREFIX.dq.csv, PREFIX.rates.csv[, PREFIX.refit.json]")
+    _add_run_options(p_spec, output_required=True,
+                     output_help="output prefix: writes PREFIX.sq.csv, "
+                                 "PREFIX.dq.csv, PREFIX.rates.csv[, PREFIX.refit.json]")
     p_spec.set_defaults(handler=_cmd_spectral)
 
     p_sim = subparsers.add_parser(
@@ -521,12 +496,9 @@ def _build_parser() -> _Parser:
                        help="state read against P0 on the 3-Omega branch")
     p_sim.add_argument("--gamma-init", default="+1",
                        help="initial state of the Omega + 2 gamma branch")
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for every random draw in the run "
-                            f"(default {DEFAULT_SEED}); recorded in outputs")
-    p_sim.add_argument("-o", "--output", required=True,
-                       help="output prefix: writes PREFIX.dataset.csv, "
-                            "PREFIX.curves.csv, PREFIX.report.json")
+    _add_run_options(p_sim, output_required=True,
+                     output_help="output prefix: writes PREFIX.dataset.csv, "
+                                 "PREFIX.curves.csv, PREFIX.report.json")
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_cmp = subparsers.add_parser(
@@ -536,7 +508,7 @@ def _build_parser() -> _Parser:
     _add_fit_options(p_cmp, multistart_default=16)
     p_cmp.add_argument("--extrapolate", type=float, default=None,
                        help="also report predictions at this temperature (K)")
-    common(p_cmp)
+    _add_run_options(p_cmp)
     p_cmp.set_defaults(handler=_cmd_compare)
 
     return parser

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "BOLTZMANN_MEV_PER_K",
@@ -18,10 +18,8 @@ __all__ = [
     "PLANCK_MEV_PER_MHZ",
     "BUILTIN_TAG",
     "BUILTIN_DATA_ENV",
-    "CONSTANTS",
     "CSV_HEADER",
     "DEFAULT_SEED",
-    "PhysicalConstants",
     "RateMeasurement",
     "Dataset",
     "TransitionChannel",
@@ -52,35 +50,6 @@ DEFAULT_SEED = 1729
 # ingestion bounds for measured data; synthetic model curves may go beyond
 _T_INGEST_MIN_K = 1.0
 _T_INGEST_MAX_K = 2000.0
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Immutable constants; the single source of unit conversions.
-
-    Attributes
-    ----------
-    boltzmann_mev_per_k : float
-        k_B, 0.0861733 meV/K.
-    hbar_mev_s : float
-        hbar, 6.582120e-13 meV s.
-    planck_mev_s : float
-        h, 4.135668e-12 meV s; converts GHz-scale frequencies (e.g. the
-        zero-field splitting D) to meV.
-    """
-
-    boltzmann_mev_per_k: float = BOLTZMANN_MEV_PER_K
-    hbar_mev_s: float = HBAR_MEV_S
-    planck_mev_s: float = PLANCK_MEV_S
-
-    def ghz_to_mev(self, frequency_ghz: float) -> float:
-        return self.planck_mev_s * frequency_ghz * 1e9
-
-    def kelvin_to_mev(self, temperature_k: float) -> float:
-        return self.boltzmann_mev_per_k * temperature_k
-
-
-CONSTANTS = PhysicalConstants()
 
 # accepted spellings for the energy-equivalent units of convert_energy
 _UNIT_ALIASES = {
@@ -115,15 +84,15 @@ def convert_energy(value: float, from_unit: str, to_unit: str) -> float:
     src = _canonical_unit(from_unit)
     dst = _canonical_unit(to_unit)
     in_mev = {
-        "meV": lambda v: v,
-        "GHz": CONSTANTS.ghz_to_mev,
-        "K": CONSTANTS.kelvin_to_mev,
-    }[src](value)
+        "meV": value,
+        "GHz": PLANCK_MEV_S * value * 1e9,
+        "K": BOLTZMANN_MEV_PER_K * value,
+    }[src]
     return {
-        "meV": lambda v: v,
-        "GHz": lambda v: v / (CONSTANTS.planck_mev_s * 1e9),
-        "K": lambda v: v / CONSTANTS.boltzmann_mev_per_k,
-    }[dst](in_mev)
+        "meV": in_mev,
+        "GHz": in_mev / (PLANCK_MEV_S * 1e9),
+        "K": in_mev / BOLTZMANN_MEV_PER_K,
+    }[dst]
 
 
 class TransitionChannel(enum.Enum):

@@ -16,8 +16,7 @@ three-mode fit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -406,6 +405,11 @@ class FitResult:
     dataset_checksum: str
     dataset_provenance: str
 
+    @property
+    def label(self) -> str:
+        """Model label, suffixed with the temperature cut when there is one."""
+        return self.model.label + ("" if self.t_min is None else f" (T>={self.t_min:g}K)")
+
     def to_model_params(self):
         """Materialize the fitted parameters as a model-parameter object."""
         return params_from_dict(self.model, self.params)
@@ -489,13 +493,11 @@ def _solve_one(asm: _Assembled, u0: np.ndarray, lo_u: np.ndarray, hi_u: np.ndarr
     )
 
 
-def fit(problem: FitProblem, threads: int = 1) -> FitResult:
+def fit(problem: FitProblem) -> FitResult:
     """Minimize the weighted chi-squared; best of ``multistart`` starts.
 
     Ties across starts break by lowest chi2, then fewest iterations, then
-    start index, so results are reproducible for a fixed seed.  Starts are
-    independent, so ``threads`` only bounds parallelism and cannot change
-    the outcome.
+    start index, so results are reproducible for a fixed seed.
     """
     asm = _assemble(problem)
     bounds = _default_bounds(asm)
@@ -523,11 +525,7 @@ def fit(problem: FitProblem, threads: int = 1) -> FitResult:
     hi_u = np.log(np.array([bounds[n][1] for n in asm.names]))
     starts = [np.log(s) for s in _sample_starts(asm, problem, guess, bounds)]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda u0: _solve_one(asm, u0, lo_u, hi_u), starts))
-    else:
-        results = [_solve_one(asm, u0, lo_u, hi_u) for u0 in starts]
+    results = [_solve_one(asm, u0, lo_u, hi_u) for u0 in starts]
 
     start_chi2 = tuple(float(2.0 * r.cost) for r in results)
     ranked = sorted(
@@ -605,7 +603,7 @@ def compare_models(results: Sequence[FitResult]) -> ModelRanking:
     best = ordered[0].chi2_reduced
     rows = tuple(
         RankingRow(
-            label=r.model.label + ("" if r.t_min is None else f" (T>={r.t_min:g}K)"),
+            label=r.label,
             n_params=len(r.param_names),
             dof=r.dof,
             chi2=r.chi2,

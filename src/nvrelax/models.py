@@ -35,8 +35,12 @@ __all__ = [
 _EXP_ARG_MAX = 700.0
 
 
-def _occupation_array(delta: float, t: np.ndarray) -> np.ndarray:
-    x = delta / (BOLTZMANN_MEV_PER_K * t)
+def _bose_einstein(x: np.ndarray) -> np.ndarray:
+    """n = 1/expm1(x) for x = energy/k_B T, exactly 0 past _EXP_ARG_MAX.
+
+    The occupancy kernel of both the rate laws and the spectral
+    quadrature; callers check their own arguments.
+    """
     out = np.zeros_like(x)
     live = x <= _EXP_ARG_MAX
     out[live] = 1.0 / np.expm1(x[live])
@@ -69,7 +73,7 @@ def occupation(delta: float, temperature):
     t = np.asarray(temperature, dtype=float)
     if np.any(t <= 0):
         raise ValueError("temperature must be positive")
-    out = _occupation_array(delta, np.atleast_1d(t))
+    out = _bose_einstein(delta / (BOLTZMANN_MEV_PER_K * np.atleast_1d(t)))
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
@@ -125,8 +129,28 @@ class SampleConstants:
 _MIN_MODE_SEPARATION_MEV = 1.0
 
 
+class _SampleFloors:
+    """Per-sample constant floors, shared by both rate laws."""
+
+    @property
+    def samples(self) -> tuple[str | None, ...]:
+        """Sorted sample labels, or ``(None,)`` (lattice only) if there are none."""
+        return tuple(sorted(self.sample_constants)) or (None,)
+
+    def _constants(self, sample: str | None) -> SampleConstants:
+        # sample=None is the documented no-constant sentinel (A3 = B3 = 0),
+        # used for phonon-limited curves and synthetic theory fits
+        if sample is None:
+            return SampleConstants(0.0, 0.0)
+        try:
+            return self.sample_constants[sample]
+        except KeyError:
+            known = ", ".join(sorted(self.sample_constants)) or "(none)"
+            raise KeyError(f"unknown sample {sample!r}; known samples: {known}") from None
+
+
 @dataclass(frozen=True)
-class NModeParams:
+class NModeParams(_SampleFloors):
     """Parameters of the n-effective-mode rate model (1 <= n <= 3 modes).
 
     omega(T) = sum_i a_i * n_i(n_i+1) + a3(sample)
@@ -156,9 +180,23 @@ class NModeParams:
     def n_modes(self) -> int:
         return len(self.modes)
 
+    def rates(self, sample: str | None, temperature) -> RatePair:
+        """Rates at the given temperature(s); ``sample=None`` omits the floors."""
+        const = self._constants(sample)
+        t = np.asarray(temperature, dtype=float)
+        omega = np.full(t.shape, const.a3, dtype=float)
+        gamma = np.full(t.shape, const.b3, dtype=float)
+        for mode in self.modes:
+            f = orbach_factor(mode.delta, t)
+            omega = omega + mode.a_coeff * f
+            gamma = gamma + mode.b_coeff * f
+        if t.ndim == 0:
+            return RatePair(float(omega), float(gamma))
+        return RatePair(omega, gamma)
+
 
 @dataclass(frozen=True)
-class PriorModelParams:
+class PriorModelParams(_SampleFloors):
     """Prior literature form: one Orbach-like term plus a T^5 Raman tail.
 
     omega(T) = a1 * n(n+1) + a2 * T^5 + a3(sample), and likewise for gamma
@@ -179,6 +217,18 @@ class PriorModelParams:
             if getattr(self, name) < 0:
                 raise ValueError(f"coefficient {name} must be nonnegative")
 
+    def rates(self, sample: str | None, temperature) -> RatePair:
+        """Rates at the given temperature(s); ``sample=None`` omits the floors."""
+        const = self._constants(sample)
+        t = np.asarray(temperature, dtype=float)
+        f = orbach_factor(self.delta, t)
+        t5 = t**5
+        omega = self.a1 * f + self.a2 * t5 + const.a3
+        gamma = self.b1 * f + self.b2 * t5 + const.b3
+        if t.ndim == 0:
+            return RatePair(float(omega), float(gamma))
+        return RatePair(omega, gamma)
+
 
 @dataclass(frozen=True)
 class RatePair:
@@ -191,48 +241,18 @@ class RatePair:
         return iter((self.omega, self.gamma))
 
 
-def _constants_for(params, sample: str | None) -> SampleConstants:
-    # sample=None is the documented no-constant sentinel (A3 = B3 = 0),
-    # used for phonon-limited curves and synthetic theory fits
-    if sample is None:
-        return SampleConstants(0.0, 0.0)
-    try:
-        return params.sample_constants[sample]
-    except KeyError:
-        known = ", ".join(sorted(params.sample_constants)) or "(none)"
-        raise KeyError(f"unknown sample {sample!r}; known samples: {known}") from None
-
-
 def eval_n_mode(params: NModeParams, sample: str | None, temperature) -> RatePair:
     """Evaluate the n-mode model at the given temperature(s).
 
     ``sample`` selects which constants to add; ``None`` means evaluate the
     pure phonon-limited curve (constants zero).
     """
-    const = _constants_for(params, sample)
-    t = np.asarray(temperature, dtype=float)
-    omega = np.full(t.shape, const.a3, dtype=float)
-    gamma = np.full(t.shape, const.b3, dtype=float)
-    for mode in params.modes:
-        f = orbach_factor(mode.delta, t)
-        omega = omega + mode.a_coeff * f
-        gamma = gamma + mode.b_coeff * f
-    if t.ndim == 0:
-        return RatePair(float(omega), float(gamma))
-    return RatePair(omega, gamma)
+    return params.rates(sample, temperature)
 
 
 def eval_prior_model(params: PriorModelParams, sample: str | None, temperature) -> RatePair:
     """Evaluate the prior (Orbach + T^5) model at the given temperature(s)."""
-    const = _constants_for(params, sample)
-    t = np.asarray(temperature, dtype=float)
-    f = orbach_factor(params.delta, t)
-    t5 = t**5
-    omega = params.a1 * f + params.a2 * t5 + const.a3
-    gamma = params.b1 * f + params.b2 * t5 + const.b3
-    if t.ndim == 0:
-        return RatePair(float(omega), float(gamma))
-    return RatePair(omega, gamma)
+    return params.rates(sample, temperature)
 
 
 @dataclass(frozen=True)
@@ -276,7 +296,7 @@ def ratio_curve(
     """
     out = []
     for t in t_grid:
-        rates = eval_n_mode(params, sample, float(t))
+        rates = params.rates(sample, float(t))
         if rates.omega == 0:
             raise ZeroDivisionError(f"omega vanishes at T = {t} K; ratio undefined")
         out.append((float(t), rates.gamma / rates.omega))

@@ -41,7 +41,7 @@ from .core import (
     convert_energy,
 )
 from .fitting import FitProblem, FitResult, ModelSpec, fit
-from .models import _EXP_ARG_MAX
+from .models import _bose_einstein
 
 __all__ = [
     "COUPLING_CSV_HEADER",
@@ -345,10 +345,7 @@ def _occupancy_weight(grid: np.ndarray, temperature: float) -> np.ndarray:
     """n(n+1) over the energy grid; the zero-energy sample contributes 0."""
     weight = np.zeros_like(grid)
     positive = grid > 0
-    x = grid[positive] / (BOLTZMANN_MEV_PER_K * temperature)
-    live = x <= _EXP_ARG_MAX
-    n = np.zeros_like(x)
-    n[live] = 1.0 / np.expm1(x[live])
+    n = _bose_einstein(grid[positive] / (BOLTZMANN_MEV_PER_K * temperature))
     weight[positive] = n * (n + 1.0)
     return weight
 

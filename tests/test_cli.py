@@ -55,6 +55,12 @@ class TestExitCodes:
 
     def test_unknown_flag_is_input_error(self, capsys):
         assert run("fit", "--definitely-not-a-flag") == 1
+        assert run("fit", "--threads", "2") == 1
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    def test_repeated_model_compare_is_input_error(self, capsys):
+        assert run("compare", "--models", "n-mode:2", "prior", "N_MODE:2") == 1
+        assert "model n-mode:2 given more than once" in capsys.readouterr().err
 
     def test_successful_fit_exits_zero(self, tmp_path):
         assert run("fit", "--model", "prior", "--multistart", "2",
@@ -291,17 +297,6 @@ class TestReproducibility:
         first = out.read_bytes()
         assert run(*args) == 0
         assert out.read_bytes() == first
-
-    def test_threads_do_not_change_the_result(self, tmp_path):
-        out1, out4 = tmp_path / "t1.json", tmp_path / "t4.json"
-        assert run("fit", "--model", "prior", "--multistart", "4",
-                   "--threads", "1", "-o", str(out1)) == 0
-        assert run("fit", "--model", "prior", "--multistart", "4",
-                   "--threads", "4", "-o", str(out4)) == 0
-        d1 = json.loads(out1.read_text())
-        d4 = json.loads(out4.read_text())
-        d1.pop("config"), d4.pop("config")   # echo includes the flags
-        assert d1 == d4
 
     def test_builtin_override_env(self, tmp_path, monkeypatch):
         copy = tmp_path / "copy.csv"

@@ -18,7 +18,7 @@ from nvrelax.fitting import (
     residual_diagnostics,
 )
 from nvrelax.fitting import _assemble, _heuristic_guess, _jacobian_log, _residuals_log
-from nvrelax.models import Mode, NModeParams, eval_n_mode, eval_prior_model, PriorModelParams, SampleConstants
+from nvrelax.models import Mode, NModeParams, eval_n_mode, PriorModelParams, SampleConstants
 
 
 def _synthetic_dataset(params, temps, sample="A", rel_err=0.02, provenance="synthetic"):
@@ -26,10 +26,7 @@ def _synthetic_dataset(params, temps, sample="A", rel_err=0.02, provenance="synt
     rows = []
     eval_sample = sample if params.sample_constants else None
     for i, t in enumerate(temps):
-        if isinstance(params, PriorModelParams):
-            omega, gamma = eval_prior_model(params, eval_sample, t)
-        else:
-            omega, gamma = eval_n_mode(params, eval_sample, t)
+        omega, gamma = params.rates(eval_sample, t)
         rows.append(RateMeasurement(
             nv_id=f"SYN{i}", sample=sample, temperature=float(t),
             omega=omega, omega_err=max(rel_err * omega, 1e-5),
@@ -370,7 +367,7 @@ class TestOneModeFit:
 
 class TestCompareModels:
     @staticmethod
-    def _stub(label_spec, chi2_reduced, checksum="abc", dof=96):
+    def _stub(label_spec, chi2_reduced, checksum="abc", dof=96, t_min=None):
         chi2 = chi2_reduced * dof
         return FitResult(
             model=label_spec, param_names=("delta_1",), params={"delta_1": 70.0},
@@ -378,18 +375,19 @@ class TestCompareModels:
             chi2_reduced=chi2_reduced, residuals_normalized=np.zeros(2),
             residual_labels=(("N", "A", 300.0, "omega"), ("N", "A", 300.0, "gamma")),
             converged=True, n_iterations=10, gradient_norm=0.0, n_starts=1,
-            start_chi2=(chi2,), constants="per_sample", t_min=None,
+            start_chi2=(chi2,), constants="per_sample", t_min=t_min,
             dataset_checksum=checksum, dataset_provenance="stub",
         )
 
     def test_orders_by_reduced_chi2(self):
         ranking = compare_models([
-            self._stub(ModelSpec("n_mode", 1), 3.9),
+            self._stub(ModelSpec("n_mode", 1), 3.9, t_min=125.0),
             self._stub(ModelSpec("n_mode", 2), 1.3),
             self._stub(ModelSpec("prior"), 1.5),
         ])
         labels = [row.label for row in ranking]
-        assert labels == ["n-mode:2", "prior", "n-mode:1"]
+        assert labels == ["n-mode:2", "prior", "n-mode:1 (T>=125K)"]
+        assert self._stub(ModelSpec("n_mode", 1), 3.9, t_min=125.0).label == labels[2]
         assert ranking.rows[0].delta_chi2_reduced == 0.0
         assert ranking.rows[2].delta_chi2_reduced == pytest.approx(2.6)
 

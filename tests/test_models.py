@@ -183,6 +183,9 @@ class TestEvalNMode:
         bare = eval_n_mode(published_params, None, 295.0)
         with_const = eval_n_mode(published_params, "A", 295.0)
         assert with_const.omega - bare.omega == pytest.approx(0.013, rel=1e-9)
+        reversed_constants = dict(reversed(published_params.sample_constants.items()))
+        assert NModeParams(published_params.modes, reversed_constants).samples == ("A", "B")
+        assert NModeParams(published_params.modes).samples == (None,)
 
     @given(deltas=mode_energies, data=st.data())
     @settings(max_examples=60)
@@ -220,6 +223,8 @@ class TestEvalPriorModel:
         assert eval_prior_model(prior, None, t).omega == pytest.approx(
             eval_n_mode(single, None, t).omega, rel=1e-12
         )
+        assert prior.rates(None, t) == eval_prior_model(prior, None, t)
+        assert single.rates(None, t) == eval_n_mode(single, None, t)
 
 
 class TestCoherenceLimits:

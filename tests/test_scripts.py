@@ -1,0 +1,21 @@
+"""Smoke runs of the research scripts in scripts/, in-process with small inputs."""
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script, argv, header", [
+    ("protocol_calibration.py", ["--n-seeds", "3"], "|pull|<=1"),
+    ("raman_bias_experiment.py", ["--sigmas", "7.5", "--multistart", "2"], "delta_1"),
+    ("fit_rate_models.py", [], "model ranking (best first):"),
+], ids=["protocol_calibration", "raman_bias_experiment", "fit_rate_models"])
+def test_script_main_prints_its_table(script, argv, header, monkeypatch, capsys):
+    path = SCRIPTS / script
+    main = runpy.run_path(str(path))["main"]
+    monkeypatch.setattr(sys, "argv", [str(path), *argv])
+    assert main() is None
+    assert header in capsys.readouterr().out
