@@ -191,20 +191,12 @@ def _read_params_file(path: str) -> tuple[str, dict[str, float], str]:
 def _temperature_grid(args, geometric: bool) -> np.ndarray:
     if getattr(args, "temps", None):
         temps = np.array([float(t) for t in args.temps.split(",")])
-        if len(temps) == 0:
-            raise ValueError("empty temperature list")
-    else:
-        if args.t_max <= args.t_min:
-            raise ValueError("t-max must exceed t-min")
-        if geometric:
-            if args.t_min <= 0:
-                raise ValueError("geometric temperature grids need t-min > 0")
-            temps = np.geomspace(args.t_min, args.t_max, args.n_temps)
-        else:
-            temps = np.linspace(args.t_min, args.t_max, args.n_temps)
-    if np.any(temps <= 0):
-        raise ValueError("temperatures must be positive")
-    return temps
+        if not np.all(np.isfinite(temps) & (temps > 0)):
+            raise ValueError("--temps: temperatures must be positive and finite")
+        return temps
+    if args.t_max <= args.t_min:
+        raise ValueError("t-max must exceed t-min")
+    return (np.geomspace if geometric else np.linspace)(args.t_min, args.t_max, args.n_temps)
 
 
 def _cmd_eval(args) -> int:
@@ -363,9 +355,6 @@ def _cmd_compare(args) -> int:
     ]
 
     if args.extrapolate is not None:
-        temperature = float(args.extrapolate)
-        if temperature <= 0:
-            raise ValueError("extrapolation temperature must be positive")
         best_label = ranking.rows[0].label
         predictions = {}
         for row in ranking:
@@ -373,7 +362,7 @@ def _cmd_compare(args) -> int:
             params = result.to_model_params()
             per_sample = {}
             for sample in params.samples:
-                omega, gamma = params.rates(sample, temperature)
+                omega, gamma = params.rates(sample, args.extrapolate)
                 per_sample[sample or "lattice"] = {"omega_s": omega, "gamma_s": gamma}
             predictions[row.label] = per_sample
         divergence = {}
@@ -389,7 +378,7 @@ def _cmd_compare(args) -> int:
                     per_sample.items(), predictions[best_label].values())
             }
         report["extrapolation"] = {
-            "temperature_k": temperature,
+            "temperature_k": args.extrapolate,
             "predictions": predictions,
             "divergence_vs_best_pct": divergence,
         }
@@ -402,6 +391,17 @@ def _cmd_compare(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0; the parser names the flag on error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def _add_fit_options(sub, multistart_default: int) -> None:
@@ -451,8 +451,8 @@ def _build_parser() -> _Parser:
                         help="sample label for constant floors (omit: lattice only)")
     p_eval.add_argument("--temps", default=None,
                         help="comma-separated temperature list (K)")
-    p_eval.add_argument("--t-min", type=float, default=200.0)
-    p_eval.add_argument("--t-max", type=float, default=474.0)
+    p_eval.add_argument("--t-min", type=_positive_float, default=200.0)
+    p_eval.add_argument("--t-max", type=_positive_float, default=474.0)
     p_eval.add_argument("--n-temps", type=int, default=20)
     _add_run_options(p_eval)
     p_eval.set_defaults(handler=_cmd_eval)
@@ -461,10 +461,10 @@ def _build_parser() -> _Parser:
         "spectral", help="broaden coupling tables and integrate rate curves")
     p_spec.add_argument("--coupling", default=ANCHOR_TAG,
                         help=f"coupling CSV path or the builtin tag {ANCHOR_TAG!r}")
-    p_spec.add_argument("--sigma", type=float, default=1.0,
+    p_spec.add_argument("--sigma", type=_positive_float, default=1.0,
                         help="Gaussian broadening width (meV)")
-    p_spec.add_argument("--t-min", type=float, default=100.0)
-    p_spec.add_argument("--t-max", type=float, default=5000.0)
+    p_spec.add_argument("--t-min", type=_positive_float, default=100.0)
+    p_spec.add_argument("--t-max", type=_positive_float, default=5000.0)
     p_spec.add_argument("--n-temps", type=int, default=40)
     p_spec.add_argument("--refit", action="store_true",
                         help="append a two-mode fit of the rate curve")
@@ -506,7 +506,7 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("--models", nargs="+", required=True,
                        help="two or more model labels")
     _add_fit_options(p_cmp, multistart_default=16)
-    p_cmp.add_argument("--extrapolate", type=float, default=None,
+    p_cmp.add_argument("--extrapolate", type=_positive_float, default=None,
                        help="also report predictions at this temperature (K)")
     _add_run_options(p_cmp)
     p_cmp.set_defaults(handler=_cmd_compare)

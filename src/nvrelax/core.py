@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -133,6 +134,9 @@ class RateMeasurement:
     gamma_err: float        # s^-1
 
     def __post_init__(self) -> None:
+        for name in ("temperature", "omega", "omega_err", "gamma", "gamma_err"):
+            if not math.isfinite(getattr(self, name)):
+                raise DatasetError(f"{name} must be finite, got {getattr(self, name)}")
         if self.temperature <= 0:
             raise DatasetError(f"temperature must be positive, got {self.temperature}")
         if self.omega < 0 or self.gamma < 0:
@@ -194,8 +198,8 @@ _NUMERIC_COLUMNS = ("temperature_k", "omega_s", "omega_err_s", "gamma_s", "gamma
 def parse_dataset_text(text: str, provenance: str = "") -> Dataset:
     """Parse canonical CSV text into a Dataset.
 
-    Raises DatasetError naming line and column for malformed rows, and
-    enforces the ingestion bounds on temperature.
+    Raises DatasetError naming line and column for malformed rows or
+    non-finite values, and enforces the ingestion bounds on temperature.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
@@ -222,6 +226,8 @@ def parse_dataset_text(text: str, provenance: str = "") -> Dataset:
                 raise DatasetError(
                     f"line {lineno}, column {name}: not a number: {raw!r}"
                 ) from None
+            if not math.isfinite(values[name]):
+                raise DatasetError(f"line {lineno}, column {name}: not finite: {raw!r}")
         t = values["temperature_k"]
         if not _T_INGEST_MIN_K <= t <= _T_INGEST_MAX_K:
             raise DatasetError(

@@ -6,18 +6,20 @@ dataset rows:
     chi2(theta) = sum_i [ (Omega_i - Omega(T_i; theta))^2 / sigma_Omega_i^2
                         + (gamma_i - gamma(T_i; theta))^2 / sigma_gamma_i^2 ]
 
-Mode energies and coefficients are global across samples; the constant
-floors are per sample.  Every parameter is positive, so the optimizer works
-in log space (bounds become simple box constraints and the Orbach arguments
-stay valid); uncertainties are transformed back with the delta method.
-Multistart with deterministic seeding handles the multimodality of the
-three-mode fit.
+Both rate laws are ordered sums of Orbach and T^5 terms, laid out once by
+:attr:`ModelSpec.terms`; mode energies and coefficients are global across
+samples, the constant floors are per sample and added last.  The model is
+summed by the same helper as ``rates``, so fit and evaluation agree bit for
+bit.  Every parameter is positive, so the optimizer works in log space
+(bounds become simple box constraints and the Orbach arguments stay valid);
+uncertainties are transformed back with the delta method.  Multistart with
+deterministic seeding handles the multimodality of the three-mode fit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -28,7 +30,8 @@ from .models import (
     NModeParams,
     PriorModelParams,
     SampleConstants,
-    orbach_factor,
+    _sum_terms,
+    _term_column,
     orbach_factor_ddelta,
 )
 
@@ -71,6 +74,18 @@ class RankDeficiencyError(RuntimeError):
         self.null_direction = null_direction
 
 
+class _Term(NamedTuple):
+    """Coefficients ``a`` (Omega) and ``b`` (gamma) times the Orbach factor at
+    mode energy ``delta``, or times T^5 if ``delta`` is None: parameter names
+    in a ModelSpec, parameter columns once assembled.  ``start`` is the
+    heuristic guess's starting energy of an Orbach term."""
+
+    delta: str | int | None
+    a: str | int
+    b: str | int
+    start: float | None = None
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Which rate law to fit: 'n_mode' with 1-3 modes, or 'prior'."""
@@ -96,6 +111,22 @@ class ModelSpec:
     @property
     def label(self) -> str:
         return "prior" if self.kind == "prior" else f"n-mode:{self.n_modes}"
+
+    @property
+    def terms(self) -> tuple[_Term, ...]:
+        """The rate law as basis terms in summation order."""
+        if self.kind == "prior":
+            return (_Term("delta", "a1", "b1", start=70.0), _Term(None, "a2", "b2"))
+        starts = {1: (80.0,), 2: (60.0, 160.0), 3: (50.0, 100.0, 200.0)}[self.n_modes]
+        return tuple(_Term(f"delta_{k}", f"a_{k}", f"b_{k}", start=d)
+                     for k, d in enumerate(starts, start=1))
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        """Rate-law parameter names in report order."""
+        if self.kind == "prior":
+            return ("delta", "a1", "b1", "a2", "b2")
+        return tuple(getattr(t, f) for f in ("delta", "a", "b") for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -140,13 +171,10 @@ class _Assembled:
     temps: np.ndarray           # per row
     data: np.ndarray            # interleaved (omega_0, gamma_0, omega_1, ...)
     err: np.ndarray             # same interleaving
-    sample_masks: dict[str, np.ndarray]
+    terms: tuple[_Term, ...]    # fields are parameter columns
+    # one per sample: (omega positions in data, a3 column, b3 column)
+    floors: tuple[tuple[np.ndarray, int, int], ...]
     labels: tuple[tuple[str, str, float, str], ...]  # (nv_id, sample, T, channel)
-    n_modes: int
-    kind: str
-    samples: tuple[str, ...]
-    checksum: str
-    provenance: str
 
 
 def _assemble(problem: FitProblem) -> _Assembled:
@@ -158,32 +186,23 @@ def _assemble(problem: FitProblem) -> _Assembled:
 
     rows = dataset.rows
     temps = np.array([r.temperature for r in rows])
-    data = np.empty(2 * len(rows))
-    err = np.empty(2 * len(rows))
-    labels = []
-    for i, r in enumerate(rows):
-        data[2 * i], data[2 * i + 1] = r.omega, r.gamma
-        err[2 * i], err[2 * i + 1] = r.omega_err, r.gamma_err
-        labels.append((r.nv_id, r.sample, r.temperature, "omega"))
-        labels.append((r.nv_id, r.sample, r.temperature, "gamma"))
+    data = np.array([(r.omega, r.gamma) for r in rows], dtype=float).ravel()
+    err = np.array([(r.omega_err, r.gamma_err) for r in rows], dtype=float).ravel()
+    labels = tuple((r.nv_id, r.sample, r.temperature, channel)
+                   for r in rows for channel in ("omega", "gamma"))
 
     # sorted sample order keeps parameter naming independent of row order
-    samples = tuple(sorted({r.sample for r in rows})) if problem.constants == "per_sample" else ()
-    sample_masks = {
-        s: np.array([r.sample == s for r in rows]) for s in samples
-    }
-
-    spec = problem.model
-    if spec.kind == "n_mode":
-        n = spec.n_modes
-        names = [f"delta_{k}" for k in range(1, n + 1)]
-        names += [f"a_{k}" for k in range(1, n + 1)]
-        names += [f"b_{k}" for k in range(1, n + 1)]
-    else:
-        n = 1
-        names = ["delta", "a1", "b1", "a2", "b2"]
-    for s in samples:
-        names += [f"a3_{s}", f"b3_{s}"]
+    samples = sorted({r.sample for r in rows}) if problem.constants == "per_sample" else ()
+    names = [*problem.model.param_names, *(f"{c}3_{s}" for s in samples for c in "ab")]
+    col = {name: j for j, name in enumerate(names)}
+    terms = tuple(
+        _Term(None if t.delta is None else col[t.delta], col[t.a], col[t.b], t.start)
+        for t in problem.model.terms
+    )
+    floors = tuple(
+        (2 * np.flatnonzero([r.sample == s for r in rows]), col[f"a3_{s}"], col[f"b3_{s}"])
+        for s in samples
+    )
 
     if len(names) >= len(data):
         raise ValueError(
@@ -194,27 +213,23 @@ def _assemble(problem: FitProblem) -> _Assembled:
         temps=temps,
         data=data,
         err=err,
-        sample_masks=sample_masks,
-        labels=tuple(labels),
-        n_modes=n,
-        kind=spec.kind,
-        samples=samples,
-        checksum=problem.dataset.checksum(),
-        provenance=problem.dataset.provenance,
+        terms=terms,
+        floors=floors,
+        labels=labels,
     )
 
 
 def _default_bounds(asm: _Assembled) -> dict[str, tuple[float, float]]:
     out: dict[str, tuple[float, float]] = {}
-    for name in asm.names:
-        if name.startswith("delta"):
-            out[name] = (5.0, 400.0)
-        elif name in ("a2", "b2") and asm.kind == "prior":
-            out[name] = (1e-18, 1e-3)      # T^5 coefficients are tiny in s^-1 K^-5
-        elif name.startswith(("a3", "b3")):
-            out[name] = (1e-8, 1e3)
+    for t in asm.terms:
+        if t.delta is None:
+            coeff = (1e-18, 1e-3)      # T^5 coefficients are tiny in s^-1 K^-5
         else:
-            out[name] = (1e-6, 1e9)
+            out[asm.names[t.delta]] = (5.0, 400.0)
+            coeff = (1e-6, 1e9)
+        out[asm.names[t.a]] = out[asm.names[t.b]] = coeff
+    for _, a3, b3 in asm.floors:
+        out[asm.names[a3]] = out[asm.names[b3]] = (1e-8, 1e3)
     return out
 
 
@@ -222,79 +237,54 @@ def _heuristic_guess(asm: _Assembled) -> dict[str, float]:
     """Data-derived starting point; scales with the data so that rescaled
     problems optimize along equivalent paths."""
     guess: dict[str, float] = {}
-    spread = {1: (80.0,), 2: (60.0, 160.0), 3: (50.0, 100.0, 200.0)}
-    deltas = spread[asm.n_modes] if asm.kind == "n_mode" else (70.0,)
-
-    omega = asm.data[0::2]
-    gamma = asm.data[1::2]
+    omega, gamma = asm.data[0::2], asm.data[1::2]
     hot = asm.temps >= np.median(asm.temps)
-    for k, d in enumerate(deltas, start=1):
-        f = orbach_factor(d, asm.temps[hot])
-        a_scale = float(np.median(omega[hot] / f)) / len(deltas)
-        b_scale = float(np.median(gamma[hot] / f)) / len(deltas)
-        if asm.kind == "n_mode":
-            guess[f"delta_{k}"] = d
-            guess[f"a_{k}"] = max(a_scale, 1e-5)
-            guess[f"b_{k}"] = max(b_scale, 1e-5)
-        else:
-            guess["delta"] = d
-            guess["a1"] = max(a_scale, 1e-5)
-            guess["b1"] = max(b_scale, 1e-5)
-    if asm.kind == "prior":
-        t5 = asm.temps[hot] ** 5
-        guess["a2"] = max(float(np.median(omega[hot] / t5)) * 0.3, 1e-17)
-        guess["b2"] = max(float(np.median(gamma[hot] / t5)) * 0.3, 1e-17)
-    for s in asm.samples:
-        guess[f"a3_{s}"] = max(float(np.min(omega)), 1e-6)
-        guess[f"b3_{s}"] = max(float(np.min(gamma)), 1e-6)
+    n_orbach = sum(t.delta is not None for t in asm.terms)
+    for t in asm.terms:
+        f = _term_column(t.start, asm.temps[hot])
+        a = float(np.median(omega[hot] / f))
+        b = float(np.median(gamma[hot] / f))
+        if t.delta is None:    # a T^5 tail starts at 30% of the hot rates
+            a, b, least = a * 0.3, b * 0.3, 1e-17
+        else:                  # the Orbach terms share the hot rates
+            guess[asm.names[t.delta]] = t.start
+            a, b, least = a / n_orbach, b / n_orbach, 1e-5
+        guess[asm.names[t.a]] = max(a, least)
+        guess[asm.names[t.b]] = max(b, least)
+    for _, a3, b3 in asm.floors:
+        guess[asm.names[a3]] = max(float(np.min(omega)), 1e-6)
+        guess[asm.names[b3]] = max(float(np.min(gamma)), 1e-6)
     return guess
 
 
 def _model_and_jacobian(asm: _Assembled, p: np.ndarray, with_jac: bool):
-    """Interleaved model vector (and physical-space Jacobian) at params p."""
-    idx = {name: j for j, name in enumerate(asm.names)}
-    n_rows = len(asm.temps)
-    model = np.zeros(2 * n_rows)
-    jac = np.zeros((2 * n_rows, len(p))) if with_jac else None
+    """Interleaved model vector (and physical-space Jacobian) at params p.
 
-    if asm.kind == "n_mode":
-        mode_items = [
-            (p[idx[f"delta_{k}"]], p[idx[f"a_{k}"]], p[idx[f"b_{k}"]], k)
-            for k in range(1, asm.n_modes + 1)
-        ]
-        for delta, a, b, k in mode_items:
-            f = orbach_factor(delta, asm.temps)
-            model[0::2] += a * f
-            model[1::2] += b * f
-            if with_jac:
-                df = orbach_factor_ddelta(delta, asm.temps)
-                jac[0::2, idx[f"delta_{k}"]] = a * df
-                jac[1::2, idx[f"delta_{k}"]] = b * df
-                jac[0::2, idx[f"a_{k}"]] = f
-                jac[1::2, idx[f"b_{k}"]] = f
-    else:
-        delta, a1, b1, a2, b2 = (p[idx[n]] for n in ("delta", "a1", "b1", "a2", "b2"))
-        f = orbach_factor(delta, asm.temps)
-        t5 = asm.temps**5
-        model[0::2] = a1 * f + a2 * t5
-        model[1::2] = b1 * f + b2 * t5
-        if with_jac:
-            df = orbach_factor_ddelta(delta, asm.temps)
-            jac[0::2, idx["delta"]] = a1 * df
-            jac[1::2, idx["delta"]] = b1 * df
-            jac[0::2, idx["a1"]] = f
-            jac[1::2, idx["b1"]] = f
-            jac[0::2, idx["a2"]] = t5
-            jac[1::2, idx["b2"]] = t5
+    The terms are summed by the helper ``rates`` uses, floors last, so the
+    model equals the rates of the same parameters bit for bit.
+    """
+    columns = [_term_column(None if t.delta is None else p[t.delta], asm.temps)
+               for t in asm.terms]
+    model = np.empty(2 * len(asm.temps))
+    model[0::2], model[1::2] = _sum_terms(
+        (column, p[t.a], p[t.b]) for column, t in zip(columns, asm.terms))
+    for rows, a3, b3 in asm.floors:
+        model[rows] += p[a3]
+        model[rows + 1] += p[b3]
+    if not with_jac:
+        return model, None
 
-    for s in asm.samples:
-        mask = asm.sample_masks[s]
-        model[0::2][mask] += p[idx[f"a3_{s}"]]
-        model[1::2][mask] += p[idx[f"b3_{s}"]]
-        if with_jac:
-            rows_o = np.flatnonzero(mask) * 2
-            jac[rows_o, idx[f"a3_{s}"]] = 1.0
-            jac[rows_o + 1, idx[f"b3_{s}"]] = 1.0
+    jac = np.zeros((len(model), len(p)))
+    for column, t in zip(columns, asm.terms):
+        jac[0::2, t.a] = column
+        jac[1::2, t.b] = column
+        if t.delta is not None:
+            df = orbach_factor_ddelta(p[t.delta], asm.temps)
+            jac[0::2, t.delta] = p[t.a] * df
+            jac[1::2, t.delta] = p[t.b] * df
+    for rows, a3, b3 in asm.floors:
+        jac[rows, a3] = 1.0
+        jac[rows + 1, b3] = 1.0
     return model, jac
 
 
@@ -315,43 +305,36 @@ def _sample_starts(asm: _Assembled, problem: FitProblem,
                    bounds: dict[str, tuple[float, float]]) -> list[np.ndarray]:
     rng = np.random.default_rng(problem.seed)
     starts = [np.array([guess[n] for n in asm.names])]
-    n_deltas = asm.n_modes if asm.kind == "n_mode" else 1
+    lo = np.array([bounds[n][0] for n in asm.names])
+    hi = np.array([bounds[n][1] for n in asm.names])
+    delta_names = [asm.names[t.delta] for t in asm.terms if t.delta is not None]
+    floor_names = {asm.names[j] for _, a3, b3 in asm.floors for j in (a3, b3)}
     while len(starts) < problem.multistart:
         trial = dict(guess)
         # mode energies sampled log-uniformly over the phonon band, kept
         # apart so no start is born degenerate
         for _ in range(200):
-            deltas = np.sort(np.exp(rng.uniform(np.log(20.0), np.log(300.0), n_deltas)))
+            deltas = np.sort(np.exp(rng.uniform(np.log(20.0), np.log(300.0), len(delta_names))))
             if np.all(np.diff(deltas) > 2.0):
                 break
-        delta_names = (
-            [f"delta_{k}" for k in range(1, n_deltas + 1)]
-            if asm.kind == "n_mode" else ["delta"]
-        )
         for name, d in zip(delta_names, deltas):
             trial[name] = d
         for name in asm.names:
             if name in delta_names:
                 continue
-            window = 1.5 if name.startswith(("a3", "b3")) else 2.0
+            window = 1.5 if name in floor_names else 2.0
             trial[name] = guess[name] * 10 ** rng.uniform(-window, window)
         vec = np.array([trial[n] for n in asm.names])
-        lo = np.array([bounds[n][0] for n in asm.names])
-        hi = np.array([bounds[n][1] for n in asm.names])
         starts.append(np.clip(vec, lo * 1.001, hi * 0.999))
     return starts
 
 
 def _canonical_order(asm: _Assembled, p: np.ndarray) -> np.ndarray:
-    """Permute parameters so modes are ascending in energy."""
-    if asm.kind != "n_mode" or asm.n_modes == 1:
-        return p
-    idx = {name: j for j, name in enumerate(asm.names)}
-    order = np.argsort([p[idx[f"delta_{k}"]] for k in range(1, asm.n_modes + 1)])
+    """Permute parameters so the Orbach terms are ascending in energy."""
+    orbach = [t for t in asm.terms if t.delta is not None]
     out = p.copy()
-    for new_k, old in enumerate(order, start=1):
-        for prefix in ("delta", "a", "b"):
-            out[idx[f"{prefix}_{new_k}"]] = p[idx[f"{prefix}_{old + 1}"]]
+    for new, old in zip(orbach, sorted(orbach, key=lambda t: p[t.delta])):
+        out[[new.delta, new.a, new.b]] = p[[old.delta, old.a, old.b]]
     return out
 
 
@@ -370,15 +353,9 @@ def params_from_dict(model, values):
         for s in samples
     }
     if spec.kind == "n_mode":
-        modes = tuple(
-            Mode(values[f"delta_{k}"], values[f"a_{k}"], values[f"b_{k}"])
-            for k in range(1, spec.n_modes + 1)
-        )
+        modes = tuple(Mode(values[t.delta], values[t.a], values[t.b]) for t in spec.terms)
         return NModeParams(modes=modes, sample_constants=constants)
-    return PriorModelParams(
-        delta=values["delta"], a1=values["a1"], b1=values["b1"],
-        a2=values["a2"], b2=values["b2"], sample_constants=constants,
-    )
+    return PriorModelParams(*(values[n] for n in spec.param_names), sample_constants=constants)
 
 
 @dataclass(frozen=True)
@@ -508,7 +485,9 @@ def fit(problem: FitProblem) -> FitResult:
             if not 0 < pair[0] < pair[1]:
                 raise ValueError(f"bounds for {name!r} must satisfy 0 < lo < hi")
             bounds[name] = (float(pair[0]), float(pair[1]))
-    guess = _heuristic_guess(asm)
+    # heuristic values are clamped into the bounds; a user guess is checked below
+    guess = {n: min(max(g, bounds[n][0]), bounds[n][1])
+             for n, g in _heuristic_guess(asm).items()}
     if problem.initial_guess:
         for name, value in problem.initial_guess.items():
             if name not in guess:
@@ -566,8 +545,8 @@ def fit(problem: FitProblem) -> FitResult:
         start_chi2=start_chi2,
         constants=problem.constants,
         t_min=problem.t_min,
-        dataset_checksum=asm.checksum,
-        dataset_provenance=asm.provenance,
+        dataset_checksum=problem.dataset.checksum(),
+        dataset_provenance=problem.dataset.provenance,
     )
 
 

@@ -3,8 +3,9 @@
 Two model families are implemented: a sum of Orbach-like terms driven by
 the occupation of a small number of effective phonon modes (one, two, or
 three modes; two is the proposed form), and the prior literature form with
-a single Orbach-like term plus a T^5 Raman tail.  Both carry optional
-temperature-independent per-sample constants.
+a single Orbach-like term plus a T^5 Raman tail.  Both are ordered sums of
+Orbach and T^5 terms plus an optional temperature-independent per-sample
+floor, added last by the one rate body the fitter's model shares.
 """
 from __future__ import annotations
 
@@ -96,6 +97,21 @@ def orbach_factor_ddelta(delta: float, temperature):
     return float(out) if t.ndim == 0 else out
 
 
+def _term_column(delta: float | None, temperature):
+    """Basis column of one rate-law term: n(n+1) at mode energy ``delta``,
+    or T^5 when ``delta`` is None."""
+    return temperature**5 if delta is None else orbach_factor(delta, temperature)
+
+
+def _sum_terms(triples):
+    """(omega, gamma) summed over (column, a, b) triples in term order, from zero."""
+    omega = gamma = 0.0
+    for column, a, b in triples:
+        omega = omega + a * column
+        gamma = gamma + b * column
+    return omega, gamma
+
+
 @dataclass(frozen=True)
 class Mode:
     """One effective phonon mode: energy plus its two channel coefficients."""
@@ -130,7 +146,18 @@ _MIN_MODE_SEPARATION_MEV = 1.0
 
 
 class _SampleFloors:
-    """Per-sample constant floors, shared by both rate laws."""
+    """Per-sample floors and the rate body of both laws: ``terms`` lists
+    (delta, a, b) per basis term, delta None for T^5; the floor comes last."""
+
+    def rates(self, sample: str | None, temperature) -> RatePair:
+        """Rates at the given temperature(s); ``sample=None`` omits the floors."""
+        const = self._constants(sample)
+        t = np.asarray(temperature, dtype=float)
+        omega, gamma = _sum_terms((_term_column(delta, t), a, b) for delta, a, b in self.terms)
+        omega, gamma = omega + const.a3, gamma + const.b3
+        if t.ndim == 0:
+            return RatePair(float(omega), float(gamma))
+        return RatePair(omega, gamma)
 
     @property
     def samples(self) -> tuple[str | None, ...]:
@@ -180,19 +207,9 @@ class NModeParams(_SampleFloors):
     def n_modes(self) -> int:
         return len(self.modes)
 
-    def rates(self, sample: str | None, temperature) -> RatePair:
-        """Rates at the given temperature(s); ``sample=None`` omits the floors."""
-        const = self._constants(sample)
-        t = np.asarray(temperature, dtype=float)
-        omega = np.full(t.shape, const.a3, dtype=float)
-        gamma = np.full(t.shape, const.b3, dtype=float)
-        for mode in self.modes:
-            f = orbach_factor(mode.delta, t)
-            omega = omega + mode.a_coeff * f
-            gamma = gamma + mode.b_coeff * f
-        if t.ndim == 0:
-            return RatePair(float(omega), float(gamma))
-        return RatePair(omega, gamma)
+    @property
+    def terms(self) -> tuple[tuple[float, float, float], ...]:
+        return tuple((m.delta, m.a_coeff, m.b_coeff) for m in self.modes)
 
 
 @dataclass(frozen=True)
@@ -217,17 +234,9 @@ class PriorModelParams(_SampleFloors):
             if getattr(self, name) < 0:
                 raise ValueError(f"coefficient {name} must be nonnegative")
 
-    def rates(self, sample: str | None, temperature) -> RatePair:
-        """Rates at the given temperature(s); ``sample=None`` omits the floors."""
-        const = self._constants(sample)
-        t = np.asarray(temperature, dtype=float)
-        f = orbach_factor(self.delta, t)
-        t5 = t**5
-        omega = self.a1 * f + self.a2 * t5 + const.a3
-        gamma = self.b1 * f + self.b2 * t5 + const.b3
-        if t.ndim == 0:
-            return RatePair(float(omega), float(gamma))
-        return RatePair(omega, gamma)
+    @property
+    def terms(self) -> tuple[tuple[float | None, float, float], ...]:
+        return ((self.delta, self.a1, self.b1), (None, self.a2, self.b2))
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,39 @@ class TestExitCodes:
         assert run("compare", "--models", "n-mode:2", "prior", "N_MODE:2") == 1
         assert "model n-mode:2 given more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("spectral", "--sigma", "0"),
+        ("spectral", "--sigma", "nan"),
+        ("eval", "--temps", "nan"),
+        ("compare", "--models", "n-mode:1", "prior", "--extrapolate", "nan"),
+    ])
+    def test_nonpositive_or_nonfinite_flag_is_input_error(
+            self, argv, published_params_file, tmp_path, capsys):
+        extra = {"spectral": ("-o", str(tmp_path / "s")),
+                 "eval": ("--params", published_params_file),
+                 "compare": ()}[argv[0]]
+        assert run(*argv, *extra) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert argv[-2] in err
+
+    def test_cold_only_data_uses_clamped_heuristic_guesses(self, tmp_path, capsys):
+        # below 5 K the heuristic coefficient guesses overflow their bounds;
+        # they are clamped, so the fit runs and ends in a diagnosed result
+        data = tmp_path / "cold.csv"
+        data.write_text(
+            "nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s\n"
+            "C1,A,2.5,0.0105,0.002,0.042,0.008\n"
+            "C1,A,3.0,0.009781,0.002,0.03896,0.008\n"
+            "C1,A,3.5,0.01254,0.002,0.04548,0.008\n"
+            "C1,A,4.0,0.03681,0.002,0.09322,0.008\n"
+            "C1,A,5.0,0.915,0.002,1.85,0.008\n")
+        assert run("fit", "--model", "n-mode:1", "--data", str(data),
+                   "-o", str(tmp_path / "one.json")) == 0
+        assert run("fit", "--model", "prior", "--data", str(data),
+                   "-o", str(tmp_path / "prior.json")) == 2
+        assert "outside bounds" not in capsys.readouterr().err
+
     def test_successful_fit_exits_zero(self, tmp_path):
         assert run("fit", "--model", "prior", "--multistart", "2",
                    "-o", str(tmp_path / "r.json")) == 0

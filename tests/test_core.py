@@ -85,6 +85,15 @@ class TestRateMeasurementValidation:
         with pytest.raises(DatasetError, match="temperature"):
             RateMeasurement("NVA", "A", 0.0, 60.0, 3.0, 128.0, 7.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [2, 3, 4, 5, 6])
+    def test_nonfinite_value_rejected_naming_field(self, field, bad):
+        values = ["NVA", "A", 295.0, 60.0, 3.0, 128.0, 7.0]
+        values[field] = bad
+        name = ("temperature", "omega", "omega_err", "gamma", "gamma_err")[field - 2]
+        with pytest.raises(DatasetError, match=f"^{name} must be finite"):
+            RateMeasurement(*values)
+
     def test_zero_rate_with_positive_error_allowed(self):
         # the bundled dataset contains omega = 0.0 +- 0.008 at 50 K
         m = RateMeasurement("NVB3", "B", 50.0, 0.0, 0.008, 0.23, 0.09)
@@ -168,6 +177,16 @@ class TestDatasetIO:
     def test_nonpositive_error_bar_names_line(self):
         text = CSV_HEADER + "\nNVA,A,295.0,60.0,-3.0,128.0,7.0\n"
         with pytest.raises(DatasetError, match="line 2"):
+            parse_dataset_text(text)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    @pytest.mark.parametrize("column", CSV_HEADER.split(",")[2:])
+    def test_nonfinite_value_names_line_and_column(self, column, raw):
+        fields = dict(zip(CSV_HEADER.split(","),
+                          ["NVA", "A", "295.0", "60.0", "3.0", "128.0", "7.0"]))
+        fields[column] = raw
+        text = CSV_HEADER + "\nNVA,A,300.0,61.0,3.0,129.0,7.0\n" + ",".join(fields.values()) + "\n"
+        with pytest.raises(DatasetError, match=f"line 3, column {column}: not finite"):
             parse_dataset_text(text)
 
     def test_ingestion_temperature_bounds(self):

@@ -238,6 +238,22 @@ class TestJacobian:
             assert np.max(np.abs(analytic[:, j] - fd)) / scale < 1e-5
 
 
+class TestFitEvalAgreement:
+    @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "n-mode:3", "prior"])
+    def test_rates_reproduce_fit_residuals_exactly(self, builtin_dataset, token):
+        # fit and evaluation share one summation path, so evaluating the fitted
+        # parameters row by row rebuilds the fit's residuals bit for bit
+        result = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec.parse(token),
+                                constants="per_sample", multistart=4))
+        params = result.to_model_params()
+        rebuilt = []
+        for row in builtin_dataset:
+            omega, gamma = params.rates(row.sample, row.temperature)
+            rebuilt += [(omega - row.omega) / row.omega_err,
+                        (gamma - row.gamma) / row.gamma_err]
+        assert np.array_equal(np.array(rebuilt), result.residuals_normalized)
+
+
 class TestInvariances:
     def test_objective_decreases_from_start(self, builtin_dataset):
         problem = FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
