@@ -11,6 +11,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
+from typing import Mapping
 
 __all__ = [
     "BOLTZMANN_MEV_PER_K",
@@ -121,6 +122,13 @@ class DatasetError(ValueError):
     """Malformed or invalid measured-rate data."""
 
 
+def _require_finite(values: Mapping[str, float], error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RateMeasurement:
     """One relaxometry measurement: both rates with 1-sigma errors at one T."""
@@ -134,9 +142,9 @@ class RateMeasurement:
     gamma_err: float        # s^-1
 
     def __post_init__(self) -> None:
-        for name in ("temperature", "omega", "omega_err", "gamma", "gamma_err"):
-            if not math.isfinite(getattr(self, name)):
-                raise DatasetError(f"{name} must be finite, got {getattr(self, name)}")
+        _require_finite({name: getattr(self, name) for name in
+                         ("temperature", "omega", "omega_err", "gamma", "gamma_err")},
+                        DatasetError)
         if self.temperature <= 0:
             raise DatasetError(f"temperature must be positive, got {self.temperature}")
         if self.omega < 0 or self.gamma < 0:

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import DEFAULT_SEED, RateMeasurement
+from .core import DEFAULT_SEED, RateMeasurement, _require_finite
 
 __all__ = [
     "RateMatrix",
@@ -71,6 +71,7 @@ class RateMatrix:
     gamma: float    # s^-1, the -1 <-> +1 transition
 
     def __post_init__(self) -> None:
+        _require_finite({"omega": self.omega, "gamma": self.gamma})
         if self.omega < 0 or self.gamma < 0:
             raise ValueError("relaxation rates must be nonnegative")
 

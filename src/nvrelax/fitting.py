@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import DEFAULT_SEED, Dataset
+from .core import DEFAULT_SEED, Dataset, _require_finite
 from .models import (
     Mode,
     NModeParams,
@@ -242,8 +242,13 @@ def _heuristic_guess(asm: _Assembled) -> dict[str, float]:
     n_orbach = sum(t.delta is not None for t in asm.terms)
     for t in asm.terms:
         f = _term_column(t.start, asm.temps[hot])
-        a = float(np.median(omega[hot] / f))
-        b = float(np.median(gamma[hot] / f))
+        # an Orbach column underflows to 0 on cold rows, which then say
+        # nothing about the coefficient; with none left the floor is used
+        live = f > 0
+        a = b = 0.0
+        if np.any(live):
+            a = float(np.median(omega[hot][live] / f[live]))
+            b = float(np.median(gamma[hot][live] / f[live]))
         if t.delta is None:    # a T^5 tail starts at 30% of the hot rates
             a, b, least = a * 0.3, b * 0.3, 1e-17
         else:                  # the Orbach terms share the hot rates
@@ -343,9 +348,11 @@ def params_from_dict(model, values):
 
     ``model`` is a ModelSpec or its label (e.g. "n-mode:2", "prior").
     Sample constants are picked up from every a3_<sample>/b3_<sample> pair
-    present in ``values``; a missing parameter raises KeyError naming it.
+    present in ``values``; a missing parameter raises KeyError naming it,
+    a NaN or infinite one ValueError.
     """
     spec = ModelSpec.parse(model) if isinstance(model, str) else model
+    _require_finite(values)
     samples = sorted(name.split("_", 1)[1] for name in values
                      if name.startswith("a3_"))
     constants = {

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import BOLTZMANN_MEV_PER_K
+from .core import BOLTZMANN_MEV_PER_K, _require_finite
 
 __all__ = [
     "Mode",
@@ -121,6 +121,8 @@ class Mode:
     b_coeff: float    # s^-1, double-quantum (gamma) channel
 
     def __post_init__(self) -> None:
+        _require_finite({"delta": self.delta, "a_coeff": self.a_coeff,
+                         "b_coeff": self.b_coeff})
         if self.delta <= 0:
             raise ValueError(f"mode energy must be positive, got {self.delta}")
         if self.a_coeff < 0 or self.b_coeff < 0:
@@ -135,6 +137,7 @@ class SampleConstants:
     b3: float = 0.0   # s^-1, gamma channel
 
     def __post_init__(self) -> None:
+        _require_finite({"a3": self.a3, "b3": self.b3})
         # constrained nonnegative; a pure rate floor cannot be negative
         if self.a3 < 0 or self.b3 < 0:
             raise ValueError("sample constants must be nonnegative")
@@ -228,6 +231,8 @@ class PriorModelParams(_SampleFloors):
     sample_constants: Mapping[str, SampleConstants] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _require_finite({name: getattr(self, name)
+                         for name in ("delta", "a1", "b1", "a2", "b2")})
         if self.delta <= 0:
             raise ValueError(f"mode energy must be positive, got {self.delta}")
         for name in ("a1", "b1", "a2", "b2"):
@@ -284,6 +289,7 @@ def coherence_limits(omega: float, gamma: float) -> CoherenceLimit:
     The infinite-limit sentinel is ``math.inf`` per field, returned whenever
     the corresponding rate combination vanishes.
     """
+    _require_finite({"omega": omega, "gamma": gamma})
     if omega < 0 or gamma < 0:
         raise ValueError("rates must be nonnegative")
     sq = 3.0 * omega + gamma

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ from .core import (
     Dataset,
     RateMeasurement,
     TransitionChannel,
+    _require_finite,
     convert_energy,
 )
 from .fitting import FitProblem, FitResult, ModelSpec, fit
@@ -52,6 +54,7 @@ __all__ = [
     "SpectralFunction",
     "RamanRateCurve",
     "QuadratureError",
+    "QuadratureRate",
     "anchor_coupling_table",
     "build_spectral_function",
     "default_grid",
@@ -101,6 +104,7 @@ class CouplingEntry:
     order: int                  # 1 or 2
 
     def __post_init__(self) -> None:
+        _require_finite({"mode_energy": self.mode_energy, "amplitude": self.amplitude})
         if not 0.0 < self.mode_energy <= MAX_MODE_ENERGY_MEV:
             raise ValueError(
                 f"mode energy must lie in (0, {MAX_MODE_ENERGY_MEV:g}] meV, "
@@ -248,6 +252,16 @@ class SpectralFunction:
         """Dimensionless F(e, e): the squared amplitude in energy units."""
         return (PLANCK_MEV_PER_MHZ * self.amplitude) ** 2
 
+    @cached_property
+    def _diagonal_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Energies, F(e, e) and the full- and halved-grid Simpson weights on
+        the samples where F != 0, built once; the other samples would add
+        exactly 0 to every quadrature sum."""
+        values = self.diagonal_values()
+        keep = np.flatnonzero(values)
+        full, half = _quadrature_weights(self.grid)
+        return self.grid[keep], values[keep], full[keep], half[keep]
+
 
 def build_spectral_function(
     table: CouplingTable,
@@ -350,35 +364,86 @@ def _occupancy_weight(grid: np.ndarray, temperature: float) -> np.ndarray:
     return weight
 
 
-def _integrate_checked(integrand: np.ndarray, grid: np.ndarray) -> float:
-    """Simpson quadrature with a halved-grid Richardson error check."""
-    full = float(simpson(integrand, x=grid))
-    half = float(simpson(integrand[::2], x=grid[::2]))
+def _simpson_weights(grid: np.ndarray) -> np.ndarray:
+    """Vector w with ``w @ y == simpson(y, x=grid)`` on a uniform grid.
+
+    The templates are read off scipy: ``simpson(np.eye(3), dx=h)`` weighs
+    one pair of intervals, and ``simpson(np.eye(4), dx=h)`` less that pair
+    is the Cartwright correction scipy adds for the last interval of an
+    even sample count.
+    """
+    n = len(grid)
+    h = float(grid[1] - grid[0])
+    pair = simpson(np.eye(3), dx=h)
+    paired = n if n % 2 else n - 1      # samples covered by whole pairs
+    weights = np.zeros(n)
+    for k in range(3):
+        weights[k:paired - 2 + k:2] += pair[k]
+    if n % 2 == 0:
+        tail = simpson(np.eye(4), dx=h)
+        weights[-3:] += tail[1:] - np.append(pair[1:], 0.0)
+    return weights
+
+
+def _quadrature_weights(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson weights of the grid and of the halved grid ``grid[::2]``,
+    the latter scattered back to full-grid indices."""
+    half = np.zeros_like(grid)
+    half[::2] = _simpson_weights(grid[::2])
+    return _simpson_weights(grid), half
+
+
+def _integrate_checked(integrand: np.ndarray, full_weights: np.ndarray,
+                       half_weights: np.ndarray, spacing: float) -> tuple[float, float]:
+    """Simpson quadrature with a halved-grid Richardson error check.
+
+    Returns the integral and the relative error estimate reached.
+    """
+    full = float(full_weights @ integrand)
+    half = float(half_weights @ integrand)
     if full == 0.0 and half == 0.0:
-        return 0.0
+        return 0.0, 0.0
     # Simpson converges as h^4, so comparing against the double-spacing
     # result overestimates the fine-grid error by 15x
     error = abs(full - half) / 15.0
     if error > QUADRATURE_REL_TOL * abs(full):
-        spacing = float(grid[1] - grid[0])
         raise QuadratureError(
             f"quadrature error estimate {error / abs(full):.2e} above relative "
             f"tolerance {QUADRATURE_REL_TOL:g}; refine the energy grid to "
             f"spacing <= {spacing / 2.0:g} meV",
             suggested_spacing=spacing / 2.0,
         )
-    return full
+    return full, error / abs(full)
 
 
-def second_order_rate(f: SpectralFunction, temperature: float) -> float:
-    """Second-order Raman rate (4 pi / hbar) * integral de n(n+1) F(e, e)."""
+class QuadratureRate(float):
+    """A quadrature rate in 1/s that also carries ``rel_error``, the
+    Richardson relative error estimate reached for it."""
+
+    __slots__ = ("rel_error",)
+
+    def __new__(cls, rate: float, rel_error: float):
+        self = super().__new__(cls, rate)
+        self.rel_error = rel_error
+        return self
+
+
+def second_order_rate(f: SpectralFunction, temperature: float) -> QuadratureRate:
+    """Second-order Raman rate (4 pi / hbar) * integral de n(n+1) F(e, e).
+
+    Only the samples where F != 0 are integrated, so the occupancy is
+    evaluated there alone.  The result is a float that also carries the
+    Richardson relative error estimate reached, as ``rel_error``.
+    """
     if f.order != 2:
         raise ValueError(f"second-order rate needs an order-2 function, got order {f.order}")
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    integrand = _occupancy_weight(f.grid, temperature) * f.diagonal_values()
-    integral = _integrate_checked(integrand, f.grid)
-    return 4.0 * math.pi / HBAR_MEV_S * integral
+    energies, values, full_weights, half_weights = f._diagonal_support
+    integrand = _occupancy_weight(energies, temperature) * values
+    integral, rel_error = _integrate_checked(integrand, full_weights, half_weights,
+                                             f.spacing)
+    return QuadratureRate(4.0 * math.pi / HBAR_MEV_S * integral, rel_error)
 
 
 def first_order_raman_rate(
@@ -417,6 +482,7 @@ def first_order_raman_rate(
 
     weight = _occupancy_weight(grid, temperature)
     positive = grid > 0
+    full_weights, half_weights = _quadrature_weights(grid)
     total = 0.0
     for f_in, f_out in pairs:
         # F1 in energy units (meV): (h MHz)^2-scaled power density
@@ -426,7 +492,8 @@ def first_order_raman_rate(
         integrand[positive] = (
             weight[positive] * f1_in[positive] * f1_out[positive] / grid[positive] ** 2
         )
-        total += _integrate_checked(integrand, grid)
+        total += _integrate_checked(integrand, full_weights, half_weights,
+                                    pairs[0][0].spacing)[0]
     return 4.0 * math.pi / HBAR_MEV_S * total
 
 
@@ -445,16 +512,26 @@ def order_dominance_ratio(d_ghz: float, phonon_energy_mev: float) -> float:
 
 @dataclass(frozen=True)
 class RamanRateCurve:
-    """Quadrature rates per temperature for both channels."""
+    """Quadrature rates per temperature for both channels.
+
+    ``omega_rel_error`` and ``gamma_rel_error`` hold the Richardson relative
+    error estimate reached at each temperature; they are empty for curves
+    that did not come from quadrature.
+    """
 
     temperatures: tuple[float, ...]
     omega: tuple[float, ...]
     gamma: tuple[float, ...]
     provenance: str
+    omega_rel_error: tuple[float, ...] = ()
+    gamma_rel_error: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not (len(self.temperatures) == len(self.omega) == len(self.gamma)):
             raise ValueError("temperature and rate lists must have equal length")
+        for errors in (self.omega_rel_error, self.gamma_rel_error):
+            if errors and len(errors) != len(self.temperatures):
+                raise ValueError("error estimates must match the temperatures in length")
         if any(r < 0 for r in self.omega) or any(r < 0 for r in self.gamma):
             raise ValueError("rates must be nonnegative")
 
@@ -490,14 +567,17 @@ def rate_curve(
         if f.order != 2:
             raise ValueError(f"{name} function must be order 2, got order {f.order}")
     temps = tuple(float(t) for t in t_grid)
-    omega = tuple(second_order_rate(f_sq, t) for t in temps)
-    gamma = tuple(second_order_rate(f_dq, t) for t in temps)
+    omega = [second_order_rate(f_sq, t) for t in temps]
+    gamma = [second_order_rate(f_dq, t) for t in temps]
     provenance = (
         f"second-order quadrature, sigma_sq={f_sq.sigma:g} meV, "
         f"sigma_dq={f_dq.sigma:g} meV"
     )
-    return RamanRateCurve(temperatures=temps, omega=omega, gamma=gamma,
-                          provenance=provenance)
+    return RamanRateCurve(
+        temperatures=temps, omega=tuple(map(float, omega)), gamma=tuple(map(float, gamma)),
+        provenance=provenance,
+        omega_rel_error=tuple(r.rel_error for r in omega),
+        gamma_rel_error=tuple(r.rel_error for r in gamma))
 
 
 def refit_theory_curve(curve: RamanRateCurve, t_max: float,

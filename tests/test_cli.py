@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,43 @@ class TestExitCodes:
         assert run("fit", "--model", "prior", "--data", str(data),
                    "-o", str(tmp_path / "prior.json")) == 2
         assert "outside bounds" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document, field", [
+        ('{"model":"n-mode:1","parameters":{"delta_1":NaN,"a_1":1,"b_1":2}}', "delta_1"),
+        ('{"model":"prior","parameters":{"delta":60,"a1":1,"b1":2,"a2":Infinity,'
+         '"b2":0}}', "a2"),
+    ])
+    def test_nonfinite_parameter_json_is_input_error(self, document, field, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(document)
+        out = tmp_path / "eval.csv"
+        assert run("eval", "--params", str(params), "--temps", "300", "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"{field} must be finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_cold_only_data_below_orbach_underflow_fits_without_warnings(self, tmp_path,
+                                                                          capsys):
+        # at 1.0-1.4 K the n-mode:1 starting column n(n+1) at 80 meV is
+        # exactly 0; the guess must not divide by it
+        data = tmp_path / "colder.csv"
+        data.write_text(
+            "nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s\n"
+            "C1,A,1.0,0.0105,0.002,0.042,0.008\n"
+            "C1,A,1.1,0.009781,0.002,0.03896,0.008\n"
+            "C1,A,1.2,0.01254,0.002,0.04548,0.008\n"
+            "C1,A,1.3,0.03681,0.002,0.09322,0.008\n"
+            "C1,A,1.4,0.0915,0.002,0.185,0.008\n")
+        for model in ("n-mode:1", "n-mode:2", "prior"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run("fit", "--model", model, "--data", str(data),
+                           "-o", str(tmp_path / "fit.json"))
+            err = capsys.readouterr().err
+            assert code in (0, 2), (model, err)
+            assert "Traceback" not in err and "Warning" not in err
+            if code == 2:
+                assert "rank-deficient fit" in err
 
     def test_successful_fit_exits_zero(self, tmp_path):
         assert run("fit", "--model", "prior", "--multistart", "2",

@@ -28,6 +28,13 @@ class TestRateMatrix:
         with pytest.raises(ValueError, match="nonnegative"):
             RateMatrix(10.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_rates_naming_field(self, bad):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            RateMatrix(bad, 10.0)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            RateMatrix(10.0, bad)
+
     def test_generator_structure(self):
         g = RateMatrix(60.0, 128.0).generator
         assert g[1, 0] == g[2, 0] == g[0, 1] == g[0, 2] == 60.0

@@ -213,7 +213,10 @@ class TestJacobian:
         }
         u = np.log(np.array([values[n] for n in asm.names]))
         analytic = _jacobian_log(asm, u)
-        h = 1e-6
+        # the difference loses eps * |r| / h to roundoff, and |r| reaches
+        # 3e5 at a ~ 1e5; 1e-5 keeps both that and the h^2 truncation
+        # below 2e-6 of the scale on every corner of the sampled box
+        h = 1e-5
         for j in range(len(u)):
             e = np.zeros_like(u)
             e[j] = h

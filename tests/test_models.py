@@ -154,6 +154,25 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             PriorModelParams(delta=70.0, a1=1.0, b1=1.0, a2=-1e-12, b2=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_mode_rejects_nonfinite_naming_field(self, bad):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            Mode(bad, 1.0, 1.0)
+        with pytest.raises(ValueError, match="b_coeff must be finite"):
+            Mode(68.2, 1.0, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sample_constants_reject_nonfinite_naming_field(self, bad):
+        with pytest.raises(ValueError, match="a3 must be finite"):
+            SampleConstants(bad, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_prior_model_rejects_nonfinite_naming_field(self, bad):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            PriorModelParams(delta=bad, a1=1.0, b1=1.0, a2=0.0, b2=0.0)
+        with pytest.raises(ValueError, match="a2 must be finite"):
+            PriorModelParams(delta=70.0, a1=1.0, b1=1.0, a2=bad, b2=0.0)
+
 
 class TestEvalNMode:
     def test_published_parameters_at_room_temperature(self, published_params):
@@ -250,6 +269,13 @@ class TestCoherenceLimits:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
             coherence_limits(-1.0, 10.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_rates_rejected_naming_field(self, bad):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            coherence_limits(bad, 1.0)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            coherence_limits(1.0, bad)
 
     @given(
         omega=st.floats(min_value=1e-3, max_value=1e4),

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from nvrelax.core import HBAR_MEV_S, PLANCK_MEV_PER_MHZ, TransitionChannel
+from nvrelax.core import BOLTZMANN_MEV_PER_K, HBAR_MEV_S, PLANCK_MEV_PER_MHZ, TransitionChannel
 from nvrelax.models import Mode, NModeParams, eval_n_mode, orbach_factor
 from nvrelax.spectral import (
     COUPLING_CSV_HEADER,
+    MAX_MODE_ENERGY_MEV,
     CouplingEntry,
     CouplingTable,
     QuadratureError,
@@ -28,6 +29,7 @@ from nvrelax.spectral import (
     spectral_to_csv_text,
     synthetic_peak_function,
     two_peak_reference_functions,
+    _simpson_weights,
 )
 
 SQ = TransitionChannel.SINGLE_QUANTUM
@@ -48,6 +50,18 @@ class TestCouplingEntries:
     def test_amplitude_nonnegative(self):
         with pytest.raises(ValueError, match="amplitude"):
             CouplingEntry(50.0, -0.1, SQ, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_values_rejected_naming_field(self, bad):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            CouplingEntry(50.0, bad, SQ, 2)
+        with pytest.raises(ValueError, match="mode_energy must be finite"):
+            CouplingEntry(bad, 1.0, SQ, 2)
+
+    def test_parse_names_line_of_nonfinite_amplitude(self):
+        text = COUPLING_CSV_HEADER + "\n62.4,2.0,double_quantum,2\n62.4,nan,double_quantum,2\n"
+        with pytest.raises(ValueError, match="line 3: amplitude must be finite"):
+            parse_coupling_text(text)
 
     def test_order_enumerated(self):
         with pytest.raises(ValueError, match="order"):
@@ -357,6 +371,79 @@ class TestRateCurve:
         with pytest.raises(ValueError, match="equal length"):
             RamanRateCurve(temperatures=(1.0, 2.0), omega=(1.0,), gamma=(1.0, 2.0),
                            provenance="x")
+
+
+def _cli_grid(sigma):
+    """The energy grid ``nvrelax spectral --sigma`` integrates on."""
+    spacing = min(0.05, sigma / 10.0)
+    return np.linspace(0.0, MAX_MODE_ENERGY_MEV, int(round(MAX_MODE_ENERGY_MEV / spacing)) + 1)
+
+
+def _reference_rate(f, temperature):
+    """Per-temperature Simpson on the full grid, with its Richardson error."""
+    e = f.grid[1:]
+    with np.errstate(over="ignore"):
+        n = 1.0 / np.expm1(e / (BOLTZMANN_MEV_PER_K * temperature))
+    integrand = np.concatenate(([0.0], n * (n + 1.0))) * f.diagonal_values()
+    full = simpson(integrand, x=f.grid)
+    half = simpson(integrand[::2], x=f.grid[::2])
+    return 4.0 * math.pi / HBAR_MEV_S * full, abs(full - half) / 15.0 / abs(full)
+
+
+class TestQuadratureEquivalence:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 1001, 1002, 8334])
+    def test_weights_match_scipy_simpson(self, n):
+        grid = np.linspace(0.0, MAX_MODE_ENERGY_MEV, n)
+        weights = _simpson_weights(grid)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            y = rng.random(n)
+            want = simpson(y, x=grid)
+            assert abs(weights @ y - want) / want < 1e-13
+
+    @pytest.mark.parametrize("sigma, n_points", [(7.5, 5001), (0.01, 250001), (0.3, 8334)])
+    def test_rate_curve_matches_full_grid_simpson(self, sigma, n_points):
+        grid = _cli_grid(sigma)
+        assert len(grid) == n_points
+        table = anchor_coupling_table()
+        f_sq = build_spectral_function(table, SQ, 2, sigma, grid)
+        f_dq = build_spectral_function(table, DQ, 2, sigma, grid)
+        temps = np.geomspace(100.0, 5000.0, 6)
+        curve = rate_curve(f_sq, f_dq, temps)
+        for f, rates, errors in ((f_sq, curve.omega, curve.omega_rel_error),
+                                 (f_dq, curve.gamma, curve.gamma_rel_error)):
+            for t, rate, error in zip(temps, rates, errors):
+                want_rate, want_error = _reference_rate(f, t)
+                assert rate == pytest.approx(want_rate, rel=1e-12, abs=0.0)
+                assert error == pytest.approx(want_error, rel=1e-6, abs=1e-13)
+                assert 0.0 <= error <= 1e-6
+
+    def test_coarse_grid_still_raises_from_rate_curve(self):
+        f = synthetic_peak_function([(68.2, 1e-12)], sigma=0.01, channel=SQ)
+        with pytest.raises(QuadratureError, match="refine the energy grid") as exc:
+            rate_curve(f, f, [295.0])
+        assert exc.value.suggested_spacing == pytest.approx(0.025)
+
+    def test_all_zero_function_gives_zero(self):
+        table = CouplingTable(entries=(CouplingEntry(62.4, 0.0, SQ, 2),))
+        f = build_spectral_function(table, SQ, 2, sigma=7.5)
+        assert second_order_rate(f, 295.0) == 0.0
+        curve = rate_curve(f, f, [100.0, 295.0])
+        assert curve.omega == curve.gamma == (0.0, 0.0)
+        assert curve.omega_rel_error == (0.0, 0.0)
+
+    def test_error_estimates_travel_with_the_rate(self):
+        f_sq, f_dq = two_peak_reference_functions(7.5)
+        rate = second_order_rate(f_sq, 295.0)
+        curve = rate_curve(f_sq, f_dq, [295.0])
+        assert curve.omega == (float(rate),)
+        assert curve.omega_rel_error == (rate.rel_error,)
+        assert type(curve.omega[0]) is float
+
+    def test_error_estimates_must_match_temperatures(self):
+        with pytest.raises(ValueError, match="error estimates"):
+            RamanRateCurve(temperatures=(1.0, 2.0), omega=(1.0, 2.0), gamma=(1.0, 2.0),
+                           provenance="x", omega_rel_error=(0.0,))
 
 
 class TestRefitTheoryCurve:
