@@ -203,24 +203,32 @@ class Dataset:
 _NUMERIC_COLUMNS = ("temperature_k", "omega_s", "omega_err_s", "gamma_s", "gamma_err_s")
 
 
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, line) of every line that is neither blank nor a comment."""
+    return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip() and not line.startswith("#")]
+
+
 def parse_dataset_text(text: str, provenance: str = "") -> Dataset:
     """Parse canonical CSV text into a Dataset.
 
     Raises DatasetError naming line and column for malformed rows or
     non-finite values, and enforces the ingestion bounds on temperature.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = _content_lines(text)
     if not lines:
         raise DatasetError("empty dataset: no header line found")
-    header = lines[0].strip()
+    header_lineno, header = lines[0]
+    header = header.strip()
     if header != CSV_HEADER:
-        raise DatasetError(f"line 1: bad header {header!r}; expected {CSV_HEADER!r}")
+        raise DatasetError(
+            f"line {header_lineno}: bad header {header!r}; expected {CSV_HEADER!r}")
     if len(lines) == 1:
         raise DatasetError("empty dataset: header but no rows")
 
     columns = CSV_HEADER.split(",")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = line.strip().split(",")
         if len(fields) != len(columns):
             raise DatasetError(

@@ -24,15 +24,15 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import DEFAULT_SEED, Dataset, _require_finite
+from .core import BOLTZMANN_MEV_PER_K, DEFAULT_SEED, Dataset, _require_finite
 from .models import (
     Mode,
     NModeParams,
     PriorModelParams,
     SampleConstants,
+    _bose_einstein,
     _sum_terms,
     _term_column,
-    orbach_factor_ddelta,
 )
 
 __all__ = [
@@ -169,11 +169,12 @@ class FitProblem:
 class _Assembled:
     names: tuple[str, ...]
     temps: np.ndarray           # per row
+    kT: np.ndarray              # k_B T per row, meV
     data: np.ndarray            # interleaved (omega_0, gamma_0, omega_1, ...)
     err: np.ndarray             # same interleaving
     terms: tuple[_Term, ...]    # fields are parameter columns
-    # one per sample: (omega positions in data, a3 column, b3 column)
-    floors: tuple[tuple[np.ndarray, int, int], ...]
+    floors: tuple[tuple[int, int], ...]   # (a3 column, b3 column) per sample
+    floor_cols: np.ndarray | None         # floor parameter column per residual
     labels: tuple[tuple[str, str, float, str], ...]  # (nv_id, sample, T, channel)
 
 
@@ -199,10 +200,10 @@ def _assemble(problem: FitProblem) -> _Assembled:
         _Term(None if t.delta is None else col[t.delta], col[t.a], col[t.b], t.start)
         for t in problem.model.terms
     )
-    floors = tuple(
-        (2 * np.flatnonzero([r.sample == s for r in rows]), col[f"a3_{s}"], col[f"b3_{s}"])
-        for s in samples
-    )
+    floors = tuple((col[f"a3_{s}"], col[f"b3_{s}"]) for s in samples)
+    floor_cols = None
+    if samples:
+        floor_cols = np.array([col[f"{c}3_{r.sample}"] for r in rows for c in "ab"])
 
     if len(names) >= len(data):
         raise ValueError(
@@ -211,10 +212,12 @@ def _assemble(problem: FitProblem) -> _Assembled:
     return _Assembled(
         names=tuple(names),
         temps=temps,
+        kT=BOLTZMANN_MEV_PER_K * temps,
         data=data,
         err=err,
         terms=terms,
         floors=floors,
+        floor_cols=floor_cols,
         labels=labels,
     )
 
@@ -228,7 +231,7 @@ def _default_bounds(asm: _Assembled) -> dict[str, tuple[float, float]]:
             out[asm.names[t.delta]] = (5.0, 400.0)
             coeff = (1e-6, 1e9)
         out[asm.names[t.a]] = out[asm.names[t.b]] = coeff
-    for _, a3, b3 in asm.floors:
+    for a3, b3 in asm.floors:
         out[asm.names[a3]] = out[asm.names[b3]] = (1e-8, 1e3)
     return out
 
@@ -256,53 +259,71 @@ def _heuristic_guess(asm: _Assembled) -> dict[str, float]:
             a, b, least = a / n_orbach, b / n_orbach, 1e-5
         guess[asm.names[t.a]] = max(a, least)
         guess[asm.names[t.b]] = max(b, least)
-    for _, a3, b3 in asm.floors:
+    for a3, b3 in asm.floors:
         guess[asm.names[a3]] = max(float(np.min(omega)), 1e-6)
         guess[asm.names[b3]] = max(float(np.min(gamma)), 1e-6)
     return guess
 
 
-def _model_and_jacobian(asm: _Assembled, p: np.ndarray, with_jac: bool):
-    """Interleaved model vector (and physical-space Jacobian) at params p.
+class _LogModel:
+    """Normalized residuals and their log-space Jacobian for one solve.
 
-    The terms are summed by the helper ``rates`` uses, floors last, so the
-    model equals the rates of the same parameters bit for bit.
+    Parameters are u = log(p).  The last point is remembered with its
+    occupancies and basis columns: TRF asks for the Jacobian only where it
+    has just evaluated the residuals, so each trial point costs one
+    evaluation of the rate law.  The terms are summed by the helper ``rates``
+    uses, floors last, so the residuals match the rates of the same
+    parameters bit for bit.  Arrays handed out are never written to again.
     """
-    columns = [_term_column(None if t.delta is None else p[t.delta], asm.temps)
-               for t in asm.terms]
-    model = np.empty(2 * len(asm.temps))
-    model[0::2], model[1::2] = _sum_terms(
-        (column, p[t.a], p[t.b]) for column, t in zip(columns, asm.terms))
-    for rows, a3, b3 in asm.floors:
-        model[rows] += p[a3]
-        model[rows + 1] += p[b3]
-    if not with_jac:
-        return model, None
 
-    jac = np.zeros((len(model), len(p)))
-    for column, t in zip(columns, asm.terms):
-        jac[0::2, t.a] = column
-        jac[1::2, t.b] = column
-        if t.delta is not None:
-            df = orbach_factor_ddelta(p[t.delta], asm.temps)
-            jac[0::2, t.delta] = p[t.a] * df
-            jac[1::2, t.delta] = p[t.b] * df
-    for rows, a3, b3 in asm.floors:
-        jac[rows, a3] = 1.0
-        jac[rows + 1, b3] = 1.0
-    return model, jac
+    def __init__(self, asm: _Assembled):
+        self.asm = asm
+        self._u: np.ndarray | None = None
 
+    def _evaluate(self, u: np.ndarray) -> None:
+        if self._u is not None and np.array_equal(u, self._u):
+            return
+        asm = self.asm
+        p = np.exp(u)
+        occupancies, columns = [], []
+        for t in asm.terms:
+            if t.delta is None:
+                n, column = None, _term_column(None, asm.temps)
+            else:
+                n = _bose_einstein(p[t.delta] / asm.kT)
+                column = n * (n + 1.0)
+            occupancies.append(n)
+            columns.append(column)
+        model = np.empty(len(asm.data))
+        model[0::2], model[1::2] = _sum_terms(
+            (column, p[t.a], p[t.b]) for column, t in zip(columns, asm.terms))
+        if asm.floor_cols is not None:
+            model += p[asm.floor_cols]
+        self._residuals = (model - asm.data) / asm.err
+        self._u, self._p = np.array(u, dtype=float), p
+        self._occupancies, self._columns = occupancies, columns
 
-def _residuals_log(asm: _Assembled, u: np.ndarray) -> np.ndarray:
-    model, _ = _model_and_jacobian(asm, np.exp(u), with_jac=False)
-    return (model - asm.data) / asm.err
+    def residuals(self, u: np.ndarray) -> np.ndarray:
+        self._evaluate(u)
+        return self._residuals
 
-
-def _jacobian_log(asm: _Assembled, u: np.ndarray) -> np.ndarray:
-    p = np.exp(u)
-    _, jac = _model_and_jacobian(asm, p, with_jac=True)
-    # chain rule for u = log(p): d r/d u_j = (d r/d p_j) * p_j
-    return (jac * p[None, :]) / asm.err[:, None]
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        """d r_i / d u_j = (d r_i / d p_j) * p_j / err_i, with d/d delta of
+        n(n+1) equal to -(2n+1) n(n+1) / k_B T."""
+        self._evaluate(u)
+        asm, p = self.asm, self._p
+        err_omega, err_gamma = asm.err[0::2], asm.err[1::2]
+        jac = np.zeros((len(asm.data), len(p)))
+        for n, column, t in zip(self._occupancies, self._columns, asm.terms):
+            jac[0::2, t.a] = column * p[t.a] / err_omega
+            jac[1::2, t.b] = column * p[t.b] / err_gamma
+            if n is not None:
+                slope = -(2.0 * n + 1.0) * n * (n + 1.0) / asm.kT
+                jac[0::2, t.delta] = p[t.a] * slope * p[t.delta] / err_omega
+                jac[1::2, t.delta] = p[t.b] * slope * p[t.delta] / err_gamma
+        if asm.floor_cols is not None:
+            jac[np.arange(len(asm.data)), asm.floor_cols] = p[asm.floor_cols] / asm.err
+        return jac
 
 
 def _sample_starts(asm: _Assembled, problem: FitProblem,
@@ -313,7 +334,7 @@ def _sample_starts(asm: _Assembled, problem: FitProblem,
     lo = np.array([bounds[n][0] for n in asm.names])
     hi = np.array([bounds[n][1] for n in asm.names])
     delta_names = [asm.names[t.delta] for t in asm.terms if t.delta is not None]
-    floor_names = {asm.names[j] for _, a3, b3 in asm.floors for j in (a3, b3)}
+    floor_names = {asm.names[j] for pair in asm.floors for j in pair}
     while len(starts) < problem.multistart:
         trial = dict(guess)
         # mode energies sampled log-uniformly over the phonon band, kept
@@ -450,13 +471,15 @@ def estimate_covariance(jacobian: np.ndarray, param_names: Sequence[str]) -> np.
     """
     jacobian = np.asarray(jacobian, dtype=float)
     _, s, vt = np.linalg.svd(jacobian, full_matrices=False)
-    if s[0] == 0 or s[-1] / s[0] < _RANK_RCOND:
+    # LAPACK may return a singular value of -0.0; an all-zero Jacobian has s[0] == 0
+    ratio = abs(s[-1]) / s[0] if s[0] != 0 else 0.0
+    if ratio < _RANK_RCOND:
         null = vt[-1]
         worst = np.argsort(np.abs(null))[::-1][:2]
         pair = " and ".join(str(param_names[i]) for i in sorted(worst))
         raise RankDeficiencyError(
             f"rank-deficient fit: parameters {pair} are degenerate "
-            f"(singular-value ratio {s[-1] / s[0]:.2e})",
+            f"(singular-value ratio {ratio:.2e})",
             null_direction=null,
         )
     inv_s2 = 1.0 / s**2
@@ -464,10 +487,11 @@ def estimate_covariance(jacobian: np.ndarray, param_names: Sequence[str]) -> np.
 
 
 def _solve_one(asm: _Assembled, u0: np.ndarray, lo_u: np.ndarray, hi_u: np.ndarray):
+    model = _LogModel(asm)
     return least_squares(
-        lambda u: _residuals_log(asm, u),
+        model.residuals,
         np.clip(u0, lo_u, hi_u),
-        jac=lambda u: _jacobian_log(asm, u),
+        jac=model.jacobian,
         bounds=(lo_u, hi_u),
         method="trf",
         ftol=_FTOL,
@@ -523,8 +547,9 @@ def fit(problem: FitProblem) -> FitResult:
 
     p_best = _canonical_order(asm, np.exp(best.x))
     u_best = np.log(p_best)
-    residuals = _residuals_log(asm, u_best)
-    jac_log = _jacobian_log(asm, u_best)
+    model = _LogModel(asm)
+    residuals = model.residuals(u_best)
+    jac_log = model.jacobian(u_best)
     chi2 = float(residuals @ residuals)
     grad_norm = float(np.linalg.norm(jac_log.T @ residuals, ord=np.inf))
 

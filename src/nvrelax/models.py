@@ -90,7 +90,11 @@ def orbach_factor(delta: float, temperature):
 
 
 def orbach_factor_ddelta(delta: float, temperature):
-    """d[n(n+1)]/d(delta) = -(2n+1) n(n+1) / (k_B T); used by fit Jacobians."""
+    """d[n(n+1)]/d(delta) = -(2n+1) n(n+1) / (k_B T).
+
+    The fitter's Jacobian evaluates the same expression, in the same order,
+    from the occupancies it kept from the residual evaluation.
+    """
     t = np.asarray(temperature, dtype=float)
     n = occupation(delta, temperature)
     out = -(2.0 * n + 1.0) * n * (n + 1.0) / (BOLTZMANN_MEV_PER_K * t)

@@ -39,6 +39,7 @@ from .core import (
     Dataset,
     RateMeasurement,
     TransitionChannel,
+    _content_lines,
     _require_finite,
     convert_energy,
 )
@@ -143,15 +144,14 @@ class CouplingTable:
 
 def parse_coupling_text(text: str, supercell_note: str = "") -> CouplingTable:
     """Parse coupling CSV (header ``energy_mev,amplitude_mhz,channel,order``)."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = _content_lines(text)
     if not lines:
         raise ValueError("empty coupling table")
-    if lines[0].strip() != COUPLING_CSV_HEADER:
-        raise ValueError(
-            f"bad coupling header {lines[0].strip()!r}; expected {COUPLING_CSV_HEADER!r}"
-        )
+    header = lines[0][1].strip()
+    if header != COUPLING_CSV_HEADER:
+        raise ValueError(f"bad coupling header {header!r}; expected {COUPLING_CSV_HEADER!r}")
     entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 4:
             raise ValueError(f"line {lineno}: expected 4 fields, got {len(fields)}")

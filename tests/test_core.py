@@ -189,6 +189,14 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match=f"line 3, column {column}: not finite"):
             parse_dataset_text(text)
 
+    def test_line_numbers_count_comments_and_blank_lines(self):
+        text = ("# source: x\n" + CSV_HEADER + "\n\n# row 1\nNVA,A,300.0,61.0,3.0,129.0,7.0\n"
+                "NVB,A,295.0,sixty,3.0,128.0,7.0\n")
+        with pytest.raises(DatasetError, match="line 6, column omega_s"):
+            parse_dataset_text(text)
+        with pytest.raises(DatasetError, match="line 3: bad header"):
+            parse_dataset_text("# a\n\na,b,c\n1,2,3\n")
+
     def test_ingestion_temperature_bounds(self):
         text = CSV_HEADER + "\nNVA,A,2500.0,60.0,3.0,128.0,7.0\n"
         with pytest.raises(DatasetError, match="temperature_k"):

@@ -1,5 +1,6 @@
 """Tests for the weighted nonlinear least-squares machinery."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,22 @@ from nvrelax.fitting import (
     fit,
     residual_diagnostics,
 )
-from nvrelax.fitting import _assemble, _heuristic_guess, _jacobian_log, _residuals_log
-from nvrelax.models import Mode, NModeParams, eval_n_mode, PriorModelParams, SampleConstants
+from nvrelax.fitting import (
+    _LogModel,
+    _assemble,
+    _default_bounds,
+    _heuristic_guess,
+    _sample_starts,
+)
+from nvrelax.models import (
+    Mode,
+    NModeParams,
+    PriorModelParams,
+    SampleConstants,
+    eval_n_mode,
+    orbach_factor,
+    orbach_factor_ddelta,
+)
 
 
 def _synthetic_dataset(params, temps, sample="A", rel_err=0.02, provenance="synthetic"):
@@ -98,6 +113,17 @@ class TestEstimateCovariance:
         jac = np.column_stack([x, x])
         with pytest.raises(RankDeficiencyError, match="alpha and beta"):
             estimate_covariance(jac, ["alpha", "beta"])
+
+    @pytest.mark.parametrize("jac", [
+        np.zeros((4, 2)),                                            # s[0] == 0
+        np.array([[-1.0, 0.0], [0.0, -0.0], [0.0, 0.0], [0.0, 0.0]]),  # s[-1] == -0.0
+    ])
+    def test_zero_singular_value_raises_without_warning(self, jac):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficiencyError, match="ratio 0.00e") as info:
+                estimate_covariance(jac, ["a", "b"])
+        assert "-0.00" not in str(info.value)
 
     def test_symmetric_positive_definite(self):
         rng = np.random.default_rng(3)
@@ -212,7 +238,8 @@ class TestJacobian:
             "a3_B": 10**logc, "b3_B": 10**logc,
         }
         u = np.log(np.array([values[n] for n in asm.names]))
-        analytic = _jacobian_log(asm, u)
+        model = _LogModel(asm)
+        analytic = model.jacobian(u)
         # the difference loses eps * |r| / h to roundoff, and |r| reaches
         # 3e5 at a ~ 1e5; 1e-5 keeps both that and the h^2 truncation
         # below 2e-6 of the scale on every corner of the sampled box
@@ -220,7 +247,7 @@ class TestJacobian:
         for j in range(len(u)):
             e = np.zeros_like(u)
             e[j] = h
-            fd = (_residuals_log(asm, u + e) - _residuals_log(asm, u - e)) / (2 * h)
+            fd = (model.residuals(u + e) - model.residuals(u - e)) / (2 * h)
             scale = 1.0 + np.max(np.abs(analytic[:, j]))
             assert np.max(np.abs(analytic[:, j] - fd)) / scale < 1e-5
 
@@ -231,14 +258,113 @@ class TestJacobian:
                   "b2": 2e-12, "a3_A": 0.02, "b3_A": 0.05, "a3_B": 0.01,
                   "b3_B": 0.3}
         u = np.log(np.array([values[n] for n in asm.names]))
-        analytic = _jacobian_log(asm, u)
+        model = _LogModel(asm)
+        analytic = model.jacobian(u)
         h = 1e-6
         for j in range(len(u)):
             e = np.zeros_like(u)
             e[j] = h
-            fd = (_residuals_log(asm, u + e) - _residuals_log(asm, u - e)) / (2 * h)
+            fd = (model.residuals(u + e) - model.residuals(u - e)) / (2 * h)
             scale = 1.0 + np.max(np.abs(analytic[:, j]))
             assert np.max(np.abs(analytic[:, j] - fd)) / scale < 1e-5
+
+
+def _start_points(dataset, token, constants="per_sample", count=2):
+    """An assembled problem and the log-space points of its first starts."""
+    problem = FitProblem(dataset=dataset, model=ModelSpec.parse(token),
+                         constants=constants, multistart=count)
+    asm = _assemble(problem)
+    guess = _heuristic_guess(asm)
+    starts = _sample_starts(asm, problem, guess, _default_bounds(asm))
+    return asm, [np.log(p) for p in starts]
+
+
+def _fresh(asm, u):
+    """Residuals and Jacobian at u from objects that saw no other point."""
+    return _LogModel(asm).residuals(u), _LogModel(asm).jacobian(u)
+
+
+class TestLogModelCache:
+    """One _LogModel keeps its last point; every answer must equal a fresh
+    object's at the same point, whatever was asked before."""
+
+    def test_jacobian_at_point_never_passed_to_residuals(self, builtin_dataset):
+        asm, (u1, u2) = _start_points(builtin_dataset, "n-mode:2")
+        model = _LogModel(asm)
+        model.residuals(u1)
+        r2, j2 = _fresh(asm, u2)
+        assert np.array_equal(model.jacobian(u2), j2)
+        assert np.array_equal(model.residuals(u2), r2)
+
+    def test_residuals_twice_at_one_point(self, builtin_dataset):
+        asm, (u1, _) = _start_points(builtin_dataset, "n-mode:2")
+        model = _LogModel(asm)
+        r1, j1 = _fresh(asm, u1)
+        assert np.array_equal(model.residuals(u1), r1)
+        assert np.array_equal(model.residuals(u1), r1)
+        assert np.array_equal(model.jacobian(u1), j1)
+
+    def test_alternating_points(self, builtin_dataset):
+        asm, (u1, u2) = _start_points(builtin_dataset, "n-mode:3")
+        model = _LogModel(asm)
+        handed_out = []
+        for u in (u1, u2, u1, u2, u2, u1):
+            r, j = _fresh(asm, u)
+            got_r, got_j = model.residuals(u), model.jacobian(u)
+            assert np.array_equal(got_r, r)
+            assert np.array_equal(got_j, j)
+            handed_out.append((got_r, r, got_j, j))
+        # arrays already handed out are never written to by later calls
+        for got_r, r, got_j, j in handed_out:
+            assert np.array_equal(got_r, r)
+            assert np.array_equal(got_j, j)
+
+    def test_caller_mutates_u_in_place(self, builtin_dataset):
+        asm, (u1, u2) = _start_points(builtin_dataset, "prior")
+        model = _LogModel(asm)
+        u = u1.copy()
+        model.residuals(u)
+        u[:] = u2
+        r2, j2 = _fresh(asm, u2)
+        assert np.array_equal(model.jacobian(u), j2)
+        assert np.array_equal(model.residuals(u), r2)
+
+
+def _reference_jacobian(asm, dataset, u):
+    """The log-space Jacobian by the formula the fitter used before it kept
+    occupancies: physical-space columns from the public rate-law functions,
+    then ``* p``, then ``/ err``."""
+    p = np.exp(u)
+    jac = np.zeros((len(asm.data), len(p)))
+    for t in asm.terms:
+        if t.delta is None:
+            column = asm.temps**5
+        else:
+            column = orbach_factor(p[t.delta], asm.temps)
+            df = orbach_factor_ddelta(p[t.delta], asm.temps)
+            jac[0::2, t.delta] = p[t.a] * df
+            jac[1::2, t.delta] = p[t.b] * df
+        jac[0::2, t.a] = column
+        jac[1::2, t.b] = column
+    col = {name: j for j, name in enumerate(asm.names)}
+    for i, row in enumerate(dataset):
+        if f"a3_{row.sample}" in col:
+            jac[2 * i, col[f"a3_{row.sample}"]] = 1.0
+            jac[2 * i + 1, col[f"b3_{row.sample}"]] = 1.0
+    return (jac * p[None, :]) / asm.err[:, None]
+
+
+class TestJacobianBitIdentity:
+    @pytest.mark.parametrize("constants", ["per_sample", "none"])
+    @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "n-mode:3", "prior"])
+    def test_matches_reference_formula_bit_for_bit(self, builtin_dataset, token, constants):
+        asm, points = _start_points(builtin_dataset, token, constants, count=4)
+        # every mode at 600 meV: the occupancy underflows to 0 on the cold rows
+        frozen = points[0].copy()
+        frozen[[t.delta for t in asm.terms if t.delta is not None]] = np.log(600.0)
+        for u in [*points, frozen]:
+            got = _LogModel(asm).jacobian(u)
+            assert got.tobytes() == _reference_jacobian(asm, builtin_dataset, u).tobytes()
 
 
 class TestFitEvalAgreement:
@@ -264,7 +390,7 @@ class TestInvariances:
         asm = _assemble(problem)
         guess = _heuristic_guess(asm)
         u0 = np.log(np.array([guess[n] for n in asm.names]))
-        r0 = _residuals_log(asm, u0)
+        r0 = _LogModel(asm).residuals(u0)
         chi2_start = float(r0 @ r0)
         result = fit(problem)
         assert result.chi2 < chi2_start

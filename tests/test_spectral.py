@@ -95,6 +95,11 @@ class TestCouplingEntries:
         with pytest.raises(ValueError, match="line 3"):
             parse_coupling_text(text)
 
+    def test_parse_line_numbers_count_comments_and_blank_lines(self):
+        text = "# note\n" + COUPLING_CSV_HEADER + "\n\n62.4,2.0,double_quantum,2\n62.4,oops,dq,2\n"
+        with pytest.raises(ValueError, match="line 5"):
+            parse_coupling_text(text)
+
     def test_parse_skips_comments(self):
         text = "# note\n" + COUPLING_CSV_HEADER + "\n62.4,2.0,double_quantum,2\n"
         assert len(parse_coupling_text(text)) == 1
