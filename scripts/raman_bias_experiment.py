@@ -11,7 +11,6 @@ import argparse
 
 import numpy as np
 
-from nvrelax.core import DEFAULT_SEED
 from nvrelax.spectral import (
     rate_curve,
     refit_theory_curve,
@@ -28,8 +27,8 @@ def main() -> None:
     parser.add_argument("--t-min", type=float, default=100.0)
     parser.add_argument("--t-max", type=float, default=5000.0)
     parser.add_argument("--n-temps", type=int, default=40)
-    parser.add_argument("--multistart", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--multistart", type=int, default=8,
+                        help="most profile minima polished per refit")
     args = parser.parse_args()
 
     temps = np.geomspace(args.t_min, args.t_max, args.n_temps)
@@ -42,8 +41,7 @@ def main() -> None:
     for sigma in (float(s) for s in args.sigmas.split(",")):
         f_sq, f_dq = two_peak_reference_functions(sigma)
         curve = rate_curve(f_sq, f_dq, temps)
-        result = refit_theory_curve(curve, t_max=args.t_max,
-                                    multistart=args.multistart, seed=args.seed)
+        result = refit_theory_curve(curve, t_max=args.t_max, multistart=args.multistart)
         d1, d2 = result.params["delta_1"], result.params["delta_2"]
         print(f"{sigma:6.2f}  {d1:8.2f}  {100 * (1 - d1 / PEAKS_MEV[0]):6.1f}%  "
               f"{d2:8.2f}  {100 * (1 - d2 / PEAKS_MEV[1]):6.1f}%  "

@@ -6,8 +6,8 @@ Library layout:
   dataset schema, and the bundled published dataset.
 * :mod:`nvrelax.models` -- closed-form rate laws, occupation numbers, and
   relaxation-limited coherence bounds.
-* :mod:`nvrelax.fitting` -- weighted nonlinear least-squares engine with
-  multistart, covariance estimates, diagnostics, and model comparison.
+* :mod:`nvrelax.fitting` -- weighted nonlinear least squares from profiled
+  starts, covariance estimates, diagnostics, and model comparison.
 * :mod:`nvrelax.spectral` -- Gaussian-broadened spin-phonon spectral functions
   and Raman rate integrals.
 * :mod:`nvrelax.dynamics` -- three-level rate-equation simulator for the

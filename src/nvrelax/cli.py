@@ -151,12 +151,11 @@ def _cmd_fit(args) -> int:
         if args.constants != "per_sample" or args.t_min is not None:
             raise _UsageError(
                 "fit: --phonon-limited already fixes --constants/--t-min")
-        problem = FitProblem.phonon_limited(
-            dataset, model, multistart=args.multistart, seed=args.seed)
+        problem = FitProblem.phonon_limited(dataset, model, multistart=args.multistart)
     else:
         problem = FitProblem(
             dataset=dataset, model=model, constants=args.constants,
-            t_min=args.t_min, multistart=args.multistart, seed=args.seed)
+            t_min=args.t_min, multistart=args.multistart)
     result = fit(problem)
     report = _metadata_dict(config, dataset.checksum())
     report.update(result.to_report_dict())
@@ -249,9 +248,8 @@ def _cmd_spectral(args) -> int:
     _emit(header + spectral_to_csv_text(f_dq), f"{prefix}.dq.csv")
     _emit(header + curve.to_csv_text(), f"{prefix}.rates.csv")
     if args.refit:
-        result = refit_theory_curve(
-            curve, t_max=float(args.t_max), multistart=args.multistart,
-            seed=args.seed)
+        result = refit_theory_curve(curve, t_max=float(args.t_max),
+                                    multistart=args.multistart)
         report = _metadata_dict(config, checksum)
         report.update(result.to_report_dict())
         _emit_json(report, f"{prefix}.refit.json")
@@ -333,10 +331,8 @@ def _cmd_compare(args) -> int:
             raise _UsageError(f"compare: model {spec.label} given more than once")
     results = []
     for spec in specs:
-        problem = FitProblem(
-            dataset=dataset, model=spec, constants=args.constants,
-            t_min=args.t_min, multistart=args.multistart, seed=args.seed)
-        results.append(fit(problem))
+        results.append(fit(FitProblem(dataset=dataset, model=spec, constants=args.constants,
+                                      t_min=args.t_min, multistart=args.multistart)))
     ranking = compare_models(results)
     by_label = {r.label: r for r in results}
 
@@ -410,10 +406,10 @@ def _add_fit_options(sub, multistart_default: int) -> None:
     sub.add_argument("--constants", choices=("per_sample", "none"),
                      default="per_sample",
                      help="sample-constant floors: one pair per sample, or none")
-    sub.add_argument("--t-min", type=float, default=None,
+    sub.add_argument("--t-min", type=_positive_float, default=None,
                      help="drop rows below this temperature (K)")
     sub.add_argument("--multistart", type=int, default=multistart_default,
-                     help="number of optimizer starts")
+                     help="most minima of the mode-energy profile polished")
 
 
 def _add_run_options(sub, output_help: str = "output file (default: standard output)",
@@ -468,7 +464,7 @@ def _build_parser() -> _Parser:
     p_spec.add_argument("--n-temps", type=int, default=40)
     p_spec.add_argument("--refit", action="store_true",
                         help="append a two-mode fit of the rate curve")
-    p_spec.add_argument("--multistart", type=int, default=8)
+    p_spec.add_argument("--multistart", type=int, default=8, help="most profile minima polished")
     _add_run_options(p_spec, output_required=True,
                      output_help="output prefix: writes PREFIX.sq.csv, "
                                  "PREFIX.dq.csv, PREFIX.rates.csv[, PREFIX.refit.json]")

@@ -45,8 +45,8 @@ BUILTIN_DATA_ENV = "NVRELAX_BUILTIN_DATA"
 
 CSV_HEADER = "nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s"
 
-# every stochastic entry point (multistart sampling, protocol simulation)
-# draws from a generator seeded with this value unless told otherwise
+# the protocol simulation, the one stochastic entry point, draws from a
+# generator seeded with this value unless told otherwise
 DEFAULT_SEED = 1729
 
 # ingestion bounds for measured data; synthetic model curves may go beyond

@@ -12,19 +12,22 @@ samples, the constant floors are per sample and added last.  The model is
 summed by the same helper as ``rates``, so fit and evaluation agree bit for
 bit.  Every parameter is positive, so the optimizer works in log space
 (bounds become simple box constraints and the Orbach arguments stay valid);
-uncertainties are transformed back with the delta method.  Multistart with
-deterministic seeding handles the multimodality of the three-mode fit.
+uncertainties are transformed back with the delta method.  With the mode
+energies fixed, both laws are linear in coefficients and floors (variable
+projection), so the starts are the best minima of a mode-energy grid solved
+by non-negative least squares per channel.  Nothing is random.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, nnls
 
-from .core import BOLTZMANN_MEV_PER_K, DEFAULT_SEED, Dataset, _require_finite
+from .core import BOLTZMANN_MEV_PER_K, Dataset, _require_finite
 from .models import (
     Mode,
     NModeParams,
@@ -65,6 +68,9 @@ _XTOL = 1e-12
 _GTOL = 1e-12
 _MAX_NFEV = 500
 
+# profile grid points per mode energy, by Orbach term count (cells ~ points^n/n!)
+_PROFILE_POINTS = {1: 30, 2: 30, 3: 15}
+
 
 class RankDeficiencyError(RuntimeError):
     """Normal equations singular: some parameter combination is unconstrained."""
@@ -77,13 +83,11 @@ class RankDeficiencyError(RuntimeError):
 class _Term(NamedTuple):
     """Coefficients ``a`` (Omega) and ``b`` (gamma) times the Orbach factor at
     mode energy ``delta``, or times T^5 if ``delta`` is None: parameter names
-    in a ModelSpec, parameter columns once assembled.  ``start`` is the
-    heuristic guess's starting energy of an Orbach term."""
+    in a ModelSpec, parameter columns once assembled."""
 
     delta: str | int | None
     a: str | int
     b: str | int
-    start: float | None = None
 
 
 @dataclass(frozen=True)
@@ -116,10 +120,9 @@ class ModelSpec:
     def terms(self) -> tuple[_Term, ...]:
         """The rate law as basis terms in summation order."""
         if self.kind == "prior":
-            return (_Term("delta", "a1", "b1", start=70.0), _Term(None, "a2", "b2"))
-        starts = {1: (80.0,), 2: (60.0, 160.0), 3: (50.0, 100.0, 200.0)}[self.n_modes]
-        return tuple(_Term(f"delta_{k}", f"a_{k}", f"b_{k}", start=d)
-                     for k, d in enumerate(starts, start=1))
+            return (_Term("delta", "a1", "b1"), _Term(None, "a2", "b2"))
+        return tuple(_Term(f"delta_{k}", f"a_{k}", f"b_{k}")
+                     for k in range(1, self.n_modes + 1))
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -137,6 +140,7 @@ class FitProblem:
     fits one (a3, b3) floor per sample label, ``"none"`` fixes all floors to
     zero.  ``t_min`` restricts the rows used.  The phonon-limited framing
     (T >= 125 K, no constants) is available via :meth:`phonon_limited`.
+    ``multistart`` is the most profile minima polished (see :func:`fit`).
     """
 
     dataset: Dataset
@@ -146,7 +150,6 @@ class FitProblem:
     bounds: Mapping[str, tuple[float, float]] | None = None
     initial_guess: Mapping[str, float] | None = None
     multistart: int = 16
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if self.constants not in ("per_sample", "none"):
@@ -197,7 +200,7 @@ def _assemble(problem: FitProblem) -> _Assembled:
     names = [*problem.model.param_names, *(f"{c}3_{s}" for s in samples for c in "ab")]
     col = {name: j for j, name in enumerate(names)}
     terms = tuple(
-        _Term(None if t.delta is None else col[t.delta], col[t.a], col[t.b], t.start)
+        _Term(None if t.delta is None else col[t.delta], col[t.a], col[t.b])
         for t in problem.model.terms
     )
     floors = tuple((col[f"a3_{s}"], col[f"b3_{s}"]) for s in samples)
@@ -234,35 +237,6 @@ def _default_bounds(asm: _Assembled) -> dict[str, tuple[float, float]]:
     for a3, b3 in asm.floors:
         out[asm.names[a3]] = out[asm.names[b3]] = (1e-8, 1e3)
     return out
-
-
-def _heuristic_guess(asm: _Assembled) -> dict[str, float]:
-    """Data-derived starting point; scales with the data so that rescaled
-    problems optimize along equivalent paths."""
-    guess: dict[str, float] = {}
-    omega, gamma = asm.data[0::2], asm.data[1::2]
-    hot = asm.temps >= np.median(asm.temps)
-    n_orbach = sum(t.delta is not None for t in asm.terms)
-    for t in asm.terms:
-        f = _term_column(t.start, asm.temps[hot])
-        # an Orbach column underflows to 0 on cold rows, which then say
-        # nothing about the coefficient; with none left the floor is used
-        live = f > 0
-        a = b = 0.0
-        if np.any(live):
-            a = float(np.median(omega[hot][live] / f[live]))
-            b = float(np.median(gamma[hot][live] / f[live]))
-        if t.delta is None:    # a T^5 tail starts at 30% of the hot rates
-            a, b, least = a * 0.3, b * 0.3, 1e-17
-        else:                  # the Orbach terms share the hot rates
-            guess[asm.names[t.delta]] = t.start
-            a, b, least = a / n_orbach, b / n_orbach, 1e-5
-        guess[asm.names[t.a]] = max(a, least)
-        guess[asm.names[t.b]] = max(b, least)
-    for a3, b3 in asm.floors:
-        guess[asm.names[a3]] = max(float(np.min(omega)), 1e-6)
-        guess[asm.names[b3]] = max(float(np.min(gamma)), 1e-6)
-    return guess
 
 
 class _LogModel:
@@ -326,33 +300,67 @@ class _LogModel:
         return jac
 
 
-def _sample_starts(asm: _Assembled, problem: FitProblem,
-                   guess: dict[str, float],
-                   bounds: dict[str, tuple[float, float]]) -> list[np.ndarray]:
-    rng = np.random.default_rng(problem.seed)
-    starts = [np.array([guess[n] for n in asm.names])]
-    lo = np.array([bounds[n][0] for n in asm.names])
-    hi = np.array([bounds[n][1] for n in asm.names])
-    delta_names = [asm.names[t.delta] for t in asm.terms if t.delta is not None]
-    floor_names = {asm.names[j] for pair in asm.floors for j in pair}
-    while len(starts) < problem.multistart:
-        trial = dict(guess)
-        # mode energies sampled log-uniformly over the phonon band, kept
-        # apart so no start is born degenerate
-        for _ in range(200):
-            deltas = np.sort(np.exp(rng.uniform(np.log(20.0), np.log(300.0), len(delta_names))))
-            if np.all(np.diff(deltas) > 2.0):
-                break
-        for name, d in zip(delta_names, deltas):
-            trial[name] = d
-        for name in asm.names:
-            if name in delta_names:
-                continue
-            window = 1.5 if name in floor_names else 2.0
-            trial[name] = guess[name] * 10 ** rng.uniform(-window, window)
-        vec = np.array([trial[n] for n in asm.names])
-        starts.append(np.clip(vec, lo * 1.001, hi * 0.999))
-    return starts
+def _profile(asm: _Assembled, lo: np.ndarray,
+             hi: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """(chi2, physical parameters) at the distinct local minima of the
+    profile chi2 over a log grid of mode energies, best first.
+
+    In a cell mode k takes the k-th of ascending grid indices, and each
+    channel's coefficients (maybe 0) and floors solve a non-negative least-
+    squares problem on _LogModel's basis columns, scaled by the errors and
+    then to unit norm.  A cell that no neighbour (diagonals too) undercuts
+    is a minimum; touching minima are one plateau.
+    """
+    orbach = [t for t in asm.terms if t.delta is not None]
+    fixed = [t for t in asm.terms if t.delta is None]
+    modes, size = range(len(orbach)), _PROFILE_POINTS[len(orbach)]
+    deltas = [t.delta for t in orbach]
+    grid = np.geomspace(lo[deltas], hi[deltas], size)
+    n = _bose_einstein(grid[:, :, None] / asm.kT)
+
+    def unit(columns):      # T^5 would dwarf a floor indicator unscaled
+        norm = np.linalg.norm(columns, axis=-1, keepdims=True)
+        norm[norm == 0.0] = 1.0
+        return columns / norm, norm[..., 0]
+
+    channels = []
+    for k, cols in enumerate(([t.a for t in orbach + fixed] + [a3 for a3, _ in asm.floors],
+                              [t.b for t in orbach + fixed] + [b3 for _, b3 in asm.floors])):
+        err = asm.err[k::2]
+        others = ([_term_column(None, asm.temps) / err for _ in fixed]
+                  + [(asm.floor_cols[k::2] == pair[k]) / err for pair in asm.floors])
+        channels.append((cols, *unit(n * (n + 1.0) / err),     # (grid point, mode, row)
+                         *unit(np.reshape(others, (-1, len(err)))), asm.data[k::2] / err))
+
+    chi2, found = np.full((size,) * len(orbach), np.inf), {}
+    for idx in itertools.combinations(range(size), len(orbach)):
+        p = np.zeros(len(asm.names))
+        p[deltas] = grid[idx, modes]
+        chi2[idx] = 0.0
+        for cols, orbach_units, orbach_norm, other_units, other_norm, target in channels:
+            x, rnorm = nnls(np.concatenate([orbach_units[idx, modes], other_units]).T, target)
+            p[cols] = x / np.concatenate([orbach_norm[idx, modes], other_norm])
+            chi2[idx] += rnorm**2
+        found[idx] = p
+
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=len(orbach)) if any(o)]
+    padded = np.pad(chi2, 1, constant_values=np.inf)
+    lowest = np.min([padded[tuple(slice(1 + o, 1 + o + size) for o in off)]
+                     for off in offsets], axis=0)
+    minima = set(found).intersection(map(tuple, np.argwhere(chi2 <= lowest).tolist()))
+    out, taken = [], set()
+    for idx in sorted(minima, key=lambda c: (chi2[c], c)):
+        if idx in taken:
+            continue
+        out.append((float(chi2[idx]), found[idx]))
+        taken.add(idx)
+        plateau = [idx]
+        for cell in plateau:        # grows while it is walked
+            for near in (tuple(c + o for c, o in zip(cell, off)) for off in offsets):
+                if near in minima and near not in taken:
+                    taken.add(near)
+                    plateau.append(near)
+    return out
 
 
 def _canonical_order(asm: _Assembled, p: np.ndarray) -> np.ndarray:
@@ -486,56 +494,42 @@ def estimate_covariance(jacobian: np.ndarray, param_names: Sequence[str]) -> np.
     return (vt.T * inv_s2) @ vt
 
 
-def _solve_one(asm: _Assembled, u0: np.ndarray, lo_u: np.ndarray, hi_u: np.ndarray):
+def _solve_one(asm: _Assembled, p0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """One log-space trust-region solve from ``p0`` clipped into [lo, hi]."""
     model = _LogModel(asm)
-    return least_squares(
-        model.residuals,
-        np.clip(u0, lo_u, hi_u),
-        jac=model.jacobian,
-        bounds=(lo_u, hi_u),
-        method="trf",
-        ftol=_FTOL,
-        xtol=_XTOL,
-        gtol=_GTOL,
-        max_nfev=_MAX_NFEV,
-    )
+    return least_squares(model.residuals, np.log(np.clip(p0, lo, hi)), jac=model.jacobian,
+                         bounds=(np.log(lo), np.log(hi)), method="trf",
+                         ftol=_FTOL, xtol=_XTOL, gtol=_GTOL, max_nfev=_MAX_NFEV)
 
 
 def fit(problem: FitProblem) -> FitResult:
-    """Minimize the weighted chi-squared; best of ``multistart`` starts.
-
-    Ties across starts break by lowest chi2, then fewest iterations, then
-    start index, so results are reproducible for a fixed seed.
+    """Minimize the weighted chi-squared by one log-space trust-region solve
+    from each of the best ``multistart`` minima of :func:`_profile`, after
+    ``initial_guess`` if given (missing names from the best cell).  Ties
+    break by lowest chi2, then fewest evaluations, then start index.
     """
     asm = _assemble(problem)
     bounds = _default_bounds(asm)
-    if problem.bounds:
-        for name, pair in problem.bounds.items():
-            if name not in bounds:
-                raise ValueError(f"bounds given for unknown parameter {name!r}")
-            if not 0 < pair[0] < pair[1]:
-                raise ValueError(f"bounds for {name!r} must satisfy 0 < lo < hi")
-            bounds[name] = (float(pair[0]), float(pair[1]))
-    # heuristic values are clamped into the bounds; a user guess is checked below
-    guess = {n: min(max(g, bounds[n][0]), bounds[n][1])
-             for n, g in _heuristic_guess(asm).items()}
+    for name, pair in (problem.bounds or {}).items():
+        if name not in bounds:
+            raise ValueError(f"bounds given for unknown parameter {name!r}")
+        if not 0 < pair[0] < pair[1]:
+            raise ValueError(f"bounds for {name!r} must satisfy 0 < lo < hi")
+        bounds[name] = (float(pair[0]), float(pair[1]))
+    lo = np.array([bounds[n][0] for n in asm.names])
+    hi = np.array([bounds[n][1] for n in asm.names])
+    starts = [p for _, p in _profile(asm, lo, hi)[:problem.multistart]]
     if problem.initial_guess:
+        starts.insert(0, starts[0].copy())
         for name, value in problem.initial_guess.items():
-            if name not in guess:
+            if name not in bounds:
                 raise ValueError(f"initial guess for unknown parameter {name!r}")
-            guess[name] = float(value)
-    for name in asm.names:
-        lo, hi = bounds[name]
-        if not lo <= guess[name] <= hi:
-            raise ValueError(
-                f"initial guess {name}={guess[name]:g} outside bounds [{lo:g}, {hi:g}]"
-            )
+            if not bounds[name][0] <= value <= bounds[name][1]:
+                raise ValueError(f"initial guess {name}={value:g} outside bounds "
+                                 f"[{bounds[name][0]:g}, {bounds[name][1]:g}]")
+            starts[0][asm.names.index(name)] = value
 
-    lo_u = np.log(np.array([bounds[n][0] for n in asm.names]))
-    hi_u = np.log(np.array([bounds[n][1] for n in asm.names]))
-    starts = [np.log(s) for s in _sample_starts(asm, problem, guess, bounds)]
-
-    results = [_solve_one(asm, u0, lo_u, hi_u) for u0 in starts]
+    results = [_solve_one(asm, p0, lo, hi) for p0 in starts]
 
     start_chi2 = tuple(float(2.0 * r.cost) for r in results)
     ranked = sorted(

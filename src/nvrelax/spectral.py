@@ -587,6 +587,7 @@ def refit_theory_curve(curve: RamanRateCurve, t_max: float,
 
     The curve must extend to ``t_max``; uniform relative errors weight all
     temperatures alike on a log scale, so only the lineshape matters.
+    ``seed`` is only recorded by callers: the fit draws nothing at random.
     """
     if max(curve.temperatures) < t_max:
         raise ValueError(
@@ -595,9 +596,8 @@ def refit_theory_curve(curve: RamanRateCurve, t_max: float,
     dataset = curve.to_dataset(rel_err=rel_err)
     rows = tuple(r for r in dataset if r.temperature <= t_max)
     dataset = Dataset(rows=rows, provenance=dataset.provenance)
-    problem = FitProblem(dataset=dataset, model=ModelSpec("n_mode", 2),
-                         constants="none", multistart=multistart, seed=seed)
-    return fit(problem)
+    return fit(FitProblem(dataset=dataset, model=ModelSpec("n_mode", 2),
+                          constants="none", multistart=multistart))
 
 
 def spectral_to_csv_text(f: SpectralFunction) -> str:

@@ -79,9 +79,17 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert argv[-2] in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+    @pytest.mark.parametrize("command", [("fit",), ("compare", "--models", "n-mode:1", "prior")],
+                             ids=["fit", "compare"])
+    def test_bad_t_min_names_the_flag(self, command, value, capsys):
+        assert run(*command, "--t-min", value) == 1
+        err = capsys.readouterr().err
+        assert "--t-min" in err and "Traceback" not in err
+
     def test_cold_only_data_uses_clamped_heuristic_guesses(self, tmp_path, capsys):
-        # below 5 K the heuristic coefficient guesses overflow their bounds;
-        # they are clamped, so the fit runs and ends in a diagnosed result
+        # below 5 K the profile's coefficients overflow their bounds; the
+        # starts are clamped, so the fit runs and ends in a diagnosed result
         data = tmp_path / "cold.csv"
         data.write_text(
             "nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s\n"
@@ -112,8 +120,8 @@ class TestExitCodes:
 
     def test_cold_only_data_below_orbach_underflow_fits_without_warnings(self, tmp_path,
                                                                           capsys):
-        # at 1.0-1.4 K the n-mode:1 starting column n(n+1) at 80 meV is
-        # exactly 0; the guess must not divide by it
+        # at 1.0-1.4 K the profile's columns n(n+1) are exactly 0 over most
+        # of the mode-energy grid; no start may come from dividing by them
         data = tmp_path / "colder.csv"
         data.write_text(
             "nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s\n"
@@ -368,6 +376,18 @@ class TestReproducibility:
         first = out.read_bytes()
         assert run(*args) == 0
         assert out.read_bytes() == first
+
+    def test_fit_report_does_not_depend_on_the_seed(self, tmp_path):
+        # the fit draws nothing at random; the seed is only recorded
+        out = tmp_path / "fit.json"
+        reports = []
+        for seed in (1, 2):
+            assert run("fit", "--seed", str(seed), "-o", str(out)) == 0
+            report = json.loads(out.read_text())
+            assert report.pop("seed") == seed
+            assert f"--seed={seed}" in report.pop("config")
+            reports.append(report)
+        assert reports[0] == reports[1]
 
     def test_builtin_override_env(self, tmp_path, monkeypatch):
         copy = tmp_path / "copy.csv"

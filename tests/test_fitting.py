@@ -22,8 +22,7 @@ from nvrelax.fitting import (
     _LogModel,
     _assemble,
     _default_bounds,
-    _heuristic_guess,
-    _sample_starts,
+    _profile,
 )
 from nvrelax.models import (
     Mode,
@@ -270,13 +269,19 @@ class TestJacobian:
 
 
 def _start_points(dataset, token, constants="per_sample", count=2):
-    """An assembled problem and the log-space points of its first starts."""
-    problem = FitProblem(dataset=dataset, model=ModelSpec.parse(token),
-                         constants=constants, multistart=count)
-    asm = _assemble(problem)
-    guess = _heuristic_guess(asm)
-    starts = _sample_starts(asm, problem, guess, _default_bounds(asm))
-    return asm, [np.log(p) for p in starts]
+    """An assembled problem and ``count`` distinct log-space points inside its
+    bounds: each parameter at its own fraction of its log-bounds interval,
+    between 0.2 and 0.8, shifted from point to point."""
+    asm = _assemble(FitProblem(dataset=dataset, model=ModelSpec.parse(token),
+                               constants=constants))
+    bounds = _default_bounds(asm)
+    lo = np.log([bounds[n][0] for n in asm.names])
+    hi = np.log([bounds[n][1] for n in asm.names])
+    points = []
+    for k in range(count):
+        fraction = 0.2 + 0.6 * ((0.37 * np.arange(len(lo)) + 0.29 * k) % 1.0)
+        points.append(lo + fraction * (hi - lo))
+    return asm, points
 
 
 def _fresh(asm, u):
@@ -387,9 +392,7 @@ class TestInvariances:
     def test_objective_decreases_from_start(self, builtin_dataset):
         problem = FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
                              multistart=2)
-        asm = _assemble(problem)
-        guess = _heuristic_guess(asm)
-        u0 = np.log(np.array([guess[n] for n in asm.names]))
+        asm, (u0, _) = _start_points(builtin_dataset, "n-mode:2")
         r0 = _LogModel(asm).residuals(u0)
         chi2_start = float(r0 @ r0)
         result = fit(problem)
@@ -446,6 +449,51 @@ class TestInvariances:
                              multistart=1)
         with pytest.raises(RankDeficiencyError, match="degenerate"):
             fit(problem)
+
+
+class TestProfile:
+    """The mode-energy profile whose minima are the polished starts."""
+
+    @staticmethod
+    def _profile_of(dataset, token):
+        asm = _assemble(FitProblem(dataset=dataset, model=ModelSpec.parse(token)))
+        bounds = _default_bounds(asm)
+        lo = np.array([bounds[n][0] for n in asm.names])
+        hi = np.array([bounds[n][1] for n in asm.names])
+        return asm, _profile(asm, lo, hi)
+
+    @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "n-mode:3", "prior"])
+    def test_best_cell_chi2_matches_log_model(self, builtin_dataset, token):
+        # the two NNLS solves use _LogModel's columns; at the unclipped best
+        # cell (a coefficient of 0 would be log 0 = -inf) both give one chi2
+        asm, profile = self._profile_of(builtin_dataset, token)
+        chi2, p = profile[0]
+        with np.errstate(divide="ignore"):
+            r = _LogModel(asm).residuals(np.log(p))
+        assert math.isclose(chi2, float(r @ r), rel_tol=1e-12)
+        assert [c for c, _ in profile] == sorted(c for c, _ in profile)
+
+    def test_flat_region_counts_once(self, builtin_dataset):
+        # above ~160 meV prior's best Orbach coefficients are 0, so the profile
+        # is flat at chi2 = 3698.9 over several cells: one minimum, not several
+        _, profile = self._profile_of(builtin_dataset, "prior")
+        flat = [c for c, _ in profile if c > 3000.0]
+        assert len(flat) == 1
+
+    def test_three_modes_reach_the_global_basin_from_one_start(self, builtin_dataset):
+        # 6 of 16 random log-uniform starts stopped in a basin at 126.8594
+        result = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 3),
+                                multistart=1))
+        assert result.n_starts == len(result.start_chi2) == 1
+        assert math.isclose(result.chi2, 126.60641327273599, rel_tol=1e-12)
+
+    def test_partial_initial_guess_is_polished_too(self, builtin_dataset):
+        base = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
+                              multistart=1))
+        guided = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
+                                multistart=1, initial_guess={"delta_1": 60.0}))
+        assert guided.n_starts == 2
+        assert guided.chi2 <= base.chi2
 
 
 class TestBuiltinTwoModeFit:

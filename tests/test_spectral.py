@@ -1,4 +1,5 @@
 """Tests for spectral-function construction and Raman rate quadrature."""
+import dataclasses
 import math
 
 import numpy as np
@@ -470,6 +471,30 @@ class TestRefitTheoryCurve:
         for name, value in (("delta_1", 65.0), ("a_1", 70.0), ("b_1", 910.0),
                             ("delta_2", 155.0), ("a_2", 169.0), ("b_2", 2940.0)):
             assert abs(result.params[name] - value) / value < 1e-6, name
+
+    def test_refit_is_stable_under_one_ulp_changes(self):
+        # the sigma = 7.5 curve of `nvrelax spectral --sigma 7.5 --refit` ends
+        # in a flat valley; random starts took 34 to 331 evaluations and moved
+        # the parameters by 5e-8 when half the Omega rates moved by one ulp.
+        # The polish's path there still hangs on its start to 1e-14, so this
+        # pins the profiled start of the 30-point grid, not every start
+        table = anchor_coupling_table()
+        curve = rate_curve(build_spectral_function(table, SQ, 2, sigma=7.5),
+                           build_spectral_function(table, DQ, 2, sigma=7.5),
+                           np.geomspace(100.0, 5000.0, 40))
+        omega = np.array(curve.omega)
+        curves = [curve]
+        for first in (0, 1):
+            for direction in (np.inf, -np.inf):
+                moved = omega.copy()
+                moved[first::2] = np.nextafter(moved[first::2], direction)
+                curves.append(dataclasses.replace(curve, omega=tuple(moved.tolist())))
+        fits = [refit_theory_curve(c, t_max=5000.0) for c in curves]
+        nfev = [f.n_iterations for f in fits]
+        assert max(nfev) <= 1.5 * min(nfev), nfev
+        for f in fits[1:]:
+            for name, value in fits[0].params.items():
+                assert math.isclose(f.params[name], value, rel_tol=1e-6), name
 
     def test_coverage_precondition(self):
         f_sq, f_dq = two_peak_reference_functions(7.5)
