@@ -482,7 +482,7 @@ def _build_parser() -> _Parser:
     noise.add_argument("--noise-free", action="store_true",
                        help="exact populations, no sampling")
     p_sim.add_argument("--n-tau", type=int, default=20)
-    p_sim.add_argument("--tau-max-scale", type=float, default=2.5,
+    p_sim.add_argument("--tau-max-scale", type=_positive_float, default=2.5,
                        help="grid reaches this many expected decay times")
     p_sim.add_argument("--fidelity", type=float, default=1.0,
                        help="readout fidelity in (0, 1]; scales effective shots")

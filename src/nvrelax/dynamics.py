@@ -17,6 +17,11 @@ time point, mirroring photon shot statistics; a fidelity parameter below 1
 only inflates the variance (the optics behind the readout are out of
 scope).  Fitted decay rates r1 = 3 Omega and r2 = Omega + 2 gamma then
 invert to the rates with propagated uncertainties.
+
+Each decay is fitted as A exp(-r tau) by a separable solve: the amplitude
+enters linearly and is projected out in closed form, leaving a
+one-dimensional Gauss-Newton problem in log r (:func:`least_squares`).
+The module needs numpy only; importing it loads no scipy.
 """
 from __future__ import annotations
 
@@ -25,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import DEFAULT_SEED, RateMeasurement, _require_finite
 
@@ -48,6 +52,13 @@ _STATE_INDEX = {"0": 0, "-1": 1, "+1": 2}
 # one per nonzero eigenvalue of the generator
 _V1 = np.array([2.0, -1.0, -1.0])   # decays at 3 Omega
 _V2 = np.array([0.0, 1.0, -1.0])    # decays at Omega + 2 gamma
+
+_EPS = float(np.finfo(float).eps)
+# the exponential fit: the iteration cap, the largest step in log r, and the
+# largest log r whose exp is finite
+_MAX_ITERATIONS = 100
+_MAX_STEP = 10.0
+_LOG_RATE_MAX = 709.0
 
 
 def _state_index(state) -> int:
@@ -176,16 +187,21 @@ class ProtocolSpec:
     def __post_init__(self) -> None:
         if self.shots is not None and self.shots < 1:
             raise ValueError("shot count must be >= 1")
+        _require_finite({"readout_fidelity": self.readout_fidelity,
+                         "tau_max_scale": self.tau_max_scale})
         if not 0.0 < self.readout_fidelity <= 1.0:
             raise ValueError("readout fidelity must lie in (0, 1]")
         if self.tau_grid is not None:
             taus = tuple(float(t) for t in self.tau_grid)
             if not taus:
                 raise ValueError("tau grid must be nonempty")
+            _require_finite({f"tau_grid[{i}]": t for i, t in enumerate(taus)})
             if any(t < 0 for t in taus):
                 raise ValueError("tau values must be nonnegative")
             if any(b <= a for a, b in zip(taus, taus[1:])):
                 raise ValueError("tau grid must be strictly ascending")
+            if len(taus) < 3:
+                raise ValueError("explicit tau grids need at least 3 points")
             object.__setattr__(self, "tau_grid", taus)
         elif self.n_tau < 3:
             raise ValueError("automatic tau grids need n_tau >= 3")
@@ -212,6 +228,11 @@ class DecayCurve:
     def __post_init__(self) -> None:
         if not (len(self.tau_grid) == len(self.values) == len(self.errors)):
             raise ValueError("tau grid, values, and errors must have equal length")
+        if not self.tau_grid:
+            raise ValueError("a decay curve needs at least one point")
+        for field in ("tau_grid", "values", "errors"):
+            _require_finite({f"{field}[{i}]": v
+                             for i, v in enumerate(getattr(self, field))})
         if any(e <= 0 for e in self.errors):
             raise ValueError("errors must be positive")
 
@@ -230,14 +251,17 @@ class SimulationResult:
     seed: int
 
 
-def _branch_grid(spec: ProtocolSpec, expected_rate: float) -> np.ndarray:
+def _branch_grid(spec: ProtocolSpec, expected_rate: float, name: str) -> np.ndarray:
+    _require_finite({f"expected decay rate {name}": expected_rate})
     if spec.tau_grid is not None:
         return np.asarray(spec.tau_grid)
     if expected_rate <= 0:
         raise ValueError(
             "expected decay rate is zero; provide an explicit tau_grid"
         )
-    return np.linspace(0.0, spec.tau_max_scale / expected_rate, spec.n_tau)
+    tau_end = spec.tau_max_scale / expected_rate
+    _require_finite({f"tau grid end tau_max_scale / ({name})": tau_end})
+    return np.linspace(0.0, tau_end, spec.n_tau)
 
 
 def _measure_branch(rates: RateMatrix, init: str, pair: tuple[str, str],
@@ -289,8 +313,8 @@ def simulate_experiment(rates: RateMatrix, spec: ProtocolSpec,
     partner = "-1" if _state_label(gamma_init) == "+1" else "+1"
     gamma_init, gamma_pair = _checked_pairing(gamma_init, (gamma_init, partner))
     rng = np.random.default_rng(seed)
-    omega_taus = _branch_grid(spec, 3.0 * rates.omega)
-    gamma_taus = _branch_grid(spec, rates.omega + 2.0 * rates.gamma)
+    omega_taus = _branch_grid(spec, 3.0 * rates.omega, "3 Omega")
+    gamma_taus = _branch_grid(spec, rates.omega + 2.0 * rates.gamma, "Omega + 2 gamma")
     omega_branch = _measure_branch(rates, omega_init, omega_pair, omega_taus, spec, rng)
     gamma_branch = _measure_branch(rates, gamma_init, gamma_pair, gamma_taus, spec, rng)
     return SimulationResult(omega_branch=omega_branch, gamma_branch=gamma_branch,
@@ -317,19 +341,122 @@ class RateEstimate:
     gamma_negative: bool
 
 
+@dataclass(frozen=True)
+class _ExpFit:
+    """Outcome of :func:`least_squares`: the optimum and its evaluation counts."""
+
+    amplitude: float
+    rate: float
+    nfev: int           # projected-residual evaluations
+    njev: int           # derivative evaluations
+    converged: bool     # False when the iteration cap ended the solve
+
+
+def _projected(u: float, taus: np.ndarray, weights: np.ndarray,
+               weighted_values: np.ndarray, tau_max: float):
+    """(A, weighted basis, residual, chi^2) at r = exp(u), A projected out.
+
+    Returns ``None`` where the basis over- or underflows, so the caller
+    treats the point as infeasible.
+    """
+    if u > _LOG_RATE_MAX:
+        return None
+    r = math.exp(u)
+    if not math.isfinite(r * tau_max):
+        return None
+    basis = weights * np.exp(-r * taus)
+    norm2 = float(basis @ basis)
+    if not norm2 > 0.0:
+        return None
+    amplitude = float(basis @ weighted_values) / norm2
+    residual = amplitude * basis - weighted_values
+    return amplitude, basis, residual, float(residual @ residual)
+
+
+def least_squares(taus: np.ndarray, values: np.ndarray, errors: np.ndarray,
+                  rate0: float) -> _ExpFit:
+    """Separable weighted least-squares fit of A exp(-r tau), from ``rate0``.
+
+    For fixed r the best amplitude is the weighted projection
+    A(r) = sum(w^2 y e) / sum(w^2 e^2) with e = exp(-r tau) and w = 1/error,
+    so only u = log r is iterated (variable projection: Golub & Pereyra,
+    SIAM J. Numer. Anal. 10 (1973) 413).  Each step is a Gauss-Newton step
+    on the projected residual, with its exact derivative; from the second
+    step on, the secant slope of the gradient replaces the Gauss-Newton
+    curvature when positive, which keeps convergence fast on curves with
+    large residuals (few shots), where plain Gauss-Newton is only linear.
+    A step is halved until chi^2 falls.  The solve stops when a step no
+    longer moves u, or when it cannot lower chi^2 by more than chi^2's
+    rounding error; such a step is still taken unless it raises chi^2
+    beyond rounding, because there the gradient knows more than chi^2.
+    """
+    weights = 1.0 / errors
+    weighted_values = weights * values
+    tau_max = float(np.max(taus))
+    # each residual carries a rounding error of about eps |w y|
+    scale = _EPS * float(np.sqrt(weighted_values @ weighted_values))
+    u = math.log(rate0)
+    point = _projected(u, taus, weights, weighted_values, tau_max)
+    if point is None:
+        raise RuntimeError("exponential fit is degenerate; widen the tau grid")
+    nfev, njev, converged = 1, 0, True
+    previous = None     # (u, gradient) at the last accepted point
+    for _ in range(_MAX_ITERATIONS):
+        amplitude, basis, residual, chi2 = point
+        # d/du of the projected residual A(u) e(u) - y, A'(u) included
+        d_basis = -math.exp(u) * taus * basis
+        d_amplitude = -(amplitude * float(basis @ d_basis)
+                        + float(d_basis @ residual)) / float(basis @ basis)
+        jac = amplitude * d_basis + d_amplitude * basis
+        njev += 1
+        gradient = float(jac @ residual)
+        curvature = float(jac @ jac)
+        if not curvature > 0.0:
+            break
+        if previous is not None:
+            secant = (gradient - previous[1]) / (u - previous[0])
+            if secant > 0.0:
+                curvature = secant
+        previous = (u, gradient)
+        step = -gradient / curvature
+        if abs(step) <= _EPS * max(1.0, abs(u)):
+            break
+        step = max(-_MAX_STEP, min(_MAX_STEP, step))
+        gain = -gradient * step    # half the first-order fall of chi^2 for the full step
+        rounding = 4.0 * scale * (math.sqrt(chi2) + scale)
+        t = 1.0
+        while True:
+            trial = _projected(u + t * step, taus, weights, weighted_values, tau_max)
+            nfev += 1
+            if trial is not None and (trial[3] < chi2 or (
+                    gain <= rounding and trial[3] <= chi2 + rounding)):
+                break
+            if gain * t <= rounding:
+                trial = None   # no shorter step lowers chi^2 beyond rounding
+                break
+            t *= 0.5
+        if trial is None:
+            break
+        u, point = u + t * step, trial
+    else:
+        converged = False
+    return _ExpFit(point[0], math.exp(u), nfev, njev, converged)
+
+
 def _fit_single_exponential(curve: DecayCurve) -> tuple[float, float]:
     """Weighted fit of A exp(-r tau); returns (r, sigma_r).
 
-    Both parameters are positive, so the solver works in log space with an
-    analytic Jacobian; tolerances are near machine precision so noise-free
-    inputs round-trip exactly.
+    The amplitude enters linearly, so :func:`least_squares` projects it out
+    and solves the one-dimensional problem in log r.  sigma_r comes from
+    the (log A, log r) Jacobian at the optimum.  A curve with fewer than
+    two independent directions, or whose best amplitude is not positive,
+    raises ``RuntimeError``.
     """
     taus = np.asarray(curve.tau_grid)
     values = np.asarray(curve.values)
     errors = np.asarray(curve.errors)
 
-    # data-driven start: amplitude from the first sample, rate from the
-    # log ratio across the widest usable span
+    # data-driven start: the log ratio across the widest usable span
     a0 = max(values[0], 0.1)
     usable = np.flatnonzero(values > 0.05 * a0)
     if len(usable) >= 2 and taus[usable[-1]] > taus[usable[0]]:
@@ -339,28 +466,22 @@ def _fit_single_exponential(curve: DecayCurve) -> tuple[float, float]:
         r0 = 1.0 / max(taus[-1], 1e-12)
     r0 = max(r0, 1e-9)
 
-    def residuals(u):
-        a, r = np.exp(u)
-        return (a * np.exp(-r * taus) - values) / errors
-
-    def jacobian(u):
-        a, r = np.exp(u)
-        model = a * np.exp(-r * taus)
-        jac = np.empty((len(taus), 2))
-        jac[:, 0] = model / errors
-        jac[:, 1] = -r * taus * model / errors
-        return jac
-
-    result = least_squares(
-        residuals, np.log([a0, r0]), jac=jacobian, method="trf",
-        ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=10000,
-    )
-    jac = jacobian(result.x)
+    fit = least_squares(taus, values, errors, r0)
+    if not fit.amplitude > 0.0:
+        raise RuntimeError("exponential fit is degenerate; widen the tau grid "
+                           f"(best amplitude {fit.amplitude!r} is not positive)")
+    r = fit.rate
+    model = fit.amplitude * np.exp(-r * taus) / errors
+    jac = np.empty((len(taus), 2))
+    jac[:, 0] = model
+    jac[:, 1] = -r * taus * model
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    if s[-1] / s[0] < 1e-12:
+    if len(s) < 2 or not s[-1] >= 1e-12 * s[0]:
         raise RuntimeError("exponential fit is degenerate; widen the tau grid")
+    if not fit.converged:
+        raise RuntimeError(
+            f"exponential fit did not converge in {_MAX_ITERATIONS} iterations")
     cov_log = (vt.T * (1.0 / s**2)) @ vt
-    r = float(np.exp(result.x[1]))
     sigma_r = r * math.sqrt(cov_log[1, 1])
     return r, sigma_r
 
@@ -382,7 +503,7 @@ def extract_rates(omega_branch: DecayCurve, gamma_branch: DecayCurve) -> RateEst
     omega = r1 / 3.0
     omega_err = r1_err / 3.0
     gamma = (r2 - omega) / 2.0
-    gamma_err = math.sqrt(r2_err**2 + omega_err**2) / 2.0
+    gamma_err = math.hypot(r2_err, omega_err) / 2.0
     return RateEstimate(
         omega=omega, omega_err=omega_err,
         gamma=gamma, gamma_err=gamma_err,

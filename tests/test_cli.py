@@ -343,6 +343,18 @@ class TestSimulateCommand:
         assert run("simulate", "--omega", "-5", "--gamma", "128",
                    "--shots", "100", "-o", str(tmp_path / "neg")) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_bad_tau_max_scale_names_the_flag(self, tmp_path, capsys, value):
+        assert run("simulate", "--omega", "60", "--gamma", "128", "--shots", "100",
+                   "--tau-max-scale", value, "-o", str(tmp_path / "bad")) == 1
+        err = capsys.readouterr().err
+        assert "--tau-max-scale" in err and "Traceback" not in err
+
+    def test_overflowing_decay_rate_is_input_error(self, tmp_path, capsys):
+        assert run("simulate", "--omega", "1e308", "--gamma", "1e308",
+                   "--shots", "100", "-o", str(tmp_path / "huge")) == 1
+        assert "expected decay rate 3 Omega must be finite" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_ranking_and_extrapolation(self, tmp_path):

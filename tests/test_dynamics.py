@@ -1,17 +1,23 @@
 """Tests for three-level dynamics, protocol simulation, and rate extraction."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares as scipy_least_squares
 
+import nvrelax
 from nvrelax.core import DEFAULT_SEED
 from nvrelax.dynamics import (
     DecayCurve,
     ProtocolSpec,
     RateMatrix,
     difference_curve,
+    _fit_single_exponential,
     evolve,
     extract_rates,
     simulate_experiment,
@@ -190,6 +196,21 @@ class TestProtocolSpec:
         with pytest.raises(ValueError, match="n_tau"):
             ProtocolSpec(shots=100, n_tau=2)
 
+    def test_explicit_grid_needs_enough_points(self):
+        for grid in ((0.0,), (0.0, 1e-3)):
+            with pytest.raises(ValueError, match="at least 3 points"):
+                ProtocolSpec(shots=100, tau_grid=grid)
+        assert len(ProtocolSpec(shots=100, tau_grid=(0.0, 1e-3, 2e-3)).tau_grid) == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_inputs_naming_field(self, bad):
+        with pytest.raises(ValueError, match="tau_max_scale must be finite"):
+            ProtocolSpec(shots=100, tau_max_scale=bad)
+        with pytest.raises(ValueError, match="readout_fidelity must be finite"):
+            ProtocolSpec(shots=100, readout_fidelity=bad)
+        with pytest.raises(ValueError, match=r"tau_grid\[1\] must be finite"):
+            ProtocolSpec(shots=100, tau_grid=(0.0, bad, 2e-3))
+
 
 class TestSimulateExperiment:
     RM = RateMatrix(60.0, 128.0)
@@ -224,6 +245,19 @@ class TestSimulateExperiment:
         with pytest.raises(ValueError, match="tau_grid"):
             simulate_experiment(RateMatrix(0.0, 0.0), ProtocolSpec(shots=100))
 
+    def test_overflowing_decay_rate_is_named(self):
+        # both rates are finite, but 3 Omega and Omega + 2 gamma are not
+        with pytest.raises(ValueError, match="expected decay rate 3 Omega must be finite"):
+            simulate_experiment(RateMatrix(1e308, 1e308), ProtocolSpec(shots=100))
+        with pytest.raises(ValueError, match="Omega \\+ 2 gamma must be finite"):
+            simulate_experiment(RateMatrix(1.0, 1e308),
+                                ProtocolSpec(shots=100, tau_grid=(0.0, 1e-3, 2e-3)))
+
+    def test_unreachable_grid_end_is_named(self):
+        # tau_max_scale / (3 Omega) overflows for a subnormal Omega
+        with pytest.raises(ValueError, match="tau grid end"):
+            simulate_experiment(RateMatrix(1e-320, 1.0), ProtocolSpec(shots=100))
+
     def test_simulated_errors_are_positive(self):
         sim = simulate_experiment(self.RM, ProtocolSpec(shots=50), seed=3)
         assert all(e > 0 for e in sim.omega_branch.errors)
@@ -235,6 +269,23 @@ class TestSimulateExperiment:
             self.RM, ProtocolSpec(shots=4000, readout_fidelity=0.5), seed=5)
         assert np.mean(fuzzy.omega_branch.errors) > \
             1.5 * np.mean(crisp.omega_branch.errors)
+
+
+class TestDecayCurve:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_entries_naming_field(self, bad):
+        with pytest.raises(ValueError, match=r"values\[1\] must be finite"):
+            DecayCurve("0", ("0", "-1"), (0.0, 1.0, 2.0), (1.0, bad, 0.1), (0.1,) * 3)
+        with pytest.raises(ValueError, match=r"errors\[2\] must be finite"):
+            DecayCurve("0", ("0", "-1"), (0.0, 1.0, 2.0), (1.0, 0.3, 0.1), (0.1, 0.1, bad))
+        with pytest.raises(ValueError, match=r"tau_grid\[0\] must be finite"):
+            DecayCurve("0", ("0", "-1"), (bad, 1.0, 2.0), (1.0, 0.3, 0.1), (0.1,) * 3)
+
+    def test_rejects_empty_and_nonpositive_errors(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            DecayCurve("0", ("0", "-1"), (), (), ())
+        with pytest.raises(ValueError, match="positive"):
+            DecayCurve("0", ("0", "-1"), (0.0, 1.0), (1.0, 0.3), (0.1, 0.0))
 
 
 class TestExtractRates:
@@ -357,3 +408,114 @@ class TestMonteCarloCalibration:
         # conservative near tau = 0, so the lower bound sits below 1
         assert 0.6 < pulls_w.std() < 1.25
         assert 0.6 < pulls_g.std() < 1.25
+
+
+def _trf_fit(curve):
+    """The log-space TRF fit of A exp(-r tau) that the separable solve
+    replaced, kept as an oracle.
+
+    Returns (r, sigma_r, step): ``step`` is the Gauss-Newton step in log r
+    still left at the point where TRF stopped.  TRF stops once chi^2 stops
+    falling beyond rounding, which can leave it a few 1e-9 short of the
+    optimum in log r; ``step`` measures that shortfall.
+    """
+    taus = np.asarray(curve.tau_grid)
+    values = np.asarray(curve.values)
+    errors = np.asarray(curve.errors)
+    a0 = max(values[0], 0.1)
+    usable = np.flatnonzero(values > 0.05 * a0)
+    if len(usable) >= 2 and taus[usable[-1]] > taus[usable[0]]:
+        i, j = usable[0], usable[-1]
+        r0 = math.log(values[i] / values[j]) / (taus[j] - taus[i])
+    else:
+        r0 = 1.0 / max(taus[-1], 1e-12)
+    r0 = max(r0, 1e-9)
+
+    def residuals(u):
+        a, r = np.exp(u)
+        return (a * np.exp(-r * taus) - values) / errors
+
+    def jacobian(u):
+        a, r = np.exp(u)
+        model = a * np.exp(-r * taus)
+        return np.column_stack([model / errors, -r * taus * model / errors])
+
+    result = scipy_least_squares(
+        residuals, np.log([a0, r0]), jac=jacobian, method="trf",
+        ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=10000)
+    _, s, vt = np.linalg.svd(jacobian(result.x), full_matrices=False)
+    cov_log = (vt.T * (1.0 / s**2)) @ vt
+    r = float(np.exp(result.x[1]))
+    step = np.linalg.lstsq(jacobian(result.x), -result.fun, rcond=None)[0]
+    return r, r * math.sqrt(cov_log[1, 1]), float(step[1])
+
+
+def _projected_chi2(curve, r):
+    """chi^2 of A exp(-r tau) with the best amplitude for this r."""
+    taus = np.asarray(curve.tau_grid)
+    w = 1.0 / np.asarray(curve.errors)
+    basis = w * np.exp(-r * taus)
+    weighted = w * np.asarray(curve.values)
+    residual = (basis @ weighted) / (basis @ basis) * basis - weighted
+    return float(residual @ residual)
+
+
+class TestSeparableFit:
+    """The separable solve against scipy's TRF on the same log-space problem."""
+
+    @given(rate=st.floats(min_value=1.0, max_value=1e4),
+           n=st.integers(min_value=5, max_value=40),
+           span=st.floats(min_value=1.0, max_value=5.0),
+           start=st.floats(min_value=0.0, max_value=0.5),
+           noise=st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=0.03)),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_trf_oracle(self, rate, n, span, start, noise, seed):
+        # grids from `start` to `start + span` decay times, Gaussian noise
+        # of `noise` with matching error bars (unit errors when noise-free)
+        taus = np.linspace(start / rate, (start + span) / rate, n)
+        rng = np.random.default_rng(seed)
+        values = np.exp(-rate * taus) + noise * rng.standard_normal(n)
+        errors = np.full(n, noise if noise > 0 else 1.0)
+        curve = DecayCurve("0", ("0", "-1"), tuple(taus), tuple(values), tuple(errors))
+        r, sigma_r = _fit_single_exponential(curve)
+        r_trf, sigma_trf, shortfall = _trf_fit(curve)
+        # agreement to 2e-9 relative, beyond the oracle's own shortfall
+        allowed = 2e-9 + 2.0 * abs(shortfall)
+        assert abs(math.log(r / r_trf)) <= allowed
+        assert abs(sigma_r / sigma_trf - 1.0) <= allowed
+        # both chi^2 by one formula; each residual carries a rounding error
+        # of about eps |y / error|, which bounds how well chi^2 can compare
+        chi2, chi2_trf = _projected_chi2(curve, r), _projected_chi2(curve, r_trf)
+        scale = np.finfo(float).eps * np.linalg.norm(values / errors)
+        rounding = 4.0 * scale * (math.sqrt(chi2_trf) + scale)
+        assert chi2 <= chi2_trf * (1.0 + 1e-12) + rounding
+
+    def test_one_point_curve_is_degenerate(self):
+        one = DecayCurve("0", ("0", "-1"), (0.0,), (0.998,), (0.002,))
+        with pytest.raises(RuntimeError, match="degenerate"):
+            _fit_single_exponential(one)
+
+    def test_negative_amplitude_is_degenerate(self):
+        taus = np.linspace(0.0, 0.012, 25)
+        curve = DecayCurve("0", ("0", "-1"), tuple(taus),
+                           tuple(-np.exp(-100.0 * taus)), tuple(np.ones(25)))
+        with pytest.raises(RuntimeError, match="amplitude"):
+            _fit_single_exponential(curve)
+
+    def test_constant_grid_is_degenerate(self):
+        # every point at tau = 0 leaves the rate undetermined
+        curve = DecayCurve("0", ("0", "-1"), (0.0, 0.0, 0.0), (1.0, 0.98, 1.01),
+                           (0.01, 0.01, 0.01))
+        with pytest.raises(RuntimeError, match="degenerate"):
+            _fit_single_exponential(curve)
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(nvrelax.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = ("import sys, nvrelax.dynamics; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        assert proc.stdout.strip() == "[]"
