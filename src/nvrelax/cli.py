@@ -83,13 +83,12 @@ class RunConfig:
     subcommand: str
     options: tuple[tuple[str, str], ...]    # sorted (name, rendered value)
     seed: int
-    format: str                             # "csv", "structured-report", or both
 
     @classmethod
-    def from_namespace(cls, args: argparse.Namespace, format: str) -> "RunConfig":
+    def from_namespace(cls, args: argparse.Namespace) -> "RunConfig":
         options = []
         for key, value in vars(args).items():
-            if key in ("handler", "subcommand", "format") or value is None:
+            if key in ("handler", "subcommand") or value is None:
                 continue
             if isinstance(value, bool):
                 rendered = "true" if value else "false"
@@ -99,7 +98,7 @@ class RunConfig:
                 rendered = str(value)
             options.append((key.replace("_", "-"), rendered))
         return cls(subcommand=args.subcommand, options=tuple(sorted(options)),
-                   seed=args.seed, format=format)
+                   seed=args.seed)
 
     @property
     def echo(self) -> str:
@@ -144,7 +143,7 @@ def _emit_json(document: dict, path: str | None) -> None:
 
 
 def _cmd_fit(args) -> int:
-    config = RunConfig.from_namespace(args, format="structured-report")
+    config = RunConfig.from_namespace(args)
     dataset = _load_dataset(args.data)
     model = ModelSpec.parse(args.model)
     if args.phonon_limited:
@@ -199,7 +198,7 @@ def _temperature_grid(args, geometric: bool) -> np.ndarray:
 
 
 def _cmd_eval(args) -> int:
-    config = RunConfig.from_namespace(args, format="csv")
+    config = RunConfig.from_namespace(args)
     label, values, checksum = _read_params_file(args.params)
     params = params_from_dict(label, values)
     temps = _temperature_grid(args, geometric=False)
@@ -219,7 +218,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    config = RunConfig.from_namespace(args, format="csv")
+    config = RunConfig.from_namespace(args)
     if args.coupling == ANCHOR_TAG:
         table = anchor_coupling_table()
         coupling_text = table.to_csv_text()
@@ -260,7 +259,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = RunConfig.from_namespace(args, format="csv")
+    config = RunConfig.from_namespace(args)
     rates = RateMatrix(args.omega, args.gamma)
     spec = ProtocolSpec(
         shots=None if args.noise_free else args.shots,
@@ -321,7 +320,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = RunConfig.from_namespace(args, format="structured-report")
+    config = RunConfig.from_namespace(args)
     if len(args.models) < 2:
         raise _UsageError("compare: need at least two models")
     dataset = _load_dataset(args.data)

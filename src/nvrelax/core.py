@@ -13,6 +13,8 @@ import os
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 __all__ = [
     "BOLTZMANN_MEV_PER_K",
     "HBAR_MEV_S",
@@ -122,11 +124,39 @@ class DatasetError(ValueError):
     """Malformed or invalid measured-rate data."""
 
 
-def _require_finite(values: Mapping[str, float], error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming the first of ``values`` that is NaN or infinite."""
+# the domains of _require, each a test on a finite value
+_DOMAINS = {
+    "finite": lambda v: True,
+    "nonnegative": lambda v: v >= 0.0,
+    "positive": lambda v: v > 0.0,
+}
+
+
+def _require(values: Mapping[str, object], domain: str = "finite",
+             error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the first of ``values`` that is NaN, infinite,
+    or outside ``domain``: "finite", "nonnegative" or "positive".
+
+    A value is a number or an array.  An array is checked at its smallest
+    and largest element, one reduction each (both find a NaN), and an
+    element that fails is named by its flat index.
+    """
+    within = _DOMAINS[domain]
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise error(f"{name} must be finite, got {value}")
+        a = np.asarray(value, dtype=float)
+        if a.ndim == 0:
+            extremes = [(name, float(a))]
+        elif a.size:
+            extremes = [(f"{name}[{i}]", float(a.flat[i]))
+                        for i in (np.argmin(a), np.argmax(a))]
+        else:
+            continue
+        for label, v in extremes:
+            if not math.isfinite(v):
+                raise error(f"{label} must be finite, got {v}")
+        label, lowest = extremes[0]
+        if not within(lowest):
+            raise error(f"{label} must be {domain}, got {lowest}")
 
 
 @dataclass(frozen=True)
@@ -142,18 +172,11 @@ class RateMeasurement:
     gamma_err: float        # s^-1
 
     def __post_init__(self) -> None:
-        _require_finite({name: getattr(self, name) for name in
-                         ("temperature", "omega", "omega_err", "gamma", "gamma_err")},
-                        DatasetError)
-        if self.temperature <= 0:
-            raise DatasetError(f"temperature must be positive, got {self.temperature}")
-        if self.omega < 0 or self.gamma < 0:
-            raise DatasetError(f"rates must be nonnegative, got ({self.omega}, {self.gamma})")
+        _require({"temperature": self.temperature}, "positive", DatasetError)
+        _require({"omega": self.omega, "gamma": self.gamma}, "nonnegative", DatasetError)
         # errors feed inverse-variance weights, so zero is as bad as negative
-        if self.omega_err <= 0 or self.gamma_err <= 0:
-            raise DatasetError(
-                f"error bars must be strictly positive, got ({self.omega_err}, {self.gamma_err})"
-            )
+        _require({"omega_err": self.omega_err, "gamma_err": self.gamma_err}, "positive",
+                 DatasetError)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import least_squares, nnls
 
-from .core import BOLTZMANN_MEV_PER_K, Dataset, _require_finite
+from .core import BOLTZMANN_MEV_PER_K, Dataset, _require
 from .models import (
     Mode,
     NModeParams,
@@ -156,6 +156,8 @@ class FitProblem:
             raise ValueError(f"constants must be 'per_sample' or 'none', got {self.constants!r}")
         if self.multistart < 1:
             raise ValueError("multistart count must be >= 1")
+        if self.t_min is not None:
+            _require({"t_min": self.t_min}, "positive")
 
     @classmethod
     def phonon_limited(cls, dataset: Dataset, model: ModelSpec, **kwargs) -> "FitProblem":
@@ -381,7 +383,7 @@ def params_from_dict(model, values):
     a NaN or infinite one ValueError.
     """
     spec = ModelSpec.parse(model) if isinstance(model, str) else model
-    _require_finite(values)
+    _require(values)
     samples = sorted(name.split("_", 1)[1] for name in values
                      if name.startswith("a3_"))
     constants = {

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import BOLTZMANN_MEV_PER_K, _require_finite
+from .core import BOLTZMANN_MEV_PER_K, _require
 
 __all__ = [
     "Mode",
@@ -69,11 +69,8 @@ def occupation(delta: float, temperature):
     Evaluated through expm1 so both the frozen-out limit (n ~ exp(-x))
     and the classical limit (n ~ 1/x) keep full relative accuracy.
     """
-    if delta <= 0:
-        raise ValueError(f"phonon energy must be positive, got {delta}")
     t = np.asarray(temperature, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("temperature must be positive")
+    _require({"delta": delta, "temperature": t}, "positive")
     out = _bose_einstein(delta / (BOLTZMANN_MEV_PER_K * np.atleast_1d(t)))
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
@@ -125,12 +122,8 @@ class Mode:
     b_coeff: float    # s^-1, double-quantum (gamma) channel
 
     def __post_init__(self) -> None:
-        _require_finite({"delta": self.delta, "a_coeff": self.a_coeff,
-                         "b_coeff": self.b_coeff})
-        if self.delta <= 0:
-            raise ValueError(f"mode energy must be positive, got {self.delta}")
-        if self.a_coeff < 0 or self.b_coeff < 0:
-            raise ValueError("mode coefficients must be nonnegative")
+        _require({"delta": self.delta}, "positive")
+        _require({"a_coeff": self.a_coeff, "b_coeff": self.b_coeff}, "nonnegative")
 
 
 @dataclass(frozen=True)
@@ -141,10 +134,8 @@ class SampleConstants:
     b3: float = 0.0   # s^-1, gamma channel
 
     def __post_init__(self) -> None:
-        _require_finite({"a3": self.a3, "b3": self.b3})
-        # constrained nonnegative; a pure rate floor cannot be negative
-        if self.a3 < 0 or self.b3 < 0:
-            raise ValueError("sample constants must be nonnegative")
+        # a pure rate floor cannot be negative
+        _require({"a3": self.a3, "b3": self.b3}, "nonnegative")
 
 
 # minimum spacing between mode energies; closer pairs are effectively one
@@ -235,13 +226,9 @@ class PriorModelParams(_SampleFloors):
     sample_constants: Mapping[str, SampleConstants] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _require_finite({name: getattr(self, name)
-                         for name in ("delta", "a1", "b1", "a2", "b2")})
-        if self.delta <= 0:
-            raise ValueError(f"mode energy must be positive, got {self.delta}")
-        for name in ("a1", "b1", "a2", "b2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"coefficient {name} must be nonnegative")
+        _require({"delta": self.delta}, "positive")
+        _require({name: getattr(self, name) for name in ("a1", "b1", "a2", "b2")},
+                 "nonnegative")
 
     @property
     def terms(self) -> tuple[tuple[float | None, float, float], ...]:
@@ -293,9 +280,7 @@ def coherence_limits(omega: float, gamma: float) -> CoherenceLimit:
     The infinite-limit sentinel is ``math.inf`` per field, returned whenever
     the corresponding rate combination vanishes.
     """
-    _require_finite({"omega": omega, "gamma": gamma})
-    if omega < 0 or gamma < 0:
-        raise ValueError("rates must be nonnegative")
+    _require({"omega": omega, "gamma": gamma}, "nonnegative")
     sq = 3.0 * omega + gamma
     dq = omega + gamma
     return CoherenceLimit(

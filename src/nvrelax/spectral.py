@@ -40,7 +40,7 @@ from .core import (
     RateMeasurement,
     TransitionChannel,
     _content_lines,
-    _require_finite,
+    _require,
     convert_energy,
 )
 from .fitting import FitProblem, FitResult, ModelSpec, fit
@@ -105,14 +105,13 @@ class CouplingEntry:
     order: int                  # 1 or 2
 
     def __post_init__(self) -> None:
-        _require_finite({"mode_energy": self.mode_energy, "amplitude": self.amplitude})
+        _require({"mode_energy": self.mode_energy})
         if not 0.0 < self.mode_energy <= MAX_MODE_ENERGY_MEV:
             raise ValueError(
                 f"mode energy must lie in (0, {MAX_MODE_ENERGY_MEV:g}] meV, "
                 f"got {self.mode_energy}"
             )
-        if self.amplitude < 0:
-            raise ValueError(f"coupling amplitude must be >= 0, got {self.amplitude}")
+        _require({"amplitude": self.amplitude}, "nonnegative")
         if self.order not in (1, 2):
             raise ValueError(f"interaction order must be 1 or 2, got {self.order}")
 
@@ -225,10 +224,8 @@ class SpectralFunction:
             raise ValueError("grid must be uniformly spaced")
         if amplitude.shape != grid.shape:
             raise ValueError("amplitude must match the grid shape")
-        if np.any(amplitude < 0):
-            raise ValueError("amplitude must be nonnegative everywhere")
-        if self.sigma <= 0:
-            raise ValueError(f"broadening width must be positive, got {self.sigma}")
+        _require({"amplitude": amplitude}, "nonnegative")
+        _require({"broadening width sigma": self.sigma}, "positive")
         if self.order not in (1, 2):
             raise ValueError(f"interaction order must be 1 or 2, got {self.order}")
         grid.flags.writeable = False
@@ -239,8 +236,7 @@ class SpectralFunction:
             power = np.asarray(self.power, dtype=float)
             if power.shape != grid.shape:
                 raise ValueError("power must match the grid shape")
-            if np.any(power < 0):
-                raise ValueError("power must be nonnegative everywhere")
+            _require({"power": power}, "nonnegative")
             power.flags.writeable = False
             object.__setattr__(self, "power", power)
 
@@ -276,8 +272,7 @@ def build_spectral_function(
     normalized Gaussian; the squared-coefficient ``power`` array is built
     alongside.  The grid must cover the couplings with 5 sigma of margin.
     """
-    if sigma <= 0:
-        raise ValueError(f"broadening width must be positive, got {sigma}")
+    _require({"broadening width sigma": sigma}, "positive")
     entries = table.for_channel(channel, order)
     if not entries:
         raise ValueError(f"no coupling entries for channel {channel.value!r}, order {order}")
@@ -318,19 +313,18 @@ def synthetic_peak_function(
     to long-wavelength acoustic phonons vanish quadratically.  Pass
     ``low_energy_window_mev=None`` to disable.
     """
-    if sigma <= 0:
-        raise ValueError(f"broadening width must be positive, got {sigma}")
+    _require({"broadening width sigma": sigma}, "positive")
     if not peaks:
         raise ValueError("at least one peak is required")
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     f_diag = np.zeros_like(grid)
     for center, area in peaks:
-        if center <= 0 or area < 0:
-            raise ValueError("peak centers must be positive and areas nonnegative")
+        _require({"peak center": center}, "positive")
+        _require({"peak area": area}, "nonnegative")
         f_diag += area * _gaussian(grid - center, sigma)
     if low_energy_window_mev is not None:
-        if low_energy_window_mev <= 0:
-            raise ValueError("suppression window must be positive")
+        _require({"suppression window low_energy_window_mev": low_energy_window_mev},
+                 "positive")
         f_diag *= -np.expm1(-0.5 * (grid / low_energy_window_mev) ** 2)
     amplitude = np.sqrt(f_diag) / PLANCK_MEV_PER_MHZ
     return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel,
@@ -369,8 +363,8 @@ def _simpson_weights(grid: np.ndarray) -> np.ndarray:
 
     The templates are read off scipy: ``simpson(np.eye(3), dx=h)`` weighs
     one pair of intervals, and ``simpson(np.eye(4), dx=h)`` less that pair
-    is the Cartwright correction scipy adds for the last interval of an
-    even sample count.
+    is the Cartwright correction scipy (from 1.11 on) adds for the last
+    interval of an even sample count.
     """
     n = len(grid)
     h = float(grid[1] - grid[0])
@@ -437,8 +431,7 @@ def second_order_rate(f: SpectralFunction, temperature: float) -> QuadratureRate
     """
     if f.order != 2:
         raise ValueError(f"second-order rate needs an order-2 function, got order {f.order}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    _require({"temperature": temperature}, "positive")
     energies, values, full_weights, half_weights = f._diagonal_support
     integrand = _occupancy_weight(energies, temperature) * values
     integral, rel_error = _integrate_checked(integrand, full_weights, half_weights,
@@ -456,8 +449,7 @@ def first_order_raman_rate(
     elements of that intermediate state, or an (incoming, outgoing) pair.
     All functions must share one grid.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    _require({"temperature": temperature}, "positive")
     if not f_by_intermediate:
         raise ValueError("at least one intermediate state is required")
     pairs = []
@@ -503,10 +495,8 @@ def order_dominance_ratio(d_ghz: float, phonon_energy_mev: float) -> float:
     Quantifies why first-order contributions are negligible: the spin
     splitting (GHz) is tiny against phonon energies (tens of meV).
     """
-    if d_ghz < 0:
-        raise ValueError(f"zero-field splitting must be >= 0, got {d_ghz}")
-    if phonon_energy_mev <= 0:
-        raise ValueError(f"phonon energy must be positive, got {phonon_energy_mev}")
+    _require({"zero-field splitting d_ghz": d_ghz}, "nonnegative")
+    _require({"phonon energy phonon_energy_mev": phonon_energy_mev}, "positive")
     return (convert_energy(d_ghz, "GHz", "meV") / phonon_energy_mev) ** 2
 
 
@@ -532,8 +522,8 @@ class RamanRateCurve:
         for errors in (self.omega_rel_error, self.gamma_rel_error):
             if errors and len(errors) != len(self.temperatures):
                 raise ValueError("error estimates must match the temperatures in length")
-        if any(r < 0 for r in self.omega) or any(r < 0 for r in self.gamma):
-            raise ValueError("rates must be nonnegative")
+        _require({"temperatures": self.temperatures}, "positive")
+        _require({"omega": self.omega, "gamma": self.gamma}, "nonnegative")
 
     def __len__(self) -> int:
         return len(self.temperatures)
@@ -589,6 +579,7 @@ def refit_theory_curve(curve: RamanRateCurve, t_max: float,
     temperatures alike on a log scale, so only the lineshape matters.
     ``seed`` is only recorded by callers: the fit draws nothing at random.
     """
+    _require({"t_max": t_max}, "positive")
     if max(curve.temperatures) < t_max:
         raise ValueError(
             f"curve reaches only {max(curve.temperatures):g} K but t_max={t_max:g} K"

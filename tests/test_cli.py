@@ -355,6 +355,12 @@ class TestSimulateCommand:
                    "--shots", "100", "-o", str(tmp_path / "huge")) == 1
         assert "expected decay rate 3 Omega must be finite" in capsys.readouterr().err
 
+    def test_decay_beyond_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # (Omega + 2 gamma) tau overflows on the 3-Omega branch's long grid
+        assert run("simulate", "--omega", "1e-200", "--gamma", "1e200",
+                   "--shots", "100", "-o", str(tmp_path / "far")) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_ranking_and_extrapolation(self, tmp_path):

@@ -1,5 +1,6 @@
-"""Units, dataset schema, and the bundled dataset."""
+"""Units, dataset schema, the bundled dataset, and the boundary check."""
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -22,6 +23,24 @@ from nvrelax.core import (
     parse_dataset_text,
     write_dataset,
 )
+from nvrelax.dynamics import RateMatrix, evolve
+from nvrelax.fitting import FitProblem, ModelSpec
+from nvrelax.models import Mode, NModeParams, orbach_factor
+from nvrelax.spectral import (
+    CouplingEntry,
+    CouplingTable,
+    RamanRateCurve,
+    anchor_coupling_table,
+    build_spectral_function,
+    first_order_raman_rate,
+    order_dominance_ratio,
+    rate_curve,
+    refit_theory_curve,
+    second_order_rate,
+    synthetic_peak_function,
+)
+
+SQ = TransitionChannel.SINGLE_QUANTUM
 
 
 class TestConvertEnergy:
@@ -74,7 +93,7 @@ class TestTransitionChannel:
 
 class TestRateMeasurementValidation:
     def test_nonpositive_error_rejected(self):
-        with pytest.raises(DatasetError, match="strictly positive"):
+        with pytest.raises(DatasetError, match="^omega_err must be positive"):
             RateMeasurement("NVA", "A", 295.0, 60.0, 0.0, 128.0, 7.0)
 
     def test_negative_rate_rejected(self):
@@ -244,3 +263,62 @@ class TestDatasetIO:
         again = parse_dataset_text(text)
         assert again.rows == ds.rows
         assert again.to_csv_text() == text
+
+
+def _peak(**kwargs):
+    return synthetic_peak_function(**{"peaks": [(68.2, 1e-12)], "sigma": 7.5,
+                                      "channel": SQ, **kwargs})
+
+
+def _order_one():
+    table = CouplingTable(entries=(CouplingEntry(62.4, 0.6, SQ, 1),))
+    return build_spectral_function(table, SQ, 1, sigma=7.5)
+
+
+# (field named in the message, domain, call taking the probed value)
+BOUNDARIES = {
+    "orbach_factor temperature": ("temperature", "positive",
+                                  lambda x: orbach_factor(60.0, x)),
+    "orbach_factor delta": ("delta", "positive", lambda x: orbach_factor(x, 300.0)),
+    "NModeParams.rates": ("temperature", "positive",
+                          lambda x: NModeParams(modes=(Mode(68.2, 1.0, 1.0),)).rates(None, x)),
+    "second_order_rate": ("temperature", "positive", lambda x: second_order_rate(_peak(), x)),
+    "first_order_raman_rate": ("temperature", "positive",
+                               lambda x: first_order_raman_rate({"+1": _order_one()}, x)),
+    "rate_curve": ("temperature", "positive", lambda x: rate_curve(_peak(), _peak(), [x])),
+    "build_spectral_function": ("broadening width sigma", "positive",
+                                lambda x: build_spectral_function(anchor_coupling_table(),
+                                                                  SQ, 2, sigma=x)),
+    "synthetic_peak_function sigma": ("broadening width sigma", "positive",
+                                      lambda x: _peak(sigma=x)),
+    "synthetic_peak_function center": ("peak center", "positive",
+                                       lambda x: _peak(peaks=[(x, 1e-12)])),
+    "RamanRateCurve temperatures": ("temperatures[0]", "positive",
+                                    lambda x: RamanRateCurve((x,), (1.0,), (1.0,), "")),
+    "RamanRateCurve rates": ("omega[0]", "nonnegative",
+                             lambda x: RamanRateCurve((300.0,), (x,), (1.0,), "")),
+    "order_dominance_ratio": ("zero-field splitting d_ghz", "nonnegative",
+                              lambda x: order_dominance_ratio(x, 60.0)),
+    "evolve": ("evolution time tau", "nonnegative",
+               lambda x: evolve(RateMatrix(60.0, 128.0), "0", x)),
+    "FitProblem t_min": ("t_min", "positive",
+                         lambda x: FitProblem(dataset=load_dataset(BUILTIN_TAG),
+                                              model=ModelSpec("n_mode", 1), t_min=x)),
+    "refit_theory_curve t_max": ("t_max", "positive",
+                                 lambda x: refit_theory_curve(
+                                     RamanRateCurve((100.0, 200.0), (1.0, 2.0), (3.0, 4.0), ""),
+                                     t_max=x)),
+}
+
+
+class TestBoundaryCheck:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "out of domain"])
+    @pytest.mark.parametrize("entry", sorted(BOUNDARIES))
+    def test_rejects_naming_the_field(self, entry, bad):
+        field, domain, call = BOUNDARIES[entry]
+        if bad == "out of domain":
+            value, reason = (0.0 if domain == "positive" else -1.0), domain
+        else:
+            value, reason = float(bad), "finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(field)} must be {reason}, got "):
+            call(value)

@@ -271,6 +271,37 @@ class TestSimulateExperiment:
             1.5 * np.mean(crisp.omega_branch.errors)
 
 
+def _loop_measured_branch(rates, init, pair, taus, n_eff, rng):
+    """Per-delay reference readout: one binomial call per state and delay."""
+    populations = evolve(rates, init, taus)
+    a, b = ({"0": 0, "-1": 1, "+1": 2}[state] for state in pair)
+    values, errors = [], []
+    for i in range(len(taus)):
+        k_a = rng.binomial(n_eff, populations[i, a])
+        k_b = rng.binomial(n_eff, populations[i, b])
+        values.append((k_a - k_b) / n_eff)
+        var = 0.0
+        for k in (k_a, k_b):
+            q = (k + 0.5) / (n_eff + 1)
+            var += q * (1.0 - q) / n_eff
+        errors.append(math.sqrt(var))
+    return DecayCurve(init, pair, tuple(float(t) for t in taus),
+                      tuple(float(v) for v in values), tuple(float(e) for e in errors))
+
+
+class TestBatchedReadout:
+    @pytest.mark.parametrize("shots", [3, 100, 10**5, 10**9])
+    @pytest.mark.parametrize("seed", [0, 7, DEFAULT_SEED])
+    def test_matches_per_delay_draws(self, shots, seed):
+        rates = RateMatrix(60.0, 128.0)
+        sim = simulate_experiment(rates, ProtocolSpec(shots=shots), seed=seed)
+        rng = np.random.default_rng(seed)
+        for branch in (sim.omega_branch, sim.gamma_branch):
+            want = _loop_measured_branch(rates, branch.init_state, branch.readout_pair,
+                                         np.asarray(branch.tau_grid), shots, rng)
+            assert branch == want
+
+
 class TestDecayCurve:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_nonfinite_entries_naming_field(self, bad):

@@ -1,6 +1,7 @@
 """Tests for spectral-function construction and Raman rate quadrature."""
 import dataclasses
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -397,6 +398,15 @@ def _reference_rate(f, temperature):
 
 
 class TestQuadratureEquivalence:
+    @pytest.mark.parametrize("n, want", [
+        (4, (F(1, 3), F(5, 4), F(1), F(5, 12))),
+        (6, (F(1, 3), F(4, 3), F(2, 3), F(5, 4), F(1), F(5, 12))),
+    ])
+    def test_weights_are_the_cartwright_rule(self, n, want):
+        # exact rationals, independent of the installed scipy: before
+        # scipy 1.11 the even-count default was even='avg'
+        assert _simpson_weights(np.arange(float(n))).tolist() == [float(w) for w in want]
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 1001, 1002, 8334])
     def test_weights_match_scipy_simpson(self, n):
         grid = np.linspace(0.0, MAX_MODE_ENERGY_MEV, n)
