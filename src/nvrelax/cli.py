@@ -120,12 +120,8 @@ def _metadata_dict(config: RunConfig, checksum: str) -> dict:
 
 
 def _metadata_lines(config: RunConfig, checksum: str) -> str:
-    return (
-        f"# version: nvrelax {__version__}\n"
-        f"# config: {config.echo}\n"
-        f"# seed: {config.seed}\n"
-        f"# dataset_checksum: {checksum}\n"
-    )
+    return "".join(f"# {key}: {value}\n"
+                   for key, value in _metadata_dict(config, checksum).items())
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -188,10 +184,7 @@ def _read_params_file(path: str) -> tuple[str, dict[str, float], str]:
 
 def _temperature_grid(args, geometric: bool) -> np.ndarray:
     if getattr(args, "temps", None):
-        temps = np.array([float(t) for t in args.temps.split(",")])
-        if not np.all(np.isfinite(temps) & (temps > 0)):
-            raise ValueError("--temps: temperatures must be positive and finite")
-        return temps
+        return np.array([float(t) for t in args.temps.split(",")])
     if args.t_max <= args.t_min:
         raise ValueError("t-max must exceed t-min")
     return (np.geomspace if geometric else np.linspace)(args.t_min, args.t_max, args.n_temps)
@@ -224,7 +217,7 @@ def _cmd_spectral(args) -> int:
         coupling_text = table.to_csv_text()
     else:
         coupling_text = Path(args.coupling).read_text(encoding="utf-8")
-        table = parse_coupling_text(coupling_text, supercell_note=args.coupling)
+        table = parse_coupling_text(coupling_text)
     checksum = _sha256(coupling_text)
     header = _metadata_lines(config, checksum)
 
@@ -388,15 +381,29 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number > 0; the parser names the flag on error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+def _positive(cast):
+    """argparse type: a finite ``cast`` (float or int) > 0; the parser names
+    the flag on error."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        return value
+    return parse
+
+
+_positive_float, _positive_int = _positive(float), _positive(int)
+
+
+def _temperature_list(text: str) -> str:
+    """argparse type: comma-separated _positive_float values, kept as text
+    so the config echo renders them as given."""
+    for item in text.split(","):
+        _positive_float(item)
+    return text
 
 
 def _add_fit_options(sub, multistart_default: int) -> None:
@@ -444,11 +451,11 @@ def _build_parser() -> _Parser:
                         help="JSON parameter file (a fit report works)")
     p_eval.add_argument("--sample", default=None,
                         help="sample label for constant floors (omit: lattice only)")
-    p_eval.add_argument("--temps", default=None,
+    p_eval.add_argument("--temps", type=_temperature_list, default=None,
                         help="comma-separated temperature list (K)")
     p_eval.add_argument("--t-min", type=_positive_float, default=200.0)
     p_eval.add_argument("--t-max", type=_positive_float, default=474.0)
-    p_eval.add_argument("--n-temps", type=int, default=20)
+    p_eval.add_argument("--n-temps", type=_positive_int, default=20)
     _add_run_options(p_eval)
     p_eval.set_defaults(handler=_cmd_eval)
 
@@ -460,7 +467,7 @@ def _build_parser() -> _Parser:
                         help="Gaussian broadening width (meV)")
     p_spec.add_argument("--t-min", type=_positive_float, default=100.0)
     p_spec.add_argument("--t-max", type=_positive_float, default=5000.0)
-    p_spec.add_argument("--n-temps", type=int, default=40)
+    p_spec.add_argument("--n-temps", type=_positive_int, default=40)
     p_spec.add_argument("--refit", action="store_true",
                         help="append a two-mode fit of the rate curve")
     p_spec.add_argument("--multistart", type=int, default=8, help="most profile minima polished")
@@ -518,7 +525,8 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     except (DatasetError, ValueError, KeyError, OSError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+        # args[0] drops a KeyError's quotes, but of an OSError it is the errno
+        message = str(exc) if isinstance(exc, OSError) or not exc.args else exc.args[0]
         print(f"error: {message}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

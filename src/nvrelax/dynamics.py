@@ -238,9 +238,6 @@ class SimulationResult:
 
     omega_branch: DecayCurve    # init |0>, decays at 3 Omega
     gamma_branch: DecayCurve    # init |+1>, decays at Omega + 2 gamma
-    truth: RateMatrix
-    spec: ProtocolSpec
-    seed: int
 
 
 def _branch_grid(spec: ProtocolSpec, expected_rate: float, name: str) -> np.ndarray:
@@ -304,8 +301,7 @@ def simulate_experiment(rates: RateMatrix, spec: ProtocolSpec,
     gamma_taus = _branch_grid(spec, rates.omega + 2.0 * rates.gamma, "Omega + 2 gamma")
     omega_branch = _measure_branch(rates, omega_init, omega_pair, omega_taus, spec, rng)
     gamma_branch = _measure_branch(rates, gamma_init, gamma_pair, gamma_taus, spec, rng)
-    return SimulationResult(omega_branch=omega_branch, gamma_branch=gamma_branch,
-                            truth=rates, spec=spec, seed=seed)
+    return SimulationResult(omega_branch=omega_branch, gamma_branch=gamma_branch)
 
 
 @dataclass(frozen=True)

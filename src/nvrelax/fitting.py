@@ -15,14 +15,15 @@ bit.  Every parameter is positive, so the optimizer works in log space
 uncertainties are transformed back with the delta method.  With the mode
 energies fixed, both laws are linear in coefficients and floors (variable
 projection), so the starts are the best minima of a mode-energy grid solved
-by non-negative least squares per channel.  Nothing is random.
+by non-negative least squares per channel; there is no other start path, and
+each parameter's bounds are fixed by its kind.  Nothing is random.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares, nnls
@@ -68,16 +69,16 @@ _XTOL = 1e-12
 _GTOL = 1e-12
 _MAX_NFEV = 500
 
+# residual_diagnostics: histogram bin width and outlier cut, in sigma
+_BIN_WIDTH = 0.5
+_OUTLIER_THRESHOLD = 2.5
+
 # profile grid points per mode energy, by Orbach term count (cells ~ points^n/n!)
 _PROFILE_POINTS = {1: 30, 2: 30, 3: 15}
 
 
 class RankDeficiencyError(RuntimeError):
     """Normal equations singular: some parameter combination is unconstrained."""
-
-    def __init__(self, message: str, null_direction: np.ndarray | None = None):
-        super().__init__(message)
-        self.null_direction = null_direction
 
 
 class _Term(NamedTuple):
@@ -140,15 +141,14 @@ class FitProblem:
     fits one (a3, b3) floor per sample label, ``"none"`` fixes all floors to
     zero.  ``t_min`` restricts the rows used.  The phonon-limited framing
     (T >= 125 K, no constants) is available via :meth:`phonon_limited`.
-    ``multistart`` is the most profile minima polished (see :func:`fit`).
+    ``multistart`` is the most profile minima polished (see :func:`fit`);
+    the bounds and the starts follow from the model alone.
     """
 
     dataset: Dataset
     model: ModelSpec
     constants: str = "per_sample"
     t_min: float | None = None
-    bounds: Mapping[str, tuple[float, float]] | None = None
-    initial_guess: Mapping[str, float] | None = None
     multistart: int = 16
 
     def __post_init__(self) -> None:
@@ -227,18 +227,19 @@ def _assemble(problem: FitProblem) -> _Assembled:
     )
 
 
-def _default_bounds(asm: _Assembled) -> dict[str, tuple[float, float]]:
-    out: dict[str, tuple[float, float]] = {}
+def _bounds(asm: _Assembled) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bound of every parameter column, by parameter kind."""
+    lo, hi = np.empty(len(asm.names)), np.empty(len(asm.names))
     for t in asm.terms:
         if t.delta is None:
             coeff = (1e-18, 1e-3)      # T^5 coefficients are tiny in s^-1 K^-5
         else:
-            out[asm.names[t.delta]] = (5.0, 400.0)
+            lo[t.delta], hi[t.delta] = 5.0, 400.0
             coeff = (1e-6, 1e9)
-        out[asm.names[t.a]] = out[asm.names[t.b]] = coeff
-    for a3, b3 in asm.floors:
-        out[asm.names[a3]] = out[asm.names[b3]] = (1e-8, 1e3)
-    return out
+        lo[[t.a, t.b]], hi[[t.a, t.b]] = coeff
+    for floor in asm.floors:
+        lo[list(floor)], hi[list(floor)] = 1e-8, 1e3
+    return lo, hi
 
 
 class _LogModel:
@@ -386,6 +387,9 @@ def params_from_dict(model, values):
     _require(values)
     samples = sorted(name.split("_", 1)[1] for name in values
                      if name.startswith("a3_"))
+    for name in (*spec.param_names, *("b3_" + s for s in samples)):
+        if name not in values:
+            raise KeyError(f"missing parameter {name!r}")
     constants = {
         s: SampleConstants(a3=values["a3_" + s], b3=values["b3_" + s])
         for s in samples
@@ -484,13 +488,11 @@ def estimate_covariance(jacobian: np.ndarray, param_names: Sequence[str]) -> np.
     # LAPACK may return a singular value of -0.0; an all-zero Jacobian has s[0] == 0
     ratio = abs(s[-1]) / s[0] if s[0] != 0 else 0.0
     if ratio < _RANK_RCOND:
-        null = vt[-1]
-        worst = np.argsort(np.abs(null))[::-1][:2]
+        worst = np.argsort(np.abs(vt[-1]))[::-1][:2]
         pair = " and ".join(str(param_names[i]) for i in sorted(worst))
         raise RankDeficiencyError(
             f"rank-deficient fit: parameters {pair} are degenerate "
-            f"(singular-value ratio {ratio:.2e})",
-            null_direction=null,
+            f"(singular-value ratio {ratio:.2e})"
         )
     inv_s2 = 1.0 / s**2
     return (vt.T * inv_s2) @ vt
@@ -505,32 +507,14 @@ def _solve_one(asm: _Assembled, p0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 def fit(problem: FitProblem) -> FitResult:
-    """Minimize the weighted chi-squared by one log-space trust-region solve
-    from each of the best ``multistart`` minima of :func:`_profile`, after
-    ``initial_guess`` if given (missing names from the best cell).  Ties
-    break by lowest chi2, then fewest evaluations, then start index.
+    """Minimize the weighted chi-squared: assemble the problem, profile the
+    mode energies, and polish each of the best ``multistart`` minima of
+    :func:`_profile` by one log-space trust-region solve.  Ties break by
+    lowest chi2, then fewest evaluations, then start index.
     """
     asm = _assemble(problem)
-    bounds = _default_bounds(asm)
-    for name, pair in (problem.bounds or {}).items():
-        if name not in bounds:
-            raise ValueError(f"bounds given for unknown parameter {name!r}")
-        if not 0 < pair[0] < pair[1]:
-            raise ValueError(f"bounds for {name!r} must satisfy 0 < lo < hi")
-        bounds[name] = (float(pair[0]), float(pair[1]))
-    lo = np.array([bounds[n][0] for n in asm.names])
-    hi = np.array([bounds[n][1] for n in asm.names])
+    lo, hi = _bounds(asm)
     starts = [p for _, p in _profile(asm, lo, hi)[:problem.multistart]]
-    if problem.initial_guess:
-        starts.insert(0, starts[0].copy())
-        for name, value in problem.initial_guess.items():
-            if name not in bounds:
-                raise ValueError(f"initial guess for unknown parameter {name!r}")
-            if not bounds[name][0] <= value <= bounds[name][1]:
-                raise ValueError(f"initial guess {name}={value:g} outside bounds "
-                                 f"[{bounds[name][0]:g}, {bounds[name][1]:g}]")
-            starts[0][asm.names.index(name)] = value
-
     results = [_solve_one(asm, p0, lo, hi) for p0 in starts]
 
     start_chi2 = tuple(float(2.0 * r.cost) for r in results)
@@ -643,25 +627,23 @@ class ResidualDiagnostics:
     outlier_threshold: float
 
 
-def residual_diagnostics(
-    result: FitResult, bin_width: float = 0.5, outlier_threshold: float = 2.5
-) -> ResidualDiagnostics:
+def residual_diagnostics(result: FitResult) -> ResidualDiagnostics:
     """Summarize residual normality for a converged fit."""
     if not result.converged:
         raise ValueError("diagnostics need a converged fit")
     r = result.residuals_normalized
     mean = float(np.mean(r))
     variance = float(np.var(r))  # population convention (divide by N)
-    lo = math.floor(float(np.min(r)) / bin_width) * bin_width
-    hi = math.ceil(float(np.max(r)) / bin_width) * bin_width
+    lo = math.floor(float(np.min(r)) / _BIN_WIDTH) * _BIN_WIDTH
+    hi = math.ceil(float(np.max(r)) / _BIN_WIDTH) * _BIN_WIDTH
     if hi <= lo:
-        hi = lo + bin_width
-    n_bins = int(round((hi - lo) / bin_width))
+        hi = lo + _BIN_WIDTH
+    n_bins = int(round((hi - lo) / _BIN_WIDTH))
     counts, edges = np.histogram(r, bins=n_bins, range=(lo, hi))
     outliers = tuple(
         ResidualOutlier(nv, sample, t, channel, float(value))
         for (nv, sample, t, channel), value in zip(result.residual_labels, r)
-        if abs(value) > outlier_threshold
+        if abs(value) > _OUTLIER_THRESHOLD
     )
     return ResidualDiagnostics(
         mean=mean,
@@ -669,5 +651,5 @@ def residual_diagnostics(
         bin_edges=edges,
         bin_counts=counts,
         outliers=outliers,
-        outlier_threshold=outlier_threshold,
+        outlier_threshold=_OUTLIER_THRESHOLD,
     )

@@ -86,11 +86,15 @@ _REFERENCE_PEAKS_MEV = (65.0, 155.0)
 _REFERENCE_SQ_RATES = (70.0, 169.0)
 _REFERENCE_DQ_RATES = (910.0, 2940.0)
 
+# width w of synthetic_peak_function's low-energy factor 1 - exp(-e^2 / (2 w^2))
+_LOW_ENERGY_WINDOW_MEV = 10.0
+
 
 class QuadratureError(RuntimeError):
-    """Energy grid too coarse for the requested quadrature tolerance."""
+    """Energy grid too coarse for the requested quadrature tolerance; the
+    ``suggested_spacing`` is None when no finer grid can help."""
 
-    def __init__(self, message: str, suggested_spacing: float):
+    def __init__(self, message: str, suggested_spacing: float | None):
         super().__init__(message)
         self.suggested_spacing = suggested_spacing
 
@@ -121,7 +125,6 @@ class CouplingTable:
     """A flat list of coupling entries, as produced by supercell calculations."""
 
     entries: tuple[CouplingEntry, ...]
-    supercell_note: str = ""
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -141,7 +144,7 @@ class CouplingTable:
         return "\n".join(lines) + "\n"
 
 
-def parse_coupling_text(text: str, supercell_note: str = "") -> CouplingTable:
+def parse_coupling_text(text: str) -> CouplingTable:
     """Parse coupling CSV (header ``energy_mev,amplitude_mhz,channel,order``)."""
     lines = _content_lines(text)
     if not lines:
@@ -163,11 +166,12 @@ def parse_coupling_text(text: str, supercell_note: str = "") -> CouplingTable:
             ))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return CouplingTable(entries=tuple(entries), supercell_note=supercell_note)
+    return CouplingTable(entries=tuple(entries))
 
 
 def anchor_coupling_table() -> CouplingTable:
-    """The two strongest quasilocalized-mode couplings (order 2).
+    """The two strongest quasilocalized E-mode couplings (order 2) of a
+    512-atom supercell.
 
     The 62.4 meV mode carries 2 MHz (double-quantum) and 0.6 MHz
     (single-quantum); the 160.7 meV mode carries 0.34 and 0.07 MHz.
@@ -181,7 +185,6 @@ def anchor_coupling_table() -> CouplingTable:
             CouplingEntry(160.7, 0.07, sq, 2),
             CouplingEntry(160.7, 0.34, dq, 2),
         ),
-        supercell_note="strongest quasilocalized E modes, 512-atom supercell",
     )
 
 
@@ -298,7 +301,6 @@ def synthetic_peak_function(
     sigma: float,
     channel: TransitionChannel,
     grid: np.ndarray | None = None,
-    low_energy_window_mev: float | None = 10.0,
 ) -> SpectralFunction:
     """Spectral function whose diagonal F(e, e) is a sum of Gaussian peaks.
 
@@ -309,9 +311,9 @@ def synthetic_peak_function(
 
     Broad peaks leave a Gaussian tail at zero energy where the occupation
     weight grows as 1/e^2 and would make the rate integral ill-posed, so F
-    is multiplied by the smooth factor 1 - exp(-e^2 / (2 w^2)): couplings
-    to long-wavelength acoustic phonons vanish quadratically.  Pass
-    ``low_energy_window_mev=None`` to disable.
+    is always multiplied by the smooth factor 1 - exp(-e^2 / (2 w^2)) with
+    w = 10 meV: couplings to long-wavelength acoustic phonons vanish
+    quadratically.
     """
     _require({"broadening width sigma": sigma}, "positive")
     if not peaks:
@@ -322,10 +324,7 @@ def synthetic_peak_function(
         _require({"peak center": center}, "positive")
         _require({"peak area": area}, "nonnegative")
         f_diag += area * _gaussian(grid - center, sigma)
-    if low_energy_window_mev is not None:
-        _require({"suppression window low_energy_window_mev": low_energy_window_mev},
-                 "positive")
-        f_diag *= -np.expm1(-0.5 * (grid / low_energy_window_mev) ** 2)
+    f_diag *= -np.expm1(-0.5 * (grid / _LOW_ENERGY_WINDOW_MEV) ** 2)
     amplitude = np.sqrt(f_diag) / PLANCK_MEV_PER_MHZ
     return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel,
                             order=2, sigma=sigma, power=None)
@@ -387,11 +386,13 @@ def _quadrature_weights(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _simpson_weights(grid), half
 
 
-def _integrate_checked(integrand: np.ndarray, full_weights: np.ndarray,
-                       half_weights: np.ndarray, spacing: float) -> tuple[float, float]:
+def _integrate_checked(integrand: np.ndarray, energies: np.ndarray,
+                       full_weights: np.ndarray, half_weights: np.ndarray,
+                       spacing: float) -> tuple[float, float]:
     """Simpson quadrature with a halved-grid Richardson error check.
 
-    Returns the integral and the relative error estimate reached.
+    ``energies`` are the samples' grid energies.  Returns the integral and
+    the relative error estimate reached.
     """
     full = float(full_weights @ integrand)
     half = float(half_weights @ integrand)
@@ -401,11 +402,17 @@ def _integrate_checked(integrand: np.ndarray, full_weights: np.ndarray,
     # result overestimates the fine-grid error by 15x
     error = abs(full - half) / 15.0
     if error > QUADRATURE_REL_TOL * abs(full):
+        # n(n+1) grows as 1/e^2: where F does not vanish at e = 0, the sample
+        # nearest zero alone outweighs the tolerance and grows as h shrinks
+        nearest_zero = integrand[(energies > 0.0) & (energies <= spacing)]
+        refinable = not np.any(nearest_zero * spacing > QUADRATURE_REL_TOL * abs(full))
+        advice = (f"refine the energy grid to spacing <= {spacing / 2.0:g} meV" if refinable
+                  else "the integrand grows towards e = 0, where the spectral function "
+                       "does not vanish, so refining the energy grid will not help")
         raise QuadratureError(
             f"quadrature error estimate {error / abs(full):.2e} above relative "
-            f"tolerance {QUADRATURE_REL_TOL:g}; refine the energy grid to "
-            f"spacing <= {spacing / 2.0:g} meV",
-            suggested_spacing=spacing / 2.0,
+            f"tolerance {QUADRATURE_REL_TOL:g}; {advice}",
+            suggested_spacing=spacing / 2.0 if refinable else None,
         )
     return full, error / abs(full)
 
@@ -434,8 +441,8 @@ def second_order_rate(f: SpectralFunction, temperature: float) -> QuadratureRate
     _require({"temperature": temperature}, "positive")
     energies, values, full_weights, half_weights = f._diagonal_support
     integrand = _occupancy_weight(energies, temperature) * values
-    integral, rel_error = _integrate_checked(integrand, full_weights, half_weights,
-                                             f.spacing)
+    integral, rel_error = _integrate_checked(integrand, energies, full_weights,
+                                             half_weights, f.spacing)
     return QuadratureRate(4.0 * math.pi / HBAR_MEV_S * integral, rel_error)
 
 
@@ -484,7 +491,7 @@ def first_order_raman_rate(
         integrand[positive] = (
             weight[positive] * f1_in[positive] * f1_out[positive] / grid[positive] ** 2
         )
-        total += _integrate_checked(integrand, full_weights, half_weights,
+        total += _integrate_checked(integrand, grid, full_weights, half_weights,
                                     pairs[0][0].spacing)[0]
     return 4.0 * math.pi / HBAR_MEV_S * total
 
@@ -570,13 +577,12 @@ def rate_curve(
         gamma_rel_error=tuple(r.rel_error for r in gamma))
 
 
-def refit_theory_curve(curve: RamanRateCurve, t_max: float,
-                       rel_err: float = 0.01, multistart: int = 8,
+def refit_theory_curve(curve: RamanRateCurve, t_max: float, multistart: int = 8,
                        seed: int = DEFAULT_SEED) -> FitResult:
     """Fit the two-mode law (no constant floors) to a quadrature rate curve.
 
-    The curve must extend to ``t_max``; uniform relative errors weight all
-    temperatures alike on a log scale, so only the lineshape matters.
+    The curve must extend to ``t_max``; uniform 1% relative errors weight
+    all temperatures alike on a log scale, so only the lineshape matters.
     ``seed`` is only recorded by callers: the fit draws nothing at random.
     """
     _require({"t_max": t_max}, "positive")
@@ -584,7 +590,7 @@ def refit_theory_curve(curve: RamanRateCurve, t_max: float,
         raise ValueError(
             f"curve reaches only {max(curve.temperatures):g} K but t_max={t_max:g} K"
         )
-    dataset = curve.to_dataset(rel_err=rel_err)
+    dataset = curve.to_dataset()
     rows = tuple(r for r in dataset if r.temperature <= t_max)
     dataset = Dataset(rows=rows, provenance=dataset.provenance)
     return fit(FitProblem(dataset=dataset, model=ModelSpec("n_mode", 2),

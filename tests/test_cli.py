@@ -1,15 +1,19 @@
 """CLI-level tests: subcommands, exit codes, metadata, determinism."""
 import json
 import math
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nvrelax.cli import main
 from nvrelax.core import BUILTIN_TAG, load_dataset, parse_dataset_text
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLISHED_PARAMS = {
     "model": "n-mode:2",
@@ -68,6 +72,10 @@ class TestExitCodes:
         ("spectral", "--sigma", "nan"),
         ("eval", "--temps", "nan"),
         ("compare", "--models", "n-mode:1", "prior", "--extrapolate", "nan"),
+        ("eval", "--temps", "300,abc"),
+        ("eval", "--n-temps", "0"),
+        ("spectral", "--n-temps", "0"),
+        ("eval", "--n-temps", "-1"),
     ])
     def test_nonpositive_or_nonfinite_flag_is_input_error(
             self, argv, published_params_file, tmp_path, capsys):
@@ -78,6 +86,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert argv[-2] in err
+
+    @pytest.mark.parametrize("argv, path", [
+        (("eval", "--params", "missing.json"), "missing.json"),
+        (("spectral", "--coupling", "nofile.csv", "-o", "spec"), "nofile.csv"),
+        (("simulate", "--omega", "60", "--gamma", "128", "--noise-free",
+          "-o", "nodir/sim"), "nodir/sim.dataset.csv"),
+    ], ids=["params", "coupling", "output"])
+    def test_unreadable_or_unwritable_path_is_named(self, argv, path, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{path}'\n")
+
+    def test_missing_parameter_is_named(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text('{"model":"n-mode:1","parameters":{"delta_1":60,"a_1":1}}')
+        assert run("eval", "--params", str(params), "--temps", "300") == 1
+        assert capsys.readouterr().err == "error: missing parameter 'b_1'\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
     @pytest.mark.parametrize("command", [("fit",), ("compare", "--models", "n-mode:1", "prior")],
@@ -282,6 +309,14 @@ class TestSpectralCommand:
         bias = 1.0 - params["delta_1"] / 62.4
         assert 0.05 <= bias <= 0.10
 
+    def test_broad_anchor_peaks_get_no_spacing_advice(self, tmp_path, capsys):
+        # at sigma = 15 meV the anchor Gaussians reach e = 0, where n(n+1)
+        # grows as 1/e^2: a finer grid makes the error estimate larger
+        assert run("spectral", "--sigma", "15", "-o", str(tmp_path / "broad")) == 2
+        err = capsys.readouterr().err
+        assert "grows towards e = 0" in err and "refining the energy grid will not help" in err
+        assert "spacing <=" not in err
+
     def test_missing_channel_is_input_error(self, tmp_path, capsys):
         coupling = tmp_path / "sq_only.csv"
         coupling.write_text(
@@ -417,3 +452,20 @@ class TestReproducibility:
         report = json.loads(out.read_text())
         assert "override" in report["dataset"]["provenance"]
         assert str(copy) in report["dataset"]["provenance"]
+
+
+class TestReadme:
+    def test_cli_examples_run(self, tmp_path, monkeypatch):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.strip() and not line.lstrip().startswith("#")]
+        monkeypatch.chdir(tmp_path)
+        assert sum(argv[0] == "nvrelax" for argv in commands) == 5
+        for argv in commands:
+            if argv[:2] == ["mkdir", "-p"]:
+                for name in argv[2:]:
+                    Path(name).mkdir(parents=True, exist_ok=True)
+            else:
+                assert argv[0] == "nvrelax", argv
+                assert main(argv[1:]) == 0, argv

@@ -228,6 +228,14 @@ class TestSecondOrderRate:
             second_order_rate(f, 295.0)
         assert exc.value.suggested_spacing == pytest.approx(0.025)
 
+    def test_peaks_reaching_zero_energy_get_no_spacing(self):
+        # F(0, 0) != 0 at sigma = 15 meV and n(n+1) grows as 1/e^2 there, so
+        # a finer grid makes the error estimate larger, not smaller
+        f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma=15.0)
+        with pytest.raises(QuadratureError, match="grows towards e = 0") as exc:
+            second_order_rate(f, 300.0)
+        assert exc.value.suggested_spacing is None
+
     def test_halving_grid_is_stable(self):
         table = anchor_coupling_table()
         coarse_grid = default_grid()
