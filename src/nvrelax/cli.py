@@ -9,7 +9,8 @@ Every output file embeds the tool version, a canonical echo of the run
 configuration, the seed, and a checksum of the governing input (the
 measurement dataset for fit/compare, the parameter file for eval, the
 coupling table for spectral, the emitted synthetic dataset for simulate),
-so two runs with an identical configuration are byte-identical.
+so two runs with an identical configuration are byte-identical. ``_write``
+is the one place that stamps and writes an output.
 
 Exit codes: 0 success, 1 input error (message on standard error),
 2 numerical non-convergence.
@@ -21,7 +22,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,7 @@ from .spectral import (
     spectral_to_csv_text,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 ANCHOR_TAG = "anchor-modes"
 
@@ -76,70 +76,44 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Canonical record of one invocation, embedded in every output."""
-
-    subcommand: str
-    options: tuple[tuple[str, str], ...]    # sorted (name, rendered value)
-    seed: int
-
-    @classmethod
-    def from_namespace(cls, args: argparse.Namespace) -> "RunConfig":
-        options = []
-        for key, value in vars(args).items():
-            if key in ("handler", "subcommand") or value is None:
-                continue
-            if isinstance(value, bool):
-                rendered = "true" if value else "false"
-            elif isinstance(value, (list, tuple)):
-                rendered = ",".join(str(v) for v in value)
-            else:
-                rendered = str(value)
-            options.append((key.replace("_", "-"), rendered))
-        return cls(subcommand=args.subcommand, options=tuple(sorted(options)),
-                   seed=args.seed)
-
-    @property
-    def echo(self) -> str:
-        rendered = " ".join(f"--{k}={v}" for k, v in self.options)
-        return f"{self.subcommand} {rendered}".strip()
-
-
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _metadata_dict(config: RunConfig, checksum: str) -> dict:
-    return {
+def _write(args: argparse.Namespace, checksum: str, path: str | None,
+           body: str | dict) -> None:
+    """Stamp ``body`` (text, or a dict written as JSON) with the version,
+    the config echo, the seed and ``checksum``; write it to ``path``, or to
+    standard output when None."""
+    options = []
+    for key, value in vars(args).items():
+        if key in ("handler", "subcommand") or value is None:
+            continue
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, (list, tuple)):
+            value = ",".join(str(v) for v in value)
+        options.append((key.replace("_", "-"), str(value)))
+    metadata = {
         "version": f"nvrelax {__version__}",
-        "config": config.echo,
-        "seed": config.seed,
+        "config": " ".join([args.subcommand, *(f"--{k}={v}" for k, v in sorted(options))]),
+        "seed": args.seed,
         "dataset_checksum": checksum,
     }
-
-
-def _metadata_lines(config: RunConfig, checksum: str) -> str:
-    return "".join(f"# {key}: {value}\n"
-                   for key, value in _metadata_dict(config, checksum).items())
-
-
-def _emit(text: str, path: str | None) -> None:
+    if isinstance(body, dict):
+        text = json.dumps({**metadata, **body}, indent=2) + "\n"
+    else:
+        text = "".join(f"# {key}: {value}\n" for key, value in metadata.items()) + body
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _emit_json(document: dict, path: str | None) -> None:
-    _emit(json.dumps(document, indent=2) + "\n", path)
-
-
 # ---------------------------------------------------------------- fit
 
 
 def _cmd_fit(args) -> int:
-    config = RunConfig.from_namespace(args)
     dataset = _load_dataset(args.data)
     model = ModelSpec.parse(args.model)
     if args.phonon_limited:
@@ -152,9 +126,7 @@ def _cmd_fit(args) -> int:
             dataset=dataset, model=model, constants=args.constants,
             t_min=args.t_min, multistart=args.multistart)
     result = fit(problem)
-    report = _metadata_dict(config, dataset.checksum())
-    report.update(result.to_report_dict())
-    _emit_json(report, args.output)
+    _write(args, dataset.checksum(), args.output, result.to_report_dict())
     if not result.converged:
         print("fit did not converge", file=sys.stderr)
         return 2
@@ -172,13 +144,21 @@ def _read_params_file(path: str) -> tuple[str, dict[str, float], str]:
     """
     text = Path(path).read_text(encoding="utf-8")
     document = json.loads(text)
-    if "model" not in document or "parameters" not in document:
-        raise ValueError(f"params file {path!r} needs 'model' and 'parameters' keys")
-    raw = document["parameters"]
-    if isinstance(raw, list):
-        values = {entry["name"]: float(entry["value"]) for entry in raw}
-    else:
-        values = {name: float(v) for name, v in raw.items()}
+    if not (isinstance(document, dict) and isinstance(document.get("model"), str)):
+        raise ValueError(f"params file {path!r} needs an object with a 'model' string")
+    raw = document.get("parameters")
+    if isinstance(raw, list) and all(isinstance(entry, dict) and "value" in entry
+                                     and isinstance(entry.get("name"), str) for entry in raw):
+        raw = {entry["name"]: entry["value"] for entry in raw}
+    if not isinstance(raw, dict):
+        raise ValueError(f"params file {path!r} needs 'parameters': a mapping, or a "
+                         "list of objects with 'name' and 'value'")
+    values = {}
+    for name, value in raw.items():
+        try:
+            values[name] = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
     return document["model"], values, _sha256(text)
 
 
@@ -191,19 +171,17 @@ def _temperature_grid(args, geometric: bool) -> np.ndarray:
 
 
 def _cmd_eval(args) -> int:
-    config = RunConfig.from_namespace(args)
     label, values, checksum = _read_params_file(args.params)
     params = params_from_dict(label, values)
     temps = _temperature_grid(args, geometric=False)
-    lines = [_metadata_lines(config, checksum)
-             + "temperature_k,omega_s,gamma_s,gamma_over_omega,t2_sq_s,t2_dq_s,t1_s"]
+    lines = ["temperature_k,omega_s,gamma_s,gamma_over_omega,t2_sq_s,t2_dq_s,t1_s"]
     for t in temps:
         omega, gamma = params.rates(args.sample, float(t))
         ratio = gamma / omega if omega > 0 else math.nan
         lim = coherence_limits(omega, gamma)
         lines.append(f"{float(t)!r},{omega!r},{gamma!r},{ratio!r},"
                      f"{lim.t2_sq!r},{lim.t2_dq!r},{lim.t1!r}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _write(args, checksum, args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -211,7 +189,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    config = RunConfig.from_namespace(args)
     if args.coupling == ANCHOR_TAG:
         table = anchor_coupling_table()
         coupling_text = table.to_csv_text()
@@ -219,7 +196,6 @@ def _cmd_spectral(args) -> int:
         coupling_text = Path(args.coupling).read_text(encoding="utf-8")
         table = parse_coupling_text(coupling_text)
     checksum = _sha256(coupling_text)
-    header = _metadata_lines(config, checksum)
 
     # narrow peaks need a finer grid than the 0.05 meV default to keep the
     # quadrature error check satisfied
@@ -234,17 +210,16 @@ def _cmd_spectral(args) -> int:
         grid=grid)
     temps = _temperature_grid(args, geometric=True)
     curve = rate_curve(f_sq, f_dq, temps)
-
-    prefix = args.output
-    _emit(header + spectral_to_csv_text(f_sq), f"{prefix}.sq.csv")
-    _emit(header + spectral_to_csv_text(f_dq), f"{prefix}.dq.csv")
-    _emit(header + curve.to_csv_text(), f"{prefix}.rates.csv")
+    # a failed refit must leave no files behind, so it runs before any write
     if args.refit:
         result = refit_theory_curve(curve, t_max=float(args.t_max),
                                     multistart=args.multistart)
-        report = _metadata_dict(config, checksum)
-        report.update(result.to_report_dict())
-        _emit_json(report, f"{prefix}.refit.json")
+
+    _write(args, checksum, f"{args.output}.sq.csv", spectral_to_csv_text(f_sq))
+    _write(args, checksum, f"{args.output}.dq.csv", spectral_to_csv_text(f_dq))
+    _write(args, checksum, f"{args.output}.rates.csv", curve.to_csv_text())
+    if args.refit:
+        _write(args, checksum, f"{args.output}.refit.json", result.to_report_dict())
     return 0
 
 
@@ -252,7 +227,6 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = RunConfig.from_namespace(args)
     rates = RateMatrix(args.omega, args.gamma)
     spec = ProtocolSpec(
         shots=None if args.noise_free else args.shots,
@@ -271,19 +245,16 @@ def _cmd_simulate(args) -> int:
         dataset = Dataset(rows=(row,), provenance="synthetic-protocol")
         dataset_text = dataset.to_csv_text()
         checksum = dataset.checksum()
-    header = _metadata_lines(config, checksum)
 
-    prefix = args.output
-    _emit(header + dataset_text, f"{prefix}.dataset.csv")
+    _write(args, checksum, f"{args.output}.dataset.csv", dataset_text)
 
-    curve_lines = [header + "branch,tau_s,value,error"]
+    curve_lines = ["branch,tau_s,value,error"]
     for name, branch in (("omega", sim.omega_branch), ("gamma", sim.gamma_branch)):
         for tau, value, error in zip(branch.tau_grid, branch.values, branch.errors):
             curve_lines.append(f"{name},{tau!r},{value!r},{error!r}")
-    _emit("\n".join(curve_lines) + "\n", f"{prefix}.curves.csv")
+    _write(args, checksum, f"{args.output}.curves.csv", "\n".join(curve_lines) + "\n")
 
-    report = _metadata_dict(config, checksum)
-    report.update({
+    _write(args, checksum, f"{args.output}.report.json", {
         "truth": {"omega_s": rates.omega, "gamma_s": rates.gamma},
         "protocol": {
             "shots": spec.shots,
@@ -305,7 +276,6 @@ def _cmd_simulate(args) -> int:
         },
         "temperature_k": args.temperature,
     })
-    _emit_json(report, f"{prefix}.report.json")
     return 0
 
 
@@ -313,7 +283,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = RunConfig.from_namespace(args)
     if len(args.models) < 2:
         raise _UsageError("compare: need at least two models")
     dataset = _load_dataset(args.data)
@@ -328,8 +297,7 @@ def _cmd_compare(args) -> int:
     ranking = compare_models(results)
     by_label = {r.label: r for r in results}
 
-    report = _metadata_dict(config, dataset.checksum())
-    report["ranking"] = [
+    report = {"ranking": [
         {
             "model": row.label,
             "n_params": row.n_params,
@@ -340,7 +308,7 @@ def _cmd_compare(args) -> int:
             "converged": by_label[row.label].converged,
         }
         for row in ranking
-    ]
+    ]}
 
     if args.extrapolate is not None:
         best_label = ranking.rows[0].label
@@ -371,7 +339,7 @@ def _cmd_compare(args) -> int:
             "divergence_vs_best_pct": divergence,
         }
 
-    _emit_json(report, args.output)
+    _write(args, dataset.checksum(), args.output, report)
     if not all(r.converged for r in results):
         print("at least one fit did not converge", file=sys.stderr)
         return 2
@@ -387,9 +355,10 @@ def _positive(cast):
     def parse(text: str):
         try:
             value = cast(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and value > 0):
+            valid = math.isfinite(value) and value > 0
+        except (ValueError, OverflowError):  # an int too large for a float overflows
+            valid = False
+        if not valid:
             raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
         return value
     return parse
@@ -406,7 +375,7 @@ def _temperature_list(text: str) -> str:
     return text
 
 
-def _add_fit_options(sub, multistart_default: int) -> None:
+def _add_fit_options(sub) -> None:
     sub.add_argument("--data", default=BUILTIN_TAG,
                      help=f"dataset CSV path or the builtin tag {BUILTIN_TAG!r}")
     sub.add_argument("--constants", choices=("per_sample", "none"),
@@ -414,7 +383,7 @@ def _add_fit_options(sub, multistart_default: int) -> None:
                      help="sample-constant floors: one pair per sample, or none")
     sub.add_argument("--t-min", type=_positive_float, default=None,
                      help="drop rows below this temperature (K)")
-    sub.add_argument("--multistart", type=int, default=multistart_default,
+    sub.add_argument("--multistart", type=_positive_int, default=16,
                      help="most minima of the mode-energy profile polished")
 
 
@@ -439,7 +408,7 @@ def _build_parser() -> _Parser:
     p_fit = subparsers.add_parser("fit", help="fit a rate model to a dataset")
     p_fit.add_argument("--model", default="n-mode:2",
                        help="model label: n-mode:1..3 or prior")
-    _add_fit_options(p_fit, multistart_default=16)
+    _add_fit_options(p_fit)
     p_fit.add_argument("--phonon-limited", action="store_true",
                        help="restrict to T >= 125 K and drop constant floors")
     _add_run_options(p_fit)
@@ -470,7 +439,8 @@ def _build_parser() -> _Parser:
     p_spec.add_argument("--n-temps", type=_positive_int, default=40)
     p_spec.add_argument("--refit", action="store_true",
                         help="append a two-mode fit of the rate curve")
-    p_spec.add_argument("--multistart", type=int, default=8, help="most profile minima polished")
+    p_spec.add_argument("--multistart", type=_positive_int, default=8,
+                        help="most profile minima polished")
     _add_run_options(p_spec, output_required=True,
                      output_help="output prefix: writes PREFIX.sq.csv, "
                                  "PREFIX.dq.csv, PREFIX.rates.csv[, PREFIX.refit.json]")
@@ -507,7 +477,7 @@ def _build_parser() -> _Parser:
         "compare", help="rank models by reduced chi-squared")
     p_cmp.add_argument("--models", nargs="+", required=True,
                        help="two or more model labels")
-    _add_fit_options(p_cmp, multistart_default=16)
+    _add_fit_options(p_cmp)
     p_cmp.add_argument("--extrapolate", type=_positive_float, default=None,
                        help="also report predictions at this temperature (K)")
     _add_run_options(p_cmp)

@@ -196,13 +196,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.rows)
 
-    def samples(self) -> tuple[str, ...]:
-        """Distinct sample labels in first-appearance order."""
-        seen: dict[str, None] = {}
-        for row in self.rows:
-            seen.setdefault(row.sample, None)
-        return tuple(seen)
-
     def restricted(self, t_min: float) -> "Dataset":
         """Sub-dataset with temperature >= t_min (phonon-limited cut)."""
         kept = tuple(r for r in self.rows if r.temperature >= t_min)

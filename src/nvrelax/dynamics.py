@@ -495,9 +495,9 @@ def extract_rates(omega_branch: DecayCurve, gamma_branch: DecayCurve) -> RateEst
     )
 
 
-def to_rate_measurement(estimate: RateEstimate, temperature: float,
-                        nv_id: str = "SIM", sample: str = "SIM") -> RateMeasurement:
-    """Emit the estimate as a dataset row in the core CSV schema.
+def to_rate_measurement(estimate: RateEstimate, temperature: float) -> RateMeasurement:
+    """Emit the estimate as a dataset row (NV and sample ``SIM``) in the core
+    CSV schema.
 
     Refuses negative rate estimates: those are low-SNR artifacts that the
     dataset schema (rates >= 0) deliberately cannot represent.
@@ -508,7 +508,7 @@ def to_rate_measurement(estimate: RateEstimate, temperature: float,
             "increase shots or extend the tau grid"
         )
     return RateMeasurement(
-        nv_id=nv_id, sample=sample, temperature=temperature,
+        nv_id="SIM", sample="SIM", temperature=temperature,
         omega=estimate.omega, omega_err=estimate.omega_err,
         gamma=estimate.gamma, gamma_err=estimate.gamma_err,
     )

@@ -89,6 +89,9 @@ _REFERENCE_DQ_RATES = (910.0, 2940.0)
 # width w of synthetic_peak_function's low-energy factor 1 - exp(-e^2 / (2 w^2))
 _LOW_ENERGY_WINDOW_MEV = 10.0
 
+# relative error of every RamanRateCurve.to_dataset row
+_THEORY_REL_ERR = 0.01
+
 
 class QuadratureError(RuntimeError):
     """Energy grid too coarse for the requested quadrature tolerance; the
@@ -330,10 +333,9 @@ def synthetic_peak_function(
                             order=2, sigma=sigma, power=None)
 
 
-def two_peak_reference_functions(
-    sigma: float, grid: np.ndarray | None = None
-) -> tuple[SpectralFunction, SpectralFunction]:
-    """Two-peak (65 and 155 meV) test functions for both rate channels.
+def two_peak_reference_functions(sigma: float) -> tuple[SpectralFunction, SpectralFunction]:
+    """Two-peak (65 and 155 meV) test functions for both rate channels, on
+    ``synthetic_peak_function``'s default grid.
 
     Peak areas are chosen so the zero-width limit reproduces a two-mode
     rate law with coefficients 70/169 (single-quantum) and 910/2940
@@ -343,8 +345,8 @@ def two_peak_reference_functions(
     scale = HBAR_MEV_S / (4.0 * math.pi)
     sq_peaks = [(c, scale * a) for c, a in zip(_REFERENCE_PEAKS_MEV, _REFERENCE_SQ_RATES)]
     dq_peaks = [(c, scale * b) for c, b in zip(_REFERENCE_PEAKS_MEV, _REFERENCE_DQ_RATES)]
-    f_sq = synthetic_peak_function(sq_peaks, sigma, TransitionChannel.SINGLE_QUANTUM, grid)
-    f_dq = synthetic_peak_function(dq_peaks, sigma, TransitionChannel.DOUBLE_QUANTUM, grid)
+    f_sq = synthetic_peak_function(sq_peaks, sigma, TransitionChannel.SINGLE_QUANTUM)
+    f_dq = synthetic_peak_function(dq_peaks, sigma, TransitionChannel.DOUBLE_QUANTUM)
     return f_sq, f_dq
 
 
@@ -541,15 +543,13 @@ class RamanRateCurve:
             lines.append(f"{t!r},{o!r},{g!r}")
         return "\n".join(lines) + "\n"
 
-    def to_dataset(self, rel_err: float = 0.01) -> Dataset:
-        """Rows with uniform relative errors, ready for model refits."""
-        if not 0 < rel_err < 1:
-            raise ValueError("relative error must lie in (0, 1)")
+    def to_dataset(self) -> Dataset:
+        """Rows with uniform 1% relative errors, ready for model refits."""
         rows = tuple(
             RateMeasurement(
                 nv_id="THEORY", sample="THEORY", temperature=t,
-                omega=o, omega_err=rel_err * o,
-                gamma=g, gamma_err=rel_err * g,
+                omega=o, omega_err=_THEORY_REL_ERR * o,
+                gamma=g, gamma_err=_THEORY_REL_ERR * g,
             )
             for t, o, g in zip(self.temperatures, self.omega, self.gamma)
         )

@@ -1,4 +1,5 @@
 """CLI-level tests: subcommands, exit codes, metadata, determinism."""
+import hashlib
 import json
 import math
 import shlex
@@ -76,16 +77,20 @@ class TestExitCodes:
         ("eval", "--n-temps", "0"),
         ("spectral", "--n-temps", "0"),
         ("eval", "--n-temps", "-1"),
+        ("fit", "--multistart", "0"),
+        ("spectral", "--multistart", "-1"),
+        ("eval", "--n-temps", "9" * 400),
     ])
     def test_nonpositive_or_nonfinite_flag_is_input_error(
             self, argv, published_params_file, tmp_path, capsys):
-        extra = {"spectral": ("-o", str(tmp_path / "s")),
+        extra = {"spectral": ("-o", str(tmp_path / "s"), "--refit"),
                  "eval": ("--params", published_params_file),
-                 "compare": ()}[argv[0]]
+                 "fit": (), "compare": ()}[argv[0]]
         assert run(*argv, *extra) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert argv[-2] in err
+        assert not list(tmp_path.glob("s.*"))
 
     @pytest.mark.parametrize("argv, path", [
         (("eval", "--params", "missing.json"), "missing.json"),
@@ -144,6 +149,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{field} must be finite" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("document, field", [
+        ('5', "'model'"),
+        ('{"model":5,"parameters":{}}', "'model'"),
+        ('{"model":"n-mode:1","parameters":"abc"}', "'parameters'"),
+        ('{"model":"n-mode:1","parameters":[1]}', "'parameters'"),
+        ('{"model":"n-mode:1","parameters":[{"value":1}]}', "'parameters'"),
+        ('{"model":"n-mode:1","parameters":{"delta_1":[1],"a_1":1,"b_1":2}}', "'delta_1'"),
+        ('{"model":"n-mode:1","parameters":{"delta_1":"x","a_1":1,"b_1":2}}', "'delta_1'"),
+    ])
+    def test_misshapen_parameter_json_is_input_error(self, document, field, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(document)
+        assert run("eval", "--params", str(params), "--temps", "300") == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
 
     def test_cold_only_data_below_orbach_underflow_fits_without_warnings(self, tmp_path,
                                                                           capsys):
@@ -309,6 +330,13 @@ class TestSpectralCommand:
         bias = 1.0 - params["delta_1"] / 62.4
         assert 0.05 <= bias <= 0.10
 
+    def test_failed_refit_writes_nothing(self, tmp_path, capsys):
+        # three temperatures give six residuals for six free parameters
+        assert run("spectral", "--sigma", "7.5", "--refit", "--n-temps", "3",
+                   "-o", str(tmp_path / "d")) == 1
+        assert "underdetermined" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_broad_anchor_peaks_get_no_spacing_advice(self, tmp_path, capsys):
         # at sigma = 15 meV the anchor Gaussians reach e = 0, where n(n+1)
         # grows as 1/e^2: a finer grid makes the error estimate larger
@@ -441,6 +469,35 @@ class TestReproducibility:
             assert f"--seed={seed}" in report.pop("config")
             reports.append(report)
         assert reports[0] == reports[1]
+
+    def test_stamp_format(self, published_params_file, tmp_path, capsys):
+        # byte-identical outputs rest on this exact rendering of the run
+        assert run("eval", "--params", published_params_file, "--temps", "300",
+                   "--sample", "A") == 0
+        checksum = hashlib.sha256(
+            Path(published_params_file).read_text().encode("utf-8")).hexdigest()
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            "# version: nvrelax 0.1.0",
+            f"# config: eval --n-temps=20 --params={published_params_file} --sample=A "
+            "--seed=1729 --t-max=474.0 --t-min=200.0 --temps=300",
+            "# seed: 1729",
+            f"# dataset_checksum: {checksum}",
+        ]
+
+        out = tmp_path / "compare.json"
+        assert run("compare", "--models", "n-mode:1", "prior", "-o", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert list(report)[:4] == ["version", "config", "seed", "dataset_checksum"]
+        assert report["config"] == (
+            "compare --constants=per_sample --data=paper-table-s4 --models=n-mode:1,prior "
+            f"--multistart=16 --output={out} --seed=1729")
+
+        assert run("fit", "--model", "n-mode:1", "-o", str(out)) == 0
+        assert " --phonon-limited=false " in json.loads(out.read_text())["config"]
+        prefix = tmp_path / "spec"
+        assert run("spectral", "--sigma", "7.5", "--refit", "--n-temps", "8",
+                   "-o", str(prefix)) == 0
+        assert " --refit=true " in json.loads(Path(f"{prefix}.refit.json").read_text())["config"]
 
     def test_builtin_override_env(self, tmp_path, monkeypatch):
         copy = tmp_path / "copy.csv"

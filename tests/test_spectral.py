@@ -375,12 +375,11 @@ class TestRateCurve:
         text = curve.to_csv_text()
         assert "temperature_k,omega_s,gamma_s" in text
         assert text.startswith("# provenance:")
-        ds = curve.to_dataset(rel_err=0.05)
+        ds = curve.to_dataset()
         assert len(ds) == 2
         row = ds.rows[0]
-        assert row.omega_err == pytest.approx(0.05 * row.omega)
-        with pytest.raises(ValueError, match="relative error"):
-            curve.to_dataset(rel_err=0.0)
+        assert row.omega_err == pytest.approx(0.01 * row.omega)
+        assert row.gamma_err == pytest.approx(0.01 * row.gamma)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
