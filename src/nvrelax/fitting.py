@@ -10,13 +10,12 @@ Both rate laws are ordered sums of Orbach and T^5 terms, laid out once by
 :attr:`ModelSpec.terms`; mode energies and coefficients are global across
 samples, the constant floors are per sample and added last.  The model is
 summed by the same helper as ``rates``, so fit and evaluation agree bit for
-bit.  Every parameter is positive, so the optimizer works in log space
-(bounds become simple box constraints and the Orbach arguments stay valid);
-uncertainties are transformed back with the delta method.  With the mode
-energies fixed, both laws are linear in coefficients and floors (variable
-projection), so the starts are the best minima of a mode-energy grid solved
-by non-negative least squares per channel; there is no other start path, and
-each parameter's bounds are fixed by its kind.  Nothing is random.
+bit.  Given the mode energies, both laws are linear in coefficients and
+floors, which :func:`_project` solves exactly; a fit searches the 1 to 3 log
+energies alone (variable projection), from the best minima of a grid
+profile, the only start path.  Each parameter's bounds are fixed by its
+kind; uncertainties come from the log-space Jacobian by the delta method.
+Nothing is random.
 """
 from __future__ import annotations
 
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 from .core import BOLTZMANN_MEV_PER_K, Dataset, _require
 from .models import (
@@ -64,10 +62,7 @@ PHONON_LIMITED_T_MIN_K = 125.0
 # treated as rank deficient
 _RANK_RCOND = 1e-10
 
-_FTOL = 1e-12
-_XTOL = 1e-12
-_GTOL = 1e-12
-_MAX_NFEV = 500
+_MAX_EVALUATIONS = 100     # projections in one polish
 
 # residual_diagnostics: histogram bin width and outlier cut, in sigma
 _BIN_WIDTH = 0.5
@@ -242,65 +237,92 @@ def _bounds(asm: _Assembled) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-class _LogModel:
-    """Normalized residuals and their log-space Jacobian for one solve.
-
-    Parameters are u = log(p).  The last point is remembered with its
-    occupancies and basis columns: TRF asks for the Jacobian only where it
-    has just evaluated the residuals, so each trial point costs one
-    evaluation of the rate law.  The terms are summed by the helper ``rates``
-    uses, floors last, so the residuals match the rates of the same
-    parameters bit for bit.  Arrays handed out are never written to again.
+def _model(asm: _Assembled, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized residuals at ``p``, summed by the helper ``rates`` uses
+    (floors last) so they match its rates bit for bit, and their Jacobian
+    d r / d log p, with d/d delta of n(n+1) equal to -(2n+1) n(n+1) / k_B T.
     """
+    err_omega, err_gamma = asm.err[0::2], asm.err[1::2]
+    jac = np.zeros((len(asm.data), len(p)))
+    triples = []
+    for t in asm.terms:
+        if t.delta is None:
+            column = _term_column(None, asm.temps)
+        else:
+            n = _bose_einstein(p[t.delta] / asm.kT)
+            column = n * (n + 1.0)
+            slope = -(2.0 * n + 1.0) * n * (n + 1.0) / asm.kT
+            jac[0::2, t.delta] = p[t.a] * slope * p[t.delta] / err_omega
+            jac[1::2, t.delta] = p[t.b] * slope * p[t.delta] / err_gamma
+        jac[0::2, t.a] = column * p[t.a] / err_omega
+        jac[1::2, t.b] = column * p[t.b] / err_gamma
+        triples.append((column, p[t.a], p[t.b]))
+    model = np.empty(len(asm.data))
+    model[0::2], model[1::2] = _sum_terms(triples)
+    if asm.floor_cols is not None:
+        model += p[asm.floor_cols]
+        jac[np.arange(len(asm.data)), asm.floor_cols] = p[asm.floor_cols] / asm.err
+    return (model - asm.data) / asm.err, jac
 
-    def __init__(self, asm: _Assembled):
-        self.asm = asm
-        self._u: np.ndarray | None = None
 
-    def _evaluate(self, u: np.ndarray) -> None:
-        if self._u is not None and np.array_equal(u, self._u):
-            return
-        asm = self.asm
-        p = np.exp(u)
-        occupancies, columns = [], []
-        for t in asm.terms:
-            if t.delta is None:
-                n, column = None, _term_column(None, asm.temps)
-            else:
-                n = _bose_einstein(p[t.delta] / asm.kT)
-                column = n * (n + 1.0)
-            occupancies.append(n)
-            columns.append(column)
-        model = np.empty(len(asm.data))
-        model[0::2], model[1::2] = _sum_terms(
-            (column, p[t.a], p[t.b]) for column, t in zip(columns, asm.terms))
-        if asm.floor_cols is not None:
-            model += p[asm.floor_cols]
-        self._residuals = (model - asm.data) / asm.err
-        self._u, self._p = np.array(u, dtype=float), p
-        self._occupancies, self._columns = occupancies, columns
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, |a x - b|^2) at the exact min over x >= 0, batched over leading axes.
 
-    def residuals(self, u: np.ndarray) -> np.ndarray:
-        self._evaluate(u)
-        return self._residuals
+    The optimum is the best support whose least-squares solution is feasible;
+    with at most 5 columns each support's normal equations are solved, the
+    full one first (where it is feasible, no other can do better), and a
+    singular one by the pseudo-inverse.
+    """
+    at = np.swapaxes(a, -1, -2)
+    gram, rhs = at @ a, at @ b[..., None]
+    k = a.shape[-1]
+    x, best = np.zeros(rhs.shape), np.full(gram.shape[:-2], np.sum(b * b, axis=-1))
+    for cols in [list(range(k))] + [list(c) for size in range(1, k)
+                                    for c in itertools.combinations(range(k), size)]:
+        g = gram[..., cols, :][..., :, cols]
+        try:
+            x_s = np.linalg.solve(g, rhs[..., cols, :])
+        except np.linalg.LinAlgError:
+            x_s = np.linalg.pinv(g) @ rhs[..., cols, :]
+        trial = np.zeros(rhs.shape)
+        trial[..., cols, :] = x_s
+        r2 = np.sum(((a @ trial)[..., 0] - b) ** 2, axis=-1)
+        better = np.all(x_s >= 0.0, axis=(-2, -1)) & (r2 < best)
+        x[better], best[better] = trial[better], r2[better]
+        if len(cols) == k and better.all():
+            break       # the full support is feasible everywhere
+    return x[..., 0], best
 
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        """d r_i / d u_j = (d r_i / d p_j) * p_j / err_i, with d/d delta of
-        n(n+1) equal to -(2n+1) n(n+1) / k_B T."""
-        self._evaluate(u)
-        asm, p = self.asm, self._p
-        err_omega, err_gamma = asm.err[0::2], asm.err[1::2]
-        jac = np.zeros((len(asm.data), len(p)))
-        for n, column, t in zip(self._occupancies, self._columns, asm.terms):
-            jac[0::2, t.a] = column * p[t.a] / err_omega
-            jac[1::2, t.b] = column * p[t.b] / err_gamma
-            if n is not None:
-                slope = -(2.0 * n + 1.0) * n * (n + 1.0) / asm.kT
-                jac[0::2, t.delta] = p[t.a] * slope * p[t.delta] / err_omega
-                jac[1::2, t.delta] = p[t.b] * slope * p[t.delta] / err_gamma
-        if asm.floor_cols is not None:
-            jac[np.arange(len(asm.data)), asm.floor_cols] = p[asm.floor_cols] / asm.err
-        return jac
+
+def _project(asm: _Assembled, log_deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(chi2, parameters) at mode energies exp(log_deltas), batched over
+    leading axes: each channel's coefficients (maybe 0) and floors by
+    :func:`_nnls` on the basis columns scaled by the errors, then to unit
+    norm (T^5 would dwarf a floor indicator unscaled)."""
+    orbach = [t for t in asm.terms if t.delta is not None]
+    fixed = [t for t in asm.terms if t.delta is None]
+    deltas = np.exp(log_deltas)
+    n = _bose_einstein(deltas[..., None] / asm.kT)        # (..., mode, row)
+    n *= n + 1.0
+    p = np.zeros((*deltas.shape[:-1], len(asm.names)))
+    p[..., [t.delta for t in orbach]] = deltas
+    chi2 = 0.0
+    for k, field in enumerate("ab"):
+        err = asm.err[k::2]
+        cols = [getattr(t, field) for t in orbach + fixed] + [pair[k] for pair in asm.floors]
+        basis = np.empty((*deltas.shape[:-1], len(cols), len(err)))
+        basis[..., :len(orbach), :] = n
+        basis[..., len(orbach):, :] = np.reshape(
+            [_term_column(None, asm.temps) for _ in fixed]
+            + [asm.floor_cols[k::2] == pair[k] for pair in asm.floors], (-1, len(err)))
+        basis /= err
+        norm = np.sqrt(np.einsum("...ij,...ij->...i", basis, basis))
+        norm[norm == 0.0] = 1.0
+        basis /= norm[..., None]
+        x, r2 = _nnls(np.swapaxes(basis, -1, -2), asm.data[k::2] / err)
+        p[..., cols] = x / norm
+        chi2 = chi2 + r2
+    return chi2, p
 
 
 def _profile(asm: _Assembled, lo: np.ndarray,
@@ -308,45 +330,21 @@ def _profile(asm: _Assembled, lo: np.ndarray,
     """(chi2, physical parameters) at the distinct local minima of the
     profile chi2 over a log grid of mode energies, best first.
 
-    In a cell mode k takes the k-th of ascending grid indices, and each
-    channel's coefficients (maybe 0) and floors solve a non-negative least-
-    squares problem on _LogModel's basis columns, scaled by the errors and
-    then to unit norm.  A cell that no neighbour (diagonals too) undercuts
-    is a minimum; touching minima are one plateau.
+    In a cell mode k takes the k-th of ascending grid indices, and one
+    :func:`_project` solves every cell.  A cell that no neighbour
+    (diagonals too) undercuts is a minimum; touching minima are one plateau.
     """
-    orbach = [t for t in asm.terms if t.delta is not None]
-    fixed = [t for t in asm.terms if t.delta is None]
-    modes, size = range(len(orbach)), _PROFILE_POINTS[len(orbach)]
-    deltas = [t.delta for t in orbach]
-    grid = np.geomspace(lo[deltas], hi[deltas], size)
-    n = _bose_einstein(grid[:, :, None] / asm.kT)
+    deltas = [t.delta for t in asm.terms if t.delta is not None]
+    size = _PROFILE_POINTS[len(deltas)]
+    grid = np.log(np.geomspace(lo[deltas], hi[deltas], size))
+    cells = np.array(list(itertools.combinations(range(size), len(deltas))))
+    cell_chi2, cell_p = _project(asm, grid[cells, np.arange(len(deltas))])
 
-    def unit(columns):      # T^5 would dwarf a floor indicator unscaled
-        norm = np.linalg.norm(columns, axis=-1, keepdims=True)
-        norm[norm == 0.0] = 1.0
-        return columns / norm, norm[..., 0]
+    chi2 = np.full((size,) * len(deltas), np.inf)
+    chi2[tuple(cells.T)] = cell_chi2
+    found = dict(zip(map(tuple, cells.tolist()), cell_p))
 
-    channels = []
-    for k, cols in enumerate(([t.a for t in orbach + fixed] + [a3 for a3, _ in asm.floors],
-                              [t.b for t in orbach + fixed] + [b3 for _, b3 in asm.floors])):
-        err = asm.err[k::2]
-        others = ([_term_column(None, asm.temps) / err for _ in fixed]
-                  + [(asm.floor_cols[k::2] == pair[k]) / err for pair in asm.floors])
-        channels.append((cols, *unit(n * (n + 1.0) / err),     # (grid point, mode, row)
-                         *unit(np.reshape(others, (-1, len(err)))), asm.data[k::2] / err))
-
-    chi2, found = np.full((size,) * len(orbach), np.inf), {}
-    for idx in itertools.combinations(range(size), len(orbach)):
-        p = np.zeros(len(asm.names))
-        p[deltas] = grid[idx, modes]
-        chi2[idx] = 0.0
-        for cols, orbach_units, orbach_norm, other_units, other_norm, target in channels:
-            x, rnorm = nnls(np.concatenate([orbach_units[idx, modes], other_units]).T, target)
-            p[cols] = x / np.concatenate([orbach_norm[idx, modes], other_norm])
-            chi2[idx] += rnorm**2
-        found[idx] = p
-
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=len(orbach)) if any(o)]
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=len(deltas)) if any(o)]
     padded = np.pad(chi2, 1, constant_values=np.inf)
     lowest = np.min([padded[tuple(slice(1 + o, 1 + o + size) for o in off)]
                      for off in offsets], axis=0)
@@ -498,38 +496,78 @@ def estimate_covariance(jacobian: np.ndarray, param_names: Sequence[str]) -> np.
     return (vt.T * inv_s2) @ vt
 
 
-def _solve_one(asm: _Assembled, p0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """One log-space trust-region solve from ``p0`` clipped into [lo, hi]."""
-    model = _LogModel(asm)
-    return least_squares(model.residuals, np.log(np.clip(p0, lo, hi)), jac=model.jacobian,
-                         bounds=(np.log(lo), np.log(hi)), method="trf",
-                         ftol=_FTOL, xtol=_XTOL, gtol=_GTOL, max_nfev=_MAX_NFEV)
+class _Polish(NamedTuple):
+    """Outcome of :func:`least_squares`: the optimum and its evaluation counts."""
+
+    p: np.ndarray       # physical parameters, inside their bounds
+    chi2: float
+    nfev: int           # projections
+    njev: int           # projected Jacobians
+    converged: bool     # False when the evaluation cap ended the solve
+
+
+def least_squares(asm: _Assembled, p0: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> _Polish:
+    """Separable fit from the mode energies of ``p0``: Levenberg-Marquardt
+    on u = log delta alone (Golub & Pereyra, SIAM J. Numer. Anal. 10 (1973)
+    413), the rest by :func:`_project`, clipped into [lo, hi].  Kaufman's
+    Jacobian (BIT 15 (1975) 49) is the model's log-delta columns projected
+    off those of the coefficients inside their bounds.  An energy on a bound
+    that its gradient pushes outward, or whose e-fold moves the residuals
+    less than their rounding, is held.  The solve stops when the predicted
+    or the actual fall of chi2 is within chi2's rounding error.
+    """
+    deltas = [t.delta for t in asm.terms if t.delta is not None]
+    linear = np.setdiff1d(np.arange(len(asm.names)), deltas)
+    u_lo, u_hi = np.log(lo[deltas]), np.log(hi[deltas])
+    scale = np.finfo(float).eps * np.abs(asm.data / asm.err)   # each residual's rounding
+
+    def evaluate(u):
+        p = np.clip(_project(asm, u)[1], lo, hi)
+        r, jac = _model(asm, p)
+        return p, float(r @ r), u, r, jac
+
+    point = evaluate(np.clip(np.log(p0[deltas]), u_lo, u_hi))
+    nfev, njev, damping = 1, 0, 1e-3
+    while nfev < _MAX_EVALUATIONS:
+        p, chi2, u, r, jac = point
+        inside = jac[:, linear[(lo[linear] < p[linear]) & (p[linear] < hi[linear])]]
+        kaufman = jac[:, deltas] - inside @ np.linalg.lstsq(inside, jac[:, deltas], rcond=None)[0]
+        gradient, njev = kaufman.T @ r, njev + 1
+        kaufman[:, ((u <= u_lo) & (gradient > 0.0)) | ((u >= u_hi) & (gradient < 0.0))
+                | (np.linalg.norm(kaufman, axis=0) <= np.linalg.norm(scale))] = 0.0
+        rounding = 2.0 * float(np.linalg.norm(r * scale)) + float(scale @ scale)
+        fall = kaufman @ np.linalg.lstsq(kaufman, r, rcond=None)[0]
+        if float(fall @ fall) <= rounding:
+            return _Polish(p, chi2, nfev, njev, True)
+        while nfev < _MAX_EVALUATIONS:
+            # Marquardt's scaling: the damping is relative to each curvature
+            rows = np.diag(np.sqrt(damping * np.sum(kaufman**2, axis=0)))
+            step = np.linalg.lstsq(np.vstack([kaufman, rows]),
+                                   np.concatenate([-r, np.zeros(len(u))]), rcond=None)[0]
+            trial, nfev = evaluate(np.clip(u + step, u_lo, u_hi)), nfev + 1
+            if abs(chi2 - trial[1]) <= rounding:
+                return _Polish(*min(point, trial, key=lambda q: q[1])[:2], nfev, njev, True)
+            if trial[1] < chi2:
+                point, damping = trial, damping / 10.0
+                break
+            damping *= 10.0
+    return _Polish(*point[:2], nfev, njev, False)
 
 
 def fit(problem: FitProblem) -> FitResult:
     """Minimize the weighted chi-squared: assemble the problem, profile the
     mode energies, and polish each of the best ``multistart`` minima of
-    :func:`_profile` by one log-space trust-region solve.  Ties break by
-    lowest chi2, then fewest evaluations, then start index.
+    :func:`_profile` by :func:`least_squares`.  Ties break by lowest chi2,
+    then fewest evaluations, then start index.
     """
     asm = _assemble(problem)
     lo, hi = _bounds(asm)
-    starts = [p for _, p in _profile(asm, lo, hi)[:problem.multistart]]
-    results = [_solve_one(asm, p0, lo, hi) for p0 in starts]
-
-    start_chi2 = tuple(float(2.0 * r.cost) for r in results)
-    ranked = sorted(
-        range(len(results)),
-        key=lambda i: (start_chi2[i], results[i].nfev, i),
-    )
-    best = results[ranked[0]]
-    converged = best.status > 0
-
-    p_best = _canonical_order(asm, np.exp(best.x))
-    u_best = np.log(p_best)
-    model = _LogModel(asm)
-    residuals = model.residuals(u_best)
-    jac_log = model.jacobian(u_best)
+    results = [least_squares(asm, p0, lo, hi)
+               for _, p0 in _profile(asm, lo, hi)[:problem.multistart]]
+    best = min(results, key=lambda r: (r.chi2, r.nfev))     # first start on a tie
+    p_best = _canonical_order(asm, best.p)
+    residuals, jac_log = _model(asm, p_best)
     chi2 = float(residuals @ residuals)
     grad_norm = float(np.linalg.norm(jac_log.T @ residuals, ord=np.inf))
 
@@ -550,11 +588,11 @@ def fit(problem: FitProblem) -> FitResult:
         chi2_reduced=chi2 / dof,
         residuals_normalized=residuals,
         residual_labels=asm.labels,
-        converged=converged,
-        n_iterations=int(best.nfev),
+        converged=best.converged,
+        n_iterations=best.nfev,
         gradient_norm=grad_norm,
-        n_starts=len(starts),
-        start_chi2=start_chi2,
+        n_starts=len(results),
+        start_chi2=tuple(r.chi2 for r in results),
         constants=problem.constants,
         t_min=problem.t_min,
         dataset_checksum=problem.dataset.checksum(),

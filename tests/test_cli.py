@@ -166,6 +166,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, content", [
+        (("eval", "--params", "in.dat", "--temps", "300", "-o", "out"), b"[" * 100000),
+        (("eval", "--params", "in.dat", "--temps", "300", "-o", "out"), b"{"),
+        (("eval", "--params", "in.dat", "--temps", "300", "-o", "out"), b"\xff\xfe"),
+        (("fit", "--data", "in.dat", "-o", "out"), b"\xff\xfe"),
+        (("spectral", "--coupling", "in.dat", "-o", "out"), b"\xff\xfe"),
+    ], ids=["params-nested", "params-truncated", "params-utf16", "data-utf16",
+            "coupling-utf16"])
+    def test_undecodable_input_file_is_named(self, argv, content, tmp_path,
+                                             monkeypatch, capsys):
+        # too deep to decode is not a numerical failure, and a decode error
+        # names the file, not only the codec
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.dat").write_bytes(content)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "'in.dat'" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.dat"]
+
     def test_cold_only_data_below_orbach_underflow_fits_without_warnings(self, tmp_path,
                                                                           capsys):
         # at 1.0-1.4 K the profile's columns n(n+1) are exactly 0 over most

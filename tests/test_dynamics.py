@@ -541,11 +541,12 @@ class TestSeparableFit:
         with pytest.raises(RuntimeError, match="degenerate"):
             _fit_single_exponential(curve)
 
-    def test_import_leaves_scipy_unloaded(self):
+    @pytest.mark.parametrize("module", ["nvrelax.dynamics", "nvrelax.fitting"])
+    def test_import_leaves_scipy_unloaded(self, module):
         src = os.path.dirname(os.path.dirname(nvrelax.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        code = ("import sys, nvrelax.dynamics; "
+        code = (f"import sys, {module}; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, check=True)

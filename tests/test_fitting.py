@@ -1,12 +1,17 @@
 """Tests for the weighted nonlinear least-squares machinery."""
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
+import nvrelax
 from nvrelax.core import Dataset, RateMeasurement
 from nvrelax.fitting import (
     FitProblem,
@@ -19,12 +24,13 @@ from nvrelax.fitting import (
     residual_diagnostics,
 )
 from nvrelax.fitting import (
-    _LogModel,
     _assemble,
     _bounds,
     _canonical_order,
+    _model,
+    _nnls,
     _profile,
-    _solve_one,
+    least_squares,
 )
 from nvrelax.models import (
     Mode,
@@ -215,8 +221,7 @@ class TestJacobian:
             "a3_B": 10**logc, "b3_B": 10**logc,
         }
         u = np.log(np.array([values[n] for n in asm.names]))
-        model = _LogModel(asm)
-        analytic = model.jacobian(u)
+        analytic = _model(asm, np.exp(u))[1]
         # the difference loses eps * |r| / h to roundoff, and |r| reaches
         # 3e5 at a ~ 1e5; 1e-5 keeps both that and the h^2 truncation
         # below 2e-6 of the scale on every corner of the sampled box
@@ -224,7 +229,7 @@ class TestJacobian:
         for j in range(len(u)):
             e = np.zeros_like(u)
             e[j] = h
-            fd = (model.residuals(u + e) - model.residuals(u - e)) / (2 * h)
+            fd = (_model(asm, np.exp(u + e))[0] - _model(asm, np.exp(u - e))[0]) / (2 * h)
             scale = 1.0 + np.max(np.abs(analytic[:, j]))
             assert np.max(np.abs(analytic[:, j] - fd)) / scale < 1e-5
 
@@ -235,13 +240,12 @@ class TestJacobian:
                   "b2": 2e-12, "a3_A": 0.02, "b3_A": 0.05, "a3_B": 0.01,
                   "b3_B": 0.3}
         u = np.log(np.array([values[n] for n in asm.names]))
-        model = _LogModel(asm)
-        analytic = model.jacobian(u)
+        analytic = _model(asm, np.exp(u))[1]
         h = 1e-6
         for j in range(len(u)):
             e = np.zeros_like(u)
             e[j] = h
-            fd = (model.residuals(u + e) - model.residuals(u - e)) / (2 * h)
+            fd = (_model(asm, np.exp(u + e))[0] - _model(asm, np.exp(u - e))[0]) / (2 * h)
             scale = 1.0 + np.max(np.abs(analytic[:, j]))
             assert np.max(np.abs(analytic[:, j] - fd)) / scale < 1e-5
 
@@ -258,57 +262,6 @@ def _start_points(dataset, token, constants="per_sample", count=2):
         fraction = 0.2 + 0.6 * ((0.37 * np.arange(len(lo)) + 0.29 * k) % 1.0)
         points.append(lo + fraction * (hi - lo))
     return asm, points
-
-
-def _fresh(asm, u):
-    """Residuals and Jacobian at u from objects that saw no other point."""
-    return _LogModel(asm).residuals(u), _LogModel(asm).jacobian(u)
-
-
-class TestLogModelCache:
-    """One _LogModel keeps its last point; every answer must equal a fresh
-    object's at the same point, whatever was asked before."""
-
-    def test_jacobian_at_point_never_passed_to_residuals(self, builtin_dataset):
-        asm, (u1, u2) = _start_points(builtin_dataset, "n-mode:2")
-        model = _LogModel(asm)
-        model.residuals(u1)
-        r2, j2 = _fresh(asm, u2)
-        assert np.array_equal(model.jacobian(u2), j2)
-        assert np.array_equal(model.residuals(u2), r2)
-
-    def test_residuals_twice_at_one_point(self, builtin_dataset):
-        asm, (u1, _) = _start_points(builtin_dataset, "n-mode:2")
-        model = _LogModel(asm)
-        r1, j1 = _fresh(asm, u1)
-        assert np.array_equal(model.residuals(u1), r1)
-        assert np.array_equal(model.residuals(u1), r1)
-        assert np.array_equal(model.jacobian(u1), j1)
-
-    def test_alternating_points(self, builtin_dataset):
-        asm, (u1, u2) = _start_points(builtin_dataset, "n-mode:3")
-        model = _LogModel(asm)
-        handed_out = []
-        for u in (u1, u2, u1, u2, u2, u1):
-            r, j = _fresh(asm, u)
-            got_r, got_j = model.residuals(u), model.jacobian(u)
-            assert np.array_equal(got_r, r)
-            assert np.array_equal(got_j, j)
-            handed_out.append((got_r, r, got_j, j))
-        # arrays already handed out are never written to by later calls
-        for got_r, r, got_j, j in handed_out:
-            assert np.array_equal(got_r, r)
-            assert np.array_equal(got_j, j)
-
-    def test_caller_mutates_u_in_place(self, builtin_dataset):
-        asm, (u1, u2) = _start_points(builtin_dataset, "prior")
-        model = _LogModel(asm)
-        u = u1.copy()
-        model.residuals(u)
-        u[:] = u2
-        r2, j2 = _fresh(asm, u2)
-        assert np.array_equal(model.jacobian(u), j2)
-        assert np.array_equal(model.residuals(u), r2)
 
 
 def _reference_jacobian(asm, dataset, u):
@@ -344,7 +297,7 @@ class TestJacobianBitIdentity:
         frozen = points[0].copy()
         frozen[[t.delta for t in asm.terms if t.delta is not None]] = np.log(600.0)
         for u in [*points, frozen]:
-            got = _LogModel(asm).jacobian(u)
+            got = _model(asm, np.exp(u))[1]
             assert got.tobytes() == _reference_jacobian(asm, builtin_dataset, u).tobytes()
 
 
@@ -369,7 +322,7 @@ class TestInvariances:
         problem = FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
                              multistart=2)
         asm, (u0, _) = _start_points(builtin_dataset, "n-mode:2")
-        r0 = _LogModel(asm).residuals(u0)
+        r0 = _model(asm, np.exp(u0))[0]
         chi2_start = float(r0 @ r0)
         result = fit(problem)
         assert result.chi2 < chi2_start
@@ -402,7 +355,7 @@ class TestInvariances:
             assert abs(other.params[name] / base.params[name] - 1.0) < 1e-6, name
 
     def test_mode_label_symmetry(self, builtin_dataset):
-        # polishing from a start with the mode labels swapped must land on
+        # polishing from mode energies with the labels swapped must land on
         # the same canonically ordered answer
         problem = FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
                              multistart=1)
@@ -410,12 +363,9 @@ class TestInvariances:
         asm = _assemble(problem)
         lo, hi = _bounds(asm)
         start = _profile(asm, lo, hi)[0][1].copy()
-        swap = {"delta_1": 160.0, "delta_2": 60.0, "a_1": 9000.0, "a_2": 500.0,
-                "b_1": 5000.0, "b_2": 1500.0}
-        for name, value in swap.items():
-            start[asm.names.index(name)] = value
-        solved = _solve_one(asm, start, lo, hi)
-        swapped = dict(zip(asm.names, _canonical_order(asm, np.exp(solved.x))))
+        start[[asm.names.index("delta_1"), asm.names.index("delta_2")]] = 160.0, 60.0
+        solved = least_squares(asm, start, lo, hi)
+        swapped = dict(zip(asm.names, _canonical_order(asm, solved.p)))
         assert swapped["delta_1"] < swapped["delta_2"]
         for name in base.param_names:
             assert abs(swapped[name] / base.params[name] - 1.0) < 1e-6, name
@@ -441,12 +391,11 @@ class TestProfile:
 
     @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "n-mode:3", "prior"])
     def test_best_cell_chi2_matches_log_model(self, builtin_dataset, token):
-        # the two NNLS solves use _LogModel's columns; at the unclipped best
-        # cell (a coefficient of 0 would be log 0 = -inf) both give one chi2
+        # the two NNLS solves use _model's columns; at the unclipped best
+        # cell (a coefficient may be 0) both give one chi2
         asm, profile = self._profile_of(builtin_dataset, token)
         chi2, p = profile[0]
-        with np.errstate(divide="ignore"):
-            r = _LogModel(asm).residuals(np.log(p))
+        r = _model(asm, p)[0]
         assert math.isclose(chi2, float(r @ r), rel_tol=1e-12)
         assert [c for c, _ in profile] == sorted(c for c, _ in profile)
 
@@ -463,6 +412,78 @@ class TestProfile:
                                 multistart=1))
         assert result.n_starts == len(result.start_chi2) == 1
         assert math.isclose(result.chi2, 126.60641327273599, rel_tol=1e-12)
+
+
+class TestNNLS:
+    """The exact batched solve that the profile and the polish share, with
+    scipy's active-set NNLS as the oracle."""
+
+    @staticmethod
+    def _check_against_scipy(a, b, x, r2, unique):
+        for i in range(len(a)):
+            x_ref, rnorm = scipy_nnls(a[i], b[i])
+            assert math.isclose(math.sqrt(r2[i]), rnorm, rel_tol=1e-12, abs_tol=1e-300)
+            assert np.all(x[i] >= 0.0)
+            np.testing.assert_allclose(x[i][unique], x_ref[unique], rtol=1e-10, atol=1e-12)
+            # where x is not unique, the model it builds still is
+            np.testing.assert_allclose(a[i] @ x[i], a[i] @ x_ref, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_random_problems_match_scipy(self, k):
+        # full-rank columns: the solution is unique, and about half the
+        # coefficients of these problems sit on the bound
+        rng = np.random.default_rng(k)
+        a, b = rng.standard_normal((40, 12, k)), rng.standard_normal((40, 12))
+        x, r2 = _nnls(a, b)
+        self._check_against_scipy(a, b, x, r2, np.ones(k, dtype=bool))
+        for i in range(len(a)):
+            x_i, r2_i = _nnls(a[i], b[i])
+            np.testing.assert_allclose(x_i, x[i], rtol=4 * np.finfo(float).eps, atol=0.0)
+            assert math.isclose(r2_i, r2[i], rel_tol=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("degenerate", ["zero-column", "identical-pair"])
+    def test_singular_supports_match_scipy(self, degenerate):
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal((20, 12, 4)), rng.standard_normal((20, 12))
+        if degenerate == "zero-column":
+            a[:, :, 1] = 0.0
+            unique = np.array([True, False, True, True])
+        else:
+            a[:, :, 2] = a[:, :, 0]
+            unique = np.array([False, True, False, True])
+        x, r2 = _nnls(a, b)
+        self._check_against_scipy(a, b, x, r2, unique)
+        for i in range(len(a)):     # alone or batched, x may differ where it is not unique
+            x_i, r2_i = _nnls(a[i], b[i])
+            np.testing.assert_allclose(x_i[unique], x[i][unique], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(a[i] @ x_i, a[i] @ x[i], rtol=1e-12, atol=1e-15)
+            assert math.isclose(r2_i, r2[i], rel_tol=1e-12)
+
+
+def test_fits_need_no_scipy():
+    # with scipy unimportable every model still fits, and the two-mode
+    # energies land in criterion 1's windows (published value +- 2 sigma)
+    src = os.path.dirname(os.path.dirname(nvrelax.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = """
+import sys
+sys.modules["scipy"] = None
+from nvrelax import BUILTIN_TAG, load_dataset
+from nvrelax.fitting import FitProblem, ModelSpec, fit
+data = load_dataset(BUILTIN_TAG)
+for token in ("n-mode:1", "n-mode:2", "n-mode:3", "prior"):
+    result = fit(FitProblem(data, ModelSpec.parse(token)))
+    assert result.converged, token
+    if token == "n-mode:2":
+        assert abs(result.params["delta_1"] - 68.2) <= 3.4, result.params
+        assert abs(result.params["delta_2"] - 167.0) <= 24.0, result.params
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['scipy']"     # only the blocked entry
 
 
 class TestBuiltinTwoModeFit:
