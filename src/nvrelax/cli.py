@@ -34,7 +34,7 @@ from .core import (
     DatasetError,
     TransitionChannel,
 )
-from .core import load_dataset as _load_dataset
+from .core import _read_text, load_dataset as _load_dataset
 from .dynamics import (
     ProtocolSpec,
     RateMatrix,
@@ -142,10 +142,10 @@ def _read_params_file(path: str) -> tuple[str, dict[str, float], str]:
     Accepts either a fit report (parameters as a list of name/value/sigma
     records) or a plain mapping {"model": ..., "parameters": {name: value}}.
     """
+    text = _read_text(path, "params")
     try:
-        text = Path(path).read_text(encoding="utf-8")
         document = json.loads(text)
-    except (ValueError, RecursionError) as exc:    # bytes, syntax or nesting
+    except (ValueError, RecursionError) as exc:    # syntax or nesting
         raise ValueError(f"cannot decode params file {path!r}: {exc}") from None
     if not (isinstance(document, dict) and isinstance(document.get("model"), str)):
         raise ValueError(f"params file {path!r} needs an object with a 'model' string")
@@ -196,10 +196,7 @@ def _cmd_spectral(args) -> int:
         table = anchor_coupling_table()
         coupling_text = table.to_csv_text()
     else:
-        try:
-            coupling_text = Path(args.coupling).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"cannot decode coupling file {args.coupling!r}: {exc}") from None
+        coupling_text = _read_text(args.coupling, "coupling")
         table = parse_coupling_text(coupling_text)
     checksum = _sha256(coupling_text)
 

@@ -290,22 +290,27 @@ def load_dataset(source: str) -> Dataset:
     (53 rows over two samples, 8.9 K to 473.5 K).  Setting the environment
     variable named by BUILTIN_DATA_ENV redirects the tag to a file.
     """
+    path = provenance = source
     if source == BUILTIN_TAG:
-        override = os.environ.get(BUILTIN_DATA_ENV)
-        if override:
-            return parse_dataset_text(
-                _read_text(override), provenance=f"{BUILTIN_TAG} (override: {override})"
-            )
-        return parse_dataset_text(_BUILTIN_TABLE, provenance=BUILTIN_TAG)
-    return parse_dataset_text(_read_text(source), provenance=source)
-
-
-def _read_text(path: str) -> str:
+        path = os.environ.get(BUILTIN_DATA_ENV)
+        if not path:
+            return parse_dataset_text(_BUILTIN_TABLE, provenance=BUILTIN_TAG)
+        provenance = f"{BUILTIN_TAG} (override: {path})"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        text = _read_text(path, "dataset")
+    except OSError as exc:
         raise DatasetError(f"cannot read dataset file {path!r}: {exc}") from None
+    return parse_dataset_text(text, provenance=provenance)
+
+
+def _read_text(path: str, kind: str) -> str:
+    """The UTF-8 text of a file; bytes that do not decode raise ValueError
+    naming it (an OSError's message names it already)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot decode {kind} file {path!r}: {exc}") from None
 
 
 def write_dataset(dataset: Dataset, path: str, metadata: dict[str, str] | None = None) -> None:

@@ -294,11 +294,13 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[..., 0], best
 
 
-def _project(asm: _Assembled, log_deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _project(asm: _Assembled, log_deltas: np.ndarray,
+             held: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(chi2, parameters) at mode energies exp(log_deltas), batched over
     leading axes: each channel's coefficients (maybe 0) and floors by
     :func:`_nnls` on the basis columns scaled by the errors, then to unit
-    norm (T^5 would dwarf a floor indicator unscaled)."""
+    norm (T^5 would dwarf a floor indicator unscaled).  A column whose
+    entry in ``held`` (a parameter vector) is not NaN keeps that value."""
     orbach = [t for t in asm.terms if t.delta is not None]
     fixed = [t for t in asm.terms if t.delta is None]
     deltas = np.exp(log_deltas)
@@ -319,10 +321,16 @@ def _project(asm: _Assembled, log_deltas: np.ndarray) -> tuple[np.ndarray, np.nd
         norm = np.sqrt(np.einsum("...ij,...ij->...i", basis, basis))
         norm[norm == 0.0] = 1.0
         basis /= norm[..., None]
-        x, r2 = _nnls(np.swapaxes(basis, -1, -2), asm.data[k::2] / err)
+        target = asm.data[k::2] / err
+        fix = np.zeros(len(cols), bool) if held is None else ~np.isnan(held[cols])
+        if fix.any():
+            target = target - np.einsum("...i,...ij->...j", held[cols][fix] * norm[..., fix],
+                                        basis[..., fix, :])
+            basis[..., fix, :] = 0.0
+        x, r2 = _nnls(np.swapaxes(basis, -1, -2), target)
         p[..., cols] = x / norm
         chi2 = chi2 + r2
-    return chi2, p
+    return chi2, p if held is None else np.where(np.isnan(held), p, held)
 
 
 def _profile(asm: _Assembled, lo: np.ndarray,
@@ -510,12 +518,14 @@ def least_squares(asm: _Assembled, p0: np.ndarray, lo: np.ndarray,
                   hi: np.ndarray) -> _Polish:
     """Separable fit from the mode energies of ``p0``: Levenberg-Marquardt
     on u = log delta alone (Golub & Pereyra, SIAM J. Numer. Anal. 10 (1973)
-    413), the rest by :func:`_project`, clipped into [lo, hi].  Kaufman's
-    Jacobian (BIT 15 (1975) 49) is the model's log-delta columns projected
-    off those of the coefficients inside their bounds.  An energy on a bound
-    that its gradient pushes outward, or whose e-fold moves the residuals
-    less than their rounding, is held.  The solve stops when the predicted
-    or the actual fall of chi2 is within chi2's rounding error.
+    413), the rest by :func:`_project`: a coefficient over its upper bound is
+    held there while the others are re-solved, and one under its lower bound
+    (a stand-in for 0) is raised to it.  Kaufman's Jacobian (BIT 15 (1975)
+    49) is the model's log-delta columns projected off those of the
+    coefficients inside their bounds.  An energy on a bound that its
+    gradient pushes outward, or whose e-fold moves the residuals less than
+    their rounding, is held.  The solve stops when the predicted or the
+    actual fall of chi2 is within chi2's rounding error.
     """
     deltas = [t.delta for t in asm.terms if t.delta is not None]
     linear = np.setdiff1d(np.arange(len(asm.names)), deltas)
@@ -523,7 +533,13 @@ def least_squares(asm: _Assembled, p0: np.ndarray, lo: np.ndarray,
     scale = np.finfo(float).eps * np.abs(asm.data / asm.err)   # each residual's rounding
 
     def evaluate(u):
-        p = np.clip(_project(asm, u)[1], lo, hi)
+        held = np.full(len(lo), np.nan)
+        p = _project(asm, u, held)[1]
+        while (p[linear] > hi[linear]).any():   # hold the furthest over, re-solve the rest
+            j = linear[np.argmax(p[linear] / hi[linear])]
+            held[j] = hi[j]
+            p = _project(asm, u, held)[1]
+        p = np.clip(p, lo, hi)
         r, jac = _model(asm, p)
         return p, float(r @ r), u, r, jac
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
 import nvrelax
-from nvrelax.core import Dataset, RateMeasurement
+from nvrelax.core import Dataset, RateMeasurement, parse_dataset_text
 from nvrelax.fitting import (
     FitProblem,
     FitResult,
@@ -369,6 +369,31 @@ class TestInvariances:
         assert swapped["delta_1"] < swapped["delta_2"]
         for name in base.param_names:
             assert abs(swapped[name] / base.params[name] - 1.0) < 1e-6, name
+
+    @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "prior"])
+    def test_coefficient_over_its_bound_is_held_and_the_rest_resolved(self, token):
+        # on 1.0-1.4 K rows alone the Orbach (and T^5) coefficients want more
+        # than their upper bounds; held there, the floors are re-solved, so
+        # chi2 is stationary in every parameter inside its box and falls
+        # only outward at one on its upper bound
+        dataset = parse_dataset_text(
+            "nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s\n"
+            "C1,A,1.0,0.0105,0.002,0.042,0.008\n"
+            "C1,A,1.1,0.009781,0.002,0.03896,0.008\n"
+            "C1,A,1.2,0.01254,0.002,0.04548,0.008\n"
+            "C1,A,1.3,0.03681,0.002,0.09322,0.008\n"
+            "C1,A,1.4,0.0915,0.002,0.185,0.008\n")
+        asm = _assemble(FitProblem(dataset=dataset, model=ModelSpec.parse(token)))
+        lo, hi = _bounds(asm)
+        solved = least_squares(asm, _profile(asm, lo, hi)[0][1], lo, hi)
+        r, jac = _model(asm, solved.p)
+        gradient = jac.T @ r            # half the chi2 gradient in log p
+        inside = (lo < solved.p) & (solved.p < hi)
+        assert solved.converged and (solved.p == hi).any()
+        assert math.isclose(solved.chi2, float(r @ r), rel_tol=1e-12)
+        assert np.all(np.abs(gradient[inside])
+                      <= 1e-9 * np.linalg.norm(jac[:, inside], axis=0) * np.linalg.norm(r))
+        assert np.all(gradient[solved.p == hi] <= 0.0)
 
     def test_rank_deficiency_detected(self, published_params):
         # all rows at a single temperature cannot separate the mode terms
