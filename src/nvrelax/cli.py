@@ -18,7 +18,6 @@ Exit codes: 0 success, 1 input error (message on standard error),
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -34,7 +33,7 @@ from .core import (
     DatasetError,
     TransitionChannel,
 )
-from .core import _read_text, load_dataset as _load_dataset
+from .core import _csv_text, _read_input, _sha256, load_dataset as _load_dataset
 from .dynamics import (
     ProtocolSpec,
     RateMatrix,
@@ -76,10 +75,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _write(args: argparse.Namespace, checksum: str, path: str | None,
            body: str | dict) -> None:
     """Stamp ``body`` (text, or a dict written as JSON) with the version,
@@ -103,7 +98,7 @@ def _write(args: argparse.Namespace, checksum: str, path: str | None,
     if isinstance(body, dict):
         text = json.dumps({**metadata, **body}, indent=2) + "\n"
     else:
-        text = "".join(f"# {key}: {value}\n" for key, value in metadata.items()) + body
+        text = _csv_text(None, [], metadata) + body
     if path is None:
         sys.stdout.write(text)
     else:
@@ -136,33 +131,32 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------- eval
 
 
-def _read_params_file(path: str) -> tuple[str, dict[str, float], str]:
-    """Returns (model label, {name: value}, file checksum).
+def _parse_params(text: str) -> tuple[str, dict[str, float]]:
+    """(model label, {name: value}) of a parameter file's text.
 
     Accepts either a fit report (parameters as a list of name/value/sigma
     records) or a plain mapping {"model": ..., "parameters": {name: value}}.
     """
-    text = _read_text(path, "params")
     try:
         document = json.loads(text)
-    except (ValueError, RecursionError) as exc:    # syntax or nesting
-        raise ValueError(f"cannot decode params file {path!r}: {exc}") from None
+    except RecursionError as exc:    # nesting too deep: an input fault, not a numerical one
+        raise ValueError(str(exc)) from None
     if not (isinstance(document, dict) and isinstance(document.get("model"), str)):
-        raise ValueError(f"params file {path!r} needs an object with a 'model' string")
+        raise ValueError("needs an object with a 'model' string")
     raw = document.get("parameters")
     if isinstance(raw, list) and all(isinstance(entry, dict) and "value" in entry
                                      and isinstance(entry.get("name"), str) for entry in raw):
         raw = {entry["name"]: entry["value"] for entry in raw}
     if not isinstance(raw, dict):
-        raise ValueError(f"params file {path!r} needs 'parameters': a mapping, or a "
-                         "list of objects with 'name' and 'value'")
+        raise ValueError("needs 'parameters': a mapping, or a list of objects with "
+                         "'name' and 'value'")
     values = {}
     for name, value in raw.items():
         try:
             values[name] = float(value)
         except (TypeError, ValueError):
             raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
-    return document["model"], values, _sha256(text)
+    return document["model"], values
 
 
 def _temperature_grid(args, geometric: bool) -> np.ndarray:
@@ -174,17 +168,18 @@ def _temperature_grid(args, geometric: bool) -> np.ndarray:
 
 
 def _cmd_eval(args) -> int:
-    label, values, checksum = _read_params_file(args.params)
+    (label, values), text = _read_input(args.params, "params", _parse_params)
     params = params_from_dict(label, values)
     temps = _temperature_grid(args, geometric=False)
-    lines = ["temperature_k,omega_s,gamma_s,gamma_over_omega,t2_sq_s,t2_dq_s,t1_s"]
+    rows = []
     for t in temps:
         omega, gamma = params.rates(args.sample, float(t))
         ratio = gamma / omega if omega > 0 else math.nan
         lim = coherence_limits(omega, gamma)
-        lines.append(f"{float(t)!r},{omega!r},{gamma!r},{ratio!r},"
-                     f"{lim.t2_sq!r},{lim.t2_dq!r},{lim.t1!r}")
-    _write(args, checksum, args.output, "\n".join(lines) + "\n")
+        rows.append(f"{float(t)!r},{omega!r},{gamma!r},{ratio!r},"
+                    f"{lim.t2_sq!r},{lim.t2_dq!r},{lim.t1!r}")
+    _write(args, _sha256(text), args.output, _csv_text(
+        "temperature_k,omega_s,gamma_s,gamma_over_omega,t2_sq_s,t2_dq_s,t1_s", rows))
     return 0
 
 
@@ -196,8 +191,7 @@ def _cmd_spectral(args) -> int:
         table = anchor_coupling_table()
         coupling_text = table.to_csv_text()
     else:
-        coupling_text = _read_text(args.coupling, "coupling")
-        table = parse_coupling_text(coupling_text)
+        table, coupling_text = _read_input(args.coupling, "coupling", parse_coupling_text)
     checksum = _sha256(coupling_text)
 
     # narrow peaks need a finer grid than the 0.05 meV default to keep the
@@ -241,21 +235,19 @@ def _cmd_simulate(args) -> int:
     estimate = extract_rates(sim.omega_branch, sim.gamma_branch)
 
     if estimate.gamma_negative:
-        dataset_text = ("# note: negative rate estimate, no dataset row emitted\n")
-        checksum = _sha256(dataset_text)
+        dataset_text = _csv_text(
+            None, [], {"note": "negative rate estimate, no dataset row emitted"})
     else:
         row = to_rate_measurement(estimate, temperature=args.temperature)
-        dataset = Dataset(rows=(row,), provenance="synthetic-protocol")
-        dataset_text = dataset.to_csv_text()
-        checksum = dataset.checksum()
+        dataset_text = Dataset(rows=(row,), provenance="synthetic-protocol").to_csv_text()
+    checksum = _sha256(dataset_text)
 
     _write(args, checksum, f"{args.output}.dataset.csv", dataset_text)
 
-    curve_lines = ["branch,tau_s,value,error"]
-    for name, branch in (("omega", sim.omega_branch), ("gamma", sim.gamma_branch)):
-        for tau, value, error in zip(branch.tau_grid, branch.values, branch.errors):
-            curve_lines.append(f"{name},{tau!r},{value!r},{error!r}")
-    _write(args, checksum, f"{args.output}.curves.csv", "\n".join(curve_lines) + "\n")
+    _write(args, checksum, f"{args.output}.curves.csv", _csv_text("branch,tau_s,value,error", [
+        f"{name},{tau!r},{value!r},{error!r}"
+        for name, branch in (("omega", sim.omega_branch), ("gamma", sim.gamma_branch))
+        for tau, value, error in zip(branch.tau_grid, branch.values, branch.errors)]))
 
     _write(args, checksum, f"{args.output}.report.json", {
         "truth": {"omega_s": rates.omega, "gamma_s": rates.gamma},

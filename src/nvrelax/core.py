@@ -11,7 +11,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -203,26 +203,60 @@ class Dataset:
 
     def to_csv_text(self) -> str:
         """Canonical text form; floats use shortest round-trip formatting."""
-        lines = [CSV_HEADER]
-        for m in self.rows:
-            lines.append(
-                f"{m.nv_id},{m.sample},{m.temperature!r},{m.omega!r},"
-                f"{m.omega_err!r},{m.gamma!r},{m.gamma_err!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_text(CSV_HEADER, [
+            f"{m.nv_id},{m.sample},{m.temperature!r},{m.omega!r},"
+            f"{m.omega_err!r},{m.gamma!r},{m.gamma_err!r}" for m in self.rows])
 
     def checksum(self) -> str:
         """sha256 of the canonical text form, for report provenance."""
-        return hashlib.sha256(self.to_csv_text().encode("utf-8")).hexdigest()
+        return _sha256(self.to_csv_text())
 
 
 _NUMERIC_COLUMNS = ("temperature_k", "omega_s", "omega_err_s", "gamma_s", "gamma_err_s")
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    """(1-based line number, line) of every line that is neither blank nor a comment."""
-    return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
-            if line.strip() and not line.startswith("#")]
+def _sha256(text: str) -> str:
+    """Hex sha256 of the UTF-8 bytes of ``text``: the checksum outputs record."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _csv_text(header: str | None, rows: list[str],
+              comments: Mapping[str, object] | None = None) -> str:
+    """The one CSV text format: a ``# key: value`` line per ``comments``
+    entry, then ``header`` unless None, then the pre-formatted ``rows``;
+    every line ends in a newline.
+
+    ``rows`` is a list because a list comprehension renders the 250001-row
+    spectral files faster than a generator does.
+    """
+    lines = [f"# {key}: {value}" for key, value in (comments or {}).items()]
+    if header is not None:
+        lines.append(header)
+    lines.extend(rows)
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _csv_rows(text: str, header: str, kind: str, error: type[ValueError]):
+    """Yield (1-based line number, fields) for every row of CSV ``text``
+    under ``header``; blank and ``#`` lines are skipped but counted.
+
+    Raises ``error`` for a missing or wrong header and for a row whose
+    width differs from the header's, naming the line.
+    """
+    lines = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1)
+             if line.strip() and not line.startswith("#")]
+    if not lines:
+        raise error(f"empty {kind}: no header line found")
+    lineno, found = lines[0]
+    if found != header:
+        raise error(f"line {lineno}: bad header {found!r}; expected {header!r}")
+    width = header.count(",") + 1
+    for lineno, line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != width:
+            raise error(f"line {lineno}: expected {width} fields, got {len(fields)}")
+        yield lineno, fields
 
 
 def parse_dataset_text(text: str, provenance: str = "") -> Dataset:
@@ -231,55 +265,31 @@ def parse_dataset_text(text: str, provenance: str = "") -> Dataset:
     Raises DatasetError naming line and column for malformed rows or
     non-finite values, and enforces the ingestion bounds on temperature.
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise DatasetError("empty dataset: no header line found")
-    header_lineno, header = lines[0]
-    header = header.strip()
-    if header != CSV_HEADER:
-        raise DatasetError(
-            f"line {header_lineno}: bad header {header!r}; expected {CSV_HEADER!r}")
-    if len(lines) == 1:
-        raise DatasetError("empty dataset: header but no rows")
-
-    columns = CSV_HEADER.split(",")
     rows = []
-    for lineno, line in lines[1:]:
-        fields = line.strip().split(",")
-        if len(fields) != len(columns):
-            raise DatasetError(
-                f"line {lineno}: expected {len(columns)} fields, got {len(fields)}"
-            )
-        values: dict[str, float | str] = {"nv_id": fields[0], "sample": fields[1]}
-        for name, raw in zip(columns[2:], fields[2:]):
+    for lineno, fields in _csv_rows(text, CSV_HEADER, "dataset", DatasetError):
+        numbers = []
+        for name, raw in zip(_NUMERIC_COLUMNS, fields[2:]):
             try:
-                values[name] = float(raw)
+                numbers.append(float(raw))
             except ValueError:
                 raise DatasetError(
                     f"line {lineno}, column {name}: not a number: {raw!r}"
                 ) from None
-            if not math.isfinite(values[name]):
+            if not math.isfinite(numbers[-1]):
                 raise DatasetError(f"line {lineno}, column {name}: not finite: {raw!r}")
-        t = values["temperature_k"]
+        t = numbers[0]
         if not _T_INGEST_MIN_K <= t <= _T_INGEST_MAX_K:
             raise DatasetError(
                 f"line {lineno}, column temperature_k: {t} outside "
                 f"[{_T_INGEST_MIN_K:g}, {_T_INGEST_MAX_K:g}] K"
             )
         try:
-            rows.append(
-                RateMeasurement(
-                    nv_id=str(values["nv_id"]),
-                    sample=str(values["sample"]),
-                    temperature=t,
-                    omega=values["omega_s"],
-                    omega_err=values["omega_err_s"],
-                    gamma=values["gamma_s"],
-                    gamma_err=values["gamma_err_s"],
-                )
-            )
+            # the CSV columns are RateMeasurement's fields, in order
+            rows.append(RateMeasurement(fields[0], fields[1], *numbers))
         except DatasetError as exc:
             raise DatasetError(f"line {lineno}: {exc}") from None
+    if not rows:
+        raise DatasetError("empty dataset: header but no rows")
     return Dataset(rows=tuple(rows), provenance=provenance)
 
 
@@ -297,29 +307,32 @@ def load_dataset(source: str) -> Dataset:
             return parse_dataset_text(_BUILTIN_TABLE, provenance=BUILTIN_TAG)
         provenance = f"{BUILTIN_TAG} (override: {path})"
     try:
-        text = _read_text(path, "dataset")
+        return _read_input(path, "dataset",
+                           lambda text: parse_dataset_text(text, provenance=provenance))[0]
     except OSError as exc:
         raise DatasetError(f"cannot read dataset file {path!r}: {exc}") from None
-    return parse_dataset_text(text, provenance=provenance)
 
 
-def _read_text(path: str, kind: str) -> str:
-    """The UTF-8 text of a file; bytes that do not decode raise ValueError
-    naming it (an OSError's message names it already)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"cannot decode {kind} file {path!r}: {exc}") from None
+def _read_input(path: str, kind: str, parse: Callable[[str], object]) -> tuple[object, str]:
+    """(``parse(text)``, ``text``) of the UTF-8 file at ``path``.
+
+    Bytes that do not decode, and any ValueError of ``parse``, raise
+    ValueError (a DatasetError stays one) naming the ``kind`` file and its
+    path; an OSError's message names the path already.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return parse(text), text
+    except ValueError as exc:
+        error = DatasetError if isinstance(exc, DatasetError) else ValueError
+        raise error(f"{kind} file {path!r}: {exc}") from None
 
 
 def write_dataset(dataset: Dataset, path: str, metadata: dict[str, str] | None = None) -> None:
     """Write canonical CSV, optionally preceded by '#'-prefixed metadata lines."""
     with open(path, "w", encoding="utf-8") as fh:
-        if metadata:
-            for key, value in metadata.items():
-                fh.write(f"# {key}: {value}\n")
-        fh.write(dataset.to_csv_text())
+        fh.write(_csv_text(None, [], metadata) + dataset.to_csv_text())
 
 
 # Published measured rates, transcribed verbatim: 53 rows, 35 sample A and

@@ -104,8 +104,9 @@ class ModelSpec:
         token = token.strip().lower()
         if token == "prior":
             return cls(kind="prior")
-        if token.startswith("n-mode:") or token.startswith("n_mode:"):
-            return cls(kind="n_mode", n_modes=int(token.split(":", 1)[1]))
+        kind, _, count = token.partition(":")
+        if kind in ("n-mode", "n_mode") and count.strip().isdecimal():
+            return cls(kind="n_mode", n_modes=int(count))
         raise ValueError(f"unknown model {token!r}; expected 'n-mode:<1|2|3>' or 'prior'")
 
     @property

@@ -39,7 +39,8 @@ from .core import (
     Dataset,
     RateMeasurement,
     TransitionChannel,
-    _content_lines,
+    _csv_rows,
+    _csv_text,
     _require,
     convert_energy,
 )
@@ -141,32 +142,19 @@ class CouplingTable:
         return tuple(sorted(selected, key=lambda e: e.mode_energy))
 
     def to_csv_text(self) -> str:
-        lines = [COUPLING_CSV_HEADER]
-        for e in self.entries:
-            lines.append(f"{e.mode_energy!r},{e.amplitude!r},{e.channel.value},{e.order}")
-        return "\n".join(lines) + "\n"
+        return _csv_text(COUPLING_CSV_HEADER, [
+            f"{e.mode_energy!r},{e.amplitude!r},{e.channel.value},{e.order}"
+            for e in self.entries])
 
 
 def parse_coupling_text(text: str) -> CouplingTable:
     """Parse coupling CSV (header ``energy_mev,amplitude_mhz,channel,order``)."""
-    lines = _content_lines(text)
-    if not lines:
-        raise ValueError("empty coupling table")
-    header = lines[0][1].strip()
-    if header != COUPLING_CSV_HEADER:
-        raise ValueError(f"bad coupling header {header!r}; expected {COUPLING_CSV_HEADER!r}")
     entries = []
-    for lineno, line in lines[1:]:
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 4:
-            raise ValueError(f"line {lineno}: expected 4 fields, got {len(fields)}")
+    rows = _csv_rows(text, COUPLING_CSV_HEADER, "coupling table", ValueError)
+    for lineno, (energy, amplitude, channel, order) in rows:
         try:
-            entries.append(CouplingEntry(
-                mode_energy=float(fields[0]),
-                amplitude=float(fields[1]),
-                channel=TransitionChannel.parse(fields[2]),
-                order=int(fields[3]),
-            ))
+            entries.append(CouplingEntry(float(energy), float(amplitude),
+                                         TransitionChannel.parse(channel), int(order)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return CouplingTable(entries=tuple(entries))
@@ -538,10 +526,9 @@ class RamanRateCurve:
         return len(self.temperatures)
 
     def to_csv_text(self) -> str:
-        lines = [f"# provenance: {self.provenance}", RATE_CURVE_CSV_HEADER]
-        for t, o, g in zip(self.temperatures, self.omega, self.gamma):
-            lines.append(f"{t!r},{o!r},{g!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text(RATE_CURVE_CSV_HEADER, [
+            f"{t!r},{o!r},{g!r}" for t, o, g in zip(self.temperatures, self.omega, self.gamma)],
+            {"provenance": self.provenance})
 
     def to_dataset(self) -> Dataset:
         """Rows with uniform 1% relative errors, ready for model refits."""
@@ -599,12 +586,7 @@ def refit_theory_curve(curve: RamanRateCurve, t_max: float, multistart: int = 8,
 
 def spectral_to_csv_text(f: SpectralFunction) -> str:
     """Energy/amplitude CSV of a spectral function for external plotting."""
-    lines = [
-        f"# channel: {f.channel.value}",
-        f"# order: {f.order}",
-        f"# sigma_mev: {f.sigma!r}",
+    return _csv_text(
         "energy_mev,amplitude_mhz_per_mev",
-    ]
-    for e, a in zip(f.grid, f.amplitude):
-        lines.append(f"{float(e)!r},{float(a)!r}")
-    return "\n".join(lines) + "\n"
+        [f"{float(e)!r},{float(a)!r}" for e, a in zip(f.grid, f.amplitude)],
+        {"channel": f.channel.value, "order": f.order, "sigma_mev": repr(f.sigma)})

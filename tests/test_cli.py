@@ -172,8 +172,10 @@ class TestExitCodes:
         (("eval", "--params", "in.dat", "--temps", "300", "-o", "out"), b"\xff\xfe"),
         (("fit", "--data", "in.dat", "-o", "out"), b"\xff\xfe"),
         (("spectral", "--coupling", "in.dat", "-o", "out"), b"\xff\xfe"),
+        (("fit", "--data", "in.dat", "-o", "out"), b"{"),
+        (("spectral", "--coupling", "in.dat", "-o", "out"), b"{"),
     ], ids=["params-nested", "params-truncated", "params-utf16", "data-utf16",
-            "coupling-utf16"])
+            "coupling-utf16", "data-bad-header", "coupling-bad-header"])
     def test_undecodable_input_file_is_named(self, argv, content, tmp_path,
                                              monkeypatch, capsys):
         # too deep to decode is not a numerical failure, and a decode error

@@ -30,6 +30,7 @@ from nvrelax.spectral import (
     CouplingEntry,
     CouplingTable,
     RamanRateCurve,
+    SpectralFunction,
     anchor_coupling_table,
     build_spectral_function,
     first_order_raman_rate,
@@ -37,6 +38,7 @@ from nvrelax.spectral import (
     rate_curve,
     refit_theory_curve,
     second_order_rate,
+    spectral_to_csv_text,
     synthetic_peak_function,
 )
 
@@ -243,6 +245,35 @@ class TestDatasetIO:
         full = builtin_dataset.checksum()
         assert full == builtin_dataset.checksum()  # stable
         assert Dataset(rows=builtin_dataset.rows[:-1]).checksum() != full
+
+    def test_writers_bytes(self, tmp_path):
+        # comment lines in the order given, then the header, then one line
+        # per row, every line ending in a newline
+        assert anchor_coupling_table().to_csv_text() == (
+            "energy_mev,amplitude_mhz,channel,order\n"
+            "62.4,0.6,single_quantum,2\n62.4,2.0,double_quantum,2\n"
+            "160.7,0.07,single_quantum,2\n160.7,0.34,double_quantum,2\n")
+        curve = RamanRateCurve(temperatures=(100.0, 300.5), omega=(0.25, 60.0),
+                               gamma=(1.5, 128.0), provenance="literal")
+        assert curve.to_csv_text() == (
+            "# provenance: literal\ntemperature_k,omega_s,gamma_s\n"
+            "100.0,0.25,1.5\n300.5,60.0,128.0\n")
+        f = SpectralFunction(grid=[0.0, 0.5, 1.0, 1.5, 2.0], amplitude=[0.0, 0.25, 1.0, 0.25, 0.0],
+                             channel=TransitionChannel.DOUBLE_QUANTUM, order=2, sigma=0.5)
+        assert spectral_to_csv_text(f) == (
+            "# channel: double_quantum\n# order: 2\n# sigma_mev: 0.5\n"
+            "energy_mev,amplitude_mhz_per_mev\n"
+            "0.0,0.0\n0.5,0.25\n1.0,1.0\n1.5,0.25\n2.0,0.0\n")
+        ds = Dataset(rows=(RateMeasurement("NVA", "A", 295.0, 60.0, 3.0, 128.0, 7.0),))
+        table = CSV_HEADER + "\nNVA,A,295.0,60.0,3.0,128.0,7.0\n"
+        assert ds.to_csv_text() == table
+        assert ds.checksum() == (
+            "b6b7c1b9c1cb85b2469472610bb5da0202d133edb835634797f0b0b5ea0f4518")
+        path = tmp_path / "one.csv"
+        write_dataset(ds, str(path), metadata={"source": "x", "seed": "1"})
+        assert path.read_text(encoding="utf-8") == "# source: x\n# seed: 1\n" + table
+        write_dataset(ds, str(path))
+        assert path.read_text(encoding="utf-8") == table
 
     @given(
         temperature=st.floats(min_value=1.0, max_value=2000.0),

@@ -79,9 +79,10 @@ class TestModelSpec:
         for token in ("n-mode:1", "n-mode:2", "n-mode:3", "prior"):
             assert ModelSpec.parse(token).label == token
 
-    def test_parse_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown model"):
-            ModelSpec.parse("quartic")
+    @pytest.mark.parametrize("token", ["quartic", "n-mode:x", "n-mode:"])
+    def test_parse_rejects_unknown(self, token):
+        with pytest.raises(ValueError, match=f"unknown model '{token}'; expected"):
+            ModelSpec.parse(token)
 
     def test_mode_count_bounds(self):
         with pytest.raises(ValueError):

@@ -85,7 +85,7 @@ class TestCouplingEntries:
         assert parsed.entries == table.entries
 
     def test_parse_rejects_bad_header(self):
-        with pytest.raises(ValueError, match="bad coupling header"):
+        with pytest.raises(ValueError, match="line 1: bad header 'energy,amp'"):
             parse_coupling_text("energy,amp\n1.0,2.0\n")
 
     def test_parse_rejects_empty(self):
