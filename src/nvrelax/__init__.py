@@ -33,8 +33,6 @@ from .models import (
     PriorModelParams,
     SampleConstants,
     coherence_limits,
-    eval_n_mode,
-    eval_prior_model,
     occupation,
     orbach_factor,
     ratio_curve,
@@ -52,8 +50,6 @@ __all__ = [
     "TransitionChannel",
     "coherence_limits",
     "convert_energy",
-    "eval_n_mode",
-    "eval_prior_model",
     "load_dataset",
     "occupation",
     "orbach_factor",

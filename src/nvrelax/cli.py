@@ -50,9 +50,9 @@ from .fitting import (
 )
 from .models import coherence_limits
 from .spectral import (
-    MAX_MODE_ENERGY_MEV,
     anchor_coupling_table,
     build_spectral_function,
+    default_grid,
     parse_coupling_text,
     rate_curve,
     refit_theory_curve,
@@ -194,11 +194,8 @@ def _cmd_spectral(args) -> int:
         table, coupling_text = _read_input(args.coupling, "coupling", parse_coupling_text)
     checksum = _sha256(coupling_text)
 
-    # narrow peaks need a finer grid than the 0.05 meV default to keep the
-    # quadrature error check satisfied
-    spacing = min(0.05, args.sigma / 10.0)
-    n_points = int(round(MAX_MODE_ENERGY_MEV / spacing)) + 1
-    grid = np.linspace(0.0, MAX_MODE_ENERGY_MEV, n_points)
+    # one array of the default grid, shared by both channels
+    grid = default_grid(args.sigma)
     f_sq = build_spectral_function(
         table, TransitionChannel.SINGLE_QUANTUM, order=2, sigma=args.sigma,
         grid=grid)

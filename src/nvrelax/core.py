@@ -9,7 +9,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -21,7 +20,6 @@ __all__ = [
     "PLANCK_MEV_S",
     "PLANCK_MEV_PER_MHZ",
     "BUILTIN_TAG",
-    "BUILTIN_DATA_ENV",
     "CSV_HEADER",
     "DEFAULT_SEED",
     "RateMeasurement",
@@ -42,8 +40,6 @@ PLANCK_MEV_PER_MHZ = 4.135667696e-6     # meV per MHz (h * 1 MHz in meV)
 
 # tag resolving to the dataset published with the measurements (53 rows)
 BUILTIN_TAG = "paper-table-s4"
-# environment variable that redirects the builtin tag to a CSV on disk
-BUILTIN_DATA_ENV = "NVRELAX_BUILTIN_DATA"
 
 CSV_HEADER = "nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s"
 
@@ -55,22 +51,13 @@ DEFAULT_SEED = 1729
 _T_INGEST_MIN_K = 1.0
 _T_INGEST_MAX_K = 2000.0
 
-# accepted spellings for the energy-equivalent units of convert_energy
-_UNIT_ALIASES = {
-    "mev": "meV",
-    "ghz": "GHz",
-    "ghz*h": "GHz",
-    "ghz·h": "GHz",
-    "k": "K",
-    "k*kb": "K",
-    "k·k_b": "K",
-    "kelvin": "K",
-}
+# the energy-equivalent units of convert_energy, by lower-case name
+_UNITS = {"mev": "meV", "ghz": "GHz", "k": "K"}
 
 
 def _canonical_unit(unit: str) -> str:
     try:
-        return _UNIT_ALIASES[unit.strip().lower()]
+        return _UNITS[unit.strip().lower()]
     except KeyError:
         raise ValueError(
             f"unknown energy unit {unit!r}; expected one of meV, GHz (times h), "
@@ -172,6 +159,14 @@ class RateMeasurement:
     gamma_err: float        # s^-1
 
     def __post_init__(self) -> None:
+        # the ids are written verbatim into one CSV field each, and must read back unchanged
+        for name in ("nv_id", "sample"):
+            value = getattr(self, name)
+            if ("," in value or "".join(value.splitlines()) != value
+                    or value.startswith("#") or value != value.strip()):
+                raise DatasetError(
+                    f"{name} must hold no comma or line break, not start with '#' "
+                    f"and not start or end in whitespace, got {value!r}")
         _require({"temperature": self.temperature}, "positive", DatasetError)
         _require({"omega": self.omega, "gamma": self.gamma}, "nonnegative", DatasetError)
         # errors feed inverse-variance weights, so zero is as bad as negative
@@ -297,20 +292,15 @@ def load_dataset(source: str) -> Dataset:
     """Load a dataset from a CSV path or from the builtin tag.
 
     The builtin tag returns the dataset published with the measurements
-    (53 rows over two samples, 8.9 K to 473.5 K).  Setting the environment
-    variable named by BUILTIN_DATA_ENV redirects the tag to a file.
+    (53 rows over two samples, 8.9 K to 473.5 K).
     """
-    path = provenance = source
     if source == BUILTIN_TAG:
-        path = os.environ.get(BUILTIN_DATA_ENV)
-        if not path:
-            return parse_dataset_text(_BUILTIN_TABLE, provenance=BUILTIN_TAG)
-        provenance = f"{BUILTIN_TAG} (override: {path})"
+        return parse_dataset_text(_BUILTIN_TABLE, provenance=BUILTIN_TAG)
     try:
-        return _read_input(path, "dataset",
-                           lambda text: parse_dataset_text(text, provenance=provenance))[0]
+        return _read_input(source, "dataset",
+                           lambda text: parse_dataset_text(text, provenance=source))[0]
     except OSError as exc:
-        raise DatasetError(f"cannot read dataset file {path!r}: {exc}") from None
+        raise DatasetError(f"cannot read dataset file {source!r}: {exc}") from None
 
 
 def _read_input(path: str, kind: str, parse: Callable[[str], object]) -> tuple[object, str]:

@@ -431,9 +431,11 @@ def _fit_single_exponential(curve: DecayCurve) -> tuple[float, float]:
 
     The amplitude enters linearly, so :func:`least_squares` projects it out
     and solves the one-dimensional problem in log r.  sigma_r comes from
-    the (log A, log r) Jacobian at the optimum.  A curve with fewer than
-    two independent directions, or whose best amplitude is not positive,
-    raises ``RuntimeError``.
+    :func:`~nvrelax.fitting.estimate_covariance` of the (log A, log r)
+    Jacobian at the optimum, which raises ``RankDeficiencyError`` (a
+    ``RuntimeError``) for a degenerate curve.  A curve of fewer than two
+    points, or whose best amplitude is not positive, raises
+    ``RuntimeError`` too.
     """
     taus = np.asarray(curve.tau_grid)
     values = np.asarray(curve.values)
@@ -453,18 +455,20 @@ def _fit_single_exponential(curve: DecayCurve) -> tuple[float, float]:
     if not fit.amplitude > 0.0:
         raise RuntimeError("exponential fit is degenerate; widen the tau grid "
                            f"(best amplitude {fit.amplitude!r} is not positive)")
+    if len(taus) < 2:
+        raise RuntimeError("exponential fit is degenerate; widen the tau grid")
     r = fit.rate
     model = fit.amplitude * np.exp(-r * taus) / errors
     jac = np.empty((len(taus), 2))
     jac[:, 0] = model
     jac[:, 1] = -r * taus * model
-    _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    if len(s) < 2 or not s[-1] >= 1e-12 * s[0]:
-        raise RuntimeError("exponential fit is degenerate; widen the tau grid")
+    # imported on first use: building fitting's dataclasses lengthens a cold
+    # `import nvrelax.dynamics`, which a simulation without a fit never needs
+    from .fitting import estimate_covariance
+    cov_log = estimate_covariance(jac, ("log A", "log r"))
     if not fit.converged:
         raise RuntimeError(
             f"exponential fit did not converge in {_MAX_ITERATIONS} iterations")
-    cov_log = (vt.T * (1.0 / s**2)) @ vt
     sigma_r = r * math.sqrt(cov_log[1, 1])
     return r, sigma_r
 

@@ -26,8 +26,6 @@ __all__ = [
     "CoherenceLimit",
     "occupation",
     "orbach_factor",
-    "eval_n_mode",
-    "eval_prior_model",
     "coherence_limits",
     "ratio_curve",
 ]
@@ -244,20 +242,6 @@ class RatePair:
 
     def __iter__(self):
         return iter((self.omega, self.gamma))
-
-
-def eval_n_mode(params: NModeParams, sample: str | None, temperature) -> RatePair:
-    """Evaluate the n-mode model at the given temperature(s).
-
-    ``sample`` selects which constants to add; ``None`` means evaluate the
-    pure phonon-limited curve (constants zero).
-    """
-    return params.rates(sample, temperature)
-
-
-def eval_prior_model(params: PriorModelParams, sample: str | None, temperature) -> RatePair:
-    """Evaluate the prior (Orbach + T^5) model at the given temperature(s)."""
-    return params.rates(sample, temperature)
 
 
 @dataclass(frozen=True)

@@ -179,9 +179,13 @@ def anchor_coupling_table() -> CouplingTable:
     )
 
 
-def default_grid() -> np.ndarray:
-    """Energy grid 0-250 meV, 0.05 meV spacing (band edge plus margin)."""
-    return np.linspace(0.0, MAX_MODE_ENERGY_MEV, 5001)
+def default_grid(sigma: float) -> np.ndarray:
+    """Energy grid 0-250 meV (band edge plus margin) that resolves peaks of
+    width ``sigma``: 0.05 meV spacing, or sigma/10 for sigma below 0.5 meV,
+    so that the quadrature error check is met."""
+    _require({"broadening width sigma": sigma}, "positive")
+    spacing = min(0.05, sigma / 10.0)
+    return np.linspace(0.0, MAX_MODE_ENERGY_MEV, int(round(MAX_MODE_ENERGY_MEV / spacing)) + 1)
 
 
 def _gaussian(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -270,7 +274,7 @@ def build_spectral_function(
     entries = table.for_channel(channel, order)
     if not entries:
         raise ValueError(f"no coupling entries for channel {channel.value!r}, order {order}")
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = default_grid(sigma) if grid is None else np.asarray(grid, dtype=float)
     max_energy = max(e.mode_energy for e in entries)
     if grid[0] > 0.0 or grid[-1] < max_energy + 5.0 * sigma:
         raise ValueError(
@@ -309,7 +313,7 @@ def synthetic_peak_function(
     _require({"broadening width sigma": sigma}, "positive")
     if not peaks:
         raise ValueError("at least one peak is required")
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = default_grid(sigma) if grid is None else np.asarray(grid, dtype=float)
     f_diag = np.zeros_like(grid)
     for center, area in peaks:
         _require({"peak center": center}, "positive")

@@ -25,8 +25,6 @@ from nvrelax.dynamics import (
 from nvrelax.fitting import FitProblem, ModelSpec, fit
 from nvrelax.models import (
     coherence_limits,
-    eval_n_mode,
-    eval_prior_model,
     occupation,
     orbach_factor,
     orbach_factor_ddelta,
@@ -86,8 +84,8 @@ def test_criterion_02_model_selection_ladder(one_mode_fit, two_mode_fit,
 def test_criterion_03_high_temperature_divergence(two_mode_fit, prior_fit):
     proposed = two_mode_fit.to_model_params()
     prior = prior_fit.to_model_params()
-    omega_p, gamma_p = eval_n_mode(proposed, "A", 700.0)
-    omega_q, gamma_q = eval_prior_model(prior, "A", 700.0)
+    omega_p, gamma_p = proposed.rates("A", 700.0)
+    omega_q, gamma_q = prior.rates("A", 700.0)
     omega_excess = 100.0 * (omega_q / omega_p - 1.0)
     gamma_excess = 100.0 * (gamma_q / gamma_p - 1.0)
     assert 30.0 <= omega_excess <= 70.0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nvrelax.cli import main
-from nvrelax.core import BUILTIN_TAG, load_dataset, parse_dataset_text
+from nvrelax.core import parse_dataset_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -296,6 +296,11 @@ class TestEvalCommand:
                    "--sample", "B", "--temps", "300,400") == 0
         assert len(data_rows(capsys.readouterr().out)) == 2
 
+    def test_reversed_temperature_range_is_input_error(self, published_params_file, capsys):
+        assert run("eval", "--params", published_params_file,
+                   "--t-min", "300", "--t-max", "200") == 1
+        assert "t-max must exceed t-min" in capsys.readouterr().err
+
     def test_unknown_sample_is_input_error(self, published_params_file, capsys):
         assert run("eval", "--params", published_params_file,
                    "--sample", "Z", "--temps", "295") == 1
@@ -416,6 +421,17 @@ class TestSimulateCommand:
         assert dataset.rows[0].temperature == 310.0
         assert dataset.rows[0].nv_id == "SIM"
 
+    def test_negative_gamma_estimate_emits_no_dataset_row(self, tmp_path):
+        # gamma = 1 1/s sits far below its shot-noise error at 1000 shots
+        prefix = tmp_path / "neg"
+        assert run("simulate", "--omega", "60", "--gamma", "1", "--shots", "1000",
+                   "--seed", "6", "-o", str(prefix)) == 0
+        text = (tmp_path / "neg.dataset.csv").read_text()
+        assert "# note: negative rate estimate, no dataset row emitted\n" in text
+        assert all(line.startswith("#") for line in text.splitlines())
+        report = json.loads((tmp_path / "neg.report.json").read_text())
+        assert report["estimate"]["gamma_negative"] is True
+
     def test_invalid_pairing_is_input_error(self, tmp_path, capsys):
         assert run("simulate", "--omega", "60", "--gamma", "128",
                    "--shots", "100", "--gamma-init", "0",
@@ -520,17 +536,6 @@ class TestReproducibility:
         assert run("spectral", "--sigma", "7.5", "--refit", "--n-temps", "8",
                    "-o", str(prefix)) == 0
         assert " --refit=true " in json.loads(Path(f"{prefix}.refit.json").read_text())["config"]
-
-    def test_builtin_override_env(self, tmp_path, monkeypatch):
-        copy = tmp_path / "copy.csv"
-        copy.write_text(load_dataset(BUILTIN_TAG).to_csv_text())
-        monkeypatch.setenv("NVRELAX_BUILTIN_DATA", str(copy))
-        out = tmp_path / "ov.json"
-        assert run("fit", "--model", "prior", "--multistart", "2",
-                   "-o", str(out)) == 0
-        report = json.loads(out.read_text())
-        assert "override" in report["dataset"]["provenance"]
-        assert str(copy) in report["dataset"]["provenance"]
 
 
 class TestReadme:

@@ -37,7 +37,6 @@ from nvrelax.models import (
     NModeParams,
     PriorModelParams,
     SampleConstants,
-    eval_n_mode,
     orbach_factor,
     orbach_factor_ddelta,
 )
@@ -543,7 +542,7 @@ class TestBuiltinTwoModeFit:
         assert isinstance(params, NModeParams)
         assert params.modes[0].delta < params.modes[1].delta
         assert set(params.sample_constants) == {"A", "B"}
-        omega, gamma = eval_n_mode(params, "A", 295.0)
+        omega, gamma = params.rates("A", 295.0)
         assert abs(omega - 60.0) < 6.0
         assert abs(gamma - 128.0) < 14.0
 

@@ -14,8 +14,6 @@ from nvrelax.models import (
     PriorModelParams,
     SampleConstants,
     coherence_limits,
-    eval_n_mode,
-    eval_prior_model,
     occupation,
     orbach_factor,
     orbach_factor_ddelta,
@@ -176,7 +174,7 @@ class TestParameterValidation:
 
 class TestEvalNMode:
     def test_published_parameters_at_room_temperature(self, published_params):
-        rates = eval_n_mode(published_params, "A", 295.0)
+        rates = published_params.rates("A", 295.0)
         # frozen model values; consistent with the measured 60(3) and 128(7)
         assert rates.omega == pytest.approx(58.3622331, rel=1e-6)
         assert rates.gamma == pytest.approx(125.7614900, rel=1e-6)
@@ -184,23 +182,23 @@ class TestEvalNMode:
         assert abs(rates.gamma - 128.0) < 7.0
 
     def test_constants_dominate_when_frozen_out(self, published_params):
-        rates = eval_n_mode(published_params, "A", 9.0)
+        rates = published_params.rates("A", 9.0)
         # Orbach terms are below 1e-35 s^-1 at 9 K; only the floor remains
         assert rates.omega == pytest.approx(0.013, abs=1e-20)
         assert rates.gamma == pytest.approx(0.06, abs=1e-20)
 
     def test_all_zero_coefficients_give_zero_rates(self):
         params = NModeParams(modes=(Mode(68.2, 0.0, 0.0),))
-        rates = eval_n_mode(params, None, 295.0)
+        rates = params.rates(None, 295.0)
         assert rates.omega == 0.0 and rates.gamma == 0.0
 
     def test_unknown_sample_raises(self, published_params):
         with pytest.raises(KeyError, match="unknown sample"):
-            eval_n_mode(published_params, "C", 295.0)
+            published_params.rates("C", 295.0)
 
     def test_none_sample_means_no_constants(self, published_params):
-        bare = eval_n_mode(published_params, None, 295.0)
-        with_const = eval_n_mode(published_params, "A", 295.0)
+        bare = published_params.rates(None, 295.0)
+        with_const = published_params.rates("A", 295.0)
         assert with_const.omega - bare.omega == pytest.approx(0.013, rel=1e-9)
         reversed_constants = dict(reversed(published_params.sample_constants.items()))
         assert NModeParams(published_params.modes, reversed_constants).samples == ("A", "B")
@@ -216,7 +214,7 @@ class TestEvalNMode:
         coeffs_b = data.draw(st.lists(coefficients, min_size=n, max_size=n))
         params = build_params(deltas, coeffs_a, coeffs_b)
         t = np.linspace(50.0, 1000.0, 40)
-        rates = eval_n_mode(params, None, t)
+        rates = params.rates(None, t)
         assert np.all(np.diff(rates.omega) > 0)
         assert np.all(np.diff(rates.gamma) > 0)
 
@@ -224,14 +222,14 @@ class TestEvalNMode:
 class TestEvalPriorModel:
     def test_pure_t5_term(self):
         params = PriorModelParams(delta=70.0, a1=0.0, b1=0.0, a2=2.5e-12, b2=0.0)
-        rates = eval_prior_model(params, None, 300.0)
+        rates = params.rates(None, 300.0)
         assert rates.omega == pytest.approx(2.5e-12 * 300.0**5, rel=1e-12)
         assert rates.gamma == 0.0
 
     def test_t5_doubling_scales_32x(self):
         params = PriorModelParams(delta=70.0, a1=0.0, b1=0.0, a2=1e-12, b2=3e-12)
-        low = eval_prior_model(params, None, 200.0)
-        high = eval_prior_model(params, None, 400.0)
+        low = params.rates(None, 200.0)
+        high = params.rates(None, 400.0)
         assert high.omega == pytest.approx(32.0 * low.omega, rel=1e-12)
         assert high.gamma == pytest.approx(32.0 * low.gamma, rel=1e-12)
 
@@ -239,11 +237,9 @@ class TestEvalPriorModel:
         prior = PriorModelParams(delta=68.2, a1=580.0, b1=1510.0, a2=0.0, b2=0.0)
         single = NModeParams(modes=(Mode(68.2, 580.0, 1510.0),))
         t = 295.0
-        assert eval_prior_model(prior, None, t).omega == pytest.approx(
-            eval_n_mode(single, None, t).omega, rel=1e-12
+        assert prior.rates(None, t).omega == pytest.approx(
+            single.rates(None, t).omega, rel=1e-12
         )
-        assert prior.rates(None, t) == eval_prior_model(prior, None, t)
-        assert single.rates(None, t) == eval_n_mode(single, None, t)
 
 
 class TestCoherenceLimits:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from nvrelax.core import BOLTZMANN_MEV_PER_K, HBAR_MEV_S, PLANCK_MEV_PER_MHZ, TransitionChannel
-from nvrelax.models import Mode, NModeParams, eval_n_mode, orbach_factor
+from nvrelax.models import Mode, NModeParams, orbach_factor
 from nvrelax.spectral import (
     COUPLING_CSV_HEADER,
     MAX_MODE_ENERGY_MEV,
@@ -39,6 +39,8 @@ DQ = TransitionChannel.DOUBLE_QUANTUM
 
 # fine grid resolving the 0.01 meV oracle Gaussians
 FINE_GRID = np.linspace(0.0, 100.0, 200001)
+# 0.05 meV spacing: the default grid for sigma >= 0.5 meV
+COARSE_GRID = np.linspace(0.0, MAX_MODE_ENERGY_MEV, 5001)
 
 
 class TestCouplingEntries:
@@ -152,6 +154,16 @@ class TestBuildSpectralFunction:
         with pytest.raises(ValueError, match="broadening width"):
             build_spectral_function(anchor_coupling_table(), DQ, 2, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma, n_points", [(7.5, 5001), (0.5, 5001), (0.3, 8334),
+                                                 (0.01, 250001)])
+    def test_default_grid_resolves_sigma(self, sigma, n_points):
+        grid = default_grid(sigma)
+        assert len(grid) == n_points
+        assert np.array_equal(grid, _cli_grid(sigma))
+        f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma)
+        peak = synthetic_peak_function([(68.2, 1e-12)], sigma, SQ)
+        assert np.array_equal(f.grid, grid) and np.array_equal(peak.grid, grid)
+
     def test_power_built_alongside(self):
         table = CouplingTable(entries=(CouplingEntry(62.4, 2.0, DQ, 2),))
         f = build_spectral_function(table, DQ, 2, sigma=7.5)
@@ -192,6 +204,23 @@ class TestSpectralFunctionInvariants:
             SpectralFunction(grid=np.linspace(0, 10, 11), amplitude=amp,
                              channel=SQ, order=2, sigma=1.0)
 
+    @pytest.mark.parametrize("n, order, power_size, message", [
+        (4, 2, None, "at least 5 samples"),
+        (11, 3, None, "interaction order must be 1 or 2, got 3"),
+        (11, 2, 5, "power must match the grid shape"),
+    ], ids=["short-grid", "order", "power-shape"])
+    def test_malformed_function_rejected(self, n, order, power_size, message):
+        power = None if power_size is None else np.zeros(power_size)
+        with pytest.raises(ValueError, match=message):
+            SpectralFunction(grid=np.linspace(0, 10, n), amplitude=np.zeros(n),
+                             channel=SQ, order=order, sigma=1.0, power=power)
+
+    def test_no_peaks_or_intermediate_states_rejected(self):
+        with pytest.raises(ValueError, match="at least one peak"):
+            synthetic_peak_function([], sigma=7.5, channel=SQ)
+        with pytest.raises(ValueError, match="at least one intermediate state"):
+            first_order_raman_rate({}, 295.0)
+
 
 class TestSecondOrderRate:
     @pytest.mark.parametrize("temperature", [100.0, 295.0, 500.0])
@@ -222,8 +251,9 @@ class TestSecondOrderRate:
             second_order_rate(f, 0.0)
 
     def test_coarse_grid_raises_with_suggestion(self):
-        # a 0.01 meV peak is unresolvable on the default 0.05 meV grid
-        f = synthetic_peak_function([(68.2, 1e-12)], sigma=0.01, channel=SQ)
+        # a 0.01 meV peak is unresolvable on a 0.05 meV grid
+        f = synthetic_peak_function([(68.2, 1e-12)], sigma=0.01, channel=SQ,
+                                    grid=COARSE_GRID)
         with pytest.raises(QuadratureError, match="refine the energy grid") as exc:
             second_order_rate(f, 295.0)
         assert exc.value.suggested_spacing == pytest.approx(0.025)
@@ -238,7 +268,7 @@ class TestSecondOrderRate:
 
     def test_halving_grid_is_stable(self):
         table = anchor_coupling_table()
-        coarse_grid = default_grid()
+        coarse_grid = COARSE_GRID
         fine_grid = np.linspace(0.0, 250.0, 10001)
         coarse = second_order_rate(build_spectral_function(table, DQ, 2, 7.5,
                                                            coarse_grid), 295.0)
@@ -442,7 +472,8 @@ class TestQuadratureEquivalence:
                 assert 0.0 <= error <= 1e-6
 
     def test_coarse_grid_still_raises_from_rate_curve(self):
-        f = synthetic_peak_function([(68.2, 1e-12)], sigma=0.01, channel=SQ)
+        f = synthetic_peak_function([(68.2, 1e-12)], sigma=0.01, channel=SQ,
+                                    grid=COARSE_GRID)
         with pytest.raises(QuadratureError, match="refine the energy grid") as exc:
             rate_curve(f, f, [295.0])
         assert exc.value.suggested_spacing == pytest.approx(0.025)
@@ -478,7 +509,7 @@ class TestRefitTheoryCurve:
         temps = np.geomspace(100.0, 5000.0, 40)
         omegas, gammas = [], []
         for t in temps:
-            rates = eval_n_mode(params, None, float(t))
+            rates = params.rates(None, float(t))
             omegas.append(rates.omega)
             gammas.append(rates.gamma)
         curve = RamanRateCurve(temperatures=tuple(float(t) for t in temps),
