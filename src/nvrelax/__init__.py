@@ -4,8 +4,9 @@ Library layout:
 
 * :mod:`nvrelax.core` -- physical constants, unit conversion, the measured-rate
   dataset schema, and the bundled published dataset.
-* :mod:`nvrelax.models` -- closed-form rate laws, occupation numbers, and
-  relaxation-limited coherence bounds.
+* :mod:`nvrelax.models` -- closed-form rate laws (a :class:`ModelSpec` and its
+  values as one :class:`RateLaw`, under the names fit reports use),
+  occupation numbers, and relaxation-limited coherence bounds.
 * :mod:`nvrelax.fitting` -- weighted nonlinear least squares from profiled
   starts, covariance estimates, diagnostics, and model comparison.
 * :mod:`nvrelax.spectral` -- Gaussian-broadened spin-phonon spectral functions
@@ -28,10 +29,8 @@ from .core import (
 )
 from .models import (
     CoherenceLimit,
-    Mode,
-    NModeParams,
-    PriorModelParams,
-    SampleConstants,
+    ModelSpec,
+    RateLaw,
     coherence_limits,
     occupation,
     orbach_factor,
@@ -42,11 +41,9 @@ __all__ = [
     "BUILTIN_TAG",
     "CoherenceLimit",
     "Dataset",
-    "Mode",
-    "NModeParams",
-    "PriorModelParams",
+    "ModelSpec",
+    "RateLaw",
     "RateMeasurement",
-    "SampleConstants",
     "TransitionChannel",
     "coherence_limits",
     "convert_energy",

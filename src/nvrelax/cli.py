@@ -33,7 +33,8 @@ from .core import (
     DatasetError,
     TransitionChannel,
 )
-from .core import _csv_text, _read_input, _sha256, load_dataset as _load_dataset
+from .core import _T_INGEST_MAX_K, _T_INGEST_MIN_K, _csv_text, _read_input, _sha256
+from .core import load_dataset as _load_dataset
 from .dynamics import (
     ProtocolSpec,
     RateMatrix,
@@ -41,14 +42,8 @@ from .dynamics import (
     simulate_experiment,
     to_rate_measurement,
 )
-from .fitting import (
-    FitProblem,
-    ModelSpec,
-    compare_models,
-    fit,
-    params_from_dict,
-)
-from .models import coherence_limits
+from .fitting import FitProblem, compare_models, fit
+from .models import ModelSpec, RateLaw, coherence_limits
 from .spectral import (
     anchor_coupling_table,
     build_spectral_function,
@@ -169,7 +164,7 @@ def _temperature_grid(args, geometric: bool) -> np.ndarray:
 
 def _cmd_eval(args) -> int:
     (label, values), text = _read_input(args.params, "params", _parse_params)
-    params = params_from_dict(label, values)
+    params = RateLaw(ModelSpec.parse(label), values)
     temps = _temperature_grid(args, geometric=False)
     rows = []
     for t in temps:
@@ -359,6 +354,18 @@ def _positive(cast):
 _positive_float, _positive_int = _positive(float), _positive(int)
 
 
+def _row_temperature(text: str) -> float:
+    """argparse type: a temperature (K) that a dataset row may carry."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not _T_INGEST_MIN_K <= value <= _T_INGEST_MAX_K:     # also false for NaN
+        raise argparse.ArgumentTypeError(
+            f"must lie in [{_T_INGEST_MIN_K:g}, {_T_INGEST_MAX_K:g}] K, got {text!r}")
+    return value
+
+
 def _temperature_list(text: str) -> str:
     """argparse type: comma-separated _positive_float values, kept as text
     so the config echo renders them as given."""
@@ -454,7 +461,7 @@ def _build_parser() -> _Parser:
                        help="grid reaches this many expected decay times")
     p_sim.add_argument("--fidelity", type=float, default=1.0,
                        help="readout fidelity in (0, 1]; scales effective shots")
-    p_sim.add_argument("--temperature", type=float, default=295.0,
+    p_sim.add_argument("--temperature", type=_row_temperature, default=295.0,
                        help="temperature label for the emitted dataset row (K)")
     p_sim.add_argument("--omega-partner", default="-1",
                        help="state read against P0 on the 3-Omega branch")
@@ -486,9 +493,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (DatasetError, ValueError, KeyError, OSError) as exc:
+    except (DatasetError, ValueError, KeyError, OSError, MemoryError) as exc:
         # args[0] drops a KeyError's quotes, but of an OSError it is the errno
-        message = str(exc) if isinstance(exc, OSError) or not exc.args else exc.args[0]
+        # and of numpy's MemoryError the array shape
+        message = (str(exc) if isinstance(exc, (OSError, MemoryError)) or not exc.args
+                   else exc.args[0])
         print(f"error: {message}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

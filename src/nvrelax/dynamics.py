@@ -48,6 +48,9 @@ __all__ = [
 
 _STATE_INDEX = {"0": 0, "-1": 1, "+1": 2}
 
+# the largest shot count the binomial draw takes (a C long)
+_MAX_SHOTS = 2**63 - 1
+
 # population deviations from uniform decompose onto these two directions,
 # one per nonzero eigenvalue of the generator
 _V1 = np.array([2.0, -1.0, -1.0])   # decays at 3 Omega
@@ -186,6 +189,8 @@ class ProtocolSpec:
     def __post_init__(self) -> None:
         if self.shots is not None and self.shots < 1:
             raise ValueError("shot count must be >= 1")
+        if self.shots is not None and self.shots > _MAX_SHOTS:
+            raise ValueError(f"shot count must be <= 2**63 - 1, got {self.shots}")
         _require({"readout_fidelity": self.readout_fidelity})
         _require({"tau_max_scale": self.tau_max_scale}, "positive")
         if not 0.0 < self.readout_fidelity <= 1.0:
@@ -207,7 +212,8 @@ class ProtocolSpec:
     def effective_shots(self) -> int | None:
         if self.shots is None:
             return None
-        return max(1, round(self.shots * self.readout_fidelity**2))
+        # at most shots: rounding through a float could step past _MAX_SHOTS
+        return max(1, min(self.shots, round(self.shots * self.readout_fidelity**2)))
 
 
 @dataclass(frozen=True)

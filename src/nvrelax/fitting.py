@@ -27,15 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import BOLTZMANN_MEV_PER_K, Dataset, _require
-from .models import (
-    Mode,
-    NModeParams,
-    PriorModelParams,
-    SampleConstants,
-    _bose_einstein,
-    _sum_terms,
-    _term_column,
-)
+from .models import ModelSpec, RateLaw, _Term, _bose_einstein, _sum_terms, _term_column
 
 __all__ = [
     "PHONON_LIMITED_T_MIN_K",
@@ -51,7 +43,6 @@ __all__ = [
     "compare_models",
     "residual_diagnostics",
     "estimate_covariance",
-    "params_from_dict",
 ]
 
 # temperatures at or above this are lattice-dominated; the restricted fit
@@ -74,59 +65,6 @@ _PROFILE_POINTS = {1: 30, 2: 30, 3: 15}
 
 class RankDeficiencyError(RuntimeError):
     """Normal equations singular: some parameter combination is unconstrained."""
-
-
-class _Term(NamedTuple):
-    """Coefficients ``a`` (Omega) and ``b`` (gamma) times the Orbach factor at
-    mode energy ``delta``, or times T^5 if ``delta`` is None: parameter names
-    in a ModelSpec, parameter columns once assembled."""
-
-    delta: str | int | None
-    a: str | int
-    b: str | int
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Which rate law to fit: 'n_mode' with 1-3 modes, or 'prior'."""
-
-    kind: str
-    n_modes: int = 2
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("n_mode", "prior"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "n_mode" and not 1 <= self.n_modes <= 3:
-            raise ValueError(f"1 to 3 modes supported, got {self.n_modes}")
-
-    @classmethod
-    def parse(cls, token: str) -> "ModelSpec":
-        token = token.strip().lower()
-        if token == "prior":
-            return cls(kind="prior")
-        kind, _, count = token.partition(":")
-        if kind in ("n-mode", "n_mode") and count.strip().isdecimal():
-            return cls(kind="n_mode", n_modes=int(count))
-        raise ValueError(f"unknown model {token!r}; expected 'n-mode:<1|2|3>' or 'prior'")
-
-    @property
-    def label(self) -> str:
-        return "prior" if self.kind == "prior" else f"n-mode:{self.n_modes}"
-
-    @property
-    def terms(self) -> tuple[_Term, ...]:
-        """The rate law as basis terms in summation order."""
-        if self.kind == "prior":
-            return (_Term("delta", "a1", "b1"), _Term(None, "a2", "b2"))
-        return tuple(_Term(f"delta_{k}", f"a_{k}", f"b_{k}")
-                     for k in range(1, self.n_modes + 1))
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        """Rate-law parameter names in report order."""
-        if self.kind == "prior":
-            return ("delta", "a1", "b1", "a2", "b2")
-        return tuple(getattr(t, f) for f in ("delta", "a", "b") for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -382,31 +320,6 @@ def _canonical_order(asm: _Assembled, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def params_from_dict(model, values):
-    """Build model parameters from a {name: value} mapping.
-
-    ``model`` is a ModelSpec or its label (e.g. "n-mode:2", "prior").
-    Sample constants are picked up from every a3_<sample>/b3_<sample> pair
-    present in ``values``; a missing parameter raises KeyError naming it,
-    a NaN or infinite one ValueError.
-    """
-    spec = ModelSpec.parse(model) if isinstance(model, str) else model
-    _require(values)
-    samples = sorted(name.split("_", 1)[1] for name in values
-                     if name.startswith("a3_"))
-    for name in (*spec.param_names, *("b3_" + s for s in samples)):
-        if name not in values:
-            raise KeyError(f"missing parameter {name!r}")
-    constants = {
-        s: SampleConstants(a3=values["a3_" + s], b3=values["b3_" + s])
-        for s in samples
-    }
-    if spec.kind == "n_mode":
-        modes = tuple(Mode(values[t.delta], values[t.a], values[t.b]) for t in spec.terms)
-        return NModeParams(modes=modes, sample_constants=constants)
-    return PriorModelParams(*(values[n] for n in spec.param_names), sample_constants=constants)
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Best-fit parameters with uncertainties and fit-quality diagnostics."""
@@ -436,9 +349,9 @@ class FitResult:
         """Model label, suffixed with the temperature cut when there is one."""
         return self.model.label + ("" if self.t_min is None else f" (T>={self.t_min:g}K)")
 
-    def to_model_params(self):
-        """Materialize the fitted parameters as a model-parameter object."""
-        return params_from_dict(self.model, self.params)
+    def to_model_params(self) -> RateLaw:
+        """The fitted rate law, floors included."""
+        return RateLaw(self.model, self.params)
 
     def to_report_dict(self) -> dict:
         """Stable-order structured report of the full fit."""

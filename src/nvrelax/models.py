@@ -4,24 +4,24 @@ Two model families are implemented: a sum of Orbach-like terms driven by
 the occupation of a small number of effective phonon modes (one, two, or
 three modes; two is the proposed form), and the prior literature form with
 a single Orbach-like term plus a T^5 Raman tail.  Both are ordered sums of
-Orbach and T^5 terms plus an optional temperature-independent per-sample
-floor, added last by the one rate body the fitter's model shares.
+Orbach and T^5 terms (:attr:`ModelSpec.terms`) plus an optional
+temperature-independent per-sample floor, added last by the one rate body
+the fitter's model shares.  :class:`RateLaw` holds a law's values under the
+names fit reports use.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import BOLTZMANN_MEV_PER_K, _require
 
 __all__ = [
-    "Mode",
-    "SampleConstants",
-    "NModeParams",
-    "PriorModelParams",
+    "ModelSpec",
+    "RateLaw",
     "RatePair",
     "CoherenceLimit",
     "occupation",
@@ -111,29 +111,57 @@ def _sum_terms(triples):
     return omega, gamma
 
 
-@dataclass(frozen=True)
-class Mode:
-    """One effective phonon mode: energy plus its two channel coefficients."""
+class _Term(NamedTuple):
+    """Coefficients ``a`` (Omega) and ``b`` (gamma) times the Orbach factor at
+    mode energy ``delta``, or times T^5 if ``delta`` is None: parameter names
+    in a ModelSpec, parameter columns once the fitter has assembled them."""
 
-    delta: float      # meV
-    a_coeff: float    # s^-1, single-quantum (Omega) channel
-    b_coeff: float    # s^-1, double-quantum (gamma) channel
-
-    def __post_init__(self) -> None:
-        _require({"delta": self.delta}, "positive")
-        _require({"a_coeff": self.a_coeff, "b_coeff": self.b_coeff}, "nonnegative")
+    delta: str | int | None
+    a: str | int
+    b: str | int
 
 
 @dataclass(frozen=True)
-class SampleConstants:
-    """Temperature-independent rate floor of one sample (defect-defect term)."""
+class ModelSpec:
+    """Which rate law: 'n_mode' with 1-3 modes, or 'prior'."""
 
-    a3: float = 0.0   # s^-1, Omega channel
-    b3: float = 0.0   # s^-1, gamma channel
+    kind: str
+    n_modes: int = 2
 
     def __post_init__(self) -> None:
-        # a pure rate floor cannot be negative
-        _require({"a3": self.a3, "b3": self.b3}, "nonnegative")
+        if self.kind not in ("n_mode", "prior"):
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.kind == "n_mode" and not 1 <= self.n_modes <= 3:
+            raise ValueError(f"1 to 3 modes supported, got {self.n_modes}")
+
+    @classmethod
+    def parse(cls, token: str) -> "ModelSpec":
+        token = token.strip().lower()
+        if token == "prior":
+            return cls(kind="prior")
+        kind, _, count = token.partition(":")
+        if kind in ("n-mode", "n_mode") and count.strip().isdecimal():
+            return cls(kind="n_mode", n_modes=int(count))
+        raise ValueError(f"unknown model {token!r}; expected 'n-mode:<1|2|3>' or 'prior'")
+
+    @property
+    def label(self) -> str:
+        return "prior" if self.kind == "prior" else f"n-mode:{self.n_modes}"
+
+    @property
+    def terms(self) -> tuple[_Term, ...]:
+        """The rate law as basis terms in summation order."""
+        if self.kind == "prior":
+            return (_Term("delta", "a1", "b1"), _Term(None, "a2", "b2"))
+        return tuple(_Term(f"delta_{k}", f"a_{k}", f"b_{k}")
+                     for k in range(1, self.n_modes + 1))
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        """Rate-law parameter names in report order."""
+        if self.kind == "prior":
+            return ("delta", "a1", "b1", "a2", "b2")
+        return tuple(getattr(t, f) for f in ("delta", "a", "b") for t in self.terms)
 
 
 # minimum spacing between mode energies; closer pairs are effectively one
@@ -141,58 +169,39 @@ class SampleConstants:
 _MIN_MODE_SEPARATION_MEV = 1.0
 
 
-class _SampleFloors:
-    """Per-sample floors and the rate body of both laws: ``terms`` lists
-    (delta, a, b) per basis term, delta None for T^5; the floor comes last."""
-
-    def rates(self, sample: str | None, temperature) -> RatePair:
-        """Rates at the given temperature(s); ``sample=None`` omits the floors."""
-        const = self._constants(sample)
-        t = np.asarray(temperature, dtype=float)
-        omega, gamma = _sum_terms((_term_column(delta, t), a, b) for delta, a, b in self.terms)
-        omega, gamma = omega + const.a3, gamma + const.b3
-        if t.ndim == 0:
-            return RatePair(float(omega), float(gamma))
-        return RatePair(omega, gamma)
-
-    @property
-    def samples(self) -> tuple[str | None, ...]:
-        """Sorted sample labels, or ``(None,)`` (lattice only) if there are none."""
-        return tuple(sorted(self.sample_constants)) or (None,)
-
-    def _constants(self, sample: str | None) -> SampleConstants:
-        # sample=None is the documented no-constant sentinel (A3 = B3 = 0),
-        # used for phonon-limited curves and synthetic theory fits
-        if sample is None:
-            return SampleConstants(0.0, 0.0)
-        try:
-            return self.sample_constants[sample]
-        except KeyError:
-            known = ", ".join(sorted(self.sample_constants)) or "(none)"
-            raise KeyError(f"unknown sample {sample!r}; known samples: {known}") from None
-
-
 @dataclass(frozen=True)
-class NModeParams(_SampleFloors):
-    """Parameters of the n-effective-mode rate model (1 <= n <= 3 modes).
+class RateLaw:
+    """A rate law and its parameter values, under the names fit reports use.
 
-    omega(T) = sum_i a_i * n_i(n_i+1) + a3(sample)
-    gamma(T) = sum_i b_i * n_i(n_i+1) + b3(sample)
+    omega(T) = sum over spec.terms of a * column(T) + a3_<sample>
+    gamma(T) = sum over spec.terms of b * column(T) + b3_<sample>
 
-    with n_i the occupation at mode energy delta_i.  Modes are kept sorted
-    ascending in energy.
+    with column the Orbach factor n(n+1) at the term's mode energy (meV),
+    or T^5 for the prior law's Raman tail.  Coefficients are in s^-1 (the
+    T^5 ones in s^-1 K^-5).  Every a3_<sample>/b3_<sample> pair in
+    ``values`` is one sample's temperature-independent floor (s^-1);
+    other extra keys are ignored.  Mode energies ascend.
     """
 
-    modes: tuple[Mode, ...]
-    sample_constants: Mapping[str, SampleConstants] = field(default_factory=dict)
+    spec: ModelSpec
+    values: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        if not 1 <= len(self.modes) <= 3:
-            raise ValueError(f"1 to 3 modes supported, got {len(self.modes)}")
-        deltas = [m.delta for m in self.modes]
-        if deltas != sorted(deltas):
+        values, floors = self.values, self._floors
+        _require(values)
+        for name in (*self.spec.param_names, *("b3_" + s for s in floors)):
+            if name not in values:
+                raise KeyError(f"missing parameter {name!r}")
+        terms = self.spec.terms
+        energies = [values[t.delta] for t in terms if t.delta is not None]
+        _require({t.delta: values[t.delta] for t in terms if t.delta is not None}, "positive")
+        # coefficients and pure rate floors cannot be negative
+        _require({name: values[name] for name in
+                  (*(n for t in terms for n in (t.a, t.b)),
+                   *(f"{c}3_{s}" for s in floors for c in "ab"))}, "nonnegative")
+        if energies != sorted(energies):
             raise ValueError("modes must be sorted ascending by energy")
-        for lo, hi in zip(deltas, deltas[1:]):
+        for lo, hi in zip(energies, energies[1:]):
             if hi - lo <= _MIN_MODE_SEPARATION_MEV:
                 raise ValueError(
                     f"mode energies {lo} and {hi} meV closer than "
@@ -200,37 +209,33 @@ class NModeParams(_SampleFloors):
                 )
 
     @property
-    def n_modes(self) -> int:
-        return len(self.modes)
+    def _floors(self) -> list[str]:
+        return sorted(name[3:] for name in self.values if name.startswith("a3_"))
 
     @property
-    def terms(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple((m.delta, m.a_coeff, m.b_coeff) for m in self.modes)
+    def samples(self) -> tuple[str | None, ...]:
+        """Sorted sample labels, or ``(None,)`` (lattice only) if there are none."""
+        return tuple(self._floors) or (None,)
 
-
-@dataclass(frozen=True)
-class PriorModelParams(_SampleFloors):
-    """Prior literature form: one Orbach-like term plus a T^5 Raman tail.
-
-    omega(T) = a1 * n(n+1) + a2 * T^5 + a3(sample), and likewise for gamma
-    with b1, b2, b3.
-    """
-
-    delta: float            # meV
-    a1: float               # s^-1
-    b1: float               # s^-1
-    a2: float               # s^-1 K^-5
-    b2: float               # s^-1 K^-5
-    sample_constants: Mapping[str, SampleConstants] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _require({"delta": self.delta}, "positive")
-        _require({name: getattr(self, name) for name in ("a1", "b1", "a2", "b2")},
-                 "nonnegative")
-
-    @property
-    def terms(self) -> tuple[tuple[float | None, float, float], ...]:
-        return ((self.delta, self.a1, self.b1), (None, self.a2, self.b2))
+    def rates(self, sample: str | None, temperature) -> RatePair:
+        """Rates at the given temperature(s); ``sample=None`` omits the floors."""
+        v = self.values
+        # sample=None is the documented no-floor sentinel, used for
+        # phonon-limited curves and synthetic theory fits
+        a3 = b3 = 0.0
+        if sample is not None:
+            if f"a3_{sample}" not in v:
+                known = ", ".join(self._floors) or "(none)"
+                raise KeyError(f"unknown sample {sample!r}; known samples: {known}")
+            a3, b3 = v[f"a3_{sample}"], v[f"b3_{sample}"]
+        t = np.asarray(temperature, dtype=float)
+        omega, gamma = _sum_terms(
+            (_term_column(None if term.delta is None else v[term.delta], t), v[term.a], v[term.b])
+            for term in self.spec.terms)
+        omega, gamma = omega + a3, gamma + b3
+        if t.ndim == 0:
+            return RatePair(float(omega), float(gamma))
+        return RatePair(omega, gamma)
 
 
 @dataclass(frozen=True)
@@ -275,7 +280,7 @@ def coherence_limits(omega: float, gamma: float) -> CoherenceLimit:
 
 
 def ratio_curve(
-    params: NModeParams, sample: str | None, t_grid: Sequence[float]
+    params: RateLaw, sample: str | None, t_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
     """gamma/omega evaluated pointwise over a caller-supplied grid.
 

@@ -5,7 +5,7 @@ import pytest
 
 from nvrelax.core import BUILTIN_TAG, load_dataset
 from nvrelax.fitting import FitProblem, ModelSpec, fit
-from nvrelax.models import Mode, NModeParams, SampleConstants
+from nvrelax.models import RateLaw
 from nvrelax.spectral import rate_curve, refit_theory_curve, two_peak_reference_functions
 
 
@@ -55,13 +55,9 @@ def bias_study():
 @pytest.fixture(scope="session")
 def published_params():
     """Central values of the published two-mode joint fit (both samples)."""
-    return NModeParams(
-        modes=(
-            Mode(delta=68.2, a_coeff=580.0, b_coeff=1510.0),
-            Mode(delta=167.0, a_coeff=9000.0, b_coeff=4800.0),
-        ),
-        sample_constants={
-            "A": SampleConstants(a3=0.013, b3=0.06),
-            "B": SampleConstants(a3=0.010, b3=0.30),
-        },
-    )
+    return RateLaw(ModelSpec("n_mode", 2), {
+        "delta_1": 68.2, "a_1": 580.0, "b_1": 1510.0,
+        "delta_2": 167.0, "a_2": 9000.0, "b_2": 4800.0,
+        "a3_A": 0.013, "b3_A": 0.06,
+        "a3_B": 0.010, "b3_B": 0.30,
+    })

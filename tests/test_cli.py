@@ -80,11 +80,16 @@ class TestExitCodes:
         ("fit", "--multistart", "0"),
         ("spectral", "--multistart", "-1"),
         ("eval", "--n-temps", "9" * 400),
+        # the emitted dataset row must read back: core accepts 1-2000 K
+        ("simulate", "--temperature", "5000"),
+        ("simulate", "--temperature", "0.5"),
     ])
     def test_nonpositive_or_nonfinite_flag_is_input_error(
             self, argv, published_params_file, tmp_path, capsys):
         extra = {"spectral": ("-o", str(tmp_path / "s"), "--refit"),
                  "eval": ("--params", published_params_file),
+                 "simulate": ("--omega", "60", "--gamma", "128", "--shots", "1000",
+                              "-o", str(tmp_path / "s")),
                  "fit": (), "compare": ()}[argv[0]]
         assert run(*argv, *extra) == 1
         err = capsys.readouterr().err
@@ -104,6 +109,24 @@ class TestExitCodes:
         assert run(*argv) == 1
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such file or directory: '{path}'\n")
+
+    # sizes of 10^15 elements or more, which numpy refuses without allocating
+    @pytest.mark.parametrize("argv, message", [
+        (("spectral", "--sigma", "1e-12", "-o", "t"), "Unable to allocate"),
+        (("eval", "--n-temps", "1000000000000000"), "Unable to allocate"),
+        (("simulate", "--omega", "60", "--gamma", "128", "--shots", "100",
+          "--n-tau", "1000000000000000", "-o", "b"), "Unable to allocate"),
+        (("simulate", "--omega", "60", "--gamma", "128",
+          "--shots", "1" + "0" * 30, "-o", "a"), "shot count must be <= 2**63 - 1"),
+    ], ids=["spectral-grid", "eval-grid", "simulate-grid", "simulate-shots"])
+    def test_oversized_request_is_input_error(self, argv, message, published_params_file,
+                                              tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        extra = ("--params", published_params_file) if argv[0] == "eval" else ()
+        assert run(*argv, *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["published.json"]
 
     def test_missing_parameter_is_named(self, tmp_path, capsys):
         params = tmp_path / "params.json"
@@ -450,6 +473,13 @@ class TestSimulateCommand:
                    "--tau-max-scale", value, "-o", str(tmp_path / "bad")) == 1
         err = capsys.readouterr().err
         assert "--tau-max-scale" in err and "Traceback" not in err
+
+    def test_largest_shot_count_runs(self, tmp_path):
+        # fidelity 1 must not round the effective count past 2**63 - 1
+        assert run("simulate", "--omega", "60", "--gamma", "128",
+                   "--shots", str(2**63 - 1), "-o", str(tmp_path / "big")) == 0
+        report = json.loads((tmp_path / "big.report.json").read_text())
+        assert report["protocol"]["effective_shots"] == 2**63 - 1
 
     def test_overflowing_decay_rate_is_input_error(self, tmp_path, capsys):
         assert run("simulate", "--omega", "1e308", "--gamma", "1e308",

@@ -24,7 +24,7 @@ from nvrelax.core import (
 )
 from nvrelax.dynamics import RateMatrix, evolve
 from nvrelax.fitting import FitProblem, ModelSpec
-from nvrelax.models import Mode, NModeParams, orbach_factor
+from nvrelax.models import ModelSpec, RateLaw, orbach_factor
 from nvrelax.spectral import (
     CouplingEntry,
     CouplingTable,
@@ -316,8 +316,8 @@ BOUNDARIES = {
     "orbach_factor temperature": ("temperature", "positive",
                                   lambda x: orbach_factor(60.0, x)),
     "orbach_factor delta": ("delta", "positive", lambda x: orbach_factor(x, 300.0)),
-    "NModeParams.rates": ("temperature", "positive",
-                          lambda x: NModeParams(modes=(Mode(68.2, 1.0, 1.0),)).rates(None, x)),
+    "RateLaw.rates": ("temperature", "positive", lambda x: RateLaw(
+        ModelSpec("n_mode", 1), {"delta_1": 68.2, "a_1": 1.0, "b_1": 1.0}).rates(None, x)),
     "second_order_rate": ("temperature", "positive", lambda x: second_order_rate(_peak(), x)),
     "first_order_raman_rate": ("temperature", "positive",
                                lambda x: first_order_raman_rate({"+1": _order_one()}, x)),

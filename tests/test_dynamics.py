@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import least_squares as scipy_least_squares
 
 import nvrelax
+from nvrelax import dynamics
 from nvrelax.core import DEFAULT_SEED
 from nvrelax.dynamics import (
     DecayCurve,
@@ -23,6 +24,7 @@ from nvrelax.dynamics import (
     simulate_experiment,
     to_rate_measurement,
 )
+from nvrelax.fitting import RankDeficiencyError
 
 RATES = st.floats(min_value=1e-2, max_value=1e3, allow_nan=False)
 
@@ -173,6 +175,10 @@ class TestProtocolSpec:
     def test_shot_count_bound(self):
         with pytest.raises(ValueError, match="shot count"):
             ProtocolSpec(shots=0)
+        # the binomial draw takes a C long
+        with pytest.raises(ValueError, match=r"shot count must be <= 2\*\*63 - 1, got 9223"):
+            ProtocolSpec(shots=2**63)
+        assert ProtocolSpec(shots=2**63 - 1).effective_shots == 2**63 - 1
 
     def test_fidelity_bounds(self):
         for bad in (0.0, -0.2, 1.5):
@@ -521,6 +527,26 @@ class TestSeparableFit:
         scale = np.finfo(float).eps * np.linalg.norm(values / errors)
         rounding = 4.0 * scale * (math.sqrt(chi2_trf) + scale)
         assert chi2 <= chi2_trf * (1.0 + 1e-12) + rounding
+
+    def test_step_is_halved_on_a_three_shot_curve(self, monkeypatch):
+        # a random 3-shot curve whose full step would raise chi^2
+        solve, solves = dynamics.least_squares, []
+        monkeypatch.setattr(dynamics, "least_squares",
+                            lambda *args: solves.append(solve(*args)) or solves[-1])
+        sim = simulate_experiment(RateMatrix(60.0, 128.0), ProtocolSpec(shots=3, n_tau=3),
+                                  seed=27)
+        _fit_single_exponential(sim.gamma_branch)
+        (solve,) = solves
+        assert solve.converged
+        assert solve.nfev > solve.njev + 1     # more evaluations than steps: one was halved
+
+    def test_capped_solve_on_a_three_shot_curve_is_degenerate(self):
+        # this curve's best fit drives r towards infinity, so the solve
+        # spends its whole iteration cap before the rank check names it
+        sim = simulate_experiment(RateMatrix(60.0, 128.0), ProtocolSpec(shots=3, n_tau=3),
+                                  seed=0)
+        with pytest.raises(RankDeficiencyError):
+            _fit_single_exponential(sim.gamma_branch)
 
     def test_one_point_curve_is_degenerate(self):
         one = DecayCurve("0", ("0", "-1"), (0.0,), (0.998,), (0.002,))

@@ -32,20 +32,13 @@ from nvrelax.fitting import (
     _profile,
     least_squares,
 )
-from nvrelax.models import (
-    Mode,
-    NModeParams,
-    PriorModelParams,
-    SampleConstants,
-    orbach_factor,
-    orbach_factor_ddelta,
-)
+from nvrelax.models import RateLaw, orbach_factor, orbach_factor_ddelta
 
 
 def _synthetic_dataset(params, temps, sample="A", rel_err=0.02, provenance="synthetic"):
     """Zero-noise rows drawn exactly from a model curve."""
     rows = []
-    eval_sample = sample if params.sample_constants else None
+    eval_sample = None if params.samples == (None,) else sample
     for i, t in enumerate(temps):
         omega, gamma = params.rates(eval_sample, t)
         rows.append(RateMeasurement(
@@ -171,10 +164,11 @@ class TestFitProblemValidation:
 
 class TestSyntheticRecovery:
     def test_two_mode_zero_noise(self):
-        truth = NModeParams(
-            modes=(Mode(65.0, 500.0, 1300.0), Mode(160.0, 8000.0, 5000.0)),
-            sample_constants={"A": SampleConstants(a3=0.01, b3=0.07)},
-        )
+        truth = RateLaw(ModelSpec("n_mode", 2), {
+            "delta_1": 65.0, "a_1": 500.0, "b_1": 1300.0,
+            "delta_2": 160.0, "a_2": 8000.0, "b_2": 5000.0,
+            "a3_A": 0.01, "b3_A": 0.07,
+        })
         temps = np.geomspace(15.0, 500.0, 16)
         dataset = _synthetic_dataset(truth, temps)
         result = fit(FitProblem(dataset=dataset, model=ModelSpec("n_mode", 2),
@@ -189,8 +183,8 @@ class TestSyntheticRecovery:
         assert result.chi2 < 1e-12
 
     def test_prior_zero_noise(self):
-        truth = PriorModelParams(delta=75.0, a1=700.0, b1=1800.0,
-                                 a2=3e-12, b2=2e-12, sample_constants={})
+        truth = RateLaw(ModelSpec("prior"), {"delta": 75.0, "a1": 700.0, "b1": 1800.0,
+                                             "a2": 3e-12, "b2": 2e-12})
         temps = np.geomspace(50.0, 600.0, 14)
         dataset = _synthetic_dataset(truth, temps)
         result = fit(FitProblem(dataset=dataset, model=ModelSpec("prior"),
@@ -539,9 +533,10 @@ class TestBuiltinTwoModeFit:
 
     def test_to_model_params(self, two_mode_fit, builtin_dataset):
         params = two_mode_fit.to_model_params()
-        assert isinstance(params, NModeParams)
-        assert params.modes[0].delta < params.modes[1].delta
-        assert set(params.sample_constants) == {"A", "B"}
+        assert isinstance(params, RateLaw)
+        assert params.spec == two_mode_fit.model
+        assert params.values["delta_1"] < params.values["delta_2"]
+        assert params.samples == ("A", "B")
         omega, gamma = params.rates("A", 295.0)
         assert abs(omega - 60.0) < 6.0
         assert abs(gamma - 128.0) < 14.0

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from nvrelax.core import BOLTZMANN_MEV_PER_K
 from nvrelax.models import (
     CoherenceLimit,
-    Mode,
-    NModeParams,
-    PriorModelParams,
-    SampleConstants,
+    ModelSpec,
+    RateLaw,
     coherence_limits,
     occupation,
     orbach_factor,
@@ -27,11 +25,18 @@ mode_energies = st.lists(
 coefficients = st.floats(min_value=1e-3, max_value=1e4)
 
 
-def build_params(deltas, coeffs_a, coeffs_b):
-    modes = tuple(
-        Mode(d, a, b) for d, a, b in sorted(zip(deltas, coeffs_a, coeffs_b))
-    )
-    return NModeParams(modes=modes)
+def n_mode(*modes, **floors):
+    """The n-mode law of (delta, a, b) per mode, plus a3_<s>/b3_<s> floors."""
+    values = {}
+    for k, (delta, a, b) in enumerate(modes, 1):
+        values.update({f"delta_{k}": delta, f"a_{k}": a, f"b_{k}": b})
+    return RateLaw(ModelSpec("n_mode", len(modes)), {**values, **floors})
+
+
+def prior(delta, a1, b1, a2, b2, **floors):
+    """The prior law: one Orbach term plus T^5, plus a3_<s>/b3_<s> floors."""
+    return RateLaw(ModelSpec("prior"),
+                   {"delta": delta, "a1": a1, "b1": b1, "a2": a2, "b2": b2, **floors})
 
 
 class TestOccupation:
@@ -122,54 +127,68 @@ class TestOrbachFactor:
 
 class TestParameterValidation:
     def test_mode_rejects_nonpositive_energy(self):
-        with pytest.raises(ValueError):
-            Mode(0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="delta_1 must be positive"):
+            n_mode((0.0, 1.0, 1.0))
 
     def test_mode_rejects_negative_coefficients(self):
-        with pytest.raises(ValueError):
-            Mode(68.2, -1.0, 1.0)
+        with pytest.raises(ValueError, match="a_1 must be nonnegative"):
+            n_mode((68.2, -1.0, 1.0))
 
     def test_sample_constants_nonnegative(self):
-        with pytest.raises(ValueError):
-            SampleConstants(-0.01, 0.0)
+        with pytest.raises(ValueError, match="a3_A must be nonnegative"):
+            n_mode((68.2, 1.0, 1.0), a3_A=-0.01, b3_A=0.0)
 
     def test_modes_must_be_sorted(self):
         with pytest.raises(ValueError, match="sorted"):
-            NModeParams(modes=(Mode(167.0, 1.0, 1.0), Mode(68.2, 1.0, 1.0)))
+            n_mode((167.0, 1.0, 1.0), (68.2, 1.0, 1.0))
 
     def test_close_modes_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            NModeParams(modes=(Mode(68.2, 1.0, 1.0), Mode(68.9, 1.0, 1.0)))
+            n_mode((68.2, 1.0, 1.0), (68.9, 1.0, 1.0))
 
     def test_mode_count_bounds(self):
-        with pytest.raises(ValueError):
-            NModeParams(modes=())
-        four = tuple(Mode(20.0 * (i + 1), 1.0, 1.0) for i in range(4))
-        with pytest.raises(ValueError):
-            NModeParams(modes=four)
+        for count in (0, 4):
+            with pytest.raises(ValueError, match="1 to 3 modes"):
+                RateLaw(ModelSpec("n_mode", count), {})
 
     def test_prior_model_rejects_negative(self):
-        with pytest.raises(ValueError):
-            PriorModelParams(delta=70.0, a1=1.0, b1=1.0, a2=-1e-12, b2=0.0)
+        with pytest.raises(ValueError, match="a2 must be nonnegative"):
+            prior(70.0, 1.0, 1.0, -1e-12, 0.0)
+
+    def test_missing_parameter_named(self):
+        with pytest.raises(KeyError, match="missing parameter 'b_1'"):
+            RateLaw(ModelSpec("n_mode", 1), {"delta_1": 68.2, "a_1": 1.0})
+        with pytest.raises(KeyError, match="missing parameter 'b3_A'"):
+            RateLaw(ModelSpec("n_mode", 1),
+                    {"delta_1": 68.2, "a_1": 1.0, "b_1": 1.0, "a3_A": 0.1})
+
+    def test_finiteness_checked_before_names(self):
+        with pytest.raises(ValueError, match="a_1 must be finite"):
+            RateLaw(ModelSpec("n_mode", 1), {"delta_1": 68.2, "a_1": math.nan})
+
+    def test_extra_keys_ignored(self):
+        law = RateLaw(ModelSpec("n_mode", 1),
+                      {"delta_1": 68.2, "a_1": 1.0, "b_1": 1.0, "chi2": 3.0})
+        assert law.rates(None, 295.0) == n_mode((68.2, 1.0, 1.0)).rates(None, 295.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_mode_rejects_nonfinite_naming_field(self, bad):
-        with pytest.raises(ValueError, match="delta must be finite"):
-            Mode(bad, 1.0, 1.0)
-        with pytest.raises(ValueError, match="b_coeff must be finite"):
-            Mode(68.2, 1.0, bad)
+        with pytest.raises(ValueError, match="delta_1 must be finite"):
+            n_mode((bad, 1.0, 1.0))
+        with pytest.raises(ValueError, match="b_1 must be finite"):
+            n_mode((68.2, 1.0, bad))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_sample_constants_reject_nonfinite_naming_field(self, bad):
-        with pytest.raises(ValueError, match="a3 must be finite"):
-            SampleConstants(bad, 0.0)
+        with pytest.raises(ValueError, match="a3_A must be finite"):
+            n_mode((68.2, 1.0, 1.0), a3_A=bad, b3_A=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_prior_model_rejects_nonfinite_naming_field(self, bad):
         with pytest.raises(ValueError, match="delta must be finite"):
-            PriorModelParams(delta=bad, a1=1.0, b1=1.0, a2=0.0, b2=0.0)
+            prior(bad, 1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="a2 must be finite"):
-            PriorModelParams(delta=70.0, a1=1.0, b1=1.0, a2=bad, b2=0.0)
+            prior(70.0, 1.0, 1.0, bad, 0.0)
 
 
 class TestEvalNMode:
@@ -188,7 +207,7 @@ class TestEvalNMode:
         assert rates.gamma == pytest.approx(0.06, abs=1e-20)
 
     def test_all_zero_coefficients_give_zero_rates(self):
-        params = NModeParams(modes=(Mode(68.2, 0.0, 0.0),))
+        params = n_mode((68.2, 0.0, 0.0))
         rates = params.rates(None, 295.0)
         assert rates.omega == 0.0 and rates.gamma == 0.0
 
@@ -200,9 +219,11 @@ class TestEvalNMode:
         bare = published_params.rates(None, 295.0)
         with_const = published_params.rates("A", 295.0)
         assert with_const.omega - bare.omega == pytest.approx(0.013, rel=1e-9)
-        reversed_constants = dict(reversed(published_params.sample_constants.items()))
-        assert NModeParams(published_params.modes, reversed_constants).samples == ("A", "B")
-        assert NModeParams(published_params.modes).samples == (None,)
+        values = published_params.values
+        reversed_values = dict(reversed(values.items()))
+        assert RateLaw(published_params.spec, reversed_values).samples == ("A", "B")
+        lattice = {k: v for k, v in values.items() if k in published_params.spec.param_names}
+        assert RateLaw(published_params.spec, lattice).samples == (None,)
 
     @given(deltas=mode_energies, data=st.data())
     @settings(max_examples=60)
@@ -212,7 +233,7 @@ class TestEvalNMode:
         n = len(deltas)
         coeffs_a = data.draw(st.lists(coefficients, min_size=n, max_size=n))
         coeffs_b = data.draw(st.lists(coefficients, min_size=n, max_size=n))
-        params = build_params(deltas, coeffs_a, coeffs_b)
+        params = n_mode(*sorted(zip(deltas, coeffs_a, coeffs_b)))
         t = np.linspace(50.0, 1000.0, 40)
         rates = params.rates(None, t)
         assert np.all(np.diff(rates.omega) > 0)
@@ -221,23 +242,23 @@ class TestEvalNMode:
 
 class TestEvalPriorModel:
     def test_pure_t5_term(self):
-        params = PriorModelParams(delta=70.0, a1=0.0, b1=0.0, a2=2.5e-12, b2=0.0)
+        params = prior(70.0, 0.0, 0.0, 2.5e-12, 0.0)
         rates = params.rates(None, 300.0)
         assert rates.omega == pytest.approx(2.5e-12 * 300.0**5, rel=1e-12)
         assert rates.gamma == 0.0
 
     def test_t5_doubling_scales_32x(self):
-        params = PriorModelParams(delta=70.0, a1=0.0, b1=0.0, a2=1e-12, b2=3e-12)
+        params = prior(70.0, 0.0, 0.0, 1e-12, 3e-12)
         low = params.rates(None, 200.0)
         high = params.rates(None, 400.0)
         assert high.omega == pytest.approx(32.0 * low.omega, rel=1e-12)
         assert high.gamma == pytest.approx(32.0 * low.gamma, rel=1e-12)
 
     def test_orbach_term_matches_n_mode_single(self):
-        prior = PriorModelParams(delta=68.2, a1=580.0, b1=1510.0, a2=0.0, b2=0.0)
-        single = NModeParams(modes=(Mode(68.2, 580.0, 1510.0),))
+        orbach_only = prior(68.2, 580.0, 1510.0, 0.0, 0.0)
+        single = n_mode((68.2, 580.0, 1510.0))
         t = 295.0
-        assert prior.rates(None, t).omega == pytest.approx(
+        assert orbach_only.rates(None, t).omega == pytest.approx(
             single.rates(None, t).omega, rel=1e-12
         )
 
@@ -300,13 +321,11 @@ class TestRatioCurve:
         assert 1.5 <= ratios[-1] <= 2.0
 
     def test_identical_coefficient_vectors_give_unity(self):
-        params = NModeParams(
-            modes=(Mode(68.2, 580.0, 580.0), Mode(167.0, 9000.0, 9000.0))
-        )
+        params = n_mode((68.2, 580.0, 580.0), (167.0, 9000.0, 9000.0))
         points = ratio_curve(params, None, [150.0, 300.0, 450.0])
         assert all(r == 1.0 for _, r in points)
 
     def test_vanishing_omega_raises(self):
-        params = NModeParams(modes=(Mode(68.2, 0.0, 100.0),))
+        params = n_mode((68.2, 0.0, 100.0))
         with pytest.raises(ZeroDivisionError, match="T = 295"):
             ratio_curve(params, None, [295.0])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from nvrelax.core import BOLTZMANN_MEV_PER_K, HBAR_MEV_S, PLANCK_MEV_PER_MHZ, TransitionChannel
-from nvrelax.models import Mode, NModeParams, orbach_factor
+from nvrelax.models import ModelSpec, RateLaw, orbach_factor
 from nvrelax.spectral import (
     COUPLING_CSV_HEADER,
     MAX_MODE_ENERGY_MEV,
@@ -502,10 +502,10 @@ class TestQuadratureEquivalence:
 
 class TestRefitTheoryCurve:
     def test_exact_two_mode_curve_recovered(self):
-        params = NModeParams(
-            modes=(Mode(65.0, 70.0, 910.0), Mode(155.0, 169.0, 2940.0)),
-            sample_constants={},
-        )
+        params = RateLaw(ModelSpec("n_mode", 2), {
+            "delta_1": 65.0, "a_1": 70.0, "b_1": 910.0,
+            "delta_2": 155.0, "a_2": 169.0, "b_2": 2940.0,
+        })
         temps = np.geomspace(100.0, 5000.0, 40)
         omegas, gammas = [], []
         for t in temps:
