@@ -41,11 +41,11 @@ def main() -> None:
         results[label] = fit(FitProblem(dataset=dataset, model=ModelSpec.parse(label)))
 
     print("\nmodel ranking (best first):")
-    ranking = compare_models(list(results.values()))
-    for row in ranking:
-        print(f"  {row.label:<10s} chi2/dof = {row.chi2:8.2f}/{row.dof}"
-              f"  chi2_v = {row.chi2_reduced:6.3f}"
-              f"  (+{row.delta_chi2_reduced:.3f})")
+    ranked = compare_models(list(results.values()))
+    for r in ranked:
+        print(f"  {r.label:<10s} chi2/dof = {r.chi2:8.2f}/{r.dof}"
+              f"  chi2_v = {r.chi2_reduced:6.3f}"
+              f"  (+{r.chi2_reduced - ranked[0].chi2_reduced:.3f})")
 
     headline = results["n-mode:2"]
     print("\ntwo-mode joint fit:")

@@ -277,48 +277,46 @@ def _cmd_compare(args) -> int:
     for i, spec in enumerate(specs):
         if spec in specs[:i]:
             raise _UsageError(f"compare: model {spec.label} given more than once")
-    results = []
-    for spec in specs:
-        results.append(fit(FitProblem(dataset=dataset, model=spec, constants=args.constants,
-                                      t_min=args.t_min, multistart=args.multistart)))
-    ranking = compare_models(results)
-    by_label = {r.label: r for r in results}
+    ranked = compare_models([
+        fit(FitProblem(dataset=dataset, model=spec, constants=args.constants,
+                       t_min=args.t_min, multistart=args.multistart))
+        for spec in specs])
+    best = ranked[0]
 
     report = {"ranking": [
         {
-            "model": row.label,
-            "n_params": row.n_params,
-            "dof": row.dof,
-            "chi2": row.chi2,
-            "chi2_reduced": row.chi2_reduced,
-            "delta_chi2_reduced": row.delta_chi2_reduced,
-            "converged": by_label[row.label].converged,
+            "model": r.label,
+            "n_params": len(r.param_names),
+            "dof": r.dof,
+            "chi2": r.chi2,
+            "chi2_reduced": r.chi2_reduced,
+            "delta_chi2_reduced": r.chi2_reduced - best.chi2_reduced,
+            "converged": r.converged,
         }
-        for row in ranking
+        for r in ranked
     ]}
 
     if args.extrapolate is not None:
-        best_label = ranking.rows[0].label
-        predictions = {}
-        for row in ranking:
-            result = by_label[row.label]
-            params = result.to_model_params()
+        predictions, divergence = {}, {}
+        for r in ranked:
+            params = r.to_model_params()
             per_sample = {}
             for sample in params.samples:
                 omega, gamma = params.rates(sample, args.extrapolate)
                 per_sample[sample or "lattice"] = {"omega_s": omega, "gamma_s": gamma}
-            predictions[row.label] = per_sample
-        divergence = {}
-        for label, per_sample in predictions.items():
-            if label == best_label:
+            predictions[r.label] = per_sample
+            if r is best:
+                if any(0.0 in vals.values() for vals in per_sample.values()):
+                    raise ValueError(f"best model {r.label} predicts a zero rate at temperature "
+                                     f"{args.extrapolate!r} K; no divergence from it is defined")
                 continue
-            divergence[label] = {
+            divergence[r.label] = {
                 sample: {
                     "omega_pct": 100.0 * (vals["omega_s"] / best_vals["omega_s"] - 1.0),
                     "gamma_pct": 100.0 * (vals["gamma_s"] / best_vals["gamma_s"] - 1.0),
                 }
                 for (sample, vals), best_vals in zip(
-                    per_sample.items(), predictions[best_label].values())
+                    per_sample.items(), predictions[best.label].values())
             }
         report["extrapolation"] = {
             "temperature_k": args.extrapolate,
@@ -327,7 +325,7 @@ def _cmd_compare(args) -> int:
         }
 
     _write(args, dataset.checksum(), args.output, report)
-    if not all(r.converged for r in results):
+    if not all(r.converged for r in ranked):
         print("at least one fit did not converge", file=sys.stderr)
         return 2
     return 0

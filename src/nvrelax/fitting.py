@@ -20,7 +20,6 @@ Nothing is random.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -34,8 +33,6 @@ __all__ = [
     "ModelSpec",
     "FitProblem",
     "FitResult",
-    "ModelRanking",
-    "RankingRow",
     "ResidualDiagnostics",
     "ResidualOutlier",
     "RankDeficiencyError",
@@ -55,8 +52,7 @@ _RANK_RCOND = 1e-10
 
 _MAX_EVALUATIONS = 100     # projections in one polish
 
-# residual_diagnostics: histogram bin width and outlier cut, in sigma
-_BIN_WIDTH = 0.5
+# residual_diagnostics: outlier cut, in sigma
 _OUTLIER_THRESHOLD = 2.5
 
 # profile grid points per mode energy, by Orbach term count (cells ~ points^n/n!)
@@ -337,7 +333,6 @@ class FitResult:
     converged: bool
     n_iterations: int
     gradient_norm: float
-    n_starts: int
     start_chi2: tuple[float, ...]
     constants: str
     t_min: float | None
@@ -370,7 +365,7 @@ class FitResult:
                 "chi2_reduced": self.chi2_reduced,
                 "n_iterations": self.n_iterations,
                 "gradient_norm": self.gradient_norm,
-                "n_starts": self.n_starts,
+                "n_starts": len(self.start_chi2),
             },
             "parameters": [
                 {"name": n, "value": self.params[n], "sigma": self.sigma[n]}
@@ -521,7 +516,6 @@ def fit(problem: FitProblem) -> FitResult:
         converged=best.converged,
         n_iterations=best.nfev,
         gradient_norm=grad_norm,
-        n_starts=len(results),
         start_chi2=tuple(r.chi2 for r in results),
         constants=problem.constants,
         t_min=problem.t_min,
@@ -530,48 +524,13 @@ def fit(problem: FitProblem) -> FitResult:
     )
 
 
-@dataclass(frozen=True)
-class RankingRow:
-    label: str
-    n_params: int
-    dof: int
-    chi2: float
-    chi2_reduced: float
-    delta_chi2_reduced: float   # relative to the best model in the ranking
-
-
-@dataclass(frozen=True)
-class ModelRanking:
-    """Models ordered by reduced chi-squared, best first."""
-
-    rows: tuple[RankingRow, ...]
-    dataset_checksum: str
-
-    def __iter__(self):
-        return iter(self.rows)
-
-
-def compare_models(results: Sequence[FitResult]) -> ModelRanking:
-    """Rank fits of the same dataset by reduced chi-squared."""
+def compare_models(results: Sequence[FitResult]) -> tuple[FitResult, ...]:
+    """The fits of one dataset, best reduced chi-squared first (stable)."""
     if not results:
         raise ValueError("nothing to compare")
-    checksums = {r.dataset_checksum for r in results}
-    if len(checksums) > 1:
+    if len({r.dataset_checksum for r in results}) > 1:
         raise ValueError("fits compare different datasets; checksums differ")
-    ordered = sorted(results, key=lambda r: r.chi2_reduced)
-    best = ordered[0].chi2_reduced
-    rows = tuple(
-        RankingRow(
-            label=r.label,
-            n_params=len(r.param_names),
-            dof=r.dof,
-            chi2=r.chi2,
-            chi2_reduced=r.chi2_reduced,
-            delta_chi2_reduced=r.chi2_reduced - best,
-        )
-        for r in ordered
-    )
-    return ModelRanking(rows=rows, dataset_checksum=checksums.pop())
+    return tuple(sorted(results, key=lambda r: r.chi2_reduced))
 
 
 @dataclass(frozen=True)
@@ -589,8 +548,6 @@ class ResidualDiagnostics:
 
     mean: float
     variance: float
-    bin_edges: np.ndarray
-    bin_counts: np.ndarray
     outliers: tuple[ResidualOutlier, ...]
     outlier_threshold: float
 
@@ -602,12 +559,6 @@ def residual_diagnostics(result: FitResult) -> ResidualDiagnostics:
     r = result.residuals_normalized
     mean = float(np.mean(r))
     variance = float(np.var(r))  # population convention (divide by N)
-    lo = math.floor(float(np.min(r)) / _BIN_WIDTH) * _BIN_WIDTH
-    hi = math.ceil(float(np.max(r)) / _BIN_WIDTH) * _BIN_WIDTH
-    if hi <= lo:
-        hi = lo + _BIN_WIDTH
-    n_bins = int(round((hi - lo) / _BIN_WIDTH))
-    counts, edges = np.histogram(r, bins=n_bins, range=(lo, hi))
     outliers = tuple(
         ResidualOutlier(nv, sample, t, channel, float(value))
         for (nv, sample, t, channel), value in zip(result.residual_labels, r)
@@ -616,8 +567,6 @@ def residual_diagnostics(result: FitResult) -> ResidualDiagnostics:
     return ResidualDiagnostics(
         mean=mean,
         variance=variance,
-        bin_edges=edges,
-        bin_counts=counts,
         outliers=outliers,
         outlier_threshold=_OUTLIER_THRESHOLD,
     )

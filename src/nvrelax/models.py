@@ -69,7 +69,9 @@ def occupation(delta: float, temperature):
     """
     t = np.asarray(temperature, dtype=float)
     _require({"delta": delta, "temperature": t}, "positive")
-    out = _bose_einstein(delta / (BOLTZMANN_MEV_PER_K * np.atleast_1d(t)))
+    # delta / k_B T is inf at a subnormal T (k_B T may round to 0): n = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        out = _bose_einstein(delta / (BOLTZMANN_MEV_PER_K * np.atleast_1d(t)))
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
@@ -229,10 +231,16 @@ class RateLaw:
                 raise KeyError(f"unknown sample {sample!r}; known samples: {known}")
             a3, b3 = v[f"a3_{sample}"], v[f"b3_{sample}"]
         t = np.asarray(temperature, dtype=float)
-        omega, gamma = _sum_terms(
-            (_term_column(None if term.delta is None else v[term.delta], t), v[term.a], v[term.b])
-            for term in self.spec.terms)
-        omega, gamma = omega + a3, gamma + b3
+        # an overflow (inf, or 0 * inf) is caught below and named by its temperature
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega, gamma = _sum_terms(
+                (_term_column(None if term.delta is None else v[term.delta], t),
+                 v[term.a], v[term.b])
+                for term in self.spec.terms)
+            omega, gamma = omega + a3, gamma + b3
+        bad = ~(np.isfinite(omega) & np.isfinite(gamma))
+        if bad.any():
+            raise ValueError(f"rates are not finite at temperature {float(t[bad][0])!r} K")
         if t.ndim == 0:
             return RatePair(float(omega), float(gamma))
         return RatePair(omega, gamma)

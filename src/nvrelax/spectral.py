@@ -346,8 +346,12 @@ def _occupancy_weight(grid: np.ndarray, temperature: float) -> np.ndarray:
     """n(n+1) over the energy grid; the zero-energy sample contributes 0."""
     weight = np.zeros_like(grid)
     positive = grid > 0
-    n = _bose_einstein(grid[positive] / (BOLTZMANN_MEV_PER_K * temperature))
-    weight[positive] = n * (n + 1.0)
+    # e / k_B T is inf at a subnormal T (k_B T may round to 0): n = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        n = _bose_einstein(grid[positive] / (BOLTZMANN_MEV_PER_K * temperature))
+        weight[positive] = n * (n + 1.0)
+    if not np.isfinite(weight).all():
+        raise ValueError(f"n(n+1) is not finite at temperature {float(temperature)!r} K")
     return weight
 
 
@@ -581,6 +585,10 @@ def refit_theory_curve(curve: RamanRateCurve, t_max: float, multistart: int = 8,
         raise ValueError(
             f"curve reaches only {max(curve.temperatures):g} K but t_max={t_max:g} K"
         )
+    for t, o, g in zip(curve.temperatures, curve.omega, curve.gamma):
+        if t <= t_max and _THEORY_REL_ERR * min(o, g) == 0.0:
+            raise ValueError(f"a rate at temperature {t!r} K is too small to weight: "
+                             f"its {_THEORY_REL_ERR:.0%} error is 0")
     dataset = curve.to_dataset()
     rows = tuple(r for r in dataset if r.temperature <= t_max)
     dataset = Dataset(rows=rows, provenance=dataset.provenance)

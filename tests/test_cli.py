@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 from nvrelax.cli import main
 from nvrelax.core import parse_dataset_text
+from nvrelax.fitting import FitProblem, ModelSpec, fit
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -380,11 +382,17 @@ class TestSpectralCommand:
         bias = 1.0 - params["delta_1"] / 62.4
         assert 0.05 <= bias <= 0.10
 
-    def test_failed_refit_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, message", [
         # three temperatures give six residuals for six free parameters
-        assert run("spectral", "--sigma", "7.5", "--refit", "--n-temps", "3",
-                   "-o", str(tmp_path / "d")) == 1
-        assert "underdetermined" in capsys.readouterr().err
+        pytest.param(["--sigma", "7.5", "--n-temps", "3"], "underdetermined",
+                     id="underdetermined"),
+        # n(n+1) underflows to 0 at 0.3 K, and so would the rate's 1% error
+        pytest.param(["--t-min", "0.3"], "rate at temperature 0.3 K is too small to weight",
+                     id="zero-rate"),
+    ])
+    def test_failed_refit_writes_nothing(self, tmp_path, capsys, argv, message):
+        assert run("spectral", *argv, "--refit", "-o", str(tmp_path / "d")) == 1
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_broad_anchor_peaks_get_no_spacing_advice(self, tmp_path, capsys):
@@ -494,15 +502,23 @@ class TestSimulateCommand:
 
 
 class TestCompareCommand:
-    def test_ranking_and_extrapolation(self, tmp_path):
+    def test_ranking_and_extrapolation(self, tmp_path, builtin_dataset):
         out = tmp_path / "cmp.json"
         assert run("compare", "--models", "n-mode:2", "prior",
                    "--extrapolate", "700", "-o", str(out)) == 0
         report = json.loads(out.read_text())
-        labels = [row["model"] for row in report["ranking"]]
+        ranking = report["ranking"]
+        labels = [row["model"] for row in ranking]
         assert labels[0] == "n-mode:2"
-        chi2 = [row["chi2_reduced"] for row in report["ranking"]]
+        chi2 = [row["chi2_reduced"] for row in ranking]
         assert chi2 == sorted(chi2)
+        for row in ranking:
+            result = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec.parse(row["model"])))
+            assert row["n_params"] == len(result.param_names)
+            assert (row["dof"], row["chi2"], row["chi2_reduced"], row["converged"]) == (
+                result.dof, result.chi2, result.chi2_reduced, result.converged)
+            assert row["delta_chi2_reduced"] == row["chi2_reduced"] - ranking[0]["chi2_reduced"]
+        assert list(report["extrapolation"]["divergence_vs_best_pct"]) == labels[1:]
         div = report["extrapolation"]["divergence_vs_best_pct"]["prior"]
         assert 30.0 <= div["A"]["omega_pct"] <= 70.0
         assert 10.0 <= div["A"]["gamma_pct"] <= 30.0
@@ -515,6 +531,67 @@ class TestCompareCommand:
         by_label = {r["model"]: r["chi2_reduced"] for r in report["ranking"]}
         assert 3.4 <= by_label["n-mode:1"] <= 4.4
         assert 1.1 <= by_label["n-mode:2"] <= 1.5
+
+
+class TestFloatRangeTemperatures:
+    """Any positive finite temperature is accepted: where a rate overflows the
+    run is an input error naming the temperature; where delta / k_B T
+    overflows, n = 0 and only the floors are left."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["compare", "--models", "n-mode:1", "prior", "--extrapolate", "1e100"], 1e100),
+        (["compare", "--models", "n-mode:1", "n-mode:2", "--extrapolate", "1e200"], 1e200),
+        (["eval", "--temps", "1e200"], 1e200),
+        # the first temperature of the default grid where n(n+1) overflows
+        (["spectral", "--t-max", "1e308"], None),
+    ])
+    def test_overflow_names_the_temperature(self, argv, named, published_params_file,
+                                            tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        if argv[0] == "eval":
+            argv = [*argv, "--params", published_params_file]
+        assert run(*argv, "-o", str(out / "x")) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        found = re.search(r"not finite at temperature (\S+) K", err)
+        assert found, err
+        if named is None:
+            assert float(found[1]) in np.geomspace(100.0, 1e308, 40).tolist()
+        else:
+            assert float(found[1]) == named
+        assert list(out.iterdir()) == []
+
+    def test_subnormal_temperature_leaves_the_floors(self, published_params_file, tmp_path,
+                                                     one_mode_fit, prior_fit):
+        out = tmp_path / "eval.csv"
+        assert run("eval", "--params", published_params_file, "--sample", "A",
+                   "--temps", "1e-320", "-o", str(out)) == 0
+        floors = PUBLISHED_PARAMS["parameters"]
+        assert data_rows(out.read_text())[0][:3] == [
+            "1e-320", repr(floors["a3_A"]), repr(floors["b3_A"])]
+
+        assert run("spectral", "--t-min", "1e-320", "--t-max", "1",
+                   "-o", str(tmp_path / "s")) == 0
+        assert data_rows((tmp_path / "s.rates.csv").read_text())[0] == ["1e-320", "0.0", "0.0"]
+
+        out = tmp_path / "cmp.json"
+        assert run("compare", "--models", "n-mode:1", "prior", "--multistart", "8",
+                   "--extrapolate", "1e-320", "-o", str(out)) == 0
+        report = json.loads(out.read_text(), parse_constant=pytest.fail)   # no NaN or Infinity
+        for result in (one_mode_fit, prior_fit):
+            assert report["extrapolation"]["predictions"][result.label] == {
+                s: {"omega_s": result.params[f"a3_{s}"], "gamma_s": result.params[f"b3_{s}"]}
+                for s in "AB"}
+
+    def test_zero_best_prediction_has_no_divergence(self, tmp_path, capsys):
+        # without floors n(n+1) underflows to 0 at 1 K for both laws
+        out = tmp_path / "cmp.json"
+        assert run("compare", "--models", "n-mode:1", "n-mode:2", "--constants", "none",
+                   "--extrapolate", "1", "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "zero rate at temperature 1.0 K" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestReproducibility:

@@ -429,7 +429,7 @@ class TestProfile:
         # 6 of 16 random log-uniform starts stopped in a basin at 126.8594
         result = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 3),
                                 multistart=1))
-        assert result.n_starts == len(result.start_chi2) == 1
+        assert len(result.start_chi2) == 1
         assert math.isclose(result.chi2, 126.60641327273599, rel_tol=1e-12)
 
 
@@ -577,26 +577,33 @@ class TestCompareModels:
             sigma={"delta_1": 1.0}, covariance=np.eye(1), chi2=chi2, dof=dof,
             chi2_reduced=chi2_reduced, residuals_normalized=np.zeros(2),
             residual_labels=(("N", "A", 300.0, "omega"), ("N", "A", 300.0, "gamma")),
-            converged=True, n_iterations=10, gradient_norm=0.0, n_starts=1,
-            start_chi2=(chi2,), constants="per_sample", t_min=t_min,
+            converged=True, n_iterations=10, gradient_norm=0.0, start_chi2=(chi2,),
+            constants="per_sample", t_min=t_min,
             dataset_checksum=checksum, dataset_provenance="stub",
         )
 
     def test_orders_by_reduced_chi2(self):
-        ranking = compare_models([
+        fits = [
             self._stub(ModelSpec("n_mode", 1), 3.9, t_min=125.0),
             self._stub(ModelSpec("n_mode", 2), 1.3),
             self._stub(ModelSpec("prior"), 1.5),
-        ])
-        labels = [row.label for row in ranking]
-        assert labels == ["n-mode:2", "prior", "n-mode:1 (T>=125K)"]
-        assert self._stub(ModelSpec("n_mode", 1), 3.9, t_min=125.0).label == labels[2]
-        assert ranking.rows[0].delta_chi2_reduced == 0.0
-        assert ranking.rows[2].delta_chi2_reduced == pytest.approx(2.6)
+        ]
+        ranked = compare_models(fits)
+        assert [r.label for r in ranked] == ["n-mode:2", "prior", "n-mode:1 (T>=125K)"]
+        assert isinstance(ranked, tuple)
+        assert all(r is f for r, f in zip(ranked, (fits[1], fits[2], fits[0])))
+
+    def test_equal_reduced_chi2_keeps_input_order(self):
+        first = self._stub(ModelSpec("n_mode", 2), 1.3)
+        second = self._stub(ModelSpec("prior"), 1.3)
+        for fits in ([first, second], [second, first]):
+            ranked = compare_models(fits)
+            assert ranked[0] is fits[0] and ranked[1] is fits[1]
 
     def test_single_model_is_trivial_ranking(self):
-        ranking = compare_models([self._stub(ModelSpec("prior"), 1.4)])
-        assert len(ranking.rows) == 1
+        fit_result = self._stub(ModelSpec("prior"), 1.4)
+        ranked = compare_models([fit_result])
+        assert len(ranked) == 1 and ranked[0] is fit_result
 
     def test_checksum_mismatch_rejected(self):
         with pytest.raises(ValueError, match="checksums differ"):
@@ -610,9 +617,9 @@ class TestCompareModels:
             compare_models([])
 
     def test_real_fits_rank_two_mode_first(self, one_mode_fit, two_mode_fit):
-        ranking = compare_models([one_mode_fit, two_mode_fit])
-        assert ranking.rows[0].label == "n-mode:2"
-        assert ranking.rows[1].label == "n-mode:1"
+        ranked = compare_models([one_mode_fit, two_mode_fit])
+        assert ranked[0] is two_mode_fit and ranked[1] is one_mode_fit
+        assert [r.label for r in ranked] == ["n-mode:2", "n-mode:1"]
 
 
 class TestResidualDiagnostics:
@@ -631,7 +638,7 @@ class TestResidualDiagnostics:
             chi2_reduced=chi2 / (len(values) - 1),
             residuals_normalized=values, residual_labels=labels,
             converged=converged, n_iterations=5, gradient_norm=0.0,
-            n_starts=1, start_chi2=(chi2,), constants="none", t_min=None,
+            start_chi2=(chi2,), constants="none", t_min=None,
             dataset_checksum="abc", dataset_provenance="stub",
         )
 
@@ -648,13 +655,6 @@ class TestResidualDiagnostics:
         assert out.nv_id == "NV2"
         assert out.value == pytest.approx(3.1)
         assert out.channel == "omega"
-
-    def test_histogram_covers_all_residuals(self):
-        values = [-1.4, -0.3, 0.2, 0.9, 2.2]
-        diag = residual_diagnostics(self._result_with_residuals(values))
-        assert int(np.sum(diag.bin_counts)) == len(values)
-        assert diag.bin_edges[0] <= min(values)
-        assert diag.bin_edges[-1] >= max(values)
 
     def test_requires_converged_fit(self):
         result = self._result_with_residuals([0.1, 0.2], converged=False)

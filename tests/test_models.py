@@ -211,6 +211,19 @@ class TestEvalNMode:
         rates = params.rates(None, 295.0)
         assert rates.omega == 0.0 and rates.gamma == 0.0
 
+    def test_overflowing_rate_names_its_temperature(self, published_params):
+        # n(n+1) overflows near 1e155 K; a coefficient of 0 would make it 0 * inf
+        with pytest.raises(ValueError, match=r"not finite at temperature 1e\+200 K"):
+            published_params.rates("A", np.array([300.0, 1e200, 1e300]))
+        with pytest.raises(ValueError, match=r"temperature 1e\+100 K"):
+            prior(70.0, 600.0, 1500.0, 0.0, 2e-12).rates(None, 1e100)   # T^5 overflows
+
+    def test_subnormal_temperature_leaves_the_floors(self, published_params):
+        # delta / k_B T overflows to inf, which gives n = 0 without a warning
+        rates = published_params.rates("A", np.array([1e-320, 5e-324]))
+        assert rates.omega.tolist() == [0.013, 0.013]
+        assert rates.gamma.tolist() == [0.06, 0.06]
+
     def test_unknown_sample_raises(self, published_params):
         with pytest.raises(KeyError, match="unknown sample"):
             published_params.rates("C", 295.0)

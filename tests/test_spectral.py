@@ -239,6 +239,15 @@ class TestSecondOrderRate:
                                     grid=FINE_GRID)
         assert second_order_rate(f, 1.0) == 0.0
 
+    def test_overflowing_occupancy_names_its_temperature(self):
+        f, _ = two_peak_reference_functions(7.5)
+        with pytest.raises(ValueError, match=r"not finite at temperature 1e\+300 K"):
+            second_order_rate(f, 1e300)
+
+    def test_subnormal_temperature_is_frozen_out(self):
+        f, _ = two_peak_reference_functions(7.5)
+        assert second_order_rate(f, 1e-320) == second_order_rate(f, 5e-324) == 0.0
+
     def test_order_checked(self):
         table = CouplingTable(entries=(CouplingEntry(62.4, 2.0, DQ, 1),))
         f = build_spectral_function(table, DQ, 1, sigma=7.5)
@@ -519,6 +528,15 @@ class TestRefitTheoryCurve:
         for name, value in (("delta_1", 65.0), ("a_1", 70.0), ("b_1", 910.0),
                             ("delta_2", 155.0), ("a_2", 169.0), ("b_2", 2940.0)):
             assert abs(result.params[name] - value) / value < 1e-6, name
+
+    def test_rate_without_an_error_is_rejected(self):
+        # a rate whose 1% error underflows to 0 cannot weight the fit; above
+        # t_max it is not fitted
+        curve = RamanRateCurve(temperatures=(0.3, 100.0, 200.0, 300.0, 400.0),
+                               omega=(0.0, 1.0, 2.0, 3.0, 4.0),
+                               gamma=(0.0, 2.0, 4.0, 6.0, 8.0), provenance="stub")
+        with pytest.raises(ValueError, match="rate at temperature 0.3 K is too small"):
+            refit_theory_curve(curve, t_max=400.0)
 
     def test_default_refit_converges_from_its_best_profile_cell(self):
         # `nvrelax spectral --refit` at the default sigma = 1 meV: a polish of
