@@ -21,7 +21,6 @@ invert to the rates with propagated uncertainties.
 Each decay is fitted as A exp(-r tau) by a separable solve: the amplitude
 enters linearly and is projected out in closed form, leaving a
 one-dimensional Gauss-Newton problem in log r (:func:`least_squares`).
-The module needs numpy only; importing it loads no scipy.
 """
 from __future__ import annotations
 

@@ -180,18 +180,25 @@ def _model(asm: _Assembled, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     err_omega, err_gamma = asm.err[0::2], asm.err[1::2]
     jac = np.zeros((len(asm.data), len(p)))
     triples = []
-    for t in asm.terms:
-        if t.delta is None:
-            column = _term_column(None, asm.temps)
-        else:
-            n = _bose_einstein(p[t.delta] / asm.kT)
-            column = n * (n + 1.0)
-            slope = -(2.0 * n + 1.0) * n * (n + 1.0) / asm.kT
-            jac[0::2, t.delta] = p[t.a] * slope * p[t.delta] / err_omega
-            jac[1::2, t.delta] = p[t.b] * slope * p[t.delta] / err_gamma
-        jac[0::2, t.a] = column * p[t.a] / err_omega
-        jac[1::2, t.b] = column * p[t.b] / err_gamma
-        triples.append((column, p[t.a], p[t.b]))
+    # an overflow (inf, or 0 * inf) is caught below and named by its temperature
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in asm.terms:
+            if t.delta is None:
+                column = _term_column(None, asm.temps)
+            else:
+                n = _bose_einstein(p[t.delta] / asm.kT)
+                column = n * (n + 1.0)
+                slope = -(2.0 * n + 1.0) * n * (n + 1.0) / asm.kT
+                jac[0::2, t.delta] = p[t.a] * slope * p[t.delta] / err_omega
+                jac[1::2, t.delta] = p[t.b] * slope * p[t.delta] / err_gamma
+            jac[0::2, t.a] = column * p[t.a] / err_omega
+            jac[1::2, t.b] = column * p[t.b] / err_gamma
+            triples.append((column, p[t.a], p[t.b]))
+    finite = np.isfinite(jac).all(axis=1)
+    if not finite.all():
+        row = np.flatnonzero(~finite)[0]
+        raise ValueError(f"the fit's Jacobian is not finite at temperature "
+                         f"{asm.labels[row][2]!r} K")
     model = np.empty(len(asm.data))
     model[0::2], model[1::2] = _sum_terms(triples)
     if asm.floor_cols is not None:

@@ -1,8 +1,5 @@
 """Tests for three-level dynamics, protocol simulation, and rate extraction."""
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -10,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares as scipy_least_squares
 
-import nvrelax
 from nvrelax import dynamics
 from nvrelax.core import DEFAULT_SEED
 from nvrelax.dynamics import (
@@ -566,14 +562,3 @@ class TestSeparableFit:
                            (0.01, 0.01, 0.01))
         with pytest.raises(RuntimeError, match="degenerate"):
             _fit_single_exponential(curve)
-
-    @pytest.mark.parametrize("module", ["nvrelax.dynamics", "nvrelax.fitting"])
-    def test_import_leaves_scipy_unloaded(self, module):
-        src = os.path.dirname(os.path.dirname(nvrelax.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        code = (f"import sys, {module}; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, check=True)
-        assert proc.stdout.strip() == "[]"

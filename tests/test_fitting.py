@@ -1,8 +1,5 @@
 """Tests for the weighted nonlinear least-squares machinery."""
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -11,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
-import nvrelax
 from nvrelax.core import Dataset, RateMeasurement, parse_dataset_text
 from nvrelax.fitting import (
     FitProblem,
@@ -477,32 +473,6 @@ class TestNNLS:
             np.testing.assert_allclose(x_i[unique], x[i][unique], rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(a[i] @ x_i, a[i] @ x[i], rtol=1e-12, atol=1e-15)
             assert math.isclose(r2_i, r2[i], rel_tol=1e-12)
-
-
-def test_fits_need_no_scipy():
-    # with scipy unimportable every model still fits, and the two-mode
-    # energies land in criterion 1's windows (published value +- 2 sigma)
-    src = os.path.dirname(os.path.dirname(nvrelax.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = """
-import sys
-sys.modules["scipy"] = None
-from nvrelax import BUILTIN_TAG, load_dataset
-from nvrelax.fitting import FitProblem, ModelSpec, fit
-data = load_dataset(BUILTIN_TAG)
-for token in ("n-mode:1", "n-mode:2", "n-mode:3", "prior"):
-    result = fit(FitProblem(data, ModelSpec.parse(token)))
-    assert result.converged, token
-    if token == "n-mode:2":
-        assert abs(result.params["delta_1"] - 68.2) <= 3.4, result.params
-        assert abs(result.params["delta_2"] - 167.0) <= 24.0, result.params
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-"""
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['scipy']"     # only the blocked entry
 
 
 class TestBuiltinTwoModeFit:

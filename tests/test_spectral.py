@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from nvrelax import spectral
 from nvrelax.core import BOLTZMANN_MEV_PER_K, HBAR_MEV_S, PLANCK_MEV_PER_MHZ, TransitionChannel
 from nvrelax.models import ModelSpec, RateLaw, orbach_factor
 from nvrelax.spectral import (
@@ -452,6 +453,14 @@ class TestQuadratureEquivalence:
         # exact rationals, independent of the installed scipy: before
         # scipy 1.11 the even-count default was even='avg'
         assert _simpson_weights(np.arange(float(n))).tolist() == [float(w) for w in want]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_templates_are_scipys_bit_for_bit(self, k):
+        # the equality that keeps every spectral output byte-identical
+        spacings = np.random.default_rng(k).uniform(1e-5, 2.0, 2000).tolist()
+        for h in spacings + [0.05, 0.001, 0.03, 250 / 8333, 0.0025]:
+            assert np.array_equal(spectral.simpson(np.eye(k), dx=h),
+                                  simpson(np.eye(k), dx=h)), h
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 1001, 1002, 8334])
     def test_weights_match_scipy_simpson(self, n):
