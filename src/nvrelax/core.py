@@ -221,8 +221,9 @@ def _csv_text(header: str | None, rows: list[str],
     entry, then ``header`` unless None, then the pre-formatted ``rows``;
     every line ends in a newline.
 
-    ``rows`` is a list because a list comprehension renders the 250001-row
-    spectral files faster than a generator does.
+    ``rows`` holds the lines without their newlines.  The spectral CSV
+    writer passes none and appends its own newline-terminated body, which
+    it builds from its grid text rather than one line at a time.
     """
     lines = [f"# {key}: {value}" for key, value in (comments or {}).items()]
     if header is not None:

@@ -24,6 +24,7 @@ inside the integrals, so the integrand depends on one energy only.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -200,6 +201,11 @@ class SpectralFunction:
     Gaussians, MHz^2/meV) and is present when the function was built from a
     coupling table.  Synthetic functions constructed directly in the
     squared domain carry ``power=None``.
+
+    ``grid``, ``amplitude`` and ``power`` are frozen read-only arrays once
+    constructed.  Two caches rely on that: ``_diagonal_support``, built once
+    per function, and the CSV writer's grid text, keyed by the identity of
+    the ``grid`` array and shared by every function on that array.
     """
 
     grid: np.ndarray            # meV, ascending, uniform
@@ -611,9 +617,68 @@ def refit_theory_curve(curve: RamanRateCurve, t_max: float, multistart: int = 8,
                           constants="none", multistart=multistart))
 
 
+# Rows of grid values formatted per call of ``grid[s:e].tolist()``: a bound
+# on the Python floats and strings alive at once while a grid is formatted.
+_GRID_TEXT_CHUNK = 8192
+
+# The text of the last grid formatted: (weakref to the grid, its text, its
+# line offsets).  A grid's values never change (``SpectralFunction`` freezes
+# it), so its identity keys the text; the weakref's callback empties the
+# slot when the grid is freed.
+_grid_text_slot: tuple[weakref.ref, str, np.ndarray] | None = None
+
+
+def _drop_grid_text(ref: weakref.ref) -> None:
+    global _grid_text_slot
+    if _grid_text_slot is not None and _grid_text_slot[0] is ref:
+        _grid_text_slot = None
+
+
+def _grid_text(grid: np.ndarray) -> tuple[str, np.ndarray]:
+    """The ``repr`` of each grid value as one newline-terminated line, all
+    in one string, and the offsets of those lines in it: line i is
+    ``text[offsets[i]:offsets[i + 1]]``.
+
+    Formatted once per grid array, so the two channels that share the CLI's
+    grid pay for its energy column once.
+    """
+    global _grid_text_slot
+    slot = _grid_text_slot
+    if slot is not None and slot[0]() is grid:
+        return slot[1], slot[2]
+    chunks, offsets, size = [], [np.zeros(1, dtype=np.intp)], 0
+    for start in range(0, len(grid), _GRID_TEXT_CHUNK):
+        # a list's repr formats its floats in C, each one as repr(float)
+        values = grid[start:start + _GRID_TEXT_CHUNK].tolist()
+        chunk = repr(values)[1:-1].replace(", ", "\n") + "\n"
+        newlines = np.flatnonzero(np.frombuffer(chunk.encode("ascii"), dtype=np.uint8) == 10)
+        offsets.append(newlines + (size + 1))
+        size += len(chunk)
+        chunks.append(chunk)
+    offsets = np.concatenate(offsets)
+    offsets.flags.writeable = False
+    text = "".join(chunks)
+    _grid_text_slot = (weakref.ref(grid, _drop_grid_text), text, offsets)
+    return text, offsets
+
+
 def spectral_to_csv_text(f: SpectralFunction) -> str:
-    """Energy/amplitude CSV of a spectral function for external plotting."""
-    return _csv_text(
-        "energy_mev,amplitude_mhz_per_mev",
-        [f"{float(e)!r},{float(a)!r}" for e, a in zip(f.grid, f.amplitude)],
-        {"channel": f.channel.value, "order": f.order, "sigma_mev": repr(f.sigma)})
+    """Energy/amplitude CSV of a spectral function for external plotting.
+
+    Each run of exact +0.0 amplitudes is written as one slice of the grid's
+    text (``_grid_text``), with ``,0.0`` put before each newline; only the
+    other rows (nonzero or -0.0) are formatted one by one.
+    """
+    text, offsets = _grid_text(f.grid)
+    amplitude = f.amplitude
+    rows = np.flatnonzero((amplitude != 0) | np.signbit(amplitude))
+    parts = [_csv_text("energy_mev,amplitude_mhz_per_mev", [], {
+        "channel": f.channel.value, "order": f.order, "sigma_mev": repr(f.sigma)})]
+    done = 0
+    for start, end, a in zip(offsets[rows].tolist(), offsets[rows + 1].tolist(),
+                             amplitude[rows].tolist()):
+        parts.append(text[done:start].replace("\n", ",0.0\n"))
+        parts.append(f"{text[start:end - 1]},{a!r}\n")
+        done = end
+    parts.append(text[done:].replace("\n", ",0.0\n"))
+    return "".join(parts)

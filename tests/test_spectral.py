@@ -1,5 +1,6 @@
 """Tests for spectral-function construction and Raman rate quadrature."""
 import dataclasses
+import gc
 import math
 from fractions import Fraction as F
 
@@ -611,3 +612,85 @@ class TestSpectralCsv:
         assert lines[1] == "# order: 2"
         assert lines[3] == "energy_mev,amplitude_mhz_per_mev"
         assert len(lines) == 4 + len(f.grid)
+
+
+def _reference_csv(f):
+    """The CSV text of ``f`` formatted one row at a time."""
+    return (f"# channel: {f.channel.value}\n# order: {f.order}\n# sigma_mev: {f.sigma!r}\n"
+            "energy_mev,amplitude_mhz_per_mev\n"
+            + "".join(f"{e!r},{a!r}\n" for e, a in zip(f.grid.tolist(), f.amplitude.tolist())))
+
+
+# exact +0.0 and -0.0 drawn often enough to form runs, among subnormal and
+# normal amplitudes
+_AMPLITUDES = st.one_of(
+    st.just(0.0), st.just(0.0), st.just(-0.0),
+    st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]),
+    st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True))
+
+
+@st.composite
+def _functions_on_grid(draw, count):
+    """``count`` spectral functions sharing one grid array."""
+    n = draw(st.integers(5, 40))
+    start = draw(st.floats(-100.0, 100.0))
+    span = draw(st.floats(1e-3, 1e3))
+    grid = np.linspace(start, start + span, n)
+    return [SpectralFunction(grid=grid, amplitude=draw(st.lists(_AMPLITUDES, min_size=n,
+                                                                  max_size=n)),
+                             channel=SQ, order=2, sigma=span / n)
+            for _ in range(count)]
+
+
+class TestSpectralCsvRows:
+    """The run-length writer against the one-row-at-a-time reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shared=_functions_on_grid(2), other=_functions_on_grid(1),
+           order=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=6))
+    def test_matches_row_by_row_reference(self, shared, other, order):
+        # two functions on one grid, in any order, interleaved with a
+        # function on another grid
+        functions = shared + other
+        for k in order:
+            assert spectral_to_csv_text(functions[k]) == _reference_csv(functions[k])
+
+    @pytest.mark.parametrize("amplitude", [
+        [1.0, 0.0, 0.0, 0.0, 2.5],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [3.0, 5e-324, 1e-310, 7.0, 1e300],
+        [-0.0, 0.0, -0.0, -0.0, 0.0],
+        [0.0, -0.0, 5e-324, 0.0, 0.0],
+    ], ids=["nonzero-ends", "all-zero", "all-nonzero", "negative-zeros", "subnormal"])
+    def test_edge_rows(self, amplitude):
+        f = SpectralFunction(grid=np.linspace(0.0, 0.4, 5), amplitude=amplitude,
+                             channel=DQ, order=2, sigma=0.1)
+        assert spectral_to_csv_text(f) == _reference_csv(f)
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0])
+    def test_cli_functions(self, sigma):
+        grid = default_grid(sigma)
+        functions = [build_spectral_function(anchor_coupling_table(), channel, 2, sigma, grid)
+                     for channel in (SQ, DQ)]
+        for f in functions:
+            assert spectral_to_csv_text(f) == _reference_csv(f)
+
+    def test_grid_text_follows_its_grid(self):
+        amplitude = [0.0, 1.0, 0.0, 0.0, 0.0]
+        grid = np.linspace(0.0, 0.4, 5)
+        first = SpectralFunction(grid=grid, amplitude=amplitude, channel=SQ, order=2, sigma=0.1)
+        twin = SpectralFunction(grid=grid.copy(), amplitude=amplitude, channel=SQ, order=2,
+                                sigma=0.1)
+        assert twin.grid is not first.grid
+        assert spectral_to_csv_text(first) == spectral_to_csv_text(twin)
+        ref = spectral._grid_text_slot[0]
+        assert ref() is twin.grid
+        # the slot lets its grid go, and a new grid (which may reuse the old
+        # one's address) gets its own text
+        del first, twin, grid
+        gc.collect()
+        assert ref() is None
+        assert spectral._grid_text_slot is None
+        moved = SpectralFunction(grid=np.linspace(1.0, 1.4, 5), amplitude=amplitude,
+                                 channel=SQ, order=2, sigma=0.1)
+        assert spectral_to_csv_text(moved) == _reference_csv(moved)
