@@ -185,7 +185,22 @@ def default_grid(sigma: float) -> np.ndarray:
     so that the quadrature error check is met."""
     _require({"broadening width sigma": sigma}, "positive")
     spacing = min(0.05, sigma / 10.0)
-    return np.linspace(0.0, MAX_MODE_ENERGY_MEV, int(round(MAX_MODE_ENERGY_MEV / spacing)) + 1)
+    n = int(round(MAX_MODE_ENERGY_MEV / spacing)) + 1
+    # np.linspace(0, MAX_MODE_ENERGY_MEV, n)'s arithmetic, into an array that
+    # owns its data: SpectralFunction keeps that one as it is, so both
+    # channels share it and its CSV text, while it copies linspace's view
+    # (copying here raised the 250001-point run's peak memory by 3 MB)
+    grid = np.arange(n, dtype=float)
+    grid *= MAX_MODE_ENERGY_MEV / (n - 1)
+    grid[-1] = MAX_MODE_ENERGY_MEV
+    return grid
+
+
+def _owned(values) -> np.ndarray:
+    """``values`` as a float array that owns its data: a view of another
+    array is copied, since that array could still change it."""
+    out = np.asarray(values, dtype=float)
+    return out if out.flags.owndata else out.copy()
 
 
 def _gaussian(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -203,9 +218,11 @@ class SpectralFunction:
     squared domain carry ``power=None``.
 
     ``grid``, ``amplitude`` and ``power`` are frozen read-only arrays once
-    constructed.  Two caches rely on that: ``_diagonal_support``, built once
-    per function, and the CSV writer's grid text, keyed by the identity of
-    the ``grid`` array and shared by every function on that array.
+    constructed: an array that owns its data is frozen in place, and a view
+    of another array is copied first.  Two caches rely on that:
+    ``_diagonal_support``, built once per function, and the CSV writer's
+    grid text, keyed by the identity of the ``grid`` array and shared by
+    every function on that array.
     """
 
     grid: np.ndarray            # meV, ascending, uniform
@@ -216,8 +233,7 @@ class SpectralFunction:
     power: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        amplitude = np.asarray(self.amplitude, dtype=float)
+        grid, amplitude = _owned(self.grid), _owned(self.amplitude)
         if grid.ndim != 1 or len(grid) < 5:
             raise ValueError("grid must be a 1-D array with at least 5 samples")
         spacing = np.diff(grid)
@@ -236,7 +252,7 @@ class SpectralFunction:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "amplitude", amplitude)
         if self.power is not None:
-            power = np.asarray(self.power, dtype=float)
+            power = _owned(self.power)
             if power.shape != grid.shape:
                 raise ValueError("power must match the grid shape")
             _require({"power": power}, "nonnegative")
