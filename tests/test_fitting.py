@@ -1,4 +1,5 @@
 """Tests for the weighted nonlinear least-squares machinery."""
+import itertools
 import math
 import warnings
 
@@ -21,11 +22,13 @@ from nvrelax.fitting import (
 )
 from nvrelax.fitting import (
     _assemble,
+    _best_feasible,
     _bounds,
     _canonical_order,
     _model,
     _nnls,
     _profile,
+    _project,
     least_squares,
 )
 from nvrelax.models import RateLaw, orbach_factor, orbach_factor_ddelta
@@ -385,6 +388,38 @@ class TestInvariances:
                       <= 1e-9 * np.linalg.norm(jac[:, inside], axis=0) * np.linalg.norm(r))
         assert np.all(gradient[solved.p == hi] <= 0.0)
 
+    @pytest.mark.parametrize("name", ["a_1", "b_2"])
+    def test_coefficient_held_in_one_channel_only(self, builtin_dataset, name):
+        # both channels share one _nnls batch: the held channel re-solves its
+        # other coefficients and floors, and the other channel is untouched
+        asm = _assemble(FitProblem(dataset=builtin_dataset, model=ModelSpec.parse("n-mode:2")))
+        deltas = {"1": 70.0, "2": 170.0}
+        free = _project(asm, np.log(list(deltas.values())))[1]
+        held = np.full(len(asm.names), np.nan)
+        held[asm.names.index(name)] = 2.0 * free[asm.names.index(name)]
+        chi2, p = _project(asm, np.log(list(deltas.values())), held)
+        r = _model(asm, p)[0]
+        assert p[asm.names.index(name)] == held[asm.names.index(name)]
+        assert math.isclose(chi2, float(r @ r), rel_tol=1e-12)
+
+        channel, other = name[0], "b" if name[0] == "a" else "a"
+        for j, n in enumerate(asm.names):
+            if n.startswith(other):
+                assert math.isclose(p[j], free[j], rel_tol=1e-12), n
+        # scipy's NNLS on this channel's columns, the held term moved to the data
+        rows = builtin_dataset.rows
+        k = "ab".index(channel)
+        temps = np.array([r.temperature for r in rows])
+        err = np.array([(r.omega_err, r.gamma_err)[k] for r in rows])
+        data = np.array([(r.omega, r.gamma)[k] for r in rows])
+        columns = {f"{channel}_{m}": orbach_factor(delta, temps) for m, delta in deltas.items()}
+        columns.update({f"{channel}3_{s}": np.array([r.sample == s for r in rows], dtype=float)
+                        for s in sorted({r.sample for r in rows})})
+        target = (data - held[asm.names.index(name)] * columns.pop(name)) / err
+        x_ref, _ = scipy_nnls(np.array(list(columns.values())).T / err[:, None], target)
+        x = p[[asm.names.index(n) for n in columns]]
+        np.testing.assert_allclose(x, x_ref, rtol=1e-8, atol=1e-12 * np.abs(x_ref).max())
+
     def test_rank_deficiency_detected(self, published_params):
         # all rows at a single temperature cannot separate the mode terms
         # from the constant floor
@@ -429,9 +464,62 @@ class TestProfile:
         assert math.isclose(result.chi2, 126.60641327273599, rel_tol=1e-12)
 
 
+def _nnls_reference(a, b):
+    """The support enumeration that _nnls stops early: every support's
+    normal equations, the full one first and then by ascending size, and
+    the feasible one with the least |a x - b|^2 (x = 0 to beat) wins."""
+    at = np.swapaxes(a, -1, -2)
+    gram, rhs = at @ a, at @ b[..., None]
+    k = a.shape[-1]
+    x, best = np.zeros(rhs.shape), np.full(gram.shape[:-2], np.sum(b * b, axis=-1))
+    for cols in [list(range(k))] + [list(c) for size in range(1, k)
+                                    for c in itertools.combinations(range(k), size)]:
+        g = gram[..., cols, :][..., :, cols]
+        try:
+            x_s = np.linalg.solve(g, rhs[..., cols, :])
+        except np.linalg.LinAlgError:
+            x_s = np.linalg.pinv(g) @ rhs[..., cols, :]
+        trial = np.zeros(rhs.shape)
+        trial[..., cols, :] = x_s
+        r2 = np.sum(((a @ trial)[..., 0] - b) ** 2, axis=-1)
+        better = np.all(x_s >= 0.0, axis=(-2, -1)) & (r2 < best)
+        x[better], best[better] = trial[better], r2[better]
+        if len(cols) == k and better.all():
+            break       # the full support is feasible everywhere
+    return x[..., 0], best
+
+
 class TestNNLS:
     """The exact batched solve that the profile and the polish share, with
     scipy's active-set NNLS as the oracle."""
+
+    @pytest.mark.parametrize("batch", [(), (30,), (15, 2)], ids=["single", "n", "n-2"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_bit_identical_to_the_support_enumeration(self, k, batch):
+        # full-rank columns of mixed scales; stopping at the support that
+        # meets the optimality conditions picks the enumeration's optimum
+        rng = np.random.default_rng([k, len(batch)])
+        for _ in range(40 if batch == () else 4):
+            rows = int(rng.integers(k + 1, 30))
+            a = rng.standard_normal((*batch, rows, k)) * rng.lognormal(0.0, 2.0, k)
+            b = rng.standard_normal((*batch, rows))
+            x, r2 = _nnls(a, b)
+            x_ref, r2_ref = _nnls_reference(a, b)
+            assert np.array_equal(x, x_ref) and np.array_equal(r2, r2_ref)
+
+    @pytest.mark.parametrize("degenerate", ["zero-column", "identical-pair"])
+    def test_fallback_is_the_support_enumeration(self, degenerate):
+        # a problem that no support certifies keeps the enumeration's rule,
+        # ties (as zero or repeated columns make) going to its support order
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal((20, 12, 4)), rng.standard_normal((20, 12))
+        if degenerate == "zero-column":
+            a[:, :, 1] = 0.0
+        else:
+            a[:, :, 2] = a[:, :, 0]
+        at = np.swapaxes(a, -1, -2)
+        x = _best_feasible(a, b, at @ a, at @ b[..., None])[..., 0]
+        assert np.array_equal(x, _nnls_reference(a, b)[0])
 
     @staticmethod
     def _check_against_scipy(a, b, x, r2, unique):

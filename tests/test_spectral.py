@@ -217,6 +217,36 @@ class TestSpectralFunctionInvariants:
             SpectralFunction(grid=np.linspace(0, 10, n), amplitude=np.zeros(n),
                              channel=SQ, order=order, sigma=1.0, power=power)
 
+    def test_view_of_a_writeable_array_is_copied(self):
+        # the grid text slot and _diagonal_support keep what they first saw,
+        # so a caller must not reach a function's arrays through another
+        base = np.linspace(0.0, 0.4, 5).copy()
+        amplitude, power = np.ones((2, 5))
+        f = SpectralFunction(grid=base[:], amplitude=amplitude[:], channel=SQ, order=2,
+                             sigma=1.0, power=power[::1])
+        energies, text = base.tolist(), spectral_to_csv_text(f)
+        base[:], amplitude[:], power[:] = 2.0 * base, 2.0, 2.0
+        assert f.grid.tolist() == energies
+        assert f.amplitude.tolist() == f.power.tolist() == [1.0] * 5
+        assert spectral_to_csv_text(f) == text == _reference_csv(f)
+        assert not (f.grid.flags.writeable or f.amplitude.flags.writeable
+                    or f.power.flags.writeable)
+
+    @pytest.mark.parametrize("sigma", [0.001, 0.01, 0.3, 0.5, 1.0, 7.5, 15.0])
+    def test_default_grid_is_linspace_in_an_owning_array(self, sigma):
+        spacing = min(0.05, sigma / 10.0)
+        grid = default_grid(sigma)
+        assert grid.flags.owndata
+        assert np.array_equal(grid, np.linspace(0.0, MAX_MODE_ENERGY_MEV,
+                                                round(MAX_MODE_ENERGY_MEV / spacing) + 1))
+
+    def test_array_that_owns_its_data_is_kept(self):
+        # so the CLI's two channels share one default grid and its text
+        grid = default_grid(1.0)
+        functions = [build_spectral_function(anchor_coupling_table(), channel, 2, 1.0, grid)
+                     for channel in (SQ, DQ)]
+        assert all(f.grid is grid for f in functions) and not grid.flags.writeable
+
     def test_no_peaks_or_intermediate_states_rejected(self):
         with pytest.raises(ValueError, match="at least one peak"):
             synthetic_peak_function([], sigma=7.5, channel=SQ)
@@ -635,7 +665,7 @@ def _functions_on_grid(draw, count):
     n = draw(st.integers(5, 40))
     start = draw(st.floats(-100.0, 100.0))
     span = draw(st.floats(1e-3, 1e3))
-    grid = np.linspace(start, start + span, n)
+    grid = np.linspace(start, start + span, n).copy()   # owned, so not copied
     return [SpectralFunction(grid=grid, amplitude=draw(st.lists(_AMPLITUDES, min_size=n,
                                                                   max_size=n)),
                              channel=SQ, order=2, sigma=span / n)
