@@ -105,23 +105,27 @@ class FitProblem:
 
 @dataclass(frozen=True)
 class _Assembled:
+    """Every layout fact of one fit, decided once by :func:`_assemble`.  Data
+    and errors are C-contiguous (matmul rounds by memory order); residuals,
+    labels and Jacobian rows interleave the channels (omega, gamma) per row."""
+
     names: tuple[str, ...]
     temps: np.ndarray           # per row
     kT: np.ndarray              # k_B T per row, meV
-    data: np.ndarray            # interleaved (omega_0, gamma_0, omega_1, ...)
-    err: np.ndarray             # same interleaving
-    terms: tuple[_Term, ...]    # fields are parameter columns
-    floors: tuple[tuple[int, int], ...]   # (a3 column, b3 column) per sample
-    floor_cols: np.ndarray | None         # floor parameter column per residual
+    data: np.ndarray            # (channel, row)
+    err: np.ndarray             # (channel, row)
     labels: tuple[tuple[str, str, float, str], ...]  # (nv_id, sample, T, channel)
-    # what _project needs per channel (omega, gamma), built once: the
-    # coefficient and floor columns in basis order (Orbach, T^5, floors),
-    # the errors, the data over the errors, and the basis rows that do not
-    # depend on the mode energies (the T^5 column, then each sample's floor
-    # indicator) over the errors
+    terms: tuple[_Term, ...]    # fields are parameter columns
+    modes: np.ndarray           # (Orbach term, (delta, a, b) column), term order
+    linear: np.ndarray          # every column but the mode energies, ascending
+    lo: np.ndarray              # each column's bounds, by parameter kind
+    hi: np.ndarray
+    floor_cols: np.ndarray | None   # (channel, row): that row's floor column
+    # what _project needs per channel, built once: the coefficient and
+    # floor columns in basis order (Orbach, T^5, floors), and the basis rows
+    # that do not depend on the mode energies (the T^5 column, then each
+    # sample's floor indicator) over the errors
     channel_cols: np.ndarray      # (channel, basis column)
-    channel_err: np.ndarray       # (channel, row)
-    channel_target: np.ndarray    # (channel, row)
     fixed_basis: np.ndarray       # (channel, T^5 and floor column, row)
 
 
@@ -134,65 +138,55 @@ def _assemble(problem: FitProblem) -> _Assembled:
 
     rows = dataset.rows
     temps = np.array([r.temperature for r in rows])
-    data = np.array([(r.omega, r.gamma) for r in rows], dtype=float).ravel()
-    err = np.array([(r.omega_err, r.gamma_err) for r in rows], dtype=float).ravel()
+    data = np.array([[r.omega for r in rows], [r.gamma for r in rows]], dtype=float)
+    err = np.array([[r.omega_err for r in rows], [r.gamma_err for r in rows]], dtype=float)
     labels = tuple((r.nv_id, r.sample, r.temperature, channel)
                    for r in rows for channel in ("omega", "gamma"))
 
     # sorted sample order keeps parameter naming independent of row order
     samples = sorted({r.sample for r in rows}) if problem.constants == "per_sample" else ()
     names = [*problem.model.param_names, *(f"{c}3_{s}" for s in samples for c in "ab")]
+    if len(names) >= data.size:
+        raise ValueError(f"{len(names)} free parameters but only {data.size} residuals; "
+                         "underdetermined")
     col = {name: j for j, name in enumerate(names)}
     terms = tuple(
         _Term(None if t.delta is None else col[t.delta], col[t.a], col[t.b])
         for t in problem.model.terms
     )
-    floors = tuple((col[f"a3_{s}"], col[f"b3_{s}"]) for s in samples)
-    floor_cols = None
-    if samples:
-        floor_cols = np.array([col[f"{c}3_{r.sample}"] for r in rows for c in "ab"])
-
-    if len(names) >= len(data):
-        raise ValueError(
-            f"{len(names)} free parameters but only {len(data)} residuals; underdetermined"
-        )
     orbach = [t for t in terms if t.delta is not None]
     fixed = [t for t in terms if t.delta is None]
-    channel_err = np.stack([err[0::2], err[1::2]])
+    floors = [[col[f"{c}3_{s}"] for s in samples] for c in "ab"]    # (channel, sample)
+    floor_cols = None
+    if samples:
+        floor_cols = np.array([[col[f"{c}3_{r.sample}"] for r in rows] for c in "ab"])
+
+    modes = np.array(orbach)
+    # bounds by parameter kind: floors, coefficients (T^5's are tiny in
+    # s^-1 K^-5), mode energies
+    lo, hi = np.full(len(names), 1e-8), np.full(len(names), 1e3)
+    for t in terms:
+        lo[[t.a, t.b]], hi[[t.a, t.b]] = (1e-18, 1e-3) if t.delta is None else (1e-6, 1e9)
+    lo[modes[:, 0]], hi[modes[:, 0]] = 5.0, 400.0
     fixed_rows = [_term_column(None, temps) for _ in fixed]
-    fixed_rows += [floor_cols[0::2] == a3 for a3, _ in floors]
+    fixed_rows += [floor_cols[0] == a3 for a3 in floors[0]]
     return _Assembled(
         names=tuple(names),
         temps=temps,
         kT=BOLTZMANN_MEV_PER_K * temps,
         data=data,
         err=err,
-        terms=terms,
-        floors=floors,
-        floor_cols=floor_cols,
         labels=labels,
-        channel_cols=np.array([[getattr(t, field) for t in orbach + fixed]
-                               + [pair[k] for pair in floors]
+        terms=terms,
+        modes=modes,
+        linear=np.array([j for j in range(len(names)) if j not in modes[:, 0]]),
+        lo=lo,
+        hi=hi,
+        floor_cols=floor_cols,
+        channel_cols=np.array([[getattr(t, field) for t in orbach + fixed] + floors[k]
                                for k, field in enumerate("ab")]),
-        channel_err=channel_err,
-        channel_target=np.stack([data[0::2], data[1::2]]) / channel_err,
-        fixed_basis=np.reshape(fixed_rows, (1, -1, len(rows))) / channel_err[:, None, :],
+        fixed_basis=np.reshape(fixed_rows, (1, -1, len(rows))) / err[:, None, :],
     )
-
-
-def _bounds(asm: _Assembled) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bound of every parameter column, by parameter kind."""
-    lo, hi = np.empty(len(asm.names)), np.empty(len(asm.names))
-    for t in asm.terms:
-        if t.delta is None:
-            coeff = (1e-18, 1e-3)      # T^5 coefficients are tiny in s^-1 K^-5
-        else:
-            lo[t.delta], hi[t.delta] = 5.0, 400.0
-            coeff = (1e-6, 1e9)
-        lo[[t.a, t.b]], hi[[t.a, t.b]] = coeff
-    for floor in asm.floors:
-        lo[list(floor)], hi[list(floor)] = 1e-8, 1e3
-    return lo, hi
 
 
 def _model(asm: _Assembled, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +194,7 @@ def _model(asm: _Assembled, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (floors last) so they match its rates bit for bit, and their Jacobian
     d r / d log p, with d/d delta of n(n+1) equal to -(2n+1) n(n+1) / k_B T.
     """
-    err_omega, err_gamma = asm.err[0::2], asm.err[1::2]
-    jac = np.zeros((len(asm.data), len(p)))
+    jac = np.zeros((len(asm.temps), 2, len(p)))     # (row, channel, parameter)
     triples = []
     # an overflow (inf, or 0 * inf) is caught below and named by its temperature
     with np.errstate(over="ignore", invalid="ignore"):
@@ -212,22 +205,21 @@ def _model(asm: _Assembled, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 n = _bose_einstein(p[t.delta] / asm.kT)
                 column = n * (n + 1.0)
                 slope = -(2.0 * n + 1.0) * n * (n + 1.0) / asm.kT
-                jac[0::2, t.delta] = p[t.a] * slope * p[t.delta] / err_omega
-                jac[1::2, t.delta] = p[t.b] * slope * p[t.delta] / err_gamma
-            jac[0::2, t.a] = column * p[t.a] / err_omega
-            jac[1::2, t.b] = column * p[t.b] / err_gamma
+            for k, c in enumerate((t.a, t.b)):
+                if t.delta is not None:
+                    jac[:, k, t.delta] = p[c] * slope * p[t.delta] / asm.err[k]
+                jac[:, k, c] = column * p[c] / asm.err[k]
             triples.append((column, p[t.a], p[t.b]))
-    finite = np.isfinite(jac).all(axis=1)
+    finite = np.isfinite(jac).all(axis=(1, 2))
     if not finite.all():
-        row = np.flatnonzero(~finite)[0]
         raise ValueError(f"the fit's Jacobian is not finite at temperature "
-                         f"{asm.labels[row][2]!r} K")
-    model = np.empty(len(asm.data))
-    model[0::2], model[1::2] = _sum_terms(triples)
+                         f"{float(asm.temps[np.flatnonzero(~finite)[0]])!r} K")
+    model = np.array(_sum_terms(triples))
     if asm.floor_cols is not None:
         model += p[asm.floor_cols]
-        jac[np.arange(len(asm.data)), asm.floor_cols] = p[asm.floor_cols] / asm.err
-    return (model - asm.data) / asm.err, jac
+        rows = np.arange(len(asm.temps))[:, None]
+        jac[rows, (0, 1), asm.floor_cols.T] = (p[asm.floor_cols] / asm.err).T
+    return ((model - asm.data) / asm.err).T.ravel(), jac.reshape(-1, len(p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,12 +231,15 @@ def _supports(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched normal equations, all by the pseudo-inverse if any is
-    singular (a held or an underflowed column is all zero)."""
+    """Batched normal equations; if any is singular (a held or an
+    underflowed column is all zero), each alone, by the pseudo-inverse only
+    where it is singular, so no problem's bits depend on its batch-mates."""
     try:
         return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
-        return np.linalg.pinv(gram) @ rhs
+        if len(gram) == 1:
+            return np.linalg.pinv(gram) @ rhs
+        return np.concatenate([_solve(g, r) for g, r in zip(gram[:, None], rhs[:, None])])
 
 
 def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,12 +313,12 @@ def _project(asm: _Assembled, log_deltas: np.ndarray,
     n *= n + 1.0
     modes = n.shape[-2]
     basis = np.empty((*deltas.shape[:-1], *asm.channel_cols.shape, len(asm.temps)))
-    np.divide(n[..., None, :, :], asm.channel_err[:, None, :], out=basis[..., :modes, :])
+    np.divide(n[..., None, :, :], asm.err[:, None, :], out=basis[..., :modes, :])
     basis[..., modes:, :] = asm.fixed_basis
     norm = np.sqrt(np.einsum("...ij,...ij->...i", basis, basis))
     norm[norm == 0.0] = 1.0
     basis /= norm[..., None]
-    target = asm.channel_target
+    target = asm.data / asm.err
     fix = np.zeros(basis.shape[-3:-1], bool) if held is None else ~np.isnan(held[asm.channel_cols])
     if fix.any():
         shift = np.zeros(basis.shape[:-2] + basis.shape[-1:])
@@ -335,14 +330,13 @@ def _project(asm: _Assembled, log_deltas: np.ndarray,
         basis[..., fix, :] = 0.0
     x, r2 = _nnls(np.swapaxes(basis, -1, -2), target)
     p = np.zeros((*deltas.shape[:-1], len(asm.names)))
-    p[..., [t.delta for t in asm.terms if t.delta is not None]] = deltas
+    p[..., asm.modes[:, 0]] = deltas
     p[..., asm.channel_cols] = x / norm
     chi2 = r2[..., 0] + r2[..., 1]
     return chi2, p if held is None else np.where(np.isnan(held), p, held)
 
 
-def _profile(asm: _Assembled, lo: np.ndarray,
-             hi: np.ndarray) -> list[tuple[float, np.ndarray]]:
+def _profile(asm: _Assembled) -> list[tuple[float, np.ndarray]]:
     """(chi2, physical parameters) at the distinct local minima of the
     profile chi2 over a log grid of mode energies, best first.
 
@@ -350,17 +344,17 @@ def _profile(asm: _Assembled, lo: np.ndarray,
     :func:`_project` solves every cell.  A cell that no neighbour
     (diagonals too) undercuts is a minimum; touching minima are one plateau.
     """
-    deltas = [t.delta for t in asm.terms if t.delta is not None]
-    size = _PROFILE_POINTS[len(deltas)]
-    grid = np.log(np.geomspace(lo[deltas], hi[deltas], size))
-    cells = np.array(list(itertools.combinations(range(size), len(deltas))))
-    cell_chi2, cell_p = _project(asm, grid[cells, np.arange(len(deltas))])
+    deltas, modes = asm.modes[:, 0], len(asm.modes)
+    size = _PROFILE_POINTS[modes]
+    grid = np.log(np.geomspace(asm.lo[deltas], asm.hi[deltas], size))
+    cells = np.array(list(itertools.combinations(range(size), modes)))
+    cell_chi2, cell_p = _project(asm, grid[cells, np.arange(modes)])
 
-    chi2 = np.full((size,) * len(deltas), np.inf)
+    chi2 = np.full((size,) * modes, np.inf)
     chi2[tuple(cells.T)] = cell_chi2
     found = dict(zip(map(tuple, cells.tolist()), cell_p))
 
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=len(deltas)) if any(o)]
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=modes) if any(o)]
     padded = np.pad(chi2, 1, constant_values=np.inf)
     lowest = np.min([padded[tuple(slice(1 + o, 1 + o + size) for o in off)]
                      for off in offsets], axis=0)
@@ -382,10 +376,8 @@ def _profile(asm: _Assembled, lo: np.ndarray,
 
 def _canonical_order(asm: _Assembled, p: np.ndarray) -> np.ndarray:
     """Permute parameters so the Orbach terms are ascending in energy."""
-    orbach = [t for t in asm.terms if t.delta is not None]
     out = p.copy()
-    for new, old in zip(orbach, sorted(orbach, key=lambda t: p[t.delta])):
-        out[[new.delta, new.a, new.b]] = p[[old.delta, old.a, old.b]]
+    out[asm.modes] = p[asm.modes[np.argsort(p[asm.modes[:, 0]], kind="stable")]]
     return out
 
 
@@ -496,8 +488,7 @@ class _Polish(NamedTuple):
     converged: bool     # False when the evaluation cap ended the solve
 
 
-def least_squares(asm: _Assembled, p0: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray) -> _Polish:
+def least_squares(asm: _Assembled, p0: np.ndarray) -> _Polish:
     """Separable fit from the mode energies of ``p0``: Levenberg-Marquardt
     on u = log delta alone (Golub & Pereyra, SIAM J. Numer. Anal. 10 (1973)
     413), the rest by :func:`_project`: a coefficient over its upper bound is
@@ -509,10 +500,10 @@ def least_squares(asm: _Assembled, p0: np.ndarray, lo: np.ndarray,
     their rounding, is held.  The solve stops when the predicted or the
     actual fall of chi2 is within chi2's rounding error.
     """
-    deltas = [t.delta for t in asm.terms if t.delta is not None]
-    linear = np.setdiff1d(np.arange(len(asm.names)), deltas)
+    deltas, linear, lo, hi = asm.modes[:, 0], asm.linear, asm.lo, asm.hi
     u_lo, u_hi = np.log(lo[deltas]), np.log(hi[deltas])
-    scale = np.finfo(float).eps * np.abs(asm.data / asm.err)   # each residual's rounding
+    # each residual's rounding, interleaved like the residuals
+    scale = np.finfo(float).eps * np.abs(asm.data / asm.err).T.ravel()
 
     def evaluate(u):
         held = np.full(len(lo), np.nan)
@@ -560,9 +551,7 @@ def fit(problem: FitProblem) -> FitResult:
     then fewest evaluations, then start index.
     """
     asm = _assemble(problem)
-    lo, hi = _bounds(asm)
-    results = [least_squares(asm, p0, lo, hi)
-               for _, p0 in _profile(asm, lo, hi)[:problem.multistart]]
+    results = [least_squares(asm, p0) for _, p0 in _profile(asm)[:problem.multistart]]
     best = min(results, key=lambda r: (r.chi2, r.nfev))     # first start on a tie
     p_best = _canonical_order(asm, best.p)
     residuals, jac_log = _model(asm, p_best)

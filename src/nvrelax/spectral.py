@@ -218,11 +218,14 @@ class SpectralFunction:
     squared domain carry ``power=None``.
 
     ``grid``, ``amplitude`` and ``power`` are frozen read-only arrays once
-    constructed: an array that owns its data is frozen in place, and a view
-    of another array is copied first.  Two caches rely on that:
+    constructed: a view is copied first, and an array that owns its data is
+    frozen in place, not copied.  Two caches rely on that:
     ``_diagonal_support``, built once per function, and the CSV writer's
     grid text, keyed by the identity of the ``grid`` array and shared by
-    every function on that array.
+    every function on that array.  Freezing an array does not freeze the
+    views of it taken before construction: a write through one still
+    changes the function's array, and neither cache follows that change.
+    So never write to an array after passing it in.
     """
 
     grid: np.ndarray            # meV, ascending, uniform

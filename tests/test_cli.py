@@ -242,6 +242,20 @@ class TestExitCodes:
         assert run("fit", "--model", "prior", "--multistart", "2",
                    "-o", str(tmp_path / "r.json")) == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (("fit", "--model", "n-mode:2"), "fit did not converge"),
+        (("compare", "--models", "n-mode:1", "prior"), "at least one fit did not converge"),
+    ], ids=["fit", "compare"])
+    def test_capped_fit_writes_its_report_and_exits_two(self, argv, message, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.setattr("nvrelax.fitting._MAX_EVALUATIONS", 2)
+        out = tmp_path / "r.json"
+        assert run(*argv, "--multistart", "2", "-o", str(out)) == 2
+        assert message in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        fits = report["ranking"] if "ranking" in report else [report["fit"]]
+        assert not all(f["converged"] for f in fits)
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "nvrelax.cli", "--version"],
@@ -271,6 +285,7 @@ assert all(row["converged"] for row in json.load(open("c.json"))["ranking"])
 values = {p["name"]: p["value"] for p in json.load(open("f.json"))["parameters"]}
 assert abs(values["delta_1"] - 68.2) <= 3.4, values
 assert abs(values["delta_2"] - 167.0) <= 24.0, values
+assert "numpy.ma" not in sys.modules
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
@@ -524,6 +539,14 @@ class TestSimulateCommand:
         assert run("simulate", "--omega", "1e308", "--gamma", "1e308",
                    "--shots", "100", "-o", str(tmp_path / "huge")) == 1
         assert "expected decay rate 3 Omega must be finite" in capsys.readouterr().err
+
+    def test_capped_exponential_fit_exits_two_and_writes_nothing(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        monkeypatch.setattr("nvrelax.dynamics._MAX_ITERATIONS", 1)
+        assert run("simulate", "--omega", "60", "--gamma", "128", "--shots", "100000",
+                   "-o", str(tmp_path / "m")) == 2
+        assert "did not converge in 1 iterations" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_decay_beyond_overflow_is_numerical_failure(self, tmp_path, capsys):
         # (Omega + 2 gamma) tau overflows on the 3-Omega branch's long grid

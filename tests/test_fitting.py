@@ -23,12 +23,12 @@ from nvrelax.fitting import (
 from nvrelax.fitting import (
     _assemble,
     _best_feasible,
-    _bounds,
     _canonical_order,
     _model,
     _nnls,
     _profile,
     _project,
+    _solve,
     least_squares,
 )
 from nvrelax.models import RateLaw, orbach_factor, orbach_factor_ddelta
@@ -249,7 +249,7 @@ def _start_points(dataset, token, constants="per_sample", count=2):
     between 0.2 and 0.8, shifted from point to point."""
     asm = _assemble(FitProblem(dataset=dataset, model=ModelSpec.parse(token),
                                constants=constants))
-    lo, hi = np.log(_bounds(asm))
+    lo, hi = np.log(asm.lo), np.log(asm.hi)
     points = []
     for k in range(count):
         fraction = 0.2 + 0.6 * ((0.37 * np.arange(len(lo)) + 0.29 * k) % 1.0)
@@ -262,7 +262,7 @@ def _reference_jacobian(asm, dataset, u):
     occupancies: physical-space columns from the public rate-law functions,
     then ``* p``, then ``/ err``."""
     p = np.exp(u)
-    jac = np.zeros((len(asm.data), len(p)))
+    jac = np.zeros((asm.data.size, len(p)))
     for t in asm.terms:
         if t.delta is None:
             column = asm.temps**5
@@ -278,7 +278,7 @@ def _reference_jacobian(asm, dataset, u):
         if f"a3_{row.sample}" in col:
             jac[2 * i, col[f"a3_{row.sample}"]] = 1.0
             jac[2 * i + 1, col[f"b3_{row.sample}"]] = 1.0
-    return (jac * p[None, :]) / asm.err[:, None]
+    return (jac * p[None, :]) / asm.err.T.reshape(-1, 1)
 
 
 class TestJacobianBitIdentity:
@@ -288,7 +288,7 @@ class TestJacobianBitIdentity:
         asm, points = _start_points(builtin_dataset, token, constants, count=4)
         # every mode at 600 meV: the occupancy underflows to 0 on the cold rows
         frozen = points[0].copy()
-        frozen[[t.delta for t in asm.terms if t.delta is not None]] = np.log(600.0)
+        frozen[asm.modes[:, 0]] = np.log(600.0)
         for u in [*points, frozen]:
             got = _model(asm, np.exp(u))[1]
             assert got.tobytes() == _reference_jacobian(asm, builtin_dataset, u).tobytes()
@@ -354,10 +354,9 @@ class TestInvariances:
                              multistart=1)
         base = fit(problem)
         asm = _assemble(problem)
-        lo, hi = _bounds(asm)
-        start = _profile(asm, lo, hi)[0][1].copy()
+        start = _profile(asm)[0][1].copy()
         start[[asm.names.index("delta_1"), asm.names.index("delta_2")]] = 160.0, 60.0
-        solved = least_squares(asm, start, lo, hi)
+        solved = least_squares(asm, start)
         swapped = dict(zip(asm.names, _canonical_order(asm, solved.p)))
         assert swapped["delta_1"] < swapped["delta_2"]
         for name in base.param_names:
@@ -377,16 +376,15 @@ class TestInvariances:
             "C1,A,1.3,0.03681,0.002,0.09322,0.008\n"
             "C1,A,1.4,0.0915,0.002,0.185,0.008\n")
         asm = _assemble(FitProblem(dataset=dataset, model=ModelSpec.parse(token)))
-        lo, hi = _bounds(asm)
-        solved = least_squares(asm, _profile(asm, lo, hi)[0][1], lo, hi)
+        solved = least_squares(asm, _profile(asm)[0][1])
         r, jac = _model(asm, solved.p)
         gradient = jac.T @ r            # half the chi2 gradient in log p
-        inside = (lo < solved.p) & (solved.p < hi)
-        assert solved.converged and (solved.p == hi).any()
+        inside = (asm.lo < solved.p) & (solved.p < asm.hi)
+        assert solved.converged and (solved.p == asm.hi).any()
         assert math.isclose(solved.chi2, float(r @ r), rel_tol=1e-12)
         assert np.all(np.abs(gradient[inside])
                       <= 1e-9 * np.linalg.norm(jac[:, inside], axis=0) * np.linalg.norm(r))
-        assert np.all(gradient[solved.p == hi] <= 0.0)
+        assert np.all(gradient[solved.p == asm.hi] <= 0.0)
 
     @pytest.mark.parametrize("name", ["a_1", "b_2"])
     def test_coefficient_held_in_one_channel_only(self, builtin_dataset, name):
@@ -437,7 +435,7 @@ class TestProfile:
     @staticmethod
     def _profile_of(dataset, token):
         asm = _assemble(FitProblem(dataset=dataset, model=ModelSpec.parse(token)))
-        return asm, _profile(asm, *_bounds(asm))
+        return asm, _profile(asm)
 
     @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "n-mode:3", "prior"])
     def test_best_cell_chi2_matches_log_model(self, builtin_dataset, token):
@@ -520,6 +518,18 @@ class TestNNLS:
         at = np.swapaxes(a, -1, -2)
         x = _best_feasible(a, b, at @ a, at @ b[..., None])[..., 0]
         assert np.array_equal(x, _nnls_reference(a, b)[0])
+
+    def test_singular_problem_leaves_its_batch_mates_bits(self):
+        # only the singular problem goes to the pseudo-inverse: every other
+        # one keeps the bits of its solve alone
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 12, 3))
+        gram, rhs = np.swapaxes(a, -1, -2) @ a, rng.standard_normal((6, 3, 1))
+        gram[2] = 0.0
+        x = _solve(gram, rhs)
+        assert np.array_equal(x[2], np.zeros((3, 1)))
+        for i in (0, 1, 3, 4, 5):
+            assert np.array_equal(x[i], np.linalg.solve(gram[i], rhs[i])), i
 
     @staticmethod
     def _check_against_scipy(a, b, x, r2, unique):
