@@ -15,9 +15,12 @@ floors, which :func:`_project` solves exactly, both channels of every grid
 cell in one batched non-negative least squares (:func:`_nnls`) in which each
 problem stops at the support that meets the optimality conditions; a fit
 searches the 1 to 3 log energies alone (variable projection), from the best
-minima of a grid profile, the only start path.  Each parameter's bounds are fixed by its
-kind; uncertainties come from the log-space Jacobian by the delta method.
-Nothing is random.
+minima of a grid profile, the only start path.  The polish adds NL2SOL's
+structured secant estimate of the residual curvature to Gauss-Newton where
+it predicts better (Dennis, Gay & Welsch, ACM TOMS 7 (1981) 348), so it
+converges superlinearly on large-residual fits.  Each parameter's bounds are
+fixed by its kind; uncertainties come from the log-space Jacobian by the
+delta method.  Nothing is random.
 """
 from __future__ import annotations
 
@@ -121,6 +124,7 @@ class _Assembled:
     lo: np.ndarray              # each column's bounds, by parameter kind
     hi: np.ndarray
     floor_cols: np.ndarray | None   # (channel, row): that row's floor column
+    floor_jac: np.ndarray | None    # (channel, row): that entry's flat index in _model's jac
     # what _project needs per channel, built once: the coefficient and
     # floor columns in basis order (Orbach, T^5, floors), and the basis rows
     # that do not depend on the mode energies (the T^5 column, then each
@@ -157,9 +161,10 @@ def _assemble(problem: FitProblem) -> _Assembled:
     orbach = [t for t in terms if t.delta is not None]
     fixed = [t for t in terms if t.delta is None]
     floors = [[col[f"{c}3_{s}"] for s in samples] for c in "ab"]    # (channel, sample)
-    floor_cols = None
+    floor_cols = floor_jac = None
     if samples:
         floor_cols = np.array([[col[f"{c}3_{r.sample}"] for r in rows] for c in "ab"])
+        floor_jac = (2 * np.arange(len(rows)) + np.arange(2)[:, None]) * len(names) + floor_cols
 
     modes = np.array(orbach)
     # bounds by parameter kind: floors, coefficients (T^5's are tiny in
@@ -183,6 +188,7 @@ def _assemble(problem: FitProblem) -> _Assembled:
         lo=lo,
         hi=hi,
         floor_cols=floor_cols,
+        floor_jac=floor_jac,
         channel_cols=np.array([[getattr(t, field) for t in orbach + fixed] + floors[k]
                                for k, field in enumerate("ab")]),
         fixed_basis=np.reshape(fixed_rows, (1, -1, len(rows))) / err[:, None, :],
@@ -217,8 +223,7 @@ def _model(asm: _Assembled, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     model = np.array(_sum_terms(triples))
     if asm.floor_cols is not None:
         model += p[asm.floor_cols]
-        rows = np.arange(len(asm.temps))[:, None]
-        jac[rows, (0, 1), asm.floor_cols.T] = (p[asm.floor_cols] / asm.err).T
+        jac.reshape(-1)[asm.floor_jac] = p[asm.floor_cols] / asm.err
     return ((model - asm.data) / asm.err).T.ravel(), jac.reshape(-1, len(p))
 
 
@@ -232,14 +237,20 @@ def _supports(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched normal equations; if any is singular (a held or an
-    underflowed column is all zero), each alone, by the pseudo-inverse only
-    where it is singular, so no problem's bits depend on its batch-mates."""
+    underflowed column is all zero), each alone, and the ones LAPACK finds
+    singular by one batched pseudo-inverse, so no problem's bits depend on
+    its batch-mates."""
     try:
         return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
-        if len(gram) == 1:
-            return np.linalg.pinv(gram) @ rhs
-        return np.concatenate([_solve(g, r) for g, r in zip(gram[:, None], rhs[:, None])])
+        x, singular = np.empty(rhs.shape), []
+        for i in range(len(gram)):
+            try:
+                x[i] = np.linalg.solve(gram[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular.append(i)
+        x[singular] = np.linalg.pinv(gram[singular]) @ rhs[singular]
+        return x
 
 
 def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -493,12 +504,24 @@ def least_squares(asm: _Assembled, p0: np.ndarray) -> _Polish:
     on u = log delta alone (Golub & Pereyra, SIAM J. Numer. Anal. 10 (1973)
     413), the rest by :func:`_project`: a coefficient over its upper bound is
     held there while the others are re-solved, and one under its lower bound
-    (a stand-in for 0) is raised to it.  Kaufman's Jacobian (BIT 15 (1975)
+    (a stand-in for 0) is raised to it.  Kaufman's Jacobian K (BIT 15 (1975)
     49) is the model's log-delta columns projected off those of the
     coefficients inside their bounds.  An energy on a bound that its
     gradient pushes outward, or whose e-fold moves the residuals less than
-    their rounding, is held.  The solve stops when the predicted or the
-    actual fall of chi2 is within chi2's rounding error.
+    their rounding, is held: its row and column of the step's matrix are
+    the identity's.
+
+    The step solves (K^T K + S + lambda diag(K^T K)) s = -K^T r, with S the
+    structured secant estimate of sum_i r_i Hess r_i of NL2SOL (Dennis, Gay
+    & Welsch, ACM TOMS 7 (1981) 348).  S starts at 0; after each accepted
+    step, with y = K+^T r+ - K^T r and y# = K+^T r+ - K^T r+, it is sized
+    by min(1, |s^T y#| / |s^T S s|) and updated so that S+ s = y#, unless
+    y^T s <= 0.  S enters the step only while it predicted the last
+    accepted step's change of chi2 better than Gauss-Newton did (the model
+    switch), so small-residual fits keep Gauss-Newton's pace.  A step that
+    does not descend, as an indefinite S can make, raises lambda as a
+    rejected one does.  The solve stops when the Gauss-Newton predicted or
+    the actual fall of chi2 is within chi2's rounding error.
     """
     deltas, linear, lo, hi = asm.modes[:, 0], asm.linear, asm.lo, asm.hi
     u_lo, u_hi = np.log(lo[deltas]), np.log(hi[deltas])
@@ -518,27 +541,45 @@ def least_squares(asm: _Assembled, p0: np.ndarray) -> _Polish:
 
     point = evaluate(np.clip(np.log(p0[deltas]), u_lo, u_hi))
     nfev, njev, damping = 1, 0, 1e-3
+    secant, use_secant, last = np.zeros((len(deltas), len(deltas))), False, None
     while nfev < _MAX_EVALUATIONS:
         p, chi2, u, r, jac = point
         inside = jac[:, linear[(lo[linear] < p[linear]) & (p[linear] < hi[linear])]]
         kaufman = jac[:, deltas] - inside @ np.linalg.lstsq(inside, jac[:, deltas], rcond=None)[0]
         gradient, njev = kaufman.T @ r, njev + 1
-        kaufman[:, ((u <= u_lo) & (gradient > 0.0)) | ((u >= u_hi) & (gradient < 0.0))
-                | (np.linalg.norm(kaufman, axis=0) <= np.linalg.norm(scale))] = 0.0
+        if last is not None:    # Dennis-Gay-Welsch update over the accepted step
+            s, y = last[0], gradient - last[1]
+            y_sharp = gradient - last[2].T @ r
+            if (ys := y @ s) > 0.0:
+                if (sss := s @ secant @ s) != 0.0:
+                    secant *= min(1.0, abs(s @ y_sharp) / abs(sss))
+                z = y_sharp - secant @ s
+                secant += (np.outer(z, y) + np.outer(y, z)) / ys - (s @ z) / ys**2 * np.outer(y, y)
+        frozen = (((u <= u_lo) & (gradient > 0.0)) | ((u >= u_hi) & (gradient < 0.0))
+                  | (np.linalg.norm(kaufman, axis=0) <= np.linalg.norm(scale)))
+        k = np.where(frozen, 0.0, kaufman)
         rounding = 2.0 * float(np.linalg.norm(r * scale)) + float(scale @ scale)
-        fall = kaufman @ np.linalg.lstsq(kaufman, r, rcond=None)[0]
+        fall = k @ np.linalg.lstsq(k, r, rcond=None)[0]
         if float(fall @ fall) <= rounding:
             return _Polish(p, chi2, nfev, njev, True)
+        g, gram = k.T @ r, k.T @ k
+        s_term = np.where(frozen[:, None] | frozen, 0.0, secant)
+        curvature = gram + np.diag(frozen.astype(float)) + (s_term if use_secant else 0.0)
         while nfev < _MAX_EVALUATIONS:
             # Marquardt's scaling: the damping is relative to each curvature
-            rows = np.diag(np.sqrt(damping * np.sum(kaufman**2, axis=0)))
-            step = np.linalg.lstsq(np.vstack([kaufman, rows]),
-                                   np.concatenate([-r, np.zeros(len(u))]), rcond=None)[0]
+            step = np.linalg.solve(curvature + np.diag(damping * np.diag(gram)), -g)
+            if step @ g >= 0.0:     # uphill, as an indefinite secant term can make it
+                damping *= 10.0
+                continue
             trial, nfev = evaluate(np.clip(u + step, u_lo, u_hi)), nfev + 1
             if abs(chi2 - trial[1]) <= rounding:
                 return _Polish(*min(point, trial, key=lambda q: q[1])[:2], nfev, njev, True)
             if trial[1] < chi2:
-                point, damping = trial, damping / 10.0
+                # the model switch: the secant term stays in while it predicts better
+                s = trial[2] - u
+                change, newton = trial[1] - chi2, 2.0 * (g @ s) + s @ gram @ s
+                use_secant = abs(change - newton - s @ s_term @ s) < abs(change - newton)
+                point, damping, last = trial, damping / 10.0, (s, gradient, kaufman)
                 break
             damping *= 10.0
     return _Polish(*point[:2], nfev, njev, False)

@@ -461,6 +461,56 @@ class TestProfile:
         assert len(result.start_chi2) == 1
         assert math.isclose(result.chi2, 126.60641327273599, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("token, chi2", [
+        ("n-mode:1", 426.53275359361584), ("n-mode:2", 138.8112844830732),
+        ("n-mode:3", 126.60641327270112), ("prior", 144.6497706436444),
+    ])
+    def test_every_law_keeps_its_minimum(self, builtin_dataset, token, chi2):
+        # the values the Gauss-Newton polish reached from all its starts
+        result = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec.parse(token)))
+        assert result.converged
+        assert math.isclose(result.chi2, chi2, rel_tol=1e-12)
+
+
+class TestPolish:
+    """least_squares' step: Gauss-Newton, plus the structured secant term
+    wherever that model predicted the last step's fall better."""
+
+    @staticmethod
+    def _polished(dataset, token):
+        problem = FitProblem(dataset=dataset, model=ModelSpec.parse(token))
+        asm = _assemble(problem)
+        return [least_squares(asm, p0) for _, p0 in _profile(asm)[:problem.multistart]]
+
+    @pytest.mark.parametrize("token, most", [("n-mode:2", 20), ("n-mode:3", 45)])
+    def test_large_residual_fits_take_few_evaluations(self, builtin_dataset, token, most):
+        # chi2 of 139 and 127 over 106 residuals: Gauss-Newton alone took
+        # 12 + 13 and 35 + 32 evaluations over the starts
+        polished = self._polished(builtin_dataset, token)
+        assert all(p.converged for p in polished)
+        assert sum(p.nfev for p in polished) <= most
+
+    @pytest.mark.parametrize("law, temps, most", [
+        ("shifted", (15.0, 500.0, 16), (6, 13)),
+        ("published", (10.0, 480.0, 24), (6,)),
+        ("published", (10.0, 300.0, 16), (9, 15)),
+    ])
+    def test_zero_residual_fit_keeps_the_gauss_newton_pace(self, published_params, law,
+                                                          temps, most):
+        # with no residual the secant term predicts no better, so no start
+        # takes more evaluations than Gauss-Newton alone did (``most``); with
+        # the secant term always in, the published law's first starts take 7
+        # and 12
+        truth = published_params if law == "published" else RateLaw(ModelSpec("n_mode", 2), {
+            "delta_1": 65.0, "a_1": 500.0, "b_1": 1300.0,
+            "delta_2": 160.0, "a_2": 8000.0, "b_2": 5000.0,
+            "a3_A": 0.01, "b3_A": 0.07,
+        })
+        polished = self._polished(_synthetic_dataset(truth, np.geomspace(*temps)), "n-mode:2")
+        assert len(polished) == len(most)
+        assert all(p.converged and p.chi2 < 1e-20 for p in polished)
+        assert all(p.nfev <= n for p, n in zip(polished, most))
+
 
 def _nnls_reference(a, b):
     """The support enumeration that _nnls stops early: every support's
@@ -520,16 +570,31 @@ class TestNNLS:
         assert np.array_equal(x, _nnls_reference(a, b)[0])
 
     def test_singular_problem_leaves_its_batch_mates_bits(self):
-        # only the singular problem goes to the pseudo-inverse: every other
-        # one keeps the bits of its solve alone
+        # only the singular problems go to the pseudo-inverse, all in one
+        # call: every problem keeps the bits of its own solve alone
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((6, 12, 3))
-        gram, rhs = np.swapaxes(a, -1, -2) @ a, rng.standard_normal((6, 3, 1))
+        a = rng.standard_normal((7, 12, 3))
+        a[1, :, 0] = 0.0
+        a[4, :, 2] = 0.0
+        a[5, :, 1] = 0.0
+        gram, rhs = np.swapaxes(a, -1, -2) @ a, rng.standard_normal((7, 3, 1))
         gram[2] = 0.0
         x = _solve(gram, rhs)
         assert np.array_equal(x[2], np.zeros((3, 1)))
-        for i in (0, 1, 3, 4, 5):
+        for i in (1, 2, 4, 5):
+            assert np.array_equal(x[i], np.linalg.pinv(gram[i]) @ rhs[i]), i
+        for i in (0, 3, 6):
             assert np.array_equal(x[i], np.linalg.solve(gram[i], rhs[i])), i
+
+    def test_singular_problems_share_one_pseudo_inverse(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((9, 12, 2))
+        a[::2, :, 1] = 0.0
+        calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda m: calls.append(len(m)) or pinv(m))
+        _solve(np.swapaxes(a, -1, -2) @ a, rng.standard_normal((9, 2, 1)))
+        assert calls == [5]
 
     @staticmethod
     def _check_against_scipy(a, b, x, r2, unique):
