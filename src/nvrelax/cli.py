@@ -18,10 +18,10 @@ Exit codes: 0 success, 1 input error (message on standard error),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -70,6 +70,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+# characters of an output written at a time
+_WRITE_PIECE = 1 << 20
+
+
 def _write(args: argparse.Namespace, checksum: str, path: str | None,
            body: str | dict) -> None:
     """Stamp ``body`` (text, or a dict written as JSON) with the version,
@@ -91,13 +95,16 @@ def _write(args: argparse.Namespace, checksum: str, path: str | None,
         "dataset_checksum": checksum,
     }
     if isinstance(body, dict):
-        text = json.dumps({**metadata, **body}, indent=2) + "\n"
+        parts = [json.dumps({**metadata, **body}, indent=2) + "\n"]
     else:
-        text = _csv_text(None, [], metadata) + body
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        parts = [_csv_text(None, [], metadata), body]
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8")) as out:
+        # the stamp and the body, each in pieces: a 250001-row spectral CSV
+        # is never copied whole, neither joined to its stamp nor encoded
+        for part in parts:
+            for start in range(0, len(part), _WRITE_PIECE):
+                out.write(part[start:start + _WRITE_PIECE])
 
 
 # ---------------------------------------------------------------- fit

@@ -23,6 +23,7 @@ inside the integrals, so the integrand depends on one energy only.
 """
 from __future__ import annotations
 
+import io
 import math
 import weakref
 from dataclasses import dataclass
@@ -207,6 +208,21 @@ def _gaussian(x: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
 
 
+# half-width, in sigmas, of the grid window a Gaussian is evaluated on:
+# exp(-x^2 / 2) underflows to exactly 0 beyond x = 38.61
+_GAUSSIAN_REACH = 40.0
+
+
+def _gaussian_window(grid: np.ndarray, center: float, sigma: float) -> tuple[slice, np.ndarray]:
+    """The slice of the ascending ``grid`` within ``_GAUSSIAN_REACH`` sigmas
+    of ``center``, and the normalized Gaussian on it.  The Gaussian is
+    exactly 0 on the rest of the grid, so adding its multiples there would
+    change no bit of a sum."""
+    reach = _GAUSSIAN_REACH * sigma
+    lo, hi = np.searchsorted(grid, (center - reach, center + reach)).tolist()
+    return slice(lo, hi), _gaussian(grid[lo:hi] - center, sigma)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralFunction:
     """Broadened spectral content of one channel on a uniform energy grid.
@@ -308,9 +324,9 @@ def build_spectral_function(
     amplitude = np.zeros_like(grid)
     power = np.zeros_like(grid)
     for e in entries:
-        kernel = _gaussian(grid - e.mode_energy, sigma)
-        amplitude += e.amplitude * kernel
-        power += e.amplitude**2 * kernel
+        window, kernel = _gaussian_window(grid, e.mode_energy, sigma)
+        amplitude[window] += e.amplitude * kernel
+        power[window] += e.amplitude**2 * kernel
     return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel,
                             order=order, sigma=sigma, power=power)
 
@@ -342,7 +358,8 @@ def synthetic_peak_function(
     for center, area in peaks:
         _require({"peak center": center}, "positive")
         _require({"peak area": area}, "nonnegative")
-        f_diag += area * _gaussian(grid - center, sigma)
+        window, kernel = _gaussian_window(grid, center, sigma)
+        f_diag[window] += area * kernel
     f_diag *= -np.expm1(-0.5 * (grid / _LOW_ENERGY_WINDOW_MEV) ** 2)
     amplitude = np.sqrt(f_diag) / PLANCK_MEV_PER_MHZ
     return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel,
@@ -636,9 +653,12 @@ def refit_theory_curve(curve: RamanRateCurve, t_max: float, multistart: int = 8,
                           constants="none", multistart=multistart))
 
 
-# Rows of grid values formatted per call of ``grid[s:e].tolist()``: a bound
-# on the Python floats and strings alive at once while a grid is formatted.
+# Rows of grid values formatted at a time: a bound on the Python floats,
+# strings and digit matrices alive at once while a grid is formatted.
 _GRID_TEXT_CHUNK = 8192
+
+# What follows each energy in the grid text: the row of a zero amplitude.
+_ZERO_ROW = ",0.0\n"
 
 # The text of the last grid formatted: (weakref to the grid, its text, its
 # line offsets).  A grid's values never change (``SpectralFunction`` freezes
@@ -653,28 +673,114 @@ def _drop_grid_text(ref: weakref.ref) -> None:
         _grid_text_slot = None
 
 
-def _grid_text(grid: np.ndarray) -> tuple[str, np.ndarray]:
-    """The ``repr`` of each grid value as one newline-terminated line, all
-    in one string, and the offsets of those lines in it: line i is
-    ``text[offsets[i]:offsets[i + 1]]``.
+def _decimal_places(grid: np.ndarray) -> int | None:
+    """The fewest decimal places d at which the grid's step is a whole
+    multiple of 10^-d, to within 1e-9 of itself, searched until the step
+    reaches 10^6 such units; None when there is none (the 250/8333 meV step
+    of the sigma = 0.3 default grid has none)."""
+    step = (float(grid[-1]) - float(grid[0])) / (len(grid) - 1)
+    for places in range(16):
+        scaled = step * 10.0**places
+        if abs(scaled - round(scaled)) <= 1e-9 * scaled:
+            return places
+        if scaled >= 1e6:
+            break
+    return None
 
-    Formatted once per grid array, so the two channels that share the CLI's
-    grid pay for its energy column once.
+
+def _repr_lines(values: np.ndarray) -> bytes:
+    """``repr`` of each value, each followed by the zero row, in ASCII."""
+    # a list's repr formats its floats in C, each one as repr(float)
+    return (repr(values.tolist())[1:-1].replace(", ", _ZERO_ROW) + _ZERO_ROW).encode("ascii")
+
+
+def _chunk_lines(values: np.ndarray, places: int | None) -> bytes:
+    """``_repr_lines(values)``, with the values that are exact decimals of
+    ``places`` decimal places written by numpy rather than by ``repr``.
+
+    Such a value g has k = rint(g 10^d) < 10^15 and k / 10^d == g, the
+    division correctly rounded.  Two different decimals of at most 15
+    significant digits never round to the same double, so no shorter
+    decimal than k 10^-d rounds to g, and ``repr(g)`` is k's digits with a
+    point d places from the right, less the trailing zeros after the first
+    fractional digit.  ``repr`` writes values below 1e-4 in exponent form,
+    so they, 0, negative values and every other value keep ``repr``.
+
+    The exact values' lines are laid out as rows of a digit matrix, of
+    which one mask keeps the digits ``repr`` would write.  Each other row
+    keeps a NUL in place of its value, and the values are spliced in there
+    from one ``repr`` of a list.
+    """
+    if places is None:
+        return _repr_lines(values)
+    places = max(places, 1)             # repr writes one fractional digit
+    scale = 10.0**places
+    with np.errstate(all="ignore"):
+        k = np.rint(values * scale)
+        exact = (values >= 1e-4) & (k < 1e15) & (k / scale == values)
+    if not exact.any():
+        return _repr_lines(values)
+    k = np.where(exact, k, 0.0).astype(np.int64)
+    digits = max(len(str(int(k.max()))), places + 1)
+    whole = digits - places                     # digits before the point
+    cells = np.empty((len(values), digits + 1 + len(_ZERO_ROW)), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    cells[:, whole] = ord(".")
+    cells[:, digits + 1:] = np.frombuffer(_ZERO_ROW.encode("ascii"), dtype=np.uint8)
+    previous = np.zeros_like(k)
+    for j in range(digits):
+        power = 10 ** (digits - 1 - j)
+        leading = k // power                    # k less the digits right of digit j
+        column = j if j < whole else j + 1
+        cells[:, column] = leading - 10 * previous + ord("0")
+        # no zeros before the point's last digit, and none after the first
+        # fractional digit that only zeros follow
+        if j < whole - 1:
+            keep[:, column] = leading != 0
+        elif j > whole:
+            keep[:, column] = previous * (10 * power) != k
+        previous = leading
+    slow = np.flatnonzero(~exact)
+    keep[slow, :digits + 1] = False
+    keep[slow, 0] = True
+    cells[slow, 0] = 0
+    text = np.compress(keep.ravel(), cells.ravel()).tobytes()
+    if not len(slow):
+        return text
+    lines = text.split(b"\0")
+    spliced = [b""] * (2 * len(lines) - 1)
+    spliced[::2] = lines
+    spliced[1::2] = repr(values[slow].tolist())[1:-1].encode("ascii").split(b", ")
+    return b"".join(spliced)
+
+
+def _grid_text(grid: np.ndarray) -> tuple[str, np.ndarray]:
+    """Each grid value's ``repr`` followed by the zero row ``,0.0``, as one
+    newline-terminated line, all in one string, and the offsets of those
+    lines in it: line i is ``text[offsets[i]:offsets[i + 1]]``.
+
+    Values that are exact decimals at the decimal places of the grid's step
+    (86% of the sigma = 0.01 default grid, 64% of the 0.05 meV one) are
+    formatted by numpy, the others by ``repr`` (see ``_chunk_lines``); a
+    grid whose step is not decimal is formatted by ``repr`` alone.  Formatted
+    once per grid array, ``_GRID_TEXT_CHUNK`` values at a time, so the two
+    channels that share the CLI's grid pay for its energy column once.
     """
     global _grid_text_slot
     slot = _grid_text_slot
     if slot is not None and slot[0]() is grid:
         return slot[1], slot[2]
+    places = _decimal_places(grid)
     chunks, offsets, size = [], [np.zeros(1, dtype=np.intp)], 0
     for start in range(0, len(grid), _GRID_TEXT_CHUNK):
-        # a list's repr formats its floats in C, each one as repr(float)
-        values = grid[start:start + _GRID_TEXT_CHUNK].tolist()
-        chunk = repr(values)[1:-1].replace(", ", "\n") + "\n"
-        newlines = np.flatnonzero(np.frombuffer(chunk.encode("ascii"), dtype=np.uint8) == 10)
+        chunk = _chunk_lines(grid[start:start + _GRID_TEXT_CHUNK], places)
+        newlines = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
         offsets.append(newlines + (size + 1))
         size += len(chunk)
-        chunks.append(chunk)
-    offsets = np.concatenate(offsets)
+        # decoded chunk by chunk: decoding the joined bytes would hold
+        # one more copy of the text
+        chunks.append(chunk.decode("ascii"))
+    offsets = np.concatenate(offsets, dtype=np.int32 if size < 2**31 else np.intp)
     offsets.flags.writeable = False
     text = "".join(chunks)
     _grid_text_slot = (weakref.ref(grid, _drop_grid_text), text, offsets)
@@ -684,20 +790,22 @@ def _grid_text(grid: np.ndarray) -> tuple[str, np.ndarray]:
 def spectral_to_csv_text(f: SpectralFunction) -> str:
     """Energy/amplitude CSV of a spectral function for external plotting.
 
-    Each run of exact +0.0 amplitudes is written as one slice of the grid's
-    text (``_grid_text``), with ``,0.0`` put before each newline; only the
-    other rows (nonzero or -0.0) are formatted one by one.
+    The grid's text (``_grid_text``) already holds every row of an exact
+    +0.0 amplitude, so each run of them up to the next other row (nonzero
+    or -0.0) is written as one slice of it, and that row's line is cut
+    before its ``,0.0`` and given its own amplitude.
     """
     text, offsets = _grid_text(f.grid)
     amplitude = f.amplitude
     rows = np.flatnonzero((amplitude != 0) | np.signbit(amplitude))
-    parts = [_csv_text("energy_mev,amplitude_mhz_per_mev", [], {
-        "channel": f.channel.value, "order": f.order, "sigma_mev": repr(f.sigma)})]
-    done = 0
-    for start, end, a in zip(offsets[rows].tolist(), offsets[rows + 1].tolist(),
-                             amplitude[rows].tolist()):
-        parts.append(text[done:start].replace("\n", ",0.0\n"))
-        parts.append(f"{text[start:end - 1]},{a!r}\n")
+    # one growing copy, in place of the pieces and their join
+    out = io.StringIO()
+    out.write(_csv_text("energy_mev,amplitude_mhz_per_mev", [], {
+        "channel": f.channel.value, "order": f.order, "sigma_mev": repr(f.sigma)}))
+    done, cut = 0, len(_ZERO_ROW)
+    for end, a in zip(offsets[rows + 1].tolist(), amplitude[rows].tolist()):
+        out.write(text[done:end - cut])
+        out.write(f",{a!r}\n")
         done = end
-    parts.append(text[done:].replace("\n", ",0.0\n"))
-    return "".join(parts)
+    out.write(text[done:])
+    return out.getvalue()

@@ -180,6 +180,32 @@ class TestBuildSpectralFunction:
         with pytest.raises(ValueError):
             f.grid[0] = -1.0
 
+    @pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 7.5, 15.0])
+    def test_windowed_kernels_match_the_full_grid_bit_for_bit(self, sigma):
+        # each Gaussian is evaluated only within 40 sigma of its center;
+        # couplings within 40 sigma of either end of the grid have their
+        # windows clipped, and beyond the window exp underflows to 0
+        low, high = 20.0 * min(sigma, 0.5), MAX_MODE_ENERGY_MEV - 5.0 * sigma
+        table = CouplingTable(entries=(
+            CouplingEntry(low, 0.3, SQ, 2), CouplingEntry(62.4, 0.6, SQ, 2),
+            CouplingEntry(62.4 + 3.0 * sigma, 1.7, SQ, 2), CouplingEntry(high, 0.07, SQ, 2)))
+        grid = default_grid(sigma)
+        f = build_spectral_function(table, SQ, 2, sigma, grid)
+        amplitude, power = np.zeros_like(grid), np.zeros_like(grid)
+        for e in table.for_channel(SQ, 2):
+            kernel = spectral._gaussian(grid - e.mode_energy, sigma)
+            amplitude += e.amplitude * kernel
+            power += e.amplitude**2 * kernel
+        assert f.amplitude.tobytes() == amplitude.tobytes()
+        assert f.power.tobytes() == power.tobytes()
+        peaks = [(low, 1e-12), (65.0, 3e-12), (high, 2e-12)]
+        synthetic = synthetic_peak_function(peaks, sigma, SQ, grid)
+        f_diag = np.zeros_like(grid)
+        for center, area in peaks:
+            f_diag += area * spectral._gaussian(grid - center, sigma)
+        f_diag *= -np.expm1(-0.5 * (grid / 10.0) ** 2)
+        assert synthetic.amplitude.tobytes() == (np.sqrt(f_diag) / PLANCK_MEV_PER_MHZ).tobytes()
+
 
 class TestSpectralFunctionInvariants:
     def test_grid_must_be_uniform(self):
@@ -660,15 +686,37 @@ _AMPLITUDES = st.one_of(
 
 
 @st.composite
-def _functions_on_grid(draw, count):
-    """``count`` spectral functions sharing one grid array."""
+def _float_grids(draw):
+    """A grid of any span from any start, whose step is rarely decimal."""
     n = draw(st.integers(5, 40))
     start = draw(st.floats(-100.0, 100.0))
     span = draw(st.floats(1e-3, 1e3))
-    grid = np.linspace(start, start + span, n).copy()   # owned, so not copied
+    return np.linspace(start, start + span, n).copy()   # owned, so not copied
+
+
+@st.composite
+def _decimal_grids(draw):
+    """A grid of step k 10^-d (d = 0...6) that starts at 0, at a negative
+    value, or a few steps below 1e-4, so that its values fall on both sides
+    of 1e-4 (below which repr writes an exponent)."""
+    places = draw(st.integers(0, 6))
+    step = draw(st.integers(1, 999)) / 10**places
+    n = draw(st.integers(5, 40))
+    start = draw(st.one_of(
+        st.just(0.0),
+        st.integers(1, 10**4).map(lambda k: -k / 10**places),
+        st.integers(0, n - 1).map(lambda k: 1e-4 - k * step)))
+    return start + step * np.arange(n)
+
+
+@st.composite
+def _functions_on_grid(draw, count, grids=_float_grids()):
+    """``count`` spectral functions sharing one grid array."""
+    grid = draw(grids)
+    n = len(grid)
     return [SpectralFunction(grid=grid, amplitude=draw(st.lists(_AMPLITUDES, min_size=n,
                                                                   max_size=n)),
-                             channel=SQ, order=2, sigma=span / n)
+                             channel=SQ, order=2, sigma=float(grid[-1] - grid[0]) / n)
             for _ in range(count)]
 
 
@@ -685,6 +733,32 @@ class TestSpectralCsvRows:
         for k in order:
             assert spectral_to_csv_text(functions[k]) == _reference_csv(functions[k])
 
+    @settings(max_examples=60, deadline=None)
+    @given(functions=_functions_on_grid(2, _decimal_grids()))
+    def test_decimal_step_grids_match_the_reference(self, functions):
+        # the grid text writes these grids' exact decimals by numpy
+        assert spectral._decimal_places(functions[0].grid) is not None
+        for f in functions:
+            assert spectral_to_csv_text(f) == _reference_csv(f)
+
+    def test_grid_without_a_decimal_step_falls_back_to_repr(self):
+        grid = np.linspace(0.0, MAX_MODE_ENERGY_MEV, 8334)    # step 0.0300012 meV
+        assert spectral._decimal_places(grid) is None
+        f = SpectralFunction(grid=grid, amplitude=np.zeros(8334), channel=SQ, order=2,
+                             sigma=0.3)
+        assert spectral_to_csv_text(f) == _reference_csv(f)
+
+    @pytest.mark.parametrize("places", [0, 1, 3, 6, 14, 15])
+    def test_exact_decimal_rule_at_its_edges(self, places):
+        # both sides of 1e-4 and of k = 10^15, zeros, negative values, huge
+        # values, and the neighbours of exact decimals, at any decimal places
+        edges = [1e-4, 1.5e-4, 9.5e-5, 0.0, -0.0, -2.5, 5e-324, 1e-310, 0.1, 0.2, 0.3,
+                 0.30000000000000004, 123.456, 250.0, 1e15 / 10**places,
+                 (10**15 - 1) / 10**places, (10**15 + 1) / 10**places, 1e15, 1e300]
+        values = np.array(edges + [np.nextafter(v, np.inf) for v in edges]
+                          + [np.nextafter(v, -np.inf) for v in edges])
+        assert spectral._chunk_lines(values, places) == spectral._repr_lines(values)
+
     @pytest.mark.parametrize("amplitude", [
         [1.0, 0.0, 0.0, 0.0, 2.5],
         [0.0, 0.0, 0.0, 0.0, 0.0],
@@ -697,7 +771,7 @@ class TestSpectralCsvRows:
                              channel=DQ, order=2, sigma=0.1)
         assert spectral_to_csv_text(f) == _reference_csv(f)
 
-    @pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 7.5])
     def test_cli_functions(self, sigma):
         grid = default_grid(sigma)
         functions = [build_spectral_function(anchor_coupling_table(), channel, 2, sigma, grid)
