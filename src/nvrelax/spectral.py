@@ -309,6 +309,8 @@ def build_spectral_function(
     ``amplitude(e) = sum_l |V_l| Gaussian(e - e_l; sigma)`` with a
     normalized Gaussian; the squared-coefficient ``power`` array is built
     alongside.  The grid must cover the couplings with 5 sigma of margin.
+    Each Gaussian is evaluated only on the grid within 40 sigma of its
+    center (``_gaussian_window``); it is exactly 0 beyond.
     """
     _require({"broadening width sigma": sigma}, "positive")
     entries = table.for_channel(channel, order)
@@ -733,8 +735,8 @@ def _chunk_lines(values: np.ndarray, places: int | None) -> bytes:
         leading = k // power                    # k less the digits right of digit j
         column = j if j < whole else j + 1
         cells[:, column] = leading - 10 * previous + ord("0")
-        # no zeros before the point's last digit, and none after the first
-        # fractional digit that only zeros follow
+        # drop the leading zeros before the point's last digit, and the
+        # trailing zeros after the first fractional digit
         if j < whole - 1:
             keep[:, column] = leading != 0
         elif j > whole:
