@@ -237,18 +237,17 @@ def _supports(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched normal equations; if any is singular (a held or an
-    underflowed column is all zero), each alone, and the ones LAPACK finds
-    singular by one batched pseudo-inverse, so no problem's bits depend on
-    its batch-mates."""
+    underflowed column is all zero), the ones whose LU factorization meets
+    an exact zero pivot (LAPACK's getrf, which ``solve`` runs too) go to one
+    batched pseudo-inverse and the others to one batched solve, so no
+    problem's bits depend on its batch-mates."""
     try:
         return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
-        x, singular = np.empty(rhs.shape), []
-        for i in range(len(gram)):
-            try:
-                x[i] = np.linalg.solve(gram[i], rhs[i])
-            except np.linalg.LinAlgError:
-                singular.append(i)
+        with np.errstate(divide="ignore"):
+            singular = np.linalg.slogdet(gram)[0] == 0
+        x = np.empty(rhs.shape)
+        x[~singular] = np.linalg.solve(gram[~singular], rhs[~singular])
         x[singular] = np.linalg.pinv(gram[singular]) @ rhs[singular]
         return x
 

@@ -185,13 +185,17 @@ def default_grid(sigma: float) -> np.ndarray:
     width ``sigma``: 0.05 meV spacing, or sigma/10 for sigma below 0.5 meV,
     so that the quadrature error check is met."""
     _require({"broadening width sigma": sigma}, "positive")
-    spacing = min(0.05, sigma / 10.0)
-    n = int(round(MAX_MODE_ENERGY_MEV / spacing)) + 1
     # np.linspace(0, MAX_MODE_ENERGY_MEV, n)'s arithmetic, into an array that
     # owns its data: SpectralFunction keeps that one as it is, so both
     # channels share it and its CSV text, while it copies linspace's view
     # (copying here raised the 250001-point run's peak memory by 3 MB)
-    grid = np.arange(n, dtype=float)
+    try:
+        # the count is inf below sigma ~ 1.4e-305, a division by 0 below ~ 5e-323
+        n = int(round(MAX_MODE_ENERGY_MEV / min(0.05, sigma / 10.0))) + 1
+        grid = np.arange(n, dtype=float)
+    except (ArithmeticError, ValueError, MemoryError):
+        raise ValueError(f"broadening width sigma = {sigma!r} meV needs a grid of spacing "
+                         "sigma/10, which has more samples than can be allocated") from None
     grid *= MAX_MODE_ENERGY_MEV / (n - 1)
     grid[-1] = MAX_MODE_ENERGY_MEV
     return grid
@@ -290,11 +294,10 @@ class SpectralFunction:
     def _diagonal_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Energies, F(e, e) and the full- and halved-grid Simpson weights on
         the samples where F != 0, built once; the other samples would add
-        exactly 0 to every quadrature sum."""
+        exactly 0 to every quadrature sum, so no weight is computed for them."""
         values = self.diagonal_values()
         keep = np.flatnonzero(values)
-        full, half = _quadrature_weights(self.grid)
-        return self.grid[keep], values[keep], full[keep], half[keep]
+        return (self.grid[keep], values[keep], *_quadrature_weights(self.grid, keep))
 
 
 def build_spectral_function(
@@ -414,33 +417,35 @@ def simpson(y: np.ndarray, *, dx: float) -> np.ndarray:
     return result
 
 
-def _simpson_weights(grid: np.ndarray) -> np.ndarray:
-    """Vector w with ``w @ y == simpson(y, x=grid)`` on a uniform grid.
+def _simpson_weights(n: int, h: float, indices: np.ndarray) -> np.ndarray:
+    """``w[indices]`` of the vector w with ``w @ y == simpson(y, dx=h)`` for
+    n samples, computed at those indices alone.
 
     The templates come from :func:`simpson`: ``simpson(np.eye(3), dx=h)``
     weighs one pair of intervals, and ``simpson(np.eye(4), dx=h)`` less that
     pair is the Cartwright correction for the last interval of an even
-    sample count.
+    sample count.  A weight is summed by its sample's role, as a whole-grid
+    accumulation of the pairs would sum it, so it keeps every bit.
     """
-    n = len(grid)
-    h = float(grid[1] - grid[0])
     pair = simpson(np.eye(3), dx=h)
     paired = n if n % 2 else n - 1      # samples covered by whole pairs
-    weights = np.zeros(n)
-    for k in range(3):
-        weights[k:paired - 2 + k:2] += pair[k]
-    if n % 2 == 0:
+    # by role: odd, even (shared by two pairs), first, last of the pairs;
+    # the first and the last of the pairs are even samples moved up 1 and 2
+    by_role = [pair[1], pair[0] + pair[2], pair[0], pair[2]]
+    role = 1 - indices % 2 + (indices == 0) + 2 * (indices == paired - 1)
+    if n % 2 == 0:      # roles 4-6: the last three samples, which the tail corrects
         tail = simpson(np.eye(4), dx=h)
-        weights[-3:] += tail[1:] - np.append(pair[1:], 0.0)
-    return weights
+        by_role += [pair[1] + (tail[1] - pair[1]), pair[2] + (tail[2] - pair[2]), tail[3]]
+        role = np.where(indices >= n - 3, indices - (n - 7), role)
+    return np.array(by_role)[role]
 
 
-def _quadrature_weights(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson weights of the grid and of the halved grid ``grid[::2]``,
-    the latter scattered back to full-grid indices."""
-    half = np.zeros_like(grid)
-    half[::2] = _simpson_weights(grid[::2])
-    return _simpson_weights(grid), half
+def _quadrature_weights(grid: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson weights of the grid and of the halved grid ``grid[::2]`` at
+    the grid's ``indices``, 0 in the latter at an odd index, which it lacks."""
+    n = len(grid)
+    half = _simpson_weights((n + 1) // 2, float(grid[2] - grid[0]), indices // 2)
+    return _simpson_weights(n, float(grid[1] - grid[0]), indices), half * (indices % 2 == 0)
 
 
 def _integrate_checked(integrand: np.ndarray, energies: np.ndarray,
@@ -532,23 +537,18 @@ def first_order_raman_rate(
                 )
         pairs.append((f_in, f_out))
     grid = pairs[0][0].grid
-    for f_in, f_out in pairs:
-        if not (np.array_equal(f_in.grid, grid) and np.array_equal(f_out.grid, grid)):
-            raise ValueError("all spectral functions must share one energy grid")
+    if not all(np.array_equal(f.grid, grid) for pair in pairs for f in pair):
+        raise ValueError("all spectral functions must share one energy grid")
 
-    weight = _occupancy_weight(grid, temperature)
-    positive = grid > 0
-    full_weights, half_weights = _quadrature_weights(grid)
     total = 0.0
     for f_in, f_out in pairs:
+        # as in second_order_rate, only where the integrand can be nonzero
+        keep = np.flatnonzero((grid > 0) & (f_in.power != 0) & (f_out.power != 0))
+        energies = grid[keep]
         # F1 in energy units (meV): (h MHz)^2-scaled power density
-        f1_in = PLANCK_MEV_PER_MHZ**2 * f_in.power
-        f1_out = PLANCK_MEV_PER_MHZ**2 * f_out.power
-        integrand = np.zeros_like(grid)
-        integrand[positive] = (
-            weight[positive] * f1_in[positive] * f1_out[positive] / grid[positive] ** 2
-        )
-        total += _integrate_checked(integrand, grid, full_weights, half_weights,
+        f1_in, f1_out = (PLANCK_MEV_PER_MHZ**2 * f.power[keep] for f in (f_in, f_out))
+        integrand = _occupancy_weight(energies, temperature) * f1_in * f1_out / energies**2
+        total += _integrate_checked(integrand, energies, *_quadrature_weights(grid, keep),
                                     pairs[0][0].spacing)[0]
     return 4.0 * math.pi / HBAR_MEV_S * total
 

@@ -114,15 +114,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such file or directory: '{path}'\n")
 
-    # sizes of 10^15 elements or more, which numpy refuses without allocating
+    # sizes of 10^15 elements or more, which numpy refuses without allocating;
+    # below sigma ~ 1.4e-305 the default grid's sample count is not even
+    # finite, and below ~ 5e-323 its spacing sigma/10 rounds to 0
     @pytest.mark.parametrize("argv, message", [
-        (("spectral", "--sigma", "1e-12", "-o", "t"), "Unable to allocate"),
+        (("spectral", "--sigma", "1e-12", "-o", "t"), "broadening width sigma = 1e-12 meV"),
+        (("spectral", "--sigma", "1e-300", "-o", "t"), "broadening width sigma = 1e-300 meV"),
+        (("spectral", "--sigma", "1e-305", "-o", "t"), "broadening width sigma = 1e-305 meV"),
+        (("spectral", "--sigma", "5e-324", "-o", "t"), "broadening width sigma = 5e-324 meV"),
         (("eval", "--n-temps", "1000000000000000"), "Unable to allocate"),
         (("simulate", "--omega", "60", "--gamma", "128", "--shots", "100",
           "--n-tau", "1000000000000000", "-o", "b"), "Unable to allocate"),
         (("simulate", "--omega", "60", "--gamma", "128",
           "--shots", "1" + "0" * 30, "-o", "a"), "shot count must be <= 2**63 - 1"),
-    ], ids=["spectral-grid", "eval-grid", "simulate-grid", "simulate-shots"])
+    ], ids=["spectral-grid", "spectral-grid-size", "spectral-grid-overflow",
+            "spectral-grid-zero-spacing", "eval-grid",
+            "simulate-grid", "simulate-shots"])
     def test_oversized_request_is_input_error(self, argv, message, published_params_file,
                                               tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

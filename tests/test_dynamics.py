@@ -544,6 +544,34 @@ class TestSeparableFit:
         with pytest.raises(RankDeficiencyError):
             _fit_single_exponential(sim.gamma_branch)
 
+    def test_line_search_stops_when_no_shorter_step_can_gain(self, monkeypatch):
+        # a noisy 4-point curve (one of a seeded search over such curves)
+        # started far out on the plateau r tau >> 1, where chi^2 is the same
+        # to the last bit wherever r is: no trial lowers it, so the step is
+        # halved until its first-order gain is within chi^2's rounding, and
+        # the solve stops at its start
+        taus = np.linspace(0.0, 0.04413513353622117, 4)
+        values = np.array([0.5320407460097436, -0.20398001026573317,
+                           -0.010272075925725883, -0.12448525464869789])
+        rate0 = 2607.498323736433
+        chi2s, projected = [], dynamics._projected
+        monkeypatch.setattr(dynamics, "_projected",
+                            lambda *args: chi2s.append(projected(*args)[3]) or projected(*args))
+        fit = dynamics.least_squares(taus, values, np.full(4, 0.5), rate0)
+        assert fit.converged and fit.njev == 1 and fit.nfev == len(chi2s) == 5
+        assert len(set(chi2s)) == 1
+        assert fit.rate == math.exp(math.log(rate0))
+
+    @pytest.mark.parametrize("taus, rate0", [
+        ([0.0, 0.01, 0.02, 0.03], 1e308),           # log r above its cap
+        ([0.0, 1e299, 5e299, 1e300], 1e10),         # r tau_max overflows
+        ([1e299, 5e299, 1e300], 1.0),               # every exp(-r tau) underflows
+    ], ids=["log-rate-cap", "rate-tau-overflow", "basis-underflow"])
+    def test_infeasible_start_is_degenerate(self, taus, rate0):
+        n = len(taus)
+        with pytest.raises(RuntimeError, match="exponential fit is degenerate"):
+            dynamics.least_squares(np.array(taus), np.ones(n), np.full(n, 0.01), rate0)
+
     def test_one_point_curve_is_degenerate(self):
         one = DecayCurve("0", ("0", "-1"), (0.0,), (0.998,), (0.002,))
         with pytest.raises(RuntimeError, match="degenerate"):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
+from nvrelax import fitting
 from nvrelax.core import Dataset, RateMeasurement, parse_dataset_text
 from nvrelax.fitting import (
     FitProblem,
@@ -588,14 +589,46 @@ class TestNNLS:
             assert np.array_equal(x[i], np.linalg.solve(gram[i], rhs[i])), i
 
     def test_singular_problems_share_one_pseudo_inverse(self, monkeypatch):
+        # and the others one solve, after the batch's own attempt
         rng = np.random.default_rng(6)
         a = rng.standard_normal((9, 12, 2))
         a[::2, :, 1] = 0.0
-        calls = []
-        pinv = np.linalg.pinv
+        calls, solves = [], []
+        pinv, solve = np.linalg.pinv, np.linalg.solve
         monkeypatch.setattr(np.linalg, "pinv", lambda m: calls.append(len(m)) or pinv(m))
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: solves.append(len(m)) or solve(m, b))
         _solve(np.swapaxes(a, -1, -2) @ a, rng.standard_normal((9, 2, 1)))
         assert calls == [5]
+        assert solves == [9, 4]
+
+    @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "prior"])
+    def test_singular_verdict_is_each_problems_own_solve(self, token, monkeypatch):
+        # on 1.0-1.4 K rows the occupancies underflow over most of the
+        # profile, so many batches hold singular problems: the batched
+        # verdict names just those that LAPACK will not solve alone, and
+        # every problem keeps the bits of its own solve or pseudo-inverse
+        dataset = parse_dataset_text(
+            "nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s\n"
+            "C1,A,1.0,0.0105,0.002,0.042,0.008\n"
+            "C1,A,1.1,0.009781,0.002,0.03896,0.008\n"
+            "C1,A,1.2,0.01254,0.002,0.04548,0.008\n"
+            "C1,A,1.3,0.03681,0.002,0.09322,0.008\n"
+            "C1,A,1.4,0.0915,0.002,0.185,0.008\n")
+        batches = []
+        monkeypatch.setattr(fitting, "_solve",
+                            lambda gram, rhs: batches.append((gram, rhs)) or _solve(gram, rhs))
+        with pytest.raises(RankDeficiencyError):
+            fit(FitProblem(dataset=dataset, model=ModelSpec.parse(token)))
+        singular = 0
+        for gram, rhs in batches:
+            x = _solve(gram, rhs)
+            for i in range(len(gram)):
+                try:
+                    want = np.linalg.solve(gram[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    want, singular = np.linalg.pinv(gram[i]) @ rhs[i], singular + 1
+                assert np.array_equal(x[i], want)
+        assert singular > 0
 
     @staticmethod
     def _check_against_scipy(a, b, x, r2, unique):

@@ -33,6 +33,7 @@ from nvrelax.spectral import (
     spectral_to_csv_text,
     synthetic_peak_function,
     two_peak_reference_functions,
+    _quadrature_weights,
     _simpson_weights,
 )
 
@@ -412,6 +413,20 @@ class TestFirstOrderRate:
         with pytest.raises(ValueError, match="squared-coefficient"):
             first_order_raman_rate({"0": f}, 295.0)
 
+    @pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 7.5])
+    def test_support_quadrature_matches_the_whole_grid(self, sigma):
+        # only the samples of positive energy where F1 != 0 are integrated;
+        # leaving out the zero terms moves the sum by rounding alone
+        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 1),
+                                       CouplingEntry(160.7, 0.3, SQ, 1)))
+        f = build_spectral_function(table, SQ, 1, sigma)
+        e = f.grid[1:]
+        n = 1.0 / np.expm1(e / (BOLTZMANN_MEV_PER_K * 295.0))
+        f1 = PLANCK_MEV_PER_MHZ**2 * f.power[1:]
+        integrand = np.concatenate(([0.0], n * (n + 1.0) * f1 * f1 / e**2))
+        want = 4.0 * math.pi / HBAR_MEV_S * float(_whole_grid_weights(f.grid) @ integrand)
+        assert first_order_raman_rate({"0": f}, 295.0) == pytest.approx(want, rel=1e-15, abs=0)
+
     def test_orders_of_magnitude_below_second_order(self):
         table = CouplingTable(entries=(
             CouplingEntry(50.0, 1.0, SQ, 1),
@@ -501,6 +516,22 @@ def _reference_rate(f, temperature):
     return 4.0 * math.pi / HBAR_MEV_S * full, abs(full - half) / 15.0 / abs(full)
 
 
+def _whole_grid_weights(grid):
+    """Simpson weight vector of a whole uniform grid, accumulated pair by
+    pair: the construction the index-wise weights replaced."""
+    n = len(grid)
+    h = float(grid[1] - grid[0])
+    pair = spectral.simpson(np.eye(3), dx=h)
+    paired = n if n % 2 else n - 1
+    weights = np.zeros(n)
+    for k in range(3):
+        weights[k:paired - 2 + k:2] += pair[k]
+    if n % 2 == 0:
+        tail = spectral.simpson(np.eye(4), dx=h)
+        weights[-3:] += tail[1:] - np.append(pair[1:], 0.0)
+    return weights
+
+
 class TestQuadratureEquivalence:
     @pytest.mark.parametrize("n, want", [
         (4, (F(1, 3), F(5, 4), F(1), F(5, 12))),
@@ -509,7 +540,7 @@ class TestQuadratureEquivalence:
     def test_weights_are_the_cartwright_rule(self, n, want):
         # exact rationals, independent of the installed scipy: before
         # scipy 1.11 the even-count default was even='avg'
-        assert _simpson_weights(np.arange(float(n))).tolist() == [float(w) for w in want]
+        assert _simpson_weights(n, 1.0, np.arange(n)).tolist() == [float(w) for w in want]
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_templates_are_scipys_bit_for_bit(self, k):
@@ -522,12 +553,31 @@ class TestQuadratureEquivalence:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 1001, 1002, 8334])
     def test_weights_match_scipy_simpson(self, n):
         grid = np.linspace(0.0, MAX_MODE_ENERGY_MEV, n)
-        weights = _simpson_weights(grid)
+        weights = _simpson_weights(n, float(grid[1] - grid[0]), np.arange(n))
         rng = np.random.default_rng(n)
         for _ in range(5):
             y = rng.random(n)
             want = simpson(y, x=grid)
             assert abs(weights @ y - want) / want < 1e-13
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 1001, 1002, 5001, 8334])
+    def test_weights_at_indices_are_the_whole_grid_weights_bit_for_bit(self, n):
+        # the weights at any index subset keep every bit of the whole-grid
+        # construction they replaced, for odd and even sample counts alike
+        rng = np.random.default_rng(n)
+        for grid in (np.linspace(0.0, MAX_MODE_ENERGY_MEV, n), np.arange(n) * 0.07,
+                     np.linspace(-3.0, 17.3, n)):
+            full = _whole_grid_weights(grid)
+            half = np.zeros(n)
+            half[::2] = _whole_grid_weights(grid[::2]) if n >= 5 else 0.0
+            for size in (0, 1, n // 3, n):
+                indices = np.sort(rng.choice(n, size, replace=False))
+                got = _simpson_weights(n, float(grid[1] - grid[0]), indices)
+                assert np.array_equal(got, full[indices]), (grid[1], size)
+                if n >= 5:
+                    got_full, got_half = _quadrature_weights(grid, indices)
+                    assert np.array_equal(got_full, full[indices])
+                    assert np.array_equal(got_half, half[indices])
 
     @pytest.mark.parametrize("sigma, n_points", [(7.5, 5001), (0.01, 250001), (0.3, 8334)])
     def test_rate_curve_matches_full_grid_simpson(self, sigma, n_points):
@@ -748,15 +798,19 @@ class TestSpectralCsvRows:
                              sigma=0.3)
         assert spectral_to_csv_text(f) == _reference_csv(f)
 
-    @pytest.mark.parametrize("places", [0, 1, 3, 6, 14, 15])
-    def test_exact_decimal_rule_at_its_edges(self, places):
+    @pytest.mark.parametrize("places, values", [
+        *((places, None) for places in (0, 1, 3, 6, 14, 15)),
+        (1, 1.0 + 0.5 * np.arange(400)),      # every value exact: none left for repr
+    ], ids=["0", "1", "3", "6", "14", "15", "all-exact"])
+    def test_exact_decimal_rule_at_its_edges(self, places, values):
         # both sides of 1e-4 and of k = 10^15, zeros, negative values, huge
         # values, and the neighbours of exact decimals, at any decimal places
-        edges = [1e-4, 1.5e-4, 9.5e-5, 0.0, -0.0, -2.5, 5e-324, 1e-310, 0.1, 0.2, 0.3,
-                 0.30000000000000004, 123.456, 250.0, 1e15 / 10**places,
-                 (10**15 - 1) / 10**places, (10**15 + 1) / 10**places, 1e15, 1e300]
-        values = np.array(edges + [np.nextafter(v, np.inf) for v in edges]
-                          + [np.nextafter(v, -np.inf) for v in edges])
+        if values is None:
+            edges = [1e-4, 1.5e-4, 9.5e-5, 0.0, -0.0, -2.5, 5e-324, 1e-310, 0.1, 0.2, 0.3,
+                     0.30000000000000004, 123.456, 250.0, 1e15 / 10**places,
+                     (10**15 - 1) / 10**places, (10**15 + 1) / 10**places, 1e15, 1e300]
+            values = np.array(edges + [np.nextafter(v, np.inf) for v in edges]
+                              + [np.nextafter(v, -np.inf) for v in edges])
         assert spectral._chunk_lines(values, places) == spectral._repr_lines(values)
 
     @pytest.mark.parametrize("amplitude", [
