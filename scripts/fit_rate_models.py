@@ -20,8 +20,7 @@ from nvrelax.fitting import (
     residual_diagnostics,
 )
 
-# every fit polishes up to FitProblem.multistart (16) minima of its
-# mode-energy profile, best first; none of them needs more
+# every fit polishes each distinct minimum of its mode-energy profile
 MODELS = ("n-mode:1", "n-mode:2", "n-mode:3", "prior")
 
 

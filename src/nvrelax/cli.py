@@ -117,11 +117,10 @@ def _cmd_fit(args) -> int:
         if args.constants != "per_sample" or args.t_min is not None:
             raise _UsageError(
                 "fit: --phonon-limited already fixes --constants/--t-min")
-        problem = FitProblem.phonon_limited(dataset, model, multistart=args.multistart)
+        problem = FitProblem.phonon_limited(dataset, model)
     else:
-        problem = FitProblem(
-            dataset=dataset, model=model, constants=args.constants,
-            t_min=args.t_min, multistart=args.multistart)
+        problem = FitProblem(dataset=dataset, model=model,
+                             constants=args.constants, t_min=args.t_min)
     result = fit(problem)
     _write(args, dataset.checksum(), args.output, result.to_report_dict())
     if not result.converged:
@@ -208,8 +207,7 @@ def _cmd_spectral(args) -> int:
     curve = rate_curve(f_sq, f_dq, temps)
     # a failed refit must leave no files behind, so it runs before any write
     if args.refit:
-        result = refit_theory_curve(curve, t_max=float(args.t_max),
-                                    multistart=args.multistart)
+        result = refit_theory_curve(curve, t_max=float(args.t_max))
 
     _write(args, checksum, f"{args.output}.sq.csv", spectral_to_csv_text(f_sq))
     _write(args, checksum, f"{args.output}.dq.csv", spectral_to_csv_text(f_dq))
@@ -285,8 +283,7 @@ def _cmd_compare(args) -> int:
         if spec in specs[:i]:
             raise _UsageError(f"compare: model {spec.label} given more than once")
     ranked = compare_models([
-        fit(FitProblem(dataset=dataset, model=spec, constants=args.constants,
-                       t_min=args.t_min, multistart=args.multistart))
+        fit(FitProblem(dataset=dataset, model=spec, constants=args.constants, t_min=args.t_min))
         for spec in specs])
     best = ranked[0]
 
@@ -387,8 +384,6 @@ def _add_fit_options(sub) -> None:
                      help="sample-constant floors: one pair per sample, or none")
     sub.add_argument("--t-min", type=_positive_float, default=None,
                      help="drop rows below this temperature (K)")
-    sub.add_argument("--multistart", type=_positive_int, default=16,
-                     help="most minima of the mode-energy profile polished")
 
 
 def _add_run_options(sub, output_help: str = "output file (default: standard output)",
@@ -443,8 +438,6 @@ def _build_parser() -> _Parser:
     p_spec.add_argument("--n-temps", type=_positive_int, default=40)
     p_spec.add_argument("--refit", action="store_true",
                         help="append a two-mode fit of the rate curve")
-    p_spec.add_argument("--multistart", type=_positive_int, default=8,
-                        help="most profile minima polished")
     _add_run_options(p_spec, output_required=True,
                      output_help="output prefix: writes PREFIX.sq.csv, "
                                  "PREFIX.dq.csv, PREFIX.rates.csv[, PREFIX.refit.json]")

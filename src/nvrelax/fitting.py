@@ -77,29 +77,25 @@ class FitProblem:
     fits one (a3, b3) floor per sample label, ``"none"`` fixes all floors to
     zero.  ``t_min`` restricts the rows used.  The phonon-limited framing
     (T >= 125 K, no constants) is available via :meth:`phonon_limited`.
-    ``multistart`` is the most profile minima polished (see :func:`fit`);
-    the bounds and the starts follow from the model alone.
+    The bounds and the starts follow from the model alone (see :func:`fit`).
     """
 
     dataset: Dataset
     model: ModelSpec
     constants: str = "per_sample"
     t_min: float | None = None
-    multistart: int = 16
 
     def __post_init__(self) -> None:
         if self.constants not in ("per_sample", "none"):
             raise ValueError(f"constants must be 'per_sample' or 'none', got {self.constants!r}")
-        if self.multistart < 1:
-            raise ValueError("multistart count must be >= 1")
         if self.t_min is not None:
             _require({"t_min": self.t_min}, "positive")
 
     @classmethod
-    def phonon_limited(cls, dataset: Dataset, model: ModelSpec, **kwargs) -> "FitProblem":
+    def phonon_limited(cls, dataset: Dataset, model: ModelSpec) -> "FitProblem":
         """Restricted framing: rows at T >= 125 K, constant floors fixed at 0."""
         return cls(dataset=dataset, model=model, constants="none",
-                   t_min=PHONON_LIMITED_T_MIN_K, **kwargs)
+                   t_min=PHONON_LIMITED_T_MIN_K)
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +582,12 @@ def least_squares(asm: _Assembled, p0: np.ndarray) -> _Polish:
 
 def fit(problem: FitProblem) -> FitResult:
     """Minimize the weighted chi-squared: assemble the problem, profile the
-    mode energies, and polish each of the best ``multistart`` minima of
-    :func:`_profile` by :func:`least_squares`.  Ties break by lowest chi2,
-    then fewest evaluations, then start index.
+    mode energies, and polish every distinct minimum of :func:`_profile` by
+    :func:`least_squares`.  Ties break by lowest chi2, then fewest
+    evaluations, then start index.
     """
     asm = _assemble(problem)
-    results = [least_squares(asm, p0) for _, p0 in _profile(asm)[:problem.multistart]]
+    results = [least_squares(asm, p0) for _, p0 in _profile(asm)]
     best = min(results, key=lambda r: (r.chi2, r.nfev))     # first start on a tie
     p_best = _canonical_order(asm, best.p)
     residuals, jac_log = _model(asm, p_best)

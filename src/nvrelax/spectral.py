@@ -320,12 +320,7 @@ def build_spectral_function(
     if not entries:
         raise ValueError(f"no coupling entries for channel {channel.value!r}, order {order}")
     grid = default_grid(sigma) if grid is None else np.asarray(grid, dtype=float)
-    max_energy = max(e.mode_energy for e in entries)
-    if grid[0] > 0.0 or grid[-1] < max_energy + 5.0 * sigma:
-        raise ValueError(
-            f"grid must cover [0, {max_energy + 5.0 * sigma:g}] meV, "
-            f"got [{grid[0]:g}, {grid[-1]:g}]"
-        )
+    _require_coverage(grid, max(e.mode_energy for e in entries), sigma)
     amplitude = np.zeros_like(grid)
     power = np.zeros_like(grid)
     for e in entries:
@@ -334,6 +329,14 @@ def build_spectral_function(
         power[window] += e.amplitude**2 * kernel
     return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel,
                             order=order, sigma=sigma, power=power)
+
+
+def _require_coverage(grid: np.ndarray, top: float, sigma: float) -> None:
+    """Refuse a grid that does not reach from 0 to 5 sigma above ``top``, the
+    highest center: a Gaussian it cuts off would lose its area silently."""
+    if grid[0] > 0.0 or grid[-1] < top + 5.0 * sigma:
+        raise ValueError(
+            f"grid must cover [0, {top + 5.0 * sigma:g}] meV, got [{grid[0]:g}, {grid[-1]:g}]")
 
 
 def synthetic_peak_function(
@@ -347,7 +350,9 @@ def synthetic_peak_function(
     Each peak is (center meV, area meV): the dimensionless F integrates to
     the given area, so the zero-width limit of the second-order rate is the
     Orbach-like term (4 pi / hbar) * area * n(n+1) at the center energy.
-    Used for delta-function oracles and pipeline-bias studies.
+    Used for delta-function oracles and pipeline-bias studies.  The grid
+    must cover the peaks with 5 sigma of margin, as for
+    :func:`build_spectral_function`.
 
     Broad peaks leave a Gaussian tail at zero energy where the occupation
     weight grows as 1/e^2 and would make the rate integral ill-posed, so F
@@ -365,6 +370,7 @@ def synthetic_peak_function(
         _require({"peak area": area}, "nonnegative")
         window, kernel = _gaussian_window(grid, center, sigma)
         f_diag[window] += area * kernel
+    _require_coverage(grid, max(center for center, _ in peaks), sigma)
     f_diag *= -np.expm1(-0.5 * (grid / _LOW_ENERGY_WINDOW_MEV) ** 2)
     amplitude = np.sqrt(f_diag) / PLANCK_MEV_PER_MHZ
     return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel,
@@ -631,13 +637,15 @@ def rate_curve(
         gamma_rel_error=tuple(r.rel_error for r in gamma))
 
 
-def refit_theory_curve(curve: RamanRateCurve, t_max: float, multistart: int = 8,
+def refit_theory_curve(curve: RamanRateCurve, t_max: float,
                        seed: int = DEFAULT_SEED) -> FitResult:
     """Fit the two-mode law (no constant floors) to a quadrature rate curve.
 
     The curve must extend to ``t_max``; uniform 1% relative errors weight
     all temperatures alike on a log scale, so only the lineshape matters.
-    ``seed`` is only recorded by callers: the fit draws nothing at random.
+    Every distinct minimum of the mode-energy profile is polished (see
+    :func:`~nvrelax.fitting.fit`).  ``seed`` is only recorded by callers:
+    the fit draws nothing at random.
     """
     _require({"t_max": t_max}, "positive")
     if max(curve.temperatures) < t_max:
@@ -651,8 +659,7 @@ def refit_theory_curve(curve: RamanRateCurve, t_max: float, multistart: int = 8,
     dataset = curve.to_dataset()
     rows = tuple(r for r in dataset if r.temperature <= t_max)
     dataset = Dataset(rows=rows, provenance=dataset.provenance)
-    return fit(FitProblem(dataset=dataset, model=ModelSpec("n_mode", 2),
-                          constants="none", multistart=multistart))
+    return fit(FitProblem(dataset=dataset, model=ModelSpec("n_mode", 2), constants="none"))
 
 
 # Rows of grid values formatted at a time: a bound on the Python floats,

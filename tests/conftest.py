@@ -22,8 +22,7 @@ def two_mode_fit(builtin_dataset):
 
 @pytest.fixture(scope="session")
 def one_mode_fit(builtin_dataset):
-    return fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 1),
-                          multistart=8))
+    return fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 1)))
 
 
 @pytest.fixture(scope="session")
@@ -35,8 +34,7 @@ def three_mode_fit(builtin_dataset):
 
 @pytest.fixture(scope="session")
 def prior_fit(builtin_dataset):
-    return fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("prior"),
-                          multistart=8))
+    return fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("prior")))
 
 
 @pytest.fixture(scope="session")

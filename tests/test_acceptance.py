@@ -197,8 +197,7 @@ def test_criterion_10_property_spot_checks(builtin_dataset):
     assert all(b > a for a, b in zip(factors, factors[1:]))
 
     # fit objective decrease: the returned optimum beats every start
-    result = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("prior"),
-                            multistart=4))
+    result = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("prior")))
     assert result.chi2 <= min(result.start_chi2) * (1.0 + 1e-12)
 
     # analytic activation-energy derivative vs central finite difference

@@ -67,6 +67,8 @@ class TestExitCodes:
         assert run("fit", "--definitely-not-a-flag") == 1
         assert run("fit", "--threads", "2") == 1
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        assert run("fit", "--multistart", "2") == 1
+        assert "unrecognized arguments: --multistart" in capsys.readouterr().err
 
     def test_repeated_model_compare_is_input_error(self, capsys):
         assert run("compare", "--models", "n-mode:2", "prior", "N_MODE:2") == 1
@@ -81,12 +83,11 @@ class TestExitCodes:
         ("eval", "--n-temps", "0"),
         ("spectral", "--n-temps", "0"),
         ("eval", "--n-temps", "-1"),
-        ("fit", "--multistart", "0"),
-        ("spectral", "--multistart", "-1"),
         ("eval", "--n-temps", "9" * 400),
         # the emitted dataset row must read back: core accepts 1-2000 K
         ("simulate", "--temperature", "5000"),
         ("simulate", "--temperature", "0.5"),
+        ("simulate", "--temperature", "abc"),
     ])
     def test_nonpositive_or_nonfinite_flag_is_input_error(
             self, argv, published_params_file, tmp_path, capsys):
@@ -246,8 +247,7 @@ class TestExitCodes:
             assert "rank-deficient fit" in err
 
     def test_successful_fit_exits_zero(self, tmp_path):
-        assert run("fit", "--model", "prior", "--multistart", "2",
-                   "-o", str(tmp_path / "r.json")) == 0
+        assert run("fit", "--model", "prior", "-o", str(tmp_path / "r.json")) == 0
 
     @pytest.mark.parametrize("argv, message", [
         (("fit", "--model", "n-mode:2"), "fit did not converge"),
@@ -257,7 +257,7 @@ class TestExitCodes:
                                                         monkeypatch, capsys):
         monkeypatch.setattr("nvrelax.fitting._MAX_EVALUATIONS", 2)
         out = tmp_path / "r.json"
-        assert run(*argv, "--multistart", "2", "-o", str(out)) == 2
+        assert run(*argv, "-o", str(out)) == 2
         assert message in capsys.readouterr().err
         report = json.loads(out.read_text())
         fits = report["ranking"] if "ranking" in report else [report["fit"]]
@@ -316,8 +316,7 @@ class TestFitCommand:
 
     def test_one_mode_chi2(self, tmp_path):
         out = tmp_path / "fit1.json"
-        assert run("fit", "--model", "n-mode:1", "--multistart", "8",
-                   "-o", str(out)) == 0
+        assert run("fit", "--model", "n-mode:1", "-o", str(out)) == 0
         report = json.loads(out.read_text())
         assert 3.4 <= report["fit"]["chi2_reduced"] <= 4.4
 
@@ -368,8 +367,7 @@ class TestEvalCommand:
 
     def test_fit_report_chains_into_eval(self, tmp_path, capsys):
         report_path = tmp_path / "fit.json"
-        assert run("fit", "--model", "prior", "--multistart", "4",
-                   "-o", str(report_path)) == 0
+        assert run("fit", "--model", "prior", "-o", str(report_path)) == 0
         assert run("eval", "--params", str(report_path),
                    "--sample", "B", "--temps", "300,400") == 0
         assert len(data_rows(capsys.readouterr().out)) == 2
@@ -469,9 +467,10 @@ class TestSpectralCommand:
 class TestSimulateCommand:
     def test_noise_free_extraction_is_exact(self, tmp_path):
         prefix = tmp_path / "ideal"
-        assert run("simulate", "--omega", "60", "--gamma", "128",
+        assert run("simulate", "--omega", "60", "--gamma", "128", "--gamma-init", "1",
                    "--noise-free", "-o", str(prefix)) == 0
         report = json.loads((tmp_path / "ideal.report.json").read_text())
+        assert report["protocol"]["gamma_branch"]["init"] == "+1"
         est = report["estimate"]
         assert abs(est["omega_s"] - 60.0) / 60.0 < 1e-9
         assert abs(est["gamma_s"] - 128.0) / 128.0 < 1e-9
@@ -586,8 +585,7 @@ class TestCompareCommand:
 
     def test_mode_count_ladder(self, tmp_path):
         out = tmp_path / "ladder.json"
-        assert run("compare", "--models", "n-mode:1", "n-mode:2",
-                   "--multistart", "8", "-o", str(out)) == 0
+        assert run("compare", "--models", "n-mode:1", "n-mode:2", "-o", str(out)) == 0
         report = json.loads(out.read_text())
         by_label = {r["model"]: r["chi2_reduced"] for r in report["ranking"]}
         assert 3.4 <= by_label["n-mode:1"] <= 4.4
@@ -637,7 +635,7 @@ class TestFloatRangeTemperatures:
         assert data_rows((tmp_path / "s.rates.csv").read_text())[0] == ["1e-320", "0.0", "0.0"]
 
         out = tmp_path / "cmp.json"
-        assert run("compare", "--models", "n-mode:1", "prior", "--multistart", "8",
+        assert run("compare", "--models", "n-mode:1", "prior",
                    "--extrapolate", "1e-320", "-o", str(out)) == 0
         report = json.loads(out.read_text(), parse_constant=pytest.fail)   # no NaN or Infinity
         for result in (one_mode_fit, prior_fit):
@@ -658,7 +656,7 @@ class TestFloatRangeTemperatures:
 class TestReproducibility:
     def test_identical_config_is_byte_identical(self, tmp_path):
         out = tmp_path / "same.json"
-        args = ("fit", "--model", "prior", "--multistart", "4", "-o", str(out))
+        args = ("fit", "--model", "prior", "-o", str(out))
         assert run(*args) == 0
         first = out.read_bytes()
         assert run(*args) == 0
@@ -696,7 +694,7 @@ class TestReproducibility:
         assert list(report)[:4] == ["version", "config", "seed", "dataset_checksum"]
         assert report["config"] == (
             "compare --constants=per_sample --data=paper-table-s4 --models=n-mode:1,prior "
-            f"--multistart=16 --output={out} --seed=1729")
+            f"--output={out} --seed=1729")
 
         assert run("fit", "--model", "n-mode:1", "-o", str(out)) == 0
         assert " --phonon-limited=false " in json.loads(out.read_text())["config"]

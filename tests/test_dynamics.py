@@ -96,6 +96,8 @@ class TestEvolve:
         p = evolve(RateMatrix(60.0, 128.0), "0", taus)
         assert p.shape == (7, 3)
         np.testing.assert_array_equal(p[0], [1.0, 0.0, 0.0])
+        # an empty grid has nothing to check and nothing to evolve
+        assert evolve(RateMatrix(1.0, 1.0), "0", []).shape == (0, 3)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -231,6 +233,7 @@ class TestSimulateExperiment:
     def test_noise_free_values_are_exact(self):
         sim = simulate_experiment(self.RM, ProtocolSpec(shots=None))
         taus = np.asarray(sim.omega_branch.tau_grid)
+        assert len(sim.omega_branch) == len(taus) == ProtocolSpec(shots=None).n_tau
         np.testing.assert_allclose(sim.omega_branch.values,
                                    np.exp(-180.0 * taus), atol=1e-14)
 
@@ -317,6 +320,8 @@ class TestDecayCurve:
     def test_rejects_empty_and_nonpositive_errors(self):
         with pytest.raises(ValueError, match="at least one point"):
             DecayCurve("0", ("0", "-1"), (), (), ())
+        with pytest.raises(ValueError, match="must have equal length"):
+            DecayCurve("0", ("0", "-1"), (0.0, 1.0), (1.0, 0.3), (0.1,))
         with pytest.raises(ValueError, match="positive"):
             DecayCurve("0", ("0", "-1"), (0.0, 1.0), (1.0, 0.3), (0.1, 0.0))
 

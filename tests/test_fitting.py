@@ -35,6 +35,17 @@ from nvrelax.fitting import (
 from nvrelax.models import RateLaw, orbach_factor, orbach_factor_ddelta
 
 
+# 1.0-1.4 K rows: the occupancies underflow over most of the profile, and
+# the Orbach (and T^5) coefficients want more than their upper bounds
+_COLD_TABLE = parse_dataset_text(
+    "nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s\n"
+    "C1,A,1.0,0.0105,0.002,0.042,0.008\n"
+    "C1,A,1.1,0.009781,0.002,0.03896,0.008\n"
+    "C1,A,1.2,0.01254,0.002,0.04548,0.008\n"
+    "C1,A,1.3,0.03681,0.002,0.09322,0.008\n"
+    "C1,A,1.4,0.0915,0.002,0.185,0.008\n")
+
+
 def _synthetic_dataset(params, temps, sample="A", rel_err=0.02, provenance="synthetic"):
     """Zero-noise rows drawn exactly from a model curve."""
     rows = []
@@ -139,11 +150,6 @@ class TestFitProblemValidation:
             FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
                        constants="shared")
 
-    def test_multistart_positive(self, builtin_dataset):
-        with pytest.raises(ValueError, match="multistart"):
-            FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
-                       multistart=0)
-
     def test_underdetermined_rejected(self, published_params):
         tiny = _synthetic_dataset(published_params, [250.0, 300.0, 350.0])
         problem = FitProblem(dataset=tiny, model=ModelSpec("n_mode", 2))
@@ -171,8 +177,7 @@ class TestSyntheticRecovery:
         })
         temps = np.geomspace(15.0, 500.0, 16)
         dataset = _synthetic_dataset(truth, temps)
-        result = fit(FitProblem(dataset=dataset, model=ModelSpec("n_mode", 2),
-                                multistart=4))
+        result = fit(FitProblem(dataset=dataset, model=ModelSpec("n_mode", 2)))
         assert result.converged
         expected = {
             "delta_1": 65.0, "delta_2": 160.0, "a_1": 500.0, "a_2": 8000.0,
@@ -188,7 +193,7 @@ class TestSyntheticRecovery:
         temps = np.geomspace(50.0, 600.0, 14)
         dataset = _synthetic_dataset(truth, temps)
         result = fit(FitProblem(dataset=dataset, model=ModelSpec("prior"),
-                                constants="none", multistart=4))
+                                constants="none"))
         assert result.converged
         for name, value in (("delta", 75.0), ("a1", 700.0), ("b1", 1800.0),
                             ("a2", 3e-12), ("b2", 2e-12)):
@@ -301,7 +306,7 @@ class TestFitEvalAgreement:
         # fit and evaluation share one summation path, so evaluating the fitted
         # parameters row by row rebuilds the fit's residuals bit for bit
         result = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec.parse(token),
-                                constants="per_sample", multistart=4))
+                                constants="per_sample"))
         params = result.to_model_params()
         rebuilt = []
         for row in builtin_dataset:
@@ -313,8 +318,7 @@ class TestFitEvalAgreement:
 
 class TestInvariances:
     def test_objective_decreases_from_start(self, builtin_dataset):
-        problem = FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
-                             multistart=2)
+        problem = FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2))
         asm, (u0, _) = _start_points(builtin_dataset, "n-mode:2")
         r0 = _model(asm, np.exp(u0))[0]
         chi2_start = float(r0 @ r0)
@@ -323,10 +327,9 @@ class TestInvariances:
         assert math.isclose(result.chi2, min(result.start_chi2), rel_tol=1e-12)
 
     def test_reparameterization_invariance(self, builtin_dataset):
-        base = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
-                              multistart=1))
+        base = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2)))
         scaled = fit(FitProblem(dataset=_rescaled(builtin_dataset, 1000.0),
-                                model=ModelSpec("n_mode", 2), multistart=1))
+                                model=ModelSpec("n_mode", 2)))
         assert abs(scaled.chi2 - base.chi2) / base.chi2 < 1e-10
         for name in base.param_names:
             factor = 1.0 if name.startswith("delta") else 1000.0
@@ -334,15 +337,13 @@ class TestInvariances:
             assert abs(ratio - 1.0) < 1e-6, name
 
     def test_row_permutation_invariance(self, builtin_dataset):
-        base = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
-                              multistart=1))
+        base = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2)))
         shuffled_rows = list(builtin_dataset.rows)
         rng = np.random.default_rng(11)
         rng.shuffle(shuffled_rows)
         shuffled = Dataset(rows=tuple(shuffled_rows),
                            provenance=builtin_dataset.provenance)
-        other = fit(FitProblem(dataset=shuffled, model=ModelSpec("n_mode", 2),
-                               multistart=1))
+        other = fit(FitProblem(dataset=shuffled, model=ModelSpec("n_mode", 2)))
         assert abs(other.chi2 - base.chi2) / base.chi2 < 1e-10
         assert other.param_names == base.param_names
         for name in base.param_names:
@@ -351,8 +352,7 @@ class TestInvariances:
     def test_mode_label_symmetry(self, builtin_dataset):
         # polishing from mode energies with the labels swapped must land on
         # the same canonically ordered answer
-        problem = FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
-                             multistart=1)
+        problem = FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2))
         base = fit(problem)
         asm = _assemble(problem)
         start = _profile(asm)[0][1].copy()
@@ -369,13 +369,7 @@ class TestInvariances:
         # than their upper bounds; held there, the floors are re-solved, so
         # chi2 is stationary in every parameter inside its box and falls
         # only outward at one on its upper bound
-        dataset = parse_dataset_text(
-            "nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s\n"
-            "C1,A,1.0,0.0105,0.002,0.042,0.008\n"
-            "C1,A,1.1,0.009781,0.002,0.03896,0.008\n"
-            "C1,A,1.2,0.01254,0.002,0.04548,0.008\n"
-            "C1,A,1.3,0.03681,0.002,0.09322,0.008\n"
-            "C1,A,1.4,0.0915,0.002,0.185,0.008\n")
+        dataset = _COLD_TABLE
         asm = _assemble(FitProblem(dataset=dataset, model=ModelSpec.parse(token)))
         solved = least_squares(asm, _profile(asm)[0][1])
         r, jac = _model(asm, solved.p)
@@ -424,8 +418,7 @@ class TestInvariances:
         # from the constant floor
         temps = [300.0] * 4
         dataset = _synthetic_dataset(published_params, temps)
-        problem = FitProblem(dataset=dataset, model=ModelSpec("n_mode", 1),
-                             multistart=1)
+        problem = FitProblem(dataset=dataset, model=ModelSpec("n_mode", 1))
         with pytest.raises(RankDeficiencyError, match="degenerate"):
             fit(problem)
 
@@ -457,10 +450,31 @@ class TestProfile:
 
     def test_three_modes_reach_the_global_basin_from_one_start(self, builtin_dataset):
         # 6 of 16 random log-uniform starts stopped in a basin at 126.8594
-        result = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 3),
-                                multistart=1))
-        assert len(result.start_chi2) == 1
-        assert math.isclose(result.chi2, 126.60641327273599, rel_tol=1e-12)
+        asm, profile = self._profile_of(builtin_dataset, "n-mode:3")
+        solved = least_squares(asm, profile[0][1])
+        assert math.isclose(solved.chi2, 126.60641327273599, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("table, token", [
+        *(("builtin", t) for t in ("n-mode:1", "n-mode:2", "n-mode:3", "prior")),
+        # n-mode:3 has 11 parameters for the cold table's 10 residuals
+        *(("cold", t) for t in ("n-mode:1", "n-mode:2", "prior")),
+    ])
+    def test_every_profile_minimum_is_polished(self, builtin_dataset, monkeypatch,
+                                               table, token):
+        # no cap on the starts: each distinct minimum is polished once, best
+        # first, also where the covariance then finds the cold fits degenerate
+        dataset = builtin_dataset if table == "builtin" else _COLD_TABLE
+        problem = FitProblem(dataset=dataset, model=ModelSpec.parse(token))
+        starts = []
+        monkeypatch.setattr(fitting, "least_squares",
+                            lambda asm, p0: starts.append(p0) or least_squares(asm, p0))
+        profile = _profile(_assemble(problem))
+        if table == "builtin":
+            assert len(fit(problem).start_chi2) == len(profile)
+        else:
+            with pytest.raises(RankDeficiencyError):
+                fit(problem)
+        assert [p.tobytes() for p in starts] == [p.tobytes() for _, p in profile]
 
     @pytest.mark.parametrize("token, chi2", [
         ("n-mode:1", 426.53275359361584), ("n-mode:2", 138.8112844830732),
@@ -480,9 +494,8 @@ class TestPolish:
 
     @staticmethod
     def _polished(dataset, token):
-        problem = FitProblem(dataset=dataset, model=ModelSpec.parse(token))
-        asm = _assemble(problem)
-        return [least_squares(asm, p0) for _, p0 in _profile(asm)[:problem.multistart]]
+        asm = _assemble(FitProblem(dataset=dataset, model=ModelSpec.parse(token)))
+        return [least_squares(asm, p0) for _, p0 in _profile(asm)]
 
     @pytest.mark.parametrize("token, most", [("n-mode:2", 20), ("n-mode:3", 45)])
     def test_large_residual_fits_take_few_evaluations(self, builtin_dataset, token, most):
@@ -607,13 +620,7 @@ class TestNNLS:
         # profile, so many batches hold singular problems: the batched
         # verdict names just those that LAPACK will not solve alone, and
         # every problem keeps the bits of its own solve or pseudo-inverse
-        dataset = parse_dataset_text(
-            "nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s\n"
-            "C1,A,1.0,0.0105,0.002,0.042,0.008\n"
-            "C1,A,1.1,0.009781,0.002,0.03896,0.008\n"
-            "C1,A,1.2,0.01254,0.002,0.04548,0.008\n"
-            "C1,A,1.3,0.03681,0.002,0.09322,0.008\n"
-            "C1,A,1.4,0.0915,0.002,0.185,0.008\n")
+        dataset = _COLD_TABLE
         batches = []
         monkeypatch.setattr(fitting, "_solve",
                             lambda gram, rhs: batches.append((gram, rhs)) or _solve(gram, rhs))
@@ -719,9 +726,7 @@ class TestBuiltinTwoModeFit:
         assert set(first) == {"nv_id", "sample", "temperature_k", "channel", "value"}
 
     def test_phonon_limited_variant(self, builtin_dataset):
-        result = fit(FitProblem.phonon_limited(builtin_dataset,
-                                               ModelSpec("n_mode", 2),
-                                               multistart=4))
+        result = fit(FitProblem.phonon_limited(builtin_dataset, ModelSpec("n_mode", 2)))
         assert result.converged
         assert result.dof == 2 * 46 - 6
         assert "a3_A" not in result.params

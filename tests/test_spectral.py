@@ -109,7 +109,8 @@ class TestCouplingEntries:
 
     def test_parse_skips_comments(self):
         text = "# note\n" + COUPLING_CSV_HEADER + "\n62.4,2.0,double_quantum,2\n"
-        assert len(parse_coupling_text(text)) == 1
+        table = parse_coupling_text(text)
+        assert len(table) == 1 and list(table) == [CouplingEntry(62.4, 2.0, DQ, 2)]
 
     def test_anchor_table_contents(self):
         table = anchor_coupling_table()
@@ -152,6 +153,15 @@ class TestBuildSpectralFunction:
         short = np.linspace(0.0, 100.0, 2001)
         with pytest.raises(ValueError, match="grid must cover"):
             build_spectral_function(table, DQ, 2, sigma=7.5, grid=short)
+        # a peak past the default grid's 250 meV, or one whose 5 sigma
+        # margin it cuts off, would lose its area rather than be refused
+        with pytest.raises(ValueError, match=r"grid must cover \[0, 305\] meV"):
+            synthetic_peak_function([(300.0, 1e-12)], sigma=1.0, channel=SQ)
+        with pytest.raises(ValueError, match=r"grid must cover \[0, 274\] meV"):
+            synthetic_peak_function([(65.0, 1e-12), (249.0, 1e-12)], sigma=5.0, channel=SQ)
+        with pytest.raises(ValueError, match="grid must cover"):
+            synthetic_peak_function([(68.2, 1e-12)], sigma=7.5, channel=SQ,
+                                    grid=np.linspace(1.0, 250.0, 4981))
 
     def test_sigma_positive(self):
         with pytest.raises(ValueError, match="broadening width"):
@@ -488,7 +498,7 @@ class TestRateCurve:
         assert "temperature_k,omega_s,gamma_s" in text
         assert text.startswith("# provenance:")
         ds = curve.to_dataset()
-        assert len(ds) == 2
+        assert len(ds) == len(curve) == 2
         row = ds.rows[0]
         assert row.omega_err == pytest.approx(0.01 * row.omega)
         assert row.gamma_err == pytest.approx(0.01 * row.gamma)
@@ -662,9 +672,9 @@ class TestRefitTheoryCurve:
         curve = rate_curve(build_spectral_function(table, SQ, 2, sigma=1.0),
                            build_spectral_function(table, DQ, 2, sigma=1.0),
                            np.geomspace(100.0, 5000.0, 40))
-        result = refit_theory_curve(curve, t_max=5000.0, multistart=1)
+        result = refit_theory_curve(curve, t_max=5000.0)
         assert result.converged
-        assert result.chi2 <= 0.00196
+        assert result.start_chi2[0] <= 0.00196
 
     def test_refit_is_stable_under_one_ulp_changes(self):
         # the sigma = 7.5 curve of `nvrelax spectral --sigma 7.5 --refit` ends
