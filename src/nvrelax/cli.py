@@ -112,16 +112,8 @@ def _write(args: argparse.Namespace, checksum: str, path: str | None,
 
 def _cmd_fit(args) -> int:
     dataset = _load_dataset(args.data)
-    model = ModelSpec.parse(args.model)
-    if args.phonon_limited:
-        if args.constants != "per_sample" or args.t_min is not None:
-            raise _UsageError(
-                "fit: --phonon-limited already fixes --constants/--t-min")
-        problem = FitProblem.phonon_limited(dataset, model)
-    else:
-        problem = FitProblem(dataset=dataset, model=model,
-                             constants=args.constants, t_min=args.t_min)
-    result = fit(problem)
+    result = fit(FitProblem(dataset=dataset, model=ModelSpec.parse(args.model),
+                            constants=args.constants, t_min=args.t_min))
     _write(args, dataset.checksum(), args.output, result.to_report_dict())
     if not result.converged:
         print("fit did not converge", file=sys.stderr)
@@ -226,9 +218,7 @@ def _cmd_simulate(args) -> int:
         shots=None if args.noise_free else args.shots,
         n_tau=args.n_tau, tau_max_scale=args.tau_max_scale,
         readout_fidelity=args.fidelity)
-    sim = simulate_experiment(rates, spec, seed=args.seed,
-                              omega_pair=("0", args.omega_partner),
-                              gamma_init=args.gamma_init)
+    sim = simulate_experiment(rates, spec, seed=args.seed)
     estimate = extract_rates(sim.omega_branch, sim.gamma_branch)
 
     if estimate.gamma_negative:
@@ -408,8 +398,6 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--model", default="n-mode:2",
                        help="model label: n-mode:1..3 or prior")
     _add_fit_options(p_fit)
-    p_fit.add_argument("--phonon-limited", action="store_true",
-                       help="restrict to T >= 125 K and drop constant floors")
     _add_run_options(p_fit)
     p_fit.set_defaults(handler=_cmd_fit)
 
@@ -461,10 +449,6 @@ def _build_parser() -> _Parser:
                        help="readout fidelity in (0, 1]; scales effective shots")
     p_sim.add_argument("--temperature", type=_row_temperature, default=295.0,
                        help="temperature label for the emitted dataset row (K)")
-    p_sim.add_argument("--omega-partner", default="-1",
-                       help="state read against P0 on the 3-Omega branch")
-    p_sim.add_argument("--gamma-init", default="+1",
-                       help="initial state of the Omega + 2 gamma branch")
     _add_run_options(p_sim, output_required=True,
                      output_help="output prefix: writes PREFIX.dataset.csv, "
                                  "PREFIX.curves.csv, PREFIX.report.json")

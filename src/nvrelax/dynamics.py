@@ -25,8 +25,8 @@ one-dimensional Gauss-Newton problem in log r (:func:`least_squares`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -137,19 +137,6 @@ _SUPPORTED_PAIRINGS = (
 )
 
 
-def _checked_pairing(init, readout_pair) -> tuple[str, tuple[str, str]]:
-    init = _state_label(init)
-    pair = (_state_label(readout_pair[0]), _state_label(readout_pair[1]))
-    if (init, pair) not in _SUPPORTED_PAIRINGS:
-        supported = ", ".join(f"init {i} pair ({p[0]}, {p[1]})"
-                              for i, p in _SUPPORTED_PAIRINGS)
-        raise ValueError(
-            f"pairing init {init} pair ({pair[0]}, {pair[1]}) is not a pure "
-            f"exponential; supported pairings: {supported}"
-        )
-    return init, pair
-
-
 def difference_curve(rates: RateMatrix, init_state, readout_pair, tau_grid) -> np.ndarray:
     """Population difference P_a - P_b over ``tau_grid`` for a supported pairing.
 
@@ -161,7 +148,15 @@ def difference_curve(rates: RateMatrix, init_state, readout_pair, tau_grid) -> n
     if len(readout_pair) != 2 or \
             _state_label(readout_pair[0]) == _state_label(readout_pair[1]):
         raise ValueError("readout pair must be two distinct states")
-    init, pair = _checked_pairing(init_state, readout_pair)
+    init = _state_label(init_state)
+    pair = (_state_label(readout_pair[0]), _state_label(readout_pair[1]))
+    if (init, pair) not in _SUPPORTED_PAIRINGS:
+        supported = ", ".join(f"init {i} pair ({p[0]}, {p[1]})"
+                              for i, p in _SUPPORTED_PAIRINGS)
+        raise ValueError(
+            f"pairing init {init} pair ({pair[0]}, {pair[1]}) is not a pure "
+            f"exponential; supported pairings: {supported}"
+        )
     taus = np.asarray(tau_grid, dtype=float)
     populations = evolve(rates, init, taus)
     a, b = _state_index(pair[0]), _state_index(pair[1])
@@ -186,6 +181,10 @@ class ProtocolSpec:
     readout_fidelity: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shots, (numbers.Integral, type(None))):
+            raise ValueError(f"shots must be an integer or None, got {self.shots!r}")
+        if not isinstance(self.n_tau, numbers.Integral):
+            raise ValueError(f"n_tau must be an integer, got {self.n_tau!r}")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shot count must be >= 1")
         if self.shots is not None and self.shots > _MAX_SHOTS:
@@ -250,9 +249,8 @@ def _branch_grid(spec: ProtocolSpec, expected_rate: float, name: str) -> np.ndar
     if spec.tau_grid is not None:
         return np.asarray(spec.tau_grid)
     if expected_rate <= 0:
-        raise ValueError(
-            "expected decay rate is zero; provide an explicit tau_grid"
-        )
+        raise ValueError(f"expected decay rate {name} is zero, so it sets no "
+                         "tau grid (a library caller may pass an explicit tau_grid)")
     tau_end = spec.tau_max_scale / expected_rate
     _require({f"tau grid end tau_max_scale / ({name})": tau_end})
     return np.linspace(0.0, tau_end, spec.n_tau)
@@ -285,27 +283,20 @@ def _measure_branch(rates: RateMatrix, init: str, pair: tuple[str, str],
 
 
 def simulate_experiment(rates: RateMatrix, spec: ProtocolSpec,
-                        seed: int = DEFAULT_SEED,
-                        omega_pair: Sequence = ("0", "-1"),
-                        gamma_init="+1") -> SimulationResult:
+                        seed: int = DEFAULT_SEED) -> SimulationResult:
     """Run both decay branches of the protocol with binomial readout noise.
 
     Bit-reproducible for a fixed seed: one generator drives both branches
-    in a fixed order.  ``omega_pair`` picks which population is read
-    against P0 on the 3-Omega branch; ``gamma_init`` picks which +-1 state
-    the Omega + 2 gamma branch starts in.  Pairings outside the pure
-    single-exponential set are rejected.
+    in a fixed order, init |0> read as (0, -1), then init |+1> read as
+    (+1, -1).  The generator treats +1 and -1 alike, so the other
+    single-exponential pairings of :func:`difference_curve` measure the
+    same two decays.
     """
-    omega_init, omega_pair = _checked_pairing("0", omega_pair)
-    if _state_label(gamma_init) == "0":
-        raise ValueError("the Omega + 2 gamma branch must start in +1 or -1")
-    partner = "-1" if _state_label(gamma_init) == "+1" else "+1"
-    gamma_init, gamma_pair = _checked_pairing(gamma_init, (gamma_init, partner))
     rng = np.random.default_rng(seed)
     omega_taus = _branch_grid(spec, 3.0 * rates.omega, "3 Omega")
     gamma_taus = _branch_grid(spec, rates.omega + 2.0 * rates.gamma, "Omega + 2 gamma")
-    omega_branch = _measure_branch(rates, omega_init, omega_pair, omega_taus, spec, rng)
-    gamma_branch = _measure_branch(rates, gamma_init, gamma_pair, gamma_taus, spec, rng)
+    omega_branch = _measure_branch(rates, "0", ("0", "-1"), omega_taus, spec, rng)
+    gamma_branch = _measure_branch(rates, "+1", ("+1", "-1"), gamma_taus, spec, rng)
     return SimulationResult(omega_branch=omega_branch, gamma_branch=gamma_branch)
 
 

@@ -35,7 +35,6 @@ from .core import BOLTZMANN_MEV_PER_K, Dataset, _require
 from .models import ModelSpec, RateLaw, _Term, _bose_einstein, _sum_terms, _term_column
 
 __all__ = [
-    "PHONON_LIMITED_T_MIN_K",
     "ModelSpec",
     "FitProblem",
     "FitResult",
@@ -47,10 +46,6 @@ __all__ = [
     "residual_diagnostics",
     "estimate_covariance",
 ]
-
-# temperatures at or above this are lattice-dominated; the restricted fit
-# drops the per-sample constant floors entirely
-PHONON_LIMITED_T_MIN_K = 125.0
 
 # relative singular-value cutoff below which the normal equations are
 # treated as rank deficient
@@ -75,9 +70,9 @@ class FitProblem:
 
     ``constants`` chooses the shared-parameter structure: ``"per_sample"``
     fits one (a3, b3) floor per sample label, ``"none"`` fixes all floors to
-    zero.  ``t_min`` restricts the rows used.  The phonon-limited framing
-    (T >= 125 K, no constants) is available via :meth:`phonon_limited`.
-    The bounds and the starts follow from the model alone (see :func:`fit`).
+    zero.  ``t_min`` restricts the rows used; the phonon-limited fit is
+    ``constants="none", t_min=125.0``.  The bounds and the starts follow
+    from the model alone (see :func:`fit`).
     """
 
     dataset: Dataset
@@ -90,12 +85,6 @@ class FitProblem:
             raise ValueError(f"constants must be 'per_sample' or 'none', got {self.constants!r}")
         if self.t_min is not None:
             _require({"t_min": self.t_min}, "positive")
-
-    @classmethod
-    def phonon_limited(cls, dataset: Dataset, model: ModelSpec) -> "FitProblem":
-        """Restricted framing: rows at T >= 125 K, constant floors fixed at 0."""
-        return cls(dataset=dataset, model=model, constants="none",
-                   t_min=PHONON_LIMITED_T_MIN_K)
 
 
 # ---------------------------------------------------------------------------

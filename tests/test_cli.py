@@ -63,12 +63,21 @@ class TestExitCodes:
     def test_missing_subcommand_is_input_error(self, capsys):
         assert run() == 1
 
-    def test_unknown_flag_is_input_error(self, capsys):
+    def test_unknown_flag_is_input_error(self, tmp_path, capsys):
         assert run("fit", "--definitely-not-a-flag") == 1
         assert run("fit", "--threads", "2") == 1
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
         assert run("fit", "--multistart", "2") == 1
         assert "unrecognized arguments: --multistart" in capsys.readouterr().err
+        # the phonon-limited preset: --constants none --t-min 125 is its one spelling
+        assert run("fit", "--phonon-limited") == 1
+        assert "unrecognized arguments: --phonon-limited" in capsys.readouterr().err
+        # simulate reads one protocol: init 0 as (0, -1), init +1 as (+1, -1)
+        for flag in ("--omega-partner=+1", "--gamma-init=-1"):
+            assert run("simulate", "--omega", "60", "--gamma", "128", "--noise-free",
+                       flag, "-o", str(tmp_path / "m")) == 1
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_repeated_model_compare_is_input_error(self, capsys):
         assert run("compare", "--models", "n-mode:2", "prior", "N_MODE:2") == 1
@@ -320,16 +329,13 @@ class TestFitCommand:
         report = json.loads(out.read_text())
         assert 3.4 <= report["fit"]["chi2_reduced"] <= 4.4
 
-    def test_phonon_limited_flag(self, tmp_path):
+    def test_phonon_limited_fit(self, tmp_path):
         out = tmp_path / "fitp.json"
-        assert run("fit", "--phonon-limited", "-o", str(out)) == 0
+        assert run("fit", "--constants", "none", "--t-min", "125", "-o", str(out)) == 0
         report = json.loads(out.read_text())
         assert report["dataset"]["t_min_k"] == 125.0
         names = {e["name"] for e in report["parameters"]}
         assert "a3_A" not in names
-
-    def test_phonon_limited_conflicts_with_explicit_framing(self, capsys):
-        assert run("fit", "--phonon-limited", "--t-min", "100") == 1
 
 
 class TestEvalCommand:
@@ -467,7 +473,7 @@ class TestSpectralCommand:
 class TestSimulateCommand:
     def test_noise_free_extraction_is_exact(self, tmp_path):
         prefix = tmp_path / "ideal"
-        assert run("simulate", "--omega", "60", "--gamma", "128", "--gamma-init", "1",
+        assert run("simulate", "--omega", "60", "--gamma", "128",
                    "--noise-free", "-o", str(prefix)) == 0
         report = json.loads((tmp_path / "ideal.report.json").read_text())
         assert report["protocol"]["gamma_branch"]["init"] == "+1"
@@ -515,13 +521,12 @@ class TestSimulateCommand:
         report = json.loads((tmp_path / "neg.report.json").read_text())
         assert report["estimate"]["gamma_negative"] is True
 
-    def test_invalid_pairing_is_input_error(self, tmp_path, capsys):
-        assert run("simulate", "--omega", "60", "--gamma", "128",
-                   "--shots", "100", "--gamma-init", "0",
-                   "-o", str(tmp_path / "bad")) == 1
-        assert run("simulate", "--omega", "60", "--gamma", "128",
-                   "--shots", "100", "--omega-partner", "2",
-                   "-o", str(tmp_path / "bad2")) == 1
+    def test_zero_rate_is_named_input_error(self, tmp_path, capsys):
+        assert run("simulate", "--omega", "0", "--gamma", "5", "--shots", "10",
+                   "-o", str(tmp_path / "z")) == 1
+        err = capsys.readouterr().err
+        assert "expected decay rate 3 Omega is zero" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_negative_truth_rate_is_input_error(self, tmp_path, capsys):
         assert run("simulate", "--omega", "-5", "--gamma", "128",
@@ -674,6 +679,28 @@ class TestReproducibility:
             reports.append(report)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("framing", [(), ("--constants", "none", "--t-min", "125")])
+    def test_fit_config_agrees_with_the_run(self, tmp_path, framing):
+        out = tmp_path / "fit.json"
+        assert run("fit", "--model", "n-mode:1", *framing, "-o", str(out)) == 0
+        report = json.loads(out.read_text())
+        options = dict(item.split("=", 1) for item in report["config"].split()[1:])
+        assert options["--constants"] == report["dataset"]["constants"]
+        if "--t-min" in options:
+            assert float(options["--t-min"]) == report["dataset"]["t_min_k"] == 125.0
+        else:
+            assert report["dataset"]["t_min_k"] is None
+
+    def test_simulate_config_agrees_with_the_run(self, tmp_path):
+        prefix = tmp_path / "m"
+        assert run("simulate", "--omega", "60", "--gamma", "128", "--noise-free",
+                   "-o", str(prefix)) == 0
+        report = json.loads(Path(f"{prefix}.report.json").read_text())
+        assert "partner" not in report["config"] and "init" not in report["config"]
+        protocol = report["protocol"]
+        assert protocol["omega_branch"] == {"init": "0", "pair": ["0", "-1"]}
+        assert protocol["gamma_branch"] == {"init": "+1", "pair": ["+1", "-1"]}
+
     def test_stamp_format(self, published_params_file, tmp_path, capsys):
         # byte-identical outputs rest on this exact rendering of the run
         assert run("eval", "--params", published_params_file, "--temps", "300",
@@ -697,7 +724,9 @@ class TestReproducibility:
             f"--output={out} --seed=1729")
 
         assert run("fit", "--model", "n-mode:1", "-o", str(out)) == 0
-        assert " --phonon-limited=false " in json.loads(out.read_text())["config"]
+        assert json.loads(out.read_text())["config"] == (
+            "fit --constants=per_sample --data=paper-table-s4 --model=n-mode:1 "
+            f"--output={out} --seed=1729")
         prefix = tmp_path / "spec"
         assert run("spectral", "--sigma", "7.5", "--refit", "--n-temps", "8",
                    "-o", str(prefix)) == 0
@@ -711,7 +740,7 @@ class TestReadme:
         commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
                     if line.strip() and not line.lstrip().startswith("#")]
         monkeypatch.chdir(tmp_path)
-        assert sum(argv[0] == "nvrelax" for argv in commands) == 5
+        assert sum(argv[0] == "nvrelax" for argv in commands) == 6
         for argv in commands:
             if argv[:2] == ["mkdir", "-p"]:
                 for name in argv[2:]:

@@ -200,6 +200,21 @@ class TestProtocolSpec:
         with pytest.raises(ValueError, match="n_tau"):
             ProtocolSpec(shots=100, n_tau=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("shots", math.nan),
+        ("shots", 2.5),
+        ("shots", 100.0),
+        ("n_tau", math.nan),
+        ("n_tau", 3.5),
+        ("n_tau", 20.0),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must be an integer"):
+            ProtocolSpec(**{"shots": 100, field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        assert ProtocolSpec(shots=np.int64(100), n_tau=np.int32(5)).effective_shots == 100
+
     def test_explicit_grid_needs_enough_points(self):
         for grid in ((0.0,), (0.0, 1e-3)):
             with pytest.raises(ValueError, match="at least 3 points"):
@@ -246,9 +261,10 @@ class TestSimulateExperiment:
         assert est.omega == pytest.approx(60.0, rel=1e-3)
         assert est.gamma == pytest.approx(128.0, rel=1e-3)
 
-    def test_zero_rates_require_explicit_grid(self):
-        with pytest.raises(ValueError, match="tau_grid"):
-            simulate_experiment(RateMatrix(0.0, 0.0), ProtocolSpec(shots=100))
+    @pytest.mark.parametrize("gamma", [0.0, 5.0])
+    def test_zero_rates_require_explicit_grid(self, gamma):
+        with pytest.raises(ValueError, match="expected decay rate 3 Omega is zero.*tau_grid"):
+            simulate_experiment(RateMatrix(0.0, gamma), ProtocolSpec(shots=100))
 
     def test_overflowing_decay_rate_is_named(self):
         # both rates are finite, but 3 Omega and Omega + 2 gamma are not

@@ -163,7 +163,8 @@ class TestFitProblemValidation:
             fit(problem)
 
     def test_phonon_limited_framing(self, builtin_dataset):
-        problem = FitProblem.phonon_limited(builtin_dataset, ModelSpec("n_mode", 2))
+        problem = FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
+                             constants="none", t_min=125.0)
         assert problem.constants == "none"
         assert problem.t_min == 125.0
 
@@ -726,7 +727,8 @@ class TestBuiltinTwoModeFit:
         assert set(first) == {"nv_id", "sample", "temperature_k", "channel", "value"}
 
     def test_phonon_limited_variant(self, builtin_dataset):
-        result = fit(FitProblem.phonon_limited(builtin_dataset, ModelSpec("n_mode", 2)))
+        result = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec("n_mode", 2),
+                                constants="none", t_min=125.0))
         assert result.converged
         assert result.dof == 2 * 46 - 6
         assert "a3_A" not in result.params
