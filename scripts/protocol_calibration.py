@@ -25,13 +25,11 @@ def main() -> None:
     parser.add_argument("--gamma", type=float, default=128.0)
     parser.add_argument("--shots", type=int, default=100_000)
     parser.add_argument("--n-tau", type=int, default=20)
-    parser.add_argument("--fidelity", type=float, default=1.0)
     parser.add_argument("--n-seeds", type=int, default=100)
     args = parser.parse_args()
 
     truth = RateMatrix(args.omega, args.gamma)
-    spec = ProtocolSpec(shots=args.shots, n_tau=args.n_tau,
-                        readout_fidelity=args.fidelity)
+    spec = ProtocolSpec(shots=args.shots, n_tau=args.n_tau)
     pulls = {"omega": [], "gamma": []}
     for seed in range(args.n_seeds):
         sim = simulate_experiment(truth, spec, seed=seed)

@@ -216,8 +216,7 @@ def _cmd_simulate(args) -> int:
     rates = RateMatrix(args.omega, args.gamma)
     spec = ProtocolSpec(
         shots=None if args.noise_free else args.shots,
-        n_tau=args.n_tau, tau_max_scale=args.tau_max_scale,
-        readout_fidelity=args.fidelity)
+        n_tau=args.n_tau, tau_max_scale=args.tau_max_scale)
     sim = simulate_experiment(rates, spec, seed=args.seed)
     estimate = extract_rates(sim.omega_branch, sim.gamma_branch)
 
@@ -240,10 +239,8 @@ def _cmd_simulate(args) -> int:
         "truth": {"omega_s": rates.omega, "gamma_s": rates.gamma},
         "protocol": {
             "shots": spec.shots,
-            "effective_shots": spec.effective_shots,
             "n_tau": spec.n_tau,
             "tau_max_scale": spec.tau_max_scale,
-            "readout_fidelity": spec.readout_fidelity,
             "omega_branch": {"init": sim.omega_branch.init_state,
                              "pair": list(sim.omega_branch.readout_pair)},
             "gamma_branch": {"init": sim.gamma_branch.init_state,
@@ -445,8 +442,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--n-tau", type=int, default=20)
     p_sim.add_argument("--tau-max-scale", type=_positive_float, default=2.5,
                        help="grid reaches this many expected decay times")
-    p_sim.add_argument("--fidelity", type=float, default=1.0,
-                       help="readout fidelity in (0, 1]; scales effective shots")
     p_sim.add_argument("--temperature", type=_row_temperature, default=295.0,
                        help="temperature label for the emitted dataset row (K)")
     _add_run_options(p_sim, output_required=True,

@@ -13,10 +13,10 @@ exponentials:
     init |+1>, P+1 - P-1:      exp(-(Omega + 2 gamma) tau)
 
 The simulated measurement draws binomial counts per readout state and
-time point, mirroring photon shot statistics; a fidelity parameter below 1
-only inflates the variance (the optics behind the readout are out of
-scope).  Fitted decay rates r1 = 3 Omega and r2 = Omega + 2 gamma then
-invert to the rates with propagated uncertainties.
+time point, mirroring photon shot statistics (the optics behind the
+readout are out of scope).  Fitted decay rates r1 = 3 Omega and
+r2 = Omega + 2 gamma then invert to the rates with propagated
+uncertainties.
 
 Each decay is fitted as A exp(-r tau) by a separable solve: the amplitude
 enters linearly and is projected out in closed form, leaving a
@@ -39,7 +39,6 @@ __all__ = [
     "SimulationResult",
     "RateEstimate",
     "evolve",
-    "difference_curve",
     "simulate_experiment",
     "extract_rates",
     "to_rate_measurement",
@@ -70,10 +69,6 @@ def _state_index(state) -> int:
     if token not in _STATE_INDEX:
         raise ValueError(f"unknown spin state {state!r}; expected one of 0, -1, +1")
     return _STATE_INDEX[token]
-
-
-def _state_label(state) -> str:
-    return ("0", "-1", "+1")[_state_index(state)]
 
 
 @dataclass(frozen=True)
@@ -129,56 +124,19 @@ def evolve(rates: RateMatrix, init_state, tau):
     return out if t.ndim else out.reshape(3)
 
 
-_SUPPORTED_PAIRINGS = (
-    ("0", ("0", "-1")),
-    ("0", ("0", "+1")),
-    ("+1", ("+1", "-1")),
-    ("-1", ("-1", "+1")),
-)
-
-
-def difference_curve(rates: RateMatrix, init_state, readout_pair, tau_grid) -> np.ndarray:
-    """Population difference P_a - P_b over ``tau_grid`` for a supported pairing.
-
-    Supported pairings are exactly those whose difference is one pure
-    exponential of unit amplitude: init |0> with pair (0, -1) or (0, +1)
-    decaying at 3 Omega, and init |+1> (|-1>) with pair (+1, -1)
-    ((-1, +1)) decaying at Omega + 2 gamma.
-    """
-    if len(readout_pair) != 2 or \
-            _state_label(readout_pair[0]) == _state_label(readout_pair[1]):
-        raise ValueError("readout pair must be two distinct states")
-    init = _state_label(init_state)
-    pair = (_state_label(readout_pair[0]), _state_label(readout_pair[1]))
-    if (init, pair) not in _SUPPORTED_PAIRINGS:
-        supported = ", ".join(f"init {i} pair ({p[0]}, {p[1]})"
-                              for i, p in _SUPPORTED_PAIRINGS)
-        raise ValueError(
-            f"pairing init {init} pair ({pair[0]}, {pair[1]}) is not a pure "
-            f"exponential; supported pairings: {supported}"
-        )
-    taus = np.asarray(tau_grid, dtype=float)
-    populations = evolve(rates, init, taus)
-    a, b = _state_index(pair[0]), _state_index(pair[1])
-    return populations[..., a] - populations[..., b]
-
-
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Measurement design: time grid and readout noise.
 
     ``shots=None`` turns noise off (exact populations, unit weights).
     Without an explicit ``tau_grid`` each decay branch gets a linear grid
-    from 0 to ``tau_max_scale`` expected decay times.  ``readout_fidelity``
-    below 1 inflates the binomial variance by shrinking the effective shot
-    count to shots * fidelity^2.
+    from 0 to ``tau_max_scale`` expected decay times.
     """
 
     shots: int | None
     tau_grid: tuple[float, ...] | None = None
     n_tau: int = 20
     tau_max_scale: float = 2.5
-    readout_fidelity: float = 1.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.shots, (numbers.Integral, type(None))):
@@ -189,10 +147,7 @@ class ProtocolSpec:
             raise ValueError("shot count must be >= 1")
         if self.shots is not None and self.shots > _MAX_SHOTS:
             raise ValueError(f"shot count must be <= 2**63 - 1, got {self.shots}")
-        _require({"readout_fidelity": self.readout_fidelity})
         _require({"tau_max_scale": self.tau_max_scale}, "positive")
-        if not 0.0 < self.readout_fidelity <= 1.0:
-            raise ValueError("readout fidelity must lie in (0, 1]")
         if self.tau_grid is not None:
             taus = tuple(float(t) for t in self.tau_grid)
             if not taus:
@@ -205,13 +160,6 @@ class ProtocolSpec:
             object.__setattr__(self, "tau_grid", taus)
         elif self.n_tau < 3:
             raise ValueError("automatic tau grids need n_tau >= 3")
-
-    @property
-    def effective_shots(self) -> int | None:
-        if self.shots is None:
-            return None
-        # at most shots: rounding through a float could step past _MAX_SHOTS
-        return max(1, min(self.shots, round(self.shots * self.readout_fidelity**2)))
 
 
 @dataclass(frozen=True)
@@ -261,19 +209,20 @@ def _measure_branch(rates: RateMatrix, init: str, pair: tuple[str, str],
                     rng: np.random.Generator) -> DecayCurve:
     populations = evolve(rates, init, taus)
     a, b = _state_index(pair[0]), _state_index(pair[1])
-    n_eff = spec.effective_shots
-    if n_eff is None:
+    shots = spec.shots
+    if shots is None:
         values = populations[:, a] - populations[:, b]
         errors = np.ones_like(values)
     else:
         # one call draws (k_a, k_b) for every delay, in the order that
-        # per-delay calls would
-        counts = rng.binomial(n_eff, populations[:, [a, b]])
-        values = (counts[:, 0] - counts[:, 1]) / n_eff
+        # per-delay calls would; the clip only catches a population that
+        # rounding put a few ulps outside [0, 1]
+        counts = rng.binomial(shots, np.clip(populations[:, [a, b]], 0.0, 1.0))
+        values = (counts[:, 0] - counts[:, 1]) / shots
         # smoothed rate estimates keep the variance away from zero at
         # p-hat in {0, 1}
-        q = (counts + 0.5) / (n_eff + 1)
-        errors = np.sqrt((q * (1.0 - q) / n_eff).sum(axis=1))
+        q = (counts + 0.5) / (shots + 1)
+        errors = np.sqrt((q * (1.0 - q) / shots).sum(axis=1))
     return DecayCurve(
         init_state=init, readout_pair=pair,
         tau_grid=tuple(float(t) for t in taus),
@@ -288,9 +237,8 @@ def simulate_experiment(rates: RateMatrix, spec: ProtocolSpec,
 
     Bit-reproducible for a fixed seed: one generator drives both branches
     in a fixed order, init |0> read as (0, -1), then init |+1> read as
-    (+1, -1).  The generator treats +1 and -1 alike, so the other
-    single-exponential pairings of :func:`difference_curve` measure the
-    same two decays.
+    (+1, -1).  The generator treats +1 and -1 alike, so the mirror
+    pairings measure the same two decays.
     """
     rng = np.random.default_rng(seed)
     omega_taus = _branch_grid(spec, 3.0 * rates.omega, "3 Omega")

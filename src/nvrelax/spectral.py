@@ -336,7 +336,9 @@ def _require_coverage(grid: np.ndarray, top: float, sigma: float) -> None:
     highest center: a Gaussian it cuts off would lose its area silently."""
     if grid[0] > 0.0 or grid[-1] < top + 5.0 * sigma:
         raise ValueError(
-            f"grid must cover [0, {top + 5.0 * sigma:g}] meV, got [{grid[0]:g}, {grid[-1]:g}]")
+            f"grid must cover [0, {top + 5.0 * sigma:g}] meV, got [{grid[0]:g}, {grid[-1]:g}]: "
+            f"the highest center {top:g} meV plus a 5 sigma margin of "
+            f"{5.0 * sigma:g} meV at sigma = {sigma:g} meV")
 
 
 def synthetic_peak_function(

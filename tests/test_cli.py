@@ -72,11 +72,12 @@ class TestExitCodes:
         # the phonon-limited preset: --constants none --t-min 125 is its one spelling
         assert run("fit", "--phonon-limited") == 1
         assert "unrecognized arguments: --phonon-limited" in capsys.readouterr().err
-        # simulate reads one protocol: init 0 as (0, -1), init +1 as (+1, -1)
-        for flag in ("--omega-partner=+1", "--gamma-init=-1"):
+        # simulate reads one protocol, init 0 as (0, -1) and init +1 as (+1, -1),
+        # and has one noise knob: a lower readout fidelity is a lower --shots
+        for extra in (("--omega-partner=+1",), ("--gamma-init=-1",), ("--fidelity", "0.8")):
             assert run("simulate", "--omega", "60", "--gamma", "128", "--noise-free",
-                       flag, "-o", str(tmp_path / "m")) == 1
-            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+                       *extra, "-o", str(tmp_path / "m")) == 1
+            assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_repeated_model_compare_is_input_error(self, capsys):
@@ -460,6 +461,15 @@ class TestSpectralCommand:
         assert "grows towards e = 0" in err and "refining the energy grid will not help" in err
         assert "spacing <=" not in err
 
+    def test_wide_sigma_names_its_margin(self, tmp_path, capsys):
+        # spectral has no grid flag, so the message names what sets the
+        # grid's end: the highest anchor mode and 5 sigma
+        assert run("spectral", "--sigma", "20", "-o", str(tmp_path / "wide")) == 1
+        assert capsys.readouterr().err == (
+            "error: grid must cover [0, 260.7] meV, got [0, 250]: the highest center "
+            "160.7 meV plus a 5 sigma margin of 100 meV at sigma = 20 meV\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_channel_is_input_error(self, tmp_path, capsys):
         coupling = tmp_path / "sq_only.csv"
         coupling.write_text(
@@ -540,11 +550,11 @@ class TestSimulateCommand:
         assert "--tau-max-scale" in err and "Traceback" not in err
 
     def test_largest_shot_count_runs(self, tmp_path):
-        # fidelity 1 must not round the effective count past 2**63 - 1
+        # the binomial draw takes a C long, so 2**63 - 1 is the largest count
         assert run("simulate", "--omega", "60", "--gamma", "128",
                    "--shots", str(2**63 - 1), "-o", str(tmp_path / "big")) == 0
         report = json.loads((tmp_path / "big.report.json").read_text())
-        assert report["protocol"]["effective_shots"] == 2**63 - 1
+        assert report["protocol"]["shots"] == 2**63 - 1
 
     def test_overflowing_decay_rate_is_input_error(self, tmp_path, capsys):
         assert run("simulate", "--omega", "1e308", "--gamma", "1e308",
@@ -698,6 +708,8 @@ class TestReproducibility:
         report = json.loads(Path(f"{prefix}.report.json").read_text())
         assert "partner" not in report["config"] and "init" not in report["config"]
         protocol = report["protocol"]
+        assert list(protocol) == ["shots", "n_tau", "tau_max_scale",
+                                  "omega_branch", "gamma_branch"]
         assert protocol["omega_branch"] == {"init": "0", "pair": ["0", "-1"]}
         assert protocol["gamma_branch"] == {"init": "+1", "pair": ["+1", "-1"]}
 

@@ -13,7 +13,6 @@ from nvrelax.dynamics import (
     DecayCurve,
     ProtocolSpec,
     RateMatrix,
-    difference_curve,
     _fit_single_exponential,
     evolve,
     extract_rates,
@@ -121,52 +120,57 @@ class TestEvolve:
         assert np.all(p >= -1e-15)
 
 
+def _difference(rates, init, pair, taus):
+    """P_a - P_b from the populations of ``evolve``."""
+    populations = evolve(rates, init, taus)
+    a, b = (("0", "-1", "+1").index(state) for state in pair)
+    return populations[:, a] - populations[:, b]
+
+
+def _noise_free(rates, taus):
+    """Both branches of the protocol without noise on an explicit grid."""
+    return simulate_experiment(rates, ProtocolSpec(shots=None, tau_grid=taus))
+
+
 class TestDifferenceCurve:
     TAUS = np.linspace(0.0, 0.02, 40)
 
     def test_zero_init_pair_matches_exponential(self):
+        # the protocol reads (0, -1); its mirror (0, +1) decays alike
         rm = RateMatrix(60.0, 128.0)
         for partner in ("-1", "+1"):
-            d = difference_curve(rm, "0", ("0", partner), self.TAUS)
+            d = _difference(rm, "0", ("0", partner), self.TAUS)
             np.testing.assert_allclose(d, np.exp(-180.0 * self.TAUS), atol=1e-12)
 
     def test_plus_one_init_matches_exponential(self):
         rm = RateMatrix(60.0, 128.0)
-        d = difference_curve(rm, "+1", ("+1", "-1"), self.TAUS)
+        d = _difference(rm, "+1", ("+1", "-1"), self.TAUS)
         np.testing.assert_allclose(d, np.exp(-316.0 * self.TAUS), atol=1e-12)
 
     def test_minus_one_init_matches_exponential(self):
         rm = RateMatrix(60.0, 128.0)
-        d = difference_curve(rm, "-1", ("-1", "+1"), self.TAUS)
+        d = _difference(rm, "-1", ("-1", "+1"), self.TAUS)
         np.testing.assert_allclose(d, np.exp(-316.0 * self.TAUS), atol=1e-12)
 
     def test_zero_gamma_decays_at_omega_exactly(self):
-        d = difference_curve(RateMatrix(75.0, 0.0), "+1", ("+1", "-1"), self.TAUS)
-        np.testing.assert_allclose(d, np.exp(-75.0 * self.TAUS), atol=1e-14)
+        sim = _noise_free(RateMatrix(75.0, 0.0), self.TAUS)
+        np.testing.assert_allclose(sim.gamma_branch.values, np.exp(-75.0 * self.TAUS),
+                                   atol=1e-14)
 
     def test_zero_rates_stay_constant(self):
-        d = difference_curve(RateMatrix(0.0, 0.0), "0", ("0", "-1"), self.TAUS)
-        np.testing.assert_array_equal(d, 1.0)
-
-    def test_unsupported_pairing_lists_supported(self):
-        with pytest.raises(ValueError, match="supported pairings"):
-            difference_curve(RateMatrix(60.0, 128.0), "0", ("+1", "-1"), self.TAUS)
-        with pytest.raises(ValueError, match="supported pairings"):
-            difference_curve(RateMatrix(60.0, 128.0), "+1", ("+1", "0"), self.TAUS)
-
-    def test_identical_pair_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            difference_curve(RateMatrix(60.0, 128.0), "0", ("0", "0"), self.TAUS)
+        sim = _noise_free(RateMatrix(0.0, 0.0), self.TAUS)
+        np.testing.assert_array_equal(sim.omega_branch.values, 1.0)
+        np.testing.assert_array_equal(sim.gamma_branch.values, 1.0)
 
     @given(w=RATES, g=RATES)
     @settings(max_examples=50, deadline=None)
     def test_both_branches_are_pure_exponentials(self, w, g):
         rm = RateMatrix(w, g)
         taus = np.linspace(0.0, 2.5 / max(3 * w, w + 2 * g), 9)
-        d1 = difference_curve(rm, "0", ("0", "-1"), taus)
-        d2 = difference_curve(rm, "+1", ("+1", "-1"), taus)
-        np.testing.assert_allclose(d1, np.exp(-3 * w * taus), atol=1e-12)
-        np.testing.assert_allclose(d2, np.exp(-(w + 2 * g) * taus), atol=1e-12)
+        sim = _noise_free(rm, taus)
+        np.testing.assert_allclose(sim.omega_branch.values, np.exp(-3 * w * taus), atol=1e-12)
+        np.testing.assert_allclose(sim.gamma_branch.values, np.exp(-(w + 2 * g) * taus),
+                                   atol=1e-12)
 
 
 class TestProtocolSpec:
@@ -176,12 +180,7 @@ class TestProtocolSpec:
         # the binomial draw takes a C long
         with pytest.raises(ValueError, match=r"shot count must be <= 2\*\*63 - 1, got 9223"):
             ProtocolSpec(shots=2**63)
-        assert ProtocolSpec(shots=2**63 - 1).effective_shots == 2**63 - 1
-
-    def test_fidelity_bounds(self):
-        for bad in (0.0, -0.2, 1.5):
-            with pytest.raises(ValueError, match="fidelity"):
-                ProtocolSpec(shots=100, readout_fidelity=bad)
+        assert ProtocolSpec(shots=2**63 - 1).shots == 2**63 - 1
 
     def test_tau_grid_validation(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -190,11 +189,6 @@ class TestProtocolSpec:
             ProtocolSpec(shots=100, tau_grid=(-1e-3, 1e-3))
         with pytest.raises(ValueError, match="ascending"):
             ProtocolSpec(shots=100, tau_grid=(1e-3, 1e-3))
-
-    def test_effective_shots_scale_with_fidelity_squared(self):
-        assert ProtocolSpec(shots=1000).effective_shots == 1000
-        assert ProtocolSpec(shots=1000, readout_fidelity=0.5).effective_shots == 250
-        assert ProtocolSpec(shots=None).effective_shots is None
 
     def test_auto_grid_needs_enough_points(self):
         with pytest.raises(ValueError, match="n_tau"):
@@ -213,7 +207,7 @@ class TestProtocolSpec:
             ProtocolSpec(**{"shots": 100, field: value})
 
     def test_numpy_integer_counts_are_accepted(self):
-        assert ProtocolSpec(shots=np.int64(100), n_tau=np.int32(5)).effective_shots == 100
+        assert ProtocolSpec(shots=np.int64(100), n_tau=np.int32(5)).shots == 100
 
     def test_explicit_grid_needs_enough_points(self):
         for grid in ((0.0,), (0.0, 1e-3)):
@@ -225,8 +219,6 @@ class TestProtocolSpec:
     def test_rejects_nonfinite_inputs_naming_field(self, bad):
         with pytest.raises(ValueError, match="tau_max_scale must be finite"):
             ProtocolSpec(shots=100, tau_max_scale=bad)
-        with pytest.raises(ValueError, match="readout_fidelity must be finite"):
-            ProtocolSpec(shots=100, readout_fidelity=bad)
         with pytest.raises(ValueError, match=r"tau_grid\[1\] must be finite"):
             ProtocolSpec(shots=100, tau_grid=(0.0, bad, 2e-3))
 
@@ -284,27 +276,28 @@ class TestSimulateExperiment:
         assert all(e > 0 for e in sim.omega_branch.errors)
         assert all(e > 0 for e in sim.gamma_branch.errors)
 
-    def test_lower_fidelity_inflates_errors(self):
-        crisp = simulate_experiment(self.RM, ProtocolSpec(shots=4000), seed=5)
-        fuzzy = simulate_experiment(
-            self.RM, ProtocolSpec(shots=4000, readout_fidelity=0.5), seed=5)
-        assert np.mean(fuzzy.omega_branch.errors) > \
-            1.5 * np.mean(crisp.omega_branch.errors)
+    def test_rounding_negative_population_is_drawn_as_zero(self):
+        # from init 0 with Omega = 0, P-1 rounds to -5.5e-19 at 1 ms, which
+        # the binomial draw would refuse
+        rates = RateMatrix(0.0, 5.0)
+        assert evolve(rates, "0", 1e-3)[1] < 0.0
+        sim = simulate_experiment(rates, ProtocolSpec(shots=10, tau_grid=(0.0, 1e-3, 2e-3)))
+        assert sim.omega_branch.values == (1.0, 1.0, 1.0)
 
 
-def _loop_measured_branch(rates, init, pair, taus, n_eff, rng):
+def _loop_measured_branch(rates, init, pair, taus, shots, rng):
     """Per-delay reference readout: one binomial call per state and delay."""
     populations = evolve(rates, init, taus)
     a, b = ({"0": 0, "-1": 1, "+1": 2}[state] for state in pair)
     values, errors = [], []
     for i in range(len(taus)):
-        k_a = rng.binomial(n_eff, populations[i, a])
-        k_b = rng.binomial(n_eff, populations[i, b])
-        values.append((k_a - k_b) / n_eff)
+        k_a = rng.binomial(shots, populations[i, a])
+        k_b = rng.binomial(shots, populations[i, b])
+        values.append((k_a - k_b) / shots)
         var = 0.0
         for k in (k_a, k_b):
-            q = (k + 0.5) / (n_eff + 1)
-            var += q * (1.0 - q) / n_eff
+            q = (k + 0.5) / (shots + 1)
+            var += q * (1.0 - q) / shots
         errors.append(math.sqrt(var))
     return DecayCurve(init, pair, tuple(float(t) for t in taus),
                       tuple(float(v) for v in values), tuple(float(e) for e in errors))
