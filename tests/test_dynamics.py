@@ -163,6 +163,29 @@ class TestDifferenceCurve:
         np.testing.assert_array_equal(sim.gamma_branch.values, 1.0)
 
     @given(w=RATES, g=RATES)
+    @settings(max_examples=20, deadline=None)
+    def test_protocol_branches_are_evolve_differences(self, w, g):
+        # simulate_experiment reads (0, -1) from init 0 and (+1, -1) from init
+        # +1: its noise-free values are those differences of evolve, bit for bit
+        rm = RateMatrix(w, g)
+        sim = _noise_free(rm, self.TAUS)
+        np.testing.assert_array_equal(sim.omega_branch.values,
+                                      _difference(rm, "0", ("0", "-1"), self.TAUS))
+        np.testing.assert_array_equal(sim.gamma_branch.values,
+                                      _difference(rm, "+1", ("+1", "-1"), self.TAUS))
+
+    @given(w=RATES, g=RATES)
+    @settings(max_examples=20, deadline=None)
+    def test_mirror_pairings_measure_the_protocol_decays(self, w, g):
+        # (0, +1) and (-1, +1) decay as the protocol's (0, -1) and (+1, -1)
+        rm = RateMatrix(w, g)
+        sim = _noise_free(rm, self.TAUS)
+        np.testing.assert_allclose(_difference(rm, "0", ("0", "+1"), self.TAUS),
+                                   sim.omega_branch.values, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(_difference(rm, "-1", ("-1", "+1"), self.TAUS),
+                                   sim.gamma_branch.values, rtol=0.0, atol=1e-15)
+
+    @given(w=RATES, g=RATES)
     @settings(max_examples=50, deadline=None)
     def test_both_branches_are_pure_exponentials(self, w, g):
         rm = RateMatrix(w, g)
@@ -181,6 +204,14 @@ class TestProtocolSpec:
         with pytest.raises(ValueError, match=r"shot count must be <= 2\*\*63 - 1, got 9223"):
             ProtocolSpec(shots=2**63)
         assert ProtocolSpec(shots=2**63 - 1).shots == 2**63 - 1
+
+    def test_shots_is_the_one_noise_knob(self):
+        # a lower readout fidelity is a lower shot count
+        with pytest.raises(TypeError, match="readout_fidelity"):
+            ProtocolSpec(shots=100, readout_fidelity=0.8)
+        assert not hasattr(ProtocolSpec(shots=100), "effective_shots")
+        assert "difference_curve" not in dynamics.__all__
+        assert not hasattr(dynamics, "difference_curve")
 
     def test_tau_grid_validation(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -275,6 +306,15 @@ class TestSimulateExperiment:
         sim = simulate_experiment(self.RM, ProtocolSpec(shots=50), seed=3)
         assert all(e > 0 for e in sim.omega_branch.errors)
         assert all(e > 0 for e in sim.gamma_branch.errors)
+
+    def test_fewer_shots_inflate_errors(self):
+        # binomial errors scale as 1 / sqrt(shots): a quarter of the shots
+        # doubles them
+        many = simulate_experiment(self.RM, ProtocolSpec(shots=4000), seed=5)
+        few = simulate_experiment(self.RM, ProtocolSpec(shots=1000), seed=5)
+        for crisp, fuzzy in ((many.omega_branch, few.omega_branch),
+                             (many.gamma_branch, few.gamma_branch)):
+            assert np.mean(fuzzy.errors) > 1.5 * np.mean(crisp.errors)
 
     def test_rounding_negative_population_is_drawn_as_zero(self):
         # from init 0 with Omega = 0, P-1 rounds to -5.5e-19 at 1 ms, which

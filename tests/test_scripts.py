@@ -19,3 +19,16 @@ def test_script_main_prints_its_table(script, argv, header, monkeypatch, capsys)
     monkeypatch.setattr(sys, "argv", [str(path), *argv])
     assert main() is None
     assert header in capsys.readouterr().out
+
+
+def test_protocol_calibration_has_no_fidelity_flag(monkeypatch, capsys):
+    # shots is the one noise knob: a lower readout fidelity is a lower --shots
+    path = SCRIPTS / "protocol_calibration.py"
+    main = runpy.run_path(str(path))["main"]
+    monkeypatch.setattr(sys, "argv", [str(path), "--n-seeds", "3", "--fidelity", "0.8"])
+    with pytest.raises(SystemExit) as excinfo:
+        main()
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --fidelity 0.8" in captured.err
+    assert captured.out == ""

@@ -163,6 +163,14 @@ class TestBuildSpectralFunction:
             synthetic_peak_function([(68.2, 1e-12)], sigma=7.5, channel=SQ,
                                     grid=np.linspace(1.0, 250.0, 4981))
 
+    def test_coverage_error_names_what_sets_the_grid_end(self):
+        # a caller without a grid flag must see that sigma sets the margin
+        with pytest.raises(ValueError) as excinfo:
+            synthetic_peak_function([(65.0, 1e-12), (240.0, 1e-12)], sigma=4.0, channel=SQ)
+        assert str(excinfo.value) == (
+            "grid must cover [0, 260] meV, got [0, 250]: the highest center 240 meV "
+            "plus a 5 sigma margin of 20 meV at sigma = 4 meV")
+
     def test_sigma_positive(self):
         with pytest.raises(ValueError, match="broadening width"):
             build_spectral_function(anchor_coupling_table(), DQ, 2, sigma=0.0)
