@@ -146,6 +146,8 @@ def _parse_params(text: str) -> tuple[str, dict[str, float]]:
     values = {}
     for name, value in raw.items():
         try:
+            if isinstance(value, bool):    # float(true) would read it as 1
+                raise TypeError
             values[name] = float(value)
         except (TypeError, ValueError):
             raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None

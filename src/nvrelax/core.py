@@ -121,29 +121,52 @@ _DOMAINS = {
 
 def _require(values: Mapping[str, object], domain: str = "finite",
              error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming the first of ``values`` that is NaN, infinite,
-    or outside ``domain``: "finite", "nonnegative" or "positive".
+    """Raise ``error`` naming the first of ``values`` that is a boolean, NaN,
+    infinite, or outside ``domain``: "finite", "nonnegative" or "positive".
 
-    A value is a number or an array.  An array is checked at its smallest
-    and largest element, one reduction each (both find a NaN), and an
-    element that fails is named by its flat index.
+    A value is a number or an array (or a sequence numpy reads as one).  A
+    boolean, or an array of them, is refused rather than read as 0 or 1.
+    A Python or numpy float, or a Python int, passes on ``math.isfinite``
+    and the domain test alone; an array of numbers passes on one ``min()``
+    and one ``max()`` (a NaN makes both NaN).  Only a value that does not
+    pass this way is looked at again, by :func:`_refuse`, which builds the
+    message and names an array's failing element by its flat index.
     """
     within = _DOMAINS[domain]
     for name, value in values.items():
-        a = np.asarray(value, dtype=float)
-        if a.ndim == 0:
-            extremes = [(name, float(a))]
-        elif a.size:
-            extremes = [(f"{name}[{i}]", float(a.flat[i]))
-                        for i in (np.argmin(a), np.argmax(a))]
+        if isinstance(value, float) or type(value) is int:
+            lowest = highest = value
         else:
-            continue
-        for label, v in extremes:
-            if not math.isfinite(v):
-                raise error(f"{label} must be finite, got {v}")
-        label, lowest = extremes[0]
-        if not within(lowest):
-            raise error(f"{label} must be {domain}, got {lowest}")
+            a = np.asarray(value)
+            kind = a.dtype.kind
+            if kind == "b":
+                raise error(f"{name} must be a number, not a boolean")
+            if kind not in "fiu" or not a.size:
+                _refuse(name, value, domain, error)
+                continue
+            lowest, highest = a.min(), a.max()
+        if not (math.isfinite(lowest) and math.isfinite(highest) and within(lowest)):
+            _refuse(name, value, domain, error)
+
+
+def _refuse(name: str, value: object, domain: str, error: type[ValueError]) -> None:
+    """Raise ``error`` if ``value`` is NaN, infinite or outside ``domain``,
+    naming it, or for an array its failing element by flat index; an empty
+    array passes.  The slow half of :func:`_require`."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim == 0:
+        extremes = [(name, float(a))]
+    elif a.size:
+        extremes = [(f"{name}[{i}]", float(a.flat[i]))
+                    for i in (np.argmin(a), np.argmax(a))]
+    else:
+        return
+    for label, v in extremes:
+        if not math.isfinite(v):
+            raise error(f"{label} must be finite, got {v}")
+    label, lowest = extremes[0]
+    if not _DOMAINS[domain](lowest):
+        raise error(f"{label} must be {domain}, got {lowest}")
 
 
 @dataclass(frozen=True)

@@ -139,9 +139,10 @@ class ProtocolSpec:
     tau_max_scale: float = 2.5
 
     def __post_init__(self) -> None:
-        if not isinstance(self.shots, (numbers.Integral, type(None))):
+        if (not isinstance(self.shots, (numbers.Integral, type(None)))
+                or isinstance(self.shots, bool)):
             raise ValueError(f"shots must be an integer or None, got {self.shots!r}")
-        if not isinstance(self.n_tau, numbers.Integral):
+        if not isinstance(self.n_tau, numbers.Integral) or isinstance(self.n_tau, bool):
             raise ValueError(f"n_tau must be an integer, got {self.n_tau!r}")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shot count must be >= 1")
@@ -217,7 +218,8 @@ def _measure_branch(rates: RateMatrix, init: str, pair: tuple[str, str],
         # one call draws (k_a, k_b) for every delay, in the order that
         # per-delay calls would; the clip only catches a population that
         # rounding put a few ulps outside [0, 1]
-        counts = rng.binomial(shots, np.clip(populations[:, [a, b]], 0.0, 1.0))
+        counts = rng.binomial(
+            shots, np.minimum(np.maximum(populations[:, [a, b]], 0.0), 1.0))
         values = (counts[:, 0] - counts[:, 1]) / shots
         # smoothed rate estimates keep the variance away from zero at
         # p-hat in {0, 1}
@@ -225,9 +227,9 @@ def _measure_branch(rates: RateMatrix, init: str, pair: tuple[str, str],
         errors = np.sqrt((q * (1.0 - q) / shots).sum(axis=1))
     return DecayCurve(
         init_state=init, readout_pair=pair,
-        tau_grid=tuple(float(t) for t in taus),
-        values=tuple(float(v) for v in values),
-        errors=tuple(float(e) for e in errors),
+        tau_grid=tuple(taus.tolist()),
+        values=tuple(values.tolist()),
+        errors=tuple(errors.tolist()),
     )
 
 
@@ -281,7 +283,8 @@ class _ExpFit:
 
 def _projected(u: float, taus: np.ndarray, weights: np.ndarray,
                weighted_values: np.ndarray, tau_max: float):
-    """(A, weighted basis, residual, chi^2) at r = exp(u), A projected out.
+    """(A, weighted basis, residual, chi^2, -r tau, |basis|^2) at r = exp(u),
+    A projected out; the last two are the derivative's ingredients.
 
     Returns ``None`` where the basis over- or underflows, so the caller
     treats the point as infeasible.
@@ -291,13 +294,15 @@ def _projected(u: float, taus: np.ndarray, weights: np.ndarray,
     r = math.exp(u)
     if not math.isfinite(r * tau_max):
         return None
-    basis = weights * np.exp(-r * taus)
-    norm2 = float(basis @ basis)
+    log_basis = -r * taus
+    basis = weights * np.exp(log_basis)
+    # ndarray.dot is the inner product that @ computes, at half its call cost
+    norm2 = float(basis.dot(basis))
     if not norm2 > 0.0:
         return None
-    amplitude = float(basis @ weighted_values) / norm2
+    amplitude = float(basis.dot(weighted_values)) / norm2
     residual = amplitude * basis - weighted_values
-    return amplitude, basis, residual, float(residual @ residual)
+    return amplitude, basis, residual, float(residual.dot(residual)), log_basis, norm2
 
 
 def least_squares(taus: np.ndarray, values: np.ndarray, errors: np.ndarray,
@@ -316,41 +321,64 @@ def least_squares(taus: np.ndarray, values: np.ndarray, errors: np.ndarray,
     longer moves u, or when it cannot lower chi^2 by more than chi^2's
     rounding error; such a step is still taken unless it raises chi^2
     beyond rounding, because there the gradient knows more than chi^2.
+
+    Where the best rate runs off to 0 or infinity, the residual stops
+    depending on u and these steps would creep outward until the iteration
+    cap.  There the projected Jacobian shrinks faster than the step, while
+    a fit closing in on a minimum keeps its Jacobian and shortens its step.
+    After two such steps in a row, all in one direction, the solve tries
+    the largest step that way; if chi^2 does not rise there beyond
+    rounding, it stops at that point, where the basis is flat to rounding
+    and a rank check finds the rate undetermined.
     """
     weights = 1.0 / errors
     weighted_values = weights * values
-    tau_max = float(np.max(taus))
+    tau_max = float(taus.max())
     # each residual carries a rounding error of about eps |w y|
-    scale = _EPS * float(np.sqrt(weighted_values @ weighted_values))
+    scale = _EPS * math.sqrt(float(weighted_values.dot(weighted_values)))
     u = math.log(rate0)
     point = _projected(u, taus, weights, weighted_values, tau_max)
     if point is None:
         raise RuntimeError("exponential fit is degenerate; widen the tau grid")
     nfev, njev, converged = 1, 0, True
-    previous = None     # (u, gradient) at the last accepted point
+    previous = None     # (u, gradient, step, |jac|^2) at the last accepted point
+    outward = 0         # steps in a row whose Jacobian shrank faster than they did
     for _ in range(_MAX_ITERATIONS):
-        amplitude, basis, residual, chi2 = point
+        amplitude, basis, residual, chi2, log_basis, norm2 = point
         # d/du of the projected residual A(u) e(u) - y, A'(u) included
-        d_basis = -math.exp(u) * taus * basis
-        d_amplitude = -(amplitude * float(basis @ d_basis)
-                        + float(d_basis @ residual)) / float(basis @ basis)
+        d_basis = log_basis * basis
+        d_amplitude = -(amplitude * float(basis.dot(d_basis))
+                        + float(d_basis.dot(residual))) / norm2
         jac = amplitude * d_basis + d_amplitude * basis
         njev += 1
-        gradient = float(jac @ residual)
-        curvature = float(jac @ jac)
+        gradient = float(jac.dot(residual))
+        jac2 = curvature = float(jac.dot(jac))
         if not curvature > 0.0:
             break
         if previous is not None:
             secant = (gradient - previous[1]) / (u - previous[0])
             if secant > 0.0:
                 curvature = secant
-        previous = (u, gradient)
         step = -gradient / curvature
         if abs(step) <= _EPS * max(1.0, abs(u)):
             break
         step = max(-_MAX_STEP, min(_MAX_STEP, step))
-        gain = -gradient * step    # half the first-order fall of chi^2 for the full step
+        if (previous is not None and step * previous[2] > 0.0
+                and jac2 * previous[2] ** 2 < previous[3] * step ** 2):
+            outward += 1
+        else:
+            outward = 0
+        previous = (u, gradient, step, jac2)
         rounding = 4.0 * scale * (math.sqrt(chi2) + scale)
+        if outward >= 2:
+            far = u + math.copysign(_MAX_STEP, step)
+            trial = _projected(far, taus, weights, weighted_values, tau_max)
+            nfev += 1
+            if trial is not None and trial[3] <= chi2 + rounding:
+                u, point = far, trial
+                break
+            outward = 0
+        gain = -gradient * step    # half the first-order fall of chi^2 for the full step
         t = 1.0
         while True:
             trial = _projected(u + t * step, taus, weights, weighted_values, tau_max)

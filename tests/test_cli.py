@@ -203,6 +203,7 @@ class TestExitCodes:
         ('{"model":"n-mode:1","parameters":[{"value":1}]}', "'parameters'"),
         ('{"model":"n-mode:1","parameters":{"delta_1":[1],"a_1":1,"b_1":2}}', "'delta_1'"),
         ('{"model":"n-mode:1","parameters":{"delta_1":"x","a_1":1,"b_1":2}}', "'delta_1'"),
+        ('{"model":"n-mode:1","parameters":{"delta_1":60,"a_1":true,"b_1":2}}', "'a_1'"),
     ])
     def test_misshapen_parameter_json_is_input_error(self, document, field, tmp_path, capsys):
         params = tmp_path / "params.json"

@@ -3,6 +3,7 @@ import math
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from nvrelax.core import (
     DatasetError,
     RateMeasurement,
     TransitionChannel,
+    _require,
     convert_energy,
     load_dataset,
     parse_dataset_text,
@@ -359,3 +361,98 @@ class TestBoundaryCheck:
             value, reason = float(bad), "finite"
         with pytest.raises(ValueError, match=f"^{re.escape(field)} must be {reason}, got "):
             call(value)
+
+
+def _require_reference(values, domain="finite", error=ValueError):
+    """The boundary check before its fast path, kept as the oracle: every
+    value goes through a float array, and an array's extremes are found by
+    argmin and argmax."""
+    within = {"finite": lambda v: True, "nonnegative": lambda v: v >= 0.0,
+              "positive": lambda v: v > 0.0}[domain]
+    for name, value in values.items():
+        a = np.asarray(value, dtype=float)
+        if a.ndim == 0:
+            extremes = [(name, float(a))]
+        elif a.size:
+            extremes = [(f"{name}[{i}]", float(a.flat[i]))
+                        for i in (np.argmin(a), np.argmax(a))]
+        else:
+            continue
+        for label, v in extremes:
+            if not math.isfinite(v):
+                raise error(f"{label} must be finite, got {v}")
+        label, lowest = extremes[0]
+        if not within(lowest):
+            raise error(f"{label} must be {domain}, got {lowest}")
+
+
+def _outcome(check, values, domain, error):
+    """(exception class, message) that ``check`` raises, or None."""
+    try:
+        check(values, domain, error)
+    except Exception as exc:    # the class itself is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+_EDGES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                          math.nan, math.inf, -math.inf])
+_FLOATS = st.one_of(_EDGES, st.floats(allow_nan=True, allow_infinity=True))
+_FLOAT32S = st.one_of(_EDGES.filter(lambda v: abs(v) != 1.7976931348623157e308
+                                    and abs(v) != 5e-324),
+                      st.floats(width=32))
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-2**1100, 2**1100))
+_INT64S = st.integers(-2**63, 2**63 - 1)
+_SHAPES = st.sampled_from([(), (0,), (1,), (3,), (20,), (0, 3), (2, 3), (4, 1)])
+
+
+@st.composite
+def _arrays(draw):
+    shape = draw(_SHAPES)
+    dtype, elements = draw(st.sampled_from([(np.float64, _FLOATS), (np.float32, _FLOAT32S),
+                                            (np.int64, _INT64S)]))
+    n = int(np.prod(shape))
+    return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype).reshape(shape)
+
+
+# every form a number reaches the check in: Python and numpy scalars,
+# arrays of any rank (empty too), and the tuples the dataclasses hold
+_NUMBERS = st.one_of(
+    _FLOATS,
+    _INTS,
+    _FLOATS.map(np.float64),
+    _FLOAT32S.map(np.float32),
+    _INT64S.map(np.int64),
+    _arrays(),
+    st.lists(_FLOATS, max_size=6).map(tuple),
+)
+_BOOLEANS = st.one_of(st.booleans(), st.booleans().map(np.bool_),
+                      st.lists(st.booleans(), max_size=4).map(lambda v: np.array(v, dtype=bool)),
+                      st.lists(st.booleans(), min_size=1, max_size=4).map(tuple))
+
+
+class TestRequireFastPath:
+    """``_require`` raises what it raised before its fast path, word for word."""
+
+    @given(values=st.dictionaries(st.sampled_from(["omega", "tau_grid", "t"]), _NUMBERS,
+                                  min_size=1, max_size=3),
+           domain=st.sampled_from(["finite", "nonnegative", "positive"]),
+           error=st.sampled_from([ValueError, DatasetError]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference(self, values, domain, error):
+        assert _outcome(_require, values, domain, error) == \
+            _outcome(_require_reference, values, domain, error)
+
+    @given(value=_BOOLEANS, domain=st.sampled_from(["finite", "nonnegative", "positive"]),
+           error=st.sampled_from([ValueError, DatasetError]))
+    @settings(max_examples=50, deadline=None)
+    def test_refuses_booleans_naming_the_field(self, value, domain, error):
+        # the reference reads True as 1.0; the check refuses it instead
+        with pytest.raises(error, match=r"^flag must be a number, not a boolean$"):
+            _require({"omega": 1.0, "flag": value}, domain, error)
+
+    def test_booleans_are_refused_at_the_dataclasses(self):
+        with pytest.raises(ValueError, match="^omega must be a number, not a boolean$"):
+            RateMatrix(True, 1.0)
+        with pytest.raises(DatasetError, match="^temperature must be a number"):
+            RateMeasurement("NV", "A", np.True_, 1.0, 0.1, 2.0, 0.2)

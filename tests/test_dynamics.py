@@ -1,4 +1,5 @@
 """Tests for three-level dynamics, protocol simulation, and rate extraction."""
+import hashlib
 import math
 
 import numpy as np
@@ -232,6 +233,8 @@ class TestProtocolSpec:
         ("n_tau", math.nan),
         ("n_tau", 3.5),
         ("n_tau", 20.0),
+        ("shots", True),
+        ("n_tau", True),
     ])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=rf"{field} must be an integer"):
@@ -497,6 +500,50 @@ class TestMonteCarloCalibration:
         assert 0.6 < pulls_g.std() < 1.25
 
 
+class TestMonteCarloBits:
+    """Pins of the protocol Monte Carlo to the bit: a change that makes it
+    faster must not move one estimate."""
+
+    # sha256 of repr(extract_rates(...)) + "\n" for seeds 0-19
+    DIGESTS = {
+        100_000: "64e8d0ad61a69a7fac3e1270a457a69c2777323927d4cabec1d0651ad9d72785",
+        300: "60801ab73575ddbdfd4816396eff72c8ac39ccce387d3140b8b70bc20f0cc544",
+    }
+    # evaluations of those 40 fits: the runaway stop must not spend a probe
+    # on a fit that closes in on its minimum
+    NFEV = {100_000: 189, 300: 221}
+    # seeds 0-199 at 3 shots and 3 delays: "o" extracts, "r" is rank deficient
+    THREE_SHOT_CENSUS = ("rroorrorrrrorrrororrrrrooroorooorrrrrrrorororrrrrr"
+                         "rrrroroooorrrrrooorrooororroroorrrrororrrrorrrrroo"
+                         "rrrorrorrrorroorrrrrooorrrrrrrorrrrrrororrorrrorrr"
+                         "roooorrorrooooororoorrrororrrrrrorrorororooooorroo")
+
+    @pytest.mark.parametrize("shots", sorted(DIGESTS))
+    def test_estimates_are_pinned(self, shots, monkeypatch):
+        solve, solves = dynamics.least_squares, []
+        monkeypatch.setattr(dynamics, "least_squares",
+                            lambda *args: solves.append(solve(*args)) or solves[-1])
+        truth, spec = RateMatrix(60.0, 128.0), ProtocolSpec(shots=shots)
+        lines = []
+        for seed in range(20):
+            sim = simulate_experiment(truth, spec, seed=seed)
+            lines.append(repr(extract_rates(sim.omega_branch, sim.gamma_branch)) + "\n")
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == self.DIGESTS[shots]
+        assert sum(fit.nfev for fit in solves) == self.NFEV[shots]
+
+    def test_three_shot_outcomes_are_pinned(self):
+        truth, spec = RateMatrix(60.0, 128.0), ProtocolSpec(shots=3, n_tau=3)
+        census = []
+        for seed in range(200):
+            sim = simulate_experiment(truth, spec, seed=seed)
+            try:
+                extract_rates(sim.omega_branch, sim.gamma_branch)
+                census.append("o")
+            except RankDeficiencyError:
+                census.append("r")
+        assert "".join(census) == self.THREE_SHOT_CENSUS
+
+
 def _trf_fit(curve):
     """The log-space TRF fit of A exp(-r tau) that the separable solve
     replaced, kept as an oracle.
@@ -590,13 +637,30 @@ class TestSeparableFit:
         assert solve.converged
         assert solve.nfev > solve.njev + 1     # more evaluations than steps: one was halved
 
-    def test_capped_solve_on_a_three_shot_curve_is_degenerate(self):
-        # this curve's best fit drives r towards infinity, so the solve
-        # spends its whole iteration cap before the rank check names it
+    def test_runaway_three_shot_curve_stops_early_and_is_degenerate(self, monkeypatch):
+        # this curve's best fit drives r towards infinity; the solve stops
+        # once its steps keep running outward, long before the iteration
+        # cap, and the rank check names the curve
+        solve, solves = dynamics.least_squares, []
+        monkeypatch.setattr(dynamics, "least_squares",
+                            lambda *args: solves.append(solve(*args)) or solves[-1])
         sim = simulate_experiment(RateMatrix(60.0, 128.0), ProtocolSpec(shots=3, n_tau=3),
                                   seed=0)
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(RankDeficiencyError, match="log A and log r"):
             _fit_single_exponential(sim.gamma_branch)
+        (fit,) = solves
+        assert fit.converged and fit.nfev <= 20
+
+    def test_rate_running_to_infinity_stops_within_twenty_evaluations(self):
+        # 1, 0, 0.33, 0: a spike at tau = 0 fits best, so r runs off to
+        # infinity, where each Newton step moves r by only about 0.37
+        taus, values, errors = np.arange(4.0), np.array([1.0, 0.0, 0.33, 0.0]), np.full(4, 0.3)
+        fit = dynamics.least_squares(taus, values, errors, 1.0)
+        assert fit.converged and fit.nfev <= 20
+        assert fit.rate * taus[1] > 745.0      # every exp(-r tau) past tau = 0 underflows
+        curve = DecayCurve("0", ("0", "-1"), tuple(taus), tuple(values), tuple(errors))
+        with pytest.raises(RankDeficiencyError, match="log A and log r"):
+            _fit_single_exponential(curve)
 
     def test_line_search_stops_when_no_shorter_step_can_gain(self, monkeypatch):
         # a noisy 4-point curve (one of a seeded search over such curves)
