@@ -90,13 +90,11 @@ class TransitionChannel(enum.Enum):
     """Spin-phonon transition channels of the triplet ground state.
 
     SINGLE_QUANTUM couples |0> to |+-1> (rate Omega), DOUBLE_QUANTUM couples
-    |-1> to |+1> (rate gamma), DEPHASING carries no relaxation-rate role and
-    exists for spectral display only.
+    |-1> to |+1> (rate gamma).
     """
 
     SINGLE_QUANTUM = "single_quantum"
     DOUBLE_QUANTUM = "double_quantum"
-    DEPHASING = "dephasing"
 
     @classmethod
     def parse(cls, token: str) -> "TransitionChannel":
@@ -125,7 +123,9 @@ def _require(values: Mapping[str, object], domain: str = "finite",
     infinite, or outside ``domain``: "finite", "nonnegative" or "positive".
 
     A value is a number or an array (or a sequence numpy reads as one).  A
-    boolean, or an array of them, is refused rather than read as 0 or 1.
+    boolean, an array of them, or a sequence holding one is refused rather
+    than read as 0 or 1; numpy reads ``(False, 2.0)`` as floats, so a
+    list's or a tuple's entries are looked at one by one.
     A Python or numpy float, or a Python int, passes on ``math.isfinite``
     and the domain test alone; an array of numbers passes on one ``min()``
     and one ``max()`` (a NaN makes both NaN).  Only a value that does not
@@ -139,7 +139,7 @@ def _require(values: Mapping[str, object], domain: str = "finite",
         else:
             a = np.asarray(value)
             kind = a.dtype.kind
-            if kind == "b":
+            if kind == "b" or isinstance(value, (list, tuple)) and _holds_bool(value):
                 raise error(f"{name} must be a number, not a boolean")
             if kind not in "fiu" or not a.size:
                 _refuse(name, value, domain, error)
@@ -147,6 +147,13 @@ def _require(values: Mapping[str, object], domain: str = "finite",
             lowest, highest = a.min(), a.max()
         if not (math.isfinite(lowest) and math.isfinite(highest) and within(lowest)):
             _refuse(name, value, domain, error)
+
+
+def _holds_bool(entries: list | tuple) -> bool:
+    """Whether a list or tuple, or one nested in it, holds a boolean."""
+    kinds = set(map(type, entries))
+    return bool(kinds & {bool, np.bool_}) or bool(kinds & {list, tuple}) and any(
+        _holds_bool(v) for v in entries if type(v) in (list, tuple))
 
 
 def _refuse(name: str, value: object, domain: str, error: type[ValueError]) -> None:

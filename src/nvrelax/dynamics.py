@@ -105,8 +105,8 @@ def evolve(rates: RateMatrix, init_state, tau):
     exponential.  ``tau`` may be a scalar (returns shape (3,)) or an array
     (returns shape (n, 3)).
     """
+    _require({"evolution time tau": tau}, "nonnegative")
     t = np.asarray(tau, dtype=float)
-    _require({"evolution time tau": t}, "nonnegative")
     idx = _state_index(init_state)
     p0 = np.zeros(3)
     p0[idx] = 1.0
@@ -150,10 +150,10 @@ class ProtocolSpec:
             raise ValueError(f"shot count must be <= 2**63 - 1, got {self.shots}")
         _require({"tau_max_scale": self.tau_max_scale}, "positive")
         if self.tau_grid is not None:
+            _require({"tau_grid": self.tau_grid}, "nonnegative")
             taus = tuple(float(t) for t in self.tau_grid)
             if not taus:
                 raise ValueError("tau grid must be nonempty")
-            _require({"tau_grid": taus}, "nonnegative")
             if any(b <= a for a, b in zip(taus, taus[1:])):
                 raise ValueError("tau grid must be strictly ascending")
             if len(taus) < 3:

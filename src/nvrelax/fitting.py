@@ -8,19 +8,20 @@ dataset rows:
 
 Both rate laws are ordered sums of Orbach and T^5 terms, laid out once by
 :attr:`ModelSpec.terms`; mode energies and coefficients are global across
-samples, the constant floors are per sample and added last.  The model is
-summed by the same helper as ``rates``, so fit and evaluation agree bit for
-bit.  Given the mode energies, both laws are linear in coefficients and
-floors, which :func:`_project` solves exactly, both channels of every grid
-cell in one batched non-negative least squares (:func:`_nnls`) in which each
-problem stops at the support that meets the optimality conditions; a fit
-searches the 1 to 3 log energies alone (variable projection), from the best
-minima of a grid profile, the only start path.  The polish adds NL2SOL's
-structured secant estimate of the residual curvature to Gauss-Newton where
-it predicts better (Dennis, Gay & Welsch, ACM TOMS 7 (1981) 348), so it
-converges superlinearly on large-residual fits.  Each parameter's bounds are
-fixed by its kind; uncertainties come from the log-space Jacobian by the
-delta method.  Nothing is random.
+samples, the constant floors are per sample and added last.  Columns and
+slopes come from ``models._term_column``, sums from the helper of ``rates``,
+so fit and evaluation agree bit for bit.  Given the mode energies, both laws
+are linear in coefficients and floors, which :func:`_project` solves
+exactly, both channels of every grid cell in one batched non-negative least
+squares (:func:`_nnls`) in which each problem stops at the support that
+meets the optimality conditions; a fit searches the 1 to 3 log energies
+alone (variable projection), from the best minima of a grid profile, the
+only start path.  The polish adds NL2SOL's structured secant estimate of the
+residual curvature to Gauss-Newton where it predicts better (Dennis, Gay &
+Welsch, ACM TOMS 7 (1981) 348), so it converges superlinearly on
+large-residual fits.  Each parameter's bounds are fixed by its kind;
+uncertainties come from the log-space Jacobian by the delta method.  Nothing
+is random.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import BOLTZMANN_MEV_PER_K, Dataset, _require
-from .models import ModelSpec, RateLaw, _Term, _bose_einstein, _sum_terms, _term_column
+from .models import ModelSpec, RateLaw, _Term, _sum_terms, _term_column
 
 __all__ = [
     "ModelSpec",
@@ -183,21 +184,17 @@ def _assemble(problem: FitProblem) -> _Assembled:
 def _model(asm: _Assembled, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized residuals at ``p``, summed by the helper ``rates`` uses
     (floors last) so they match its rates bit for bit, and their Jacobian
-    d r / d log p, with d/d delta of n(n+1) equal to -(2n+1) n(n+1) / k_B T.
+    d r / d log p, each column and delta-slope from :func:`_term_column`.
     """
     jac = np.zeros((len(asm.temps), 2, len(p)))     # (row, channel, parameter)
     triples = []
     # an overflow (inf, or 0 * inf) is caught below and named by its temperature
     with np.errstate(over="ignore", invalid="ignore"):
         for t in asm.terms:
-            if t.delta is None:
-                column = _term_column(None, asm.temps)
-            else:
-                n = _bose_einstein(p[t.delta] / asm.kT)
-                column = n * (n + 1.0)
-                slope = -(2.0 * n + 1.0) * n * (n + 1.0) / asm.kT
+            column, slope = _term_column(None if t.delta is None else p[t.delta],
+                                         asm.temps, asm.kT, slope=True)
             for k, c in enumerate((t.a, t.b)):
-                if t.delta is not None:
+                if slope is not None:
                     jac[:, k, t.delta] = p[c] * slope * p[t.delta] / asm.err[k]
                 jac[:, k, c] = column * p[c] / asm.err[k]
             triples.append((column, p[t.a], p[t.b]))
@@ -304,11 +301,10 @@ def _project(asm: _Assembled, log_deltas: np.ndarray,
     entry in ``held`` (a parameter vector) is not NaN keeps that value; the
     channels may hold different columns."""
     deltas = np.exp(log_deltas)
-    n = _bose_einstein(deltas[..., None] / asm.kT)        # (..., mode, row)
-    n *= n + 1.0
-    modes = n.shape[-2]
+    columns = _term_column(deltas[..., None], asm.temps, asm.kT)     # (..., mode, row)
+    modes = columns.shape[-2]
     basis = np.empty((*deltas.shape[:-1], *asm.channel_cols.shape, len(asm.temps)))
-    np.divide(n[..., None, :, :], asm.err[:, None, :], out=basis[..., :modes, :])
+    np.divide(columns[..., None, :, :], asm.err[:, None, :], out=basis[..., :modes, :])
     basis[..., modes:, :] = asm.fixed_basis
     norm = np.sqrt(np.einsum("...ij,...ij->...i", basis, basis))
     norm[norm == 0.0] = 1.0

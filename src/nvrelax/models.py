@@ -6,8 +6,9 @@ three modes; two is the proposed form), and the prior literature form with
 a single Orbach-like term plus a T^5 Raman tail.  Both are ordered sums of
 Orbach and T^5 terms (:attr:`ModelSpec.terms`) plus an optional
 temperature-independent per-sample floor, added last by the one rate body
-the fitter's model shares.  :class:`RateLaw` holds a law's values under the
-names fit reports use.
+the fitter's model shares, each term's column and delta-slope from one
+kernel, ``_term_column``, which the fitter and the spectral quadrature call
+too.  :class:`RateLaw` holds a law's values under the names fit reports use.
 """
 from __future__ import annotations
 
@@ -35,15 +36,34 @@ _EXP_ARG_MAX = 700.0
 
 
 def _bose_einstein(x: np.ndarray) -> np.ndarray:
-    """n = 1/expm1(x) for x = energy/k_B T, exactly 0 past _EXP_ARG_MAX.
-
-    The occupancy kernel of both the rate laws and the spectral
-    quadrature; callers check their own arguments.
-    """
+    """n = 1/expm1(x) for x = energy/k_B T, exactly 0 past _EXP_ARG_MAX."""
     out = np.zeros_like(x)
     live = x <= _EXP_ARG_MAX
     out[live] = 1.0 / np.expm1(x[live])
     return out
+
+
+def _term_column(delta, temperature, kT=None, slope: bool = False):
+    """Basis column of a rate-law term over ``temperature`` (K): n(n+1) at mode
+    energy ``delta`` (meV), or T^5 if ``delta`` is None; with ``slope`` also
+    d/d delta, -(2n+1) n(n+1) / k_B T (None for T^5).  ``kT`` is k_B T if the
+    caller keeps it.  Callers check their own arguments and catch overflow."""
+    if delta is None:
+        return (temperature**5, None) if slope else temperature**5
+    kT = BOLTZMANN_MEV_PER_K * temperature if kT is None else kT
+    n = _bose_einstein(delta / kT)
+    column = n * (n + 1.0)
+    return (column, -(2.0 * n + 1.0) * n * (n + 1.0) / kT) if slope else column
+
+
+def _evaluate(delta: float, temperature, evaluate):
+    """``evaluate(delta, T)`` once both are checked positive, in T's shape."""
+    _require({"delta": delta, "temperature": temperature}, "positive")
+    t = np.asarray(temperature, dtype=float)
+    # delta / k_B T is inf at a subnormal T (k_B T may round to 0): n = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        out = evaluate(delta, np.atleast_1d(t))
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def occupation(delta: float, temperature):
@@ -67,12 +87,8 @@ def occupation(delta: float, temperature):
     Evaluated through expm1 so both the frozen-out limit (n ~ exp(-x))
     and the classical limit (n ~ 1/x) keep full relative accuracy.
     """
-    t = np.asarray(temperature, dtype=float)
-    _require({"delta": delta, "temperature": t}, "positive")
-    # delta / k_B T is inf at a subnormal T (k_B T may round to 0): n = 0
-    with np.errstate(over="ignore", divide="ignore"):
-        out = _bose_einstein(delta / (BOLTZMANN_MEV_PER_K * np.atleast_1d(t)))
-    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+    return _evaluate(delta, temperature,
+                     lambda d, t: _bose_einstein(d / (BOLTZMANN_MEV_PER_K * t)))
 
 
 def orbach_factor(delta: float, temperature):
@@ -82,26 +98,13 @@ def orbach_factor(delta: float, temperature):
     low-temperature rate data look linear in an Arrhenius plot with slope
     set by the activation energy.
     """
-    n = occupation(delta, temperature)
-    return n * (n + 1.0)
+    return _evaluate(delta, temperature, _term_column)
 
 
 def orbach_factor_ddelta(delta: float, temperature):
-    """d[n(n+1)]/d(delta) = -(2n+1) n(n+1) / (k_B T).
-
-    The fitter's Jacobian evaluates the same expression, in the same order,
-    from the occupancies it kept from the residual evaluation.
-    """
-    t = np.asarray(temperature, dtype=float)
-    n = occupation(delta, temperature)
-    out = -(2.0 * n + 1.0) * n * (n + 1.0) / (BOLTZMANN_MEV_PER_K * t)
-    return float(out) if t.ndim == 0 else out
-
-
-def _term_column(delta: float | None, temperature):
-    """Basis column of one rate-law term: n(n+1) at mode energy ``delta``,
-    or T^5 when ``delta`` is None."""
-    return temperature**5 if delta is None else orbach_factor(delta, temperature)
+    """d[n(n+1)]/d(delta) = -(2n+1) n(n+1) / (k_B T), the slope the fitter's
+    Jacobian takes from the same kernel."""
+    return _evaluate(delta, temperature, lambda d, t: _term_column(d, t, slope=True)[1])
 
 
 def _sum_terms(triples):
@@ -114,9 +117,9 @@ def _sum_terms(triples):
 
 
 class _Term(NamedTuple):
-    """Coefficients ``a`` (Omega) and ``b`` (gamma) times the Orbach factor at
-    mode energy ``delta``, or times T^5 if ``delta`` is None: parameter names
-    in a ModelSpec, parameter columns once the fitter has assembled them."""
+    """Coefficients ``a`` (Omega) and ``b`` (gamma) times the column
+    :func:`_term_column` evaluates for ``delta``: parameter names in a
+    ModelSpec, parameter columns once the fitter has assembled them."""
 
     delta: str | int | None
     a: str | int
@@ -230,20 +233,22 @@ class RateLaw:
                 known = ", ".join(self._floors) or "(none)"
                 raise KeyError(f"unknown sample {sample!r}; known samples: {known}")
             a3, b3 = v[f"a3_{sample}"], v[f"b3_{sample}"]
+        _require({"temperature": temperature}, "positive")
         t = np.asarray(temperature, dtype=float)
+        temps = np.atleast_1d(t)
         # an overflow (inf, or 0 * inf) is caught below and named by its temperature
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             omega, gamma = _sum_terms(
-                (_term_column(None if term.delta is None else v[term.delta], t),
+                (_term_column(None if term.delta is None else v[term.delta], temps),
                  v[term.a], v[term.b])
                 for term in self.spec.terms)
             omega, gamma = omega + a3, gamma + b3
         bad = ~(np.isfinite(omega) & np.isfinite(gamma))
         if bad.any():
-            raise ValueError(f"rates are not finite at temperature {float(t[bad][0])!r} K")
+            raise ValueError(f"rates are not finite at temperature {float(temps[bad][0])!r} K")
         if t.ndim == 0:
-            return RatePair(float(omega), float(gamma))
-        return RatePair(omega, gamma)
+            return RatePair(float(omega[0]), float(gamma[0]))
+        return RatePair(omega.reshape(t.shape), gamma.reshape(t.shape))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    BOLTZMANN_MEV_PER_K,
     DEFAULT_SEED,
     HBAR_MEV_S,
     PLANCK_MEV_PER_MHZ,
@@ -46,7 +45,7 @@ from .core import (
     convert_energy,
 )
 from .fitting import FitProblem, FitResult, ModelSpec, fit
-from .models import _bose_einstein
+from .models import _term_column
 
 __all__ = [
     "COUPLING_CSV_HEADER",
@@ -402,8 +401,7 @@ def _occupancy_weight(grid: np.ndarray, temperature: float) -> np.ndarray:
     positive = grid > 0
     # e / k_B T is inf at a subnormal T (k_B T may round to 0): n = 0
     with np.errstate(over="ignore", divide="ignore"):
-        n = _bose_einstein(grid[positive] / (BOLTZMANN_MEV_PER_K * temperature))
-        weight[positive] = n * (n + 1.0)
+        weight[positive] = _term_column(grid[positive], temperature)
     if not np.isfinite(weight).all():
         raise ValueError(f"n(n+1) is not finite at temperature {float(temperature)!r} K")
     return weight

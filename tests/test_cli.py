@@ -481,6 +481,24 @@ class TestSpectralCommand:
         assert "double_quantum" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("row, message", [
+        ("40.0,1.0,single_quantum,1", "'40.0,1.0,single_quantum,1' is an order-1 coupling"),
+        ("50.0,1.0,dephasing,2", "unknown channel 'dephasing'"),
+    ], ids=["order-1", "dephasing"])
+    def test_a_row_it_cannot_integrate_is_refused_naming_its_line(self, row, message,
+                                                                  tmp_path, capsys):
+        # spectral integrates the order-2 rows alone; a row it would drop is
+        # an input error, not a checksum over rows that never entered a rate
+        coupling = tmp_path / "table.csv"
+        coupling.write_text("energy_mev,amplitude_mhz,channel,order\n"
+                            "62.4,2.0,double_quantum,2\n62.4,0.6,single_quantum,2\n"
+                            f"# a comment line is counted\n{row}\n")
+        assert run("spectral", "--coupling", str(coupling), "-o", str(tmp_path / "P")) == 1
+        err = capsys.readouterr().err
+        assert f"'{coupling}': line 5: {message}" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
 class TestSimulateCommand:
     def test_noise_free_extraction_is_exact(self, tmp_path):
         prefix = tmp_path / "ideal"

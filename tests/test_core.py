@@ -24,9 +24,9 @@ from nvrelax.core import (
     parse_dataset_text,
     write_dataset,
 )
-from nvrelax.dynamics import RateMatrix, evolve
+from nvrelax.dynamics import ProtocolSpec, RateMatrix, evolve
 from nvrelax.fitting import FitProblem, ModelSpec
-from nvrelax.models import ModelSpec, RateLaw, orbach_factor
+from nvrelax.models import ModelSpec, RateLaw, occupation, orbach_factor, orbach_factor_ddelta
 from nvrelax.spectral import (
     CouplingEntry,
     CouplingTable,
@@ -84,7 +84,9 @@ class TestTransitionChannel:
     def test_parse_tokens(self):
         assert TransitionChannel.parse("single_quantum") is TransitionChannel.SINGLE_QUANTUM
         assert TransitionChannel.parse(" Double_Quantum ") is TransitionChannel.DOUBLE_QUANTUM
-        assert TransitionChannel.parse("dephasing") is TransitionChannel.DEPHASING
+        # a dephasing channel has no relaxation rate and is not a channel
+        with pytest.raises(ValueError, match="unknown channel 'dephasing'"):
+            TransitionChannel.parse("dephasing")
 
     def test_unknown_channel_raises(self):
         with pytest.raises(ValueError, match="unknown channel"):
@@ -428,7 +430,11 @@ _NUMBERS = st.one_of(
 )
 _BOOLEANS = st.one_of(st.booleans(), st.booleans().map(np.bool_),
                       st.lists(st.booleans(), max_size=4).map(lambda v: np.array(v, dtype=bool)),
-                      st.lists(st.booleans(), min_size=1, max_size=4).map(tuple))
+                      st.lists(st.booleans(), min_size=1, max_size=4).map(tuple),
+                      # numpy reads these as numbers: (False, 2.0) is a float array
+                      st.tuples(st.booleans(), _FLOATS).map(lambda v: (v[1], v[0], 2.0)),
+                      st.tuples(st.booleans().map(np.bool_), _INTS).map(list),
+                      st.booleans().map(lambda b: [[1.0, b], [2.0, 3.0]]))
 
 
 class TestRequireFastPath:
@@ -456,3 +462,19 @@ class TestRequireFastPath:
             RateMatrix(True, 1.0)
         with pytest.raises(DatasetError, match="^temperature must be a number"):
             RateMeasurement("NV", "A", np.True_, 1.0, 0.1, 2.0, 0.2)
+
+    @pytest.mark.parametrize("field, call", [
+        ("temperature", lambda: orbach_factor(60.0, True)),
+        ("temperature", lambda: orbach_factor_ddelta(60.0, True)),
+        ("temperature", lambda: occupation(60.0, True)),
+        ("temperature", lambda: occupation(60.0, [300.0, True])),
+        ("temperature", lambda: RateLaw(ModelSpec("n_mode", 1), {
+            "delta_1": 68.2, "a_1": 1.0, "b_1": 1.0}).rates(None, True)),
+        ("evolution time tau", lambda: evolve(RateMatrix(60.0, 128.0), "0", True)),
+        ("tau_grid", lambda: ProtocolSpec(shots=10, tau_grid=(False, True, 2.0))),
+        ("tau_grid", lambda: ProtocolSpec(shots=10, tau_grid=(0.0, 1.0, np.True_))),
+    ])
+    def test_booleans_are_refused_before_float_conversion(self, field, call):
+        # each call once read True as 1 (T = 1 K, tau = 1 s) and False as 0
+        with pytest.raises(ValueError, match=f"^{field} must be a number, not a boolean$"):
+            call()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
 from nvrelax import fitting
-from nvrelax.core import Dataset, RateMeasurement, parse_dataset_text
+from nvrelax.core import BOLTZMANN_MEV_PER_K, Dataset, RateMeasurement, parse_dataset_text
 from nvrelax.fitting import (
     FitProblem,
     FitResult,
@@ -32,7 +32,7 @@ from nvrelax.fitting import (
     _solve,
     least_squares,
 )
-from nvrelax.models import RateLaw, orbach_factor, orbach_factor_ddelta
+from nvrelax.models import RateLaw, orbach_factor
 
 
 # 1.0-1.4 K rows: the occupancies underflow over most of the profile, and
@@ -265,17 +265,22 @@ def _start_points(dataset, token, constants="per_sample", count=2):
 
 
 def _reference_jacobian(asm, dataset, u):
-    """The log-space Jacobian by the formula the fitter used before it kept
-    occupancies: physical-space columns from the public rate-law functions,
-    then ``* p``, then ``/ err``."""
+    """The log-space Jacobian with its columns written out here rather than
+    taken from the kernel ``_model`` shares with ``models``: physical-space
+    columns from n = 1/expm1(delta / k_B T), 0 past x = 700, then ``* p``,
+    then ``/ err``."""
     p = np.exp(u)
     jac = np.zeros((asm.data.size, len(p)))
+    kT = BOLTZMANN_MEV_PER_K * asm.temps
     for t in asm.terms:
         if t.delta is None:
             column = asm.temps**5
         else:
-            column = orbach_factor(p[t.delta], asm.temps)
-            df = orbach_factor_ddelta(p[t.delta], asm.temps)
+            x = p[t.delta] / kT
+            n = np.zeros_like(x)
+            n[x <= 700.0] = 1.0 / np.expm1(x[x <= 700.0])
+            column = n * (n + 1.0)
+            df = -(2.0 * n + 1.0) * n * (n + 1.0) / kT
             jac[0::2, t.delta] = p[t.a] * df
             jac[1::2, t.delta] = p[t.b] * df
         jac[0::2, t.a] = column

@@ -17,6 +17,7 @@ from nvrelax.models import (
     orbach_factor_ddelta,
     ratio_curve,
 )
+from nvrelax.models import _term_column
 
 # strategy for a well-separated mode ladder with strictly positive coefficients
 mode_energies = st.lists(
@@ -125,6 +126,49 @@ class TestOrbachFactor:
             assert analytic == pytest.approx(numeric, rel=1e-5)
 
 
+def _written_out(delta, temps):
+    """n(n+1) and d/d delta of it, -(2n+1) n(n+1) / k_B T, from
+    n = 1/expm1(delta / k_B T), 0 past x = 700: written out here, not
+    taken from the kernel under test."""
+    kT = BOLTZMANN_MEV_PER_K * temps
+    x = delta / kT
+    n = np.zeros_like(x)
+    n[x <= 700.0] = 1.0 / np.expm1(x[x <= 700.0])
+    return n * (n + 1.0), -(2.0 * n + 1.0) * n * (n + 1.0) / kT
+
+
+class TestTermKernel:
+    """``_term_column``, the one evaluation of every rate-law column and slope."""
+
+    @given(delta=st.floats(min_value=5.0, max_value=400.0),
+           temps=st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=1, max_size=6))
+    @settings(max_examples=100)
+    def test_column_and_slope_are_the_written_out_formula_bit_for_bit(self, delta, temps):
+        # 1e-3 K freezes every mode out (x > 700), where n is exactly 0
+        temps = np.array([1e-3, *temps])
+        want = _written_out(delta, temps)
+        kT = BOLTZMANN_MEV_PER_K * temps
+        for got in (_term_column(delta, temps, slope=True),
+                    _term_column(delta, temps, kT, slope=True),
+                    (_term_column(delta, temps), want[1])):
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert want[0][0] == 0.0
+
+    def test_t5_rule_has_no_slope(self):
+        temps = np.array([1.0, 300.0, 1e4])
+        assert _term_column(None, temps).tobytes() == (temps**5).tobytes()
+        column, slope = _term_column(None, temps, slope=True)
+        assert column.tobytes() == (temps**5).tobytes() and slope is None
+
+    def test_public_functions_are_the_kernel(self):
+        temps = np.array([9.0, 295.0, 1000.0])
+        column, slope = _written_out(68.2, temps)
+        assert orbach_factor(68.2, temps).tobytes() == column.tobytes()
+        assert orbach_factor_ddelta(68.2, temps).tobytes() == slope.tobytes()
+        assert orbach_factor(68.2, 295.0) == column[1]
+        assert orbach_factor_ddelta(68.2, 295.0) == slope[1]
+
+
 class TestParameterValidation:
     def test_mode_rejects_nonpositive_energy(self):
         with pytest.raises(ValueError, match="delta_1 must be positive"):
@@ -223,6 +267,15 @@ class TestEvalNMode:
         rates = published_params.rates("A", np.array([1e-320, 5e-324]))
         assert rates.omega.tolist() == [0.013, 0.013]
         assert rates.gamma.tolist() == [0.06, 0.06]
+
+    @pytest.mark.parametrize("bad, reason", [
+        (0.0, "positive, got 0.0"), (-5.0, "positive, got -5.0"),
+        (math.nan, "finite, got nan"), (True, "a number, not a boolean"),
+        (np.array([300.0, -5.0]), "positive, got -5.0"),
+    ])
+    def test_rates_check_their_own_temperature(self, published_params, bad, reason):
+        with pytest.raises(ValueError, match=rf"^temperature(\[1\])? must be {reason}$"):
+            published_params.rates("A", bad)
 
     def test_unknown_sample_raises(self, published_params):
         with pytest.raises(KeyError, match="unknown sample"):

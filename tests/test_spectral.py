@@ -112,6 +112,16 @@ class TestCouplingEntries:
         table = parse_coupling_text(text)
         assert len(table) == 1 and list(table) == [CouplingEntry(62.4, 2.0, DQ, 2)]
 
+    def test_parse_refuses_a_dephasing_row_naming_its_line(self):
+        text = COUPLING_CSV_HEADER + "\n62.4,2.0,double_quantum,2\n50.0,1.0,dephasing,2\n"
+        with pytest.raises(ValueError, match="^line 3: unknown channel 'dephasing'"):
+            parse_coupling_text(text)
+
+    def test_parse_keeps_order_one_rows(self):
+        # spectral refuses them; first_order_raman_rate's callers need them
+        table = parse_coupling_text(COUPLING_CSV_HEADER + "\n40.0,1.0,single_quantum,1\n")
+        assert list(table) == [CouplingEntry(40.0, 1.0, SQ, 1)]
+
     def test_anchor_table_contents(self):
         table = anchor_coupling_table()
         dq = table.for_channel(DQ, 2)
@@ -144,9 +154,9 @@ class TestBuildSpectralFunction:
         assert np.allclose(f2.amplitude, 2.0 * f1.amplitude)
 
     def test_empty_channel_rejected(self):
-        table = anchor_coupling_table()
-        with pytest.raises(ValueError, match="no coupling entries"):
-            build_spectral_function(table, TransitionChannel.DEPHASING, 2, sigma=7.5)
+        table = CouplingTable(entries=(CouplingEntry(62.4, 0.6, SQ, 2),))
+        with pytest.raises(ValueError, match="no coupling entries for channel 'double_quantum'"):
+            build_spectral_function(table, DQ, 2, sigma=7.5)
 
     def test_grid_coverage_enforced(self):
         table = anchor_coupling_table()
