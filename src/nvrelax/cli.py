@@ -202,7 +202,7 @@ def _cmd_spectral(args) -> int:
         table, coupling_text = _read_input(args.coupling, "coupling", _second_order_table)
     checksum = _sha256(coupling_text)
 
-    # one array of the default grid, shared by both channels
+    # one default grid for both channels; each function keeps a copy of it
     grid = default_grid(args.sigma)
     f_sq = build_spectral_function(
         table, TransitionChannel.SINGLE_QUANTUM, order=2, sigma=args.sigma,

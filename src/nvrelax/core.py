@@ -149,6 +149,14 @@ def _require(values: Mapping[str, object], domain: str = "finite",
             _refuse(name, value, domain, error)
 
 
+def _require_integer(values: Mapping[str, object]) -> None:
+    """Raise a ``ValueError`` naming the first of ``values`` that is not a
+    Python or numpy integer: a boolean, or a float of whole value, too."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _holds_bool(entries: list | tuple) -> bool:
     """Whether a list or tuple, or one nested in it, holds a boolean."""
     kinds = set(map(type, entries))

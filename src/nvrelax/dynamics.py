@@ -25,12 +25,11 @@ one-dimensional Gauss-Newton problem in log r (:func:`least_squares`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SEED, RateMeasurement, _require
+from .core import DEFAULT_SEED, RateMeasurement, _require, _require_integer
 
 __all__ = [
     "RateMatrix",
@@ -139,11 +138,9 @@ class ProtocolSpec:
     tau_max_scale: float = 2.5
 
     def __post_init__(self) -> None:
-        if (not isinstance(self.shots, (numbers.Integral, type(None)))
-                or isinstance(self.shots, bool)):
-            raise ValueError(f"shots must be an integer or None, got {self.shots!r}")
-        if not isinstance(self.n_tau, numbers.Integral) or isinstance(self.n_tau, bool):
-            raise ValueError(f"n_tau must be an integer, got {self.n_tau!r}")
+        if self.shots is not None:
+            _require_integer({"shots": self.shots})
+        _require_integer({"n_tau": self.n_tau})
         if self.shots is not None and self.shots < 1:
             raise ValueError("shot count must be >= 1")
         if self.shots is not None and self.shots > _MAX_SHOTS:

@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BOLTZMANN_MEV_PER_K, _require
+from .core import BOLTZMANN_MEV_PER_K, _require, _require_integer
 
 __all__ = [
     "ModelSpec",
@@ -46,14 +46,15 @@ def _bose_einstein(x: np.ndarray) -> np.ndarray:
 def _term_column(delta, temperature, kT=None, slope: bool = False):
     """Basis column of a rate-law term over ``temperature`` (K): n(n+1) at mode
     energy ``delta`` (meV), or T^5 if ``delta`` is None; with ``slope`` also
-    d/d delta, -(2n+1) n(n+1) / k_B T (None for T^5).  ``kT`` is k_B T if the
-    caller keeps it.  Callers check their own arguments and catch overflow."""
+    d/d delta, -(2n+1) n(n+1) / k_B T (None for T^5; -0.0, not 0/0, where k_B T
+    rounds to 0, as 5e-324 stands in for it).  ``kT`` is k_B T if the caller
+    keeps it.  Callers check their own arguments and catch overflow."""
     if delta is None:
         return (temperature**5, None) if slope else temperature**5
     kT = BOLTZMANN_MEV_PER_K * temperature if kT is None else kT
     n = _bose_einstein(delta / kT)
     column = n * (n + 1.0)
-    return (column, -(2.0 * n + 1.0) * n * (n + 1.0) / kT) if slope else column
+    return (column, -(2.0 * n + 1.0) * n * (n + 1.0) / np.maximum(kT, 5e-324)) if slope else column
 
 
 def _evaluate(delta: float, temperature, evaluate):
@@ -136,6 +137,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("n_mode", "prior"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        _require_integer({"n_modes": self.n_modes})
         if self.kind == "n_mode" and not 1 <= self.n_modes <= 3:
             raise ValueError(f"1 to 3 modes supported, got {self.n_modes}")
 

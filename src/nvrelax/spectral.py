@@ -8,13 +8,13 @@ by quadrature:
     first order:   Gamma = (4 pi / hbar) * sum_i integral de n(n+1)
                             F1_in(e) F1_out(e) / e^2
 
-Two broadening conventions coexist, mirroring how the two orders use the
-couplings: ``amplitude`` smooths |V| (the square-root convention; the
-second-order spectral function is its square), while ``power`` smooths
-|V|^2 (the convention the first-order rate integral is defined with).
-Amplitudes are in MHz and are converted to energy via h before squaring,
-so the diagonal F(e, e) is dimensionless and the 4 pi / hbar prefactor
-yields rates in 1/s.
+Two broadening conventions mirror how the two orders use the couplings:
+``amplitude`` smooths |V| (the square-root convention; the second-order
+spectral function is its square), while ``power`` smooths |V|^2 (the
+convention the first-order rate integral is defined with), built for
+order-1 functions alone.  Amplitudes are in MHz and are converted to
+energy via h before squaring, so the diagonal F(e, e) is dimensionless and
+the 4 pi / hbar prefactor yields rates in 1/s.
 
 Only diagonal mode pairs enter the second-order rate (the equal-energy
 constraint of the continuum limit); off-diagonal combinations are an
@@ -42,6 +42,7 @@ from .core import (
     _csv_rows,
     _csv_text,
     _require,
+    _require_integer,
     convert_energy,
 )
 from .fitting import FitProblem, FitResult, ModelSpec, fit
@@ -120,6 +121,7 @@ class CouplingEntry:
                 f"got {self.mode_energy}"
             )
         _require({"amplitude": self.amplitude}, "nonnegative")
+        _require_integer({"order": self.order})
         if self.order not in (1, 2):
             raise ValueError(f"interaction order must be 1 or 2, got {self.order}")
 
@@ -184,27 +186,20 @@ def default_grid(sigma: float) -> np.ndarray:
     width ``sigma``: 0.05 meV spacing, or sigma/10 for sigma below 0.5 meV,
     so that the quadrature error check is met."""
     _require({"broadening width sigma": sigma}, "positive")
-    # np.linspace(0, MAX_MODE_ENERGY_MEV, n)'s arithmetic, into an array that
-    # owns its data: SpectralFunction keeps that one as it is, so both
-    # channels share it and its CSV text, while it copies linspace's view
-    # (copying here raised the 250001-point run's peak memory by 3 MB)
     try:
         # the count is inf below sigma ~ 1.4e-305, a division by 0 below ~ 5e-323
         n = int(round(MAX_MODE_ENERGY_MEV / min(0.05, sigma / 10.0))) + 1
-        grid = np.arange(n, dtype=float)
+        return np.linspace(0.0, MAX_MODE_ENERGY_MEV, n)
     except (ArithmeticError, ValueError, MemoryError):
         raise ValueError(f"broadening width sigma = {sigma!r} meV needs a grid of spacing "
                          "sigma/10, which has more samples than can be allocated") from None
-    grid *= MAX_MODE_ENERGY_MEV / (n - 1)
-    grid[-1] = MAX_MODE_ENERGY_MEV
-    return grid
 
 
-def _owned(values) -> np.ndarray:
-    """``values`` as a float array that owns its data: a view of another
-    array is copied, since that array could still change it."""
-    out = np.asarray(values, dtype=float)
-    return out if out.flags.owndata else out.copy()
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``: no caller holds it or a view of it."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _gaussian(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -216,14 +211,17 @@ def _gaussian(x: np.ndarray, sigma: float) -> np.ndarray:
 _GAUSSIAN_REACH = 40.0
 
 
-def _gaussian_window(grid: np.ndarray, center: float, sigma: float) -> tuple[slice, np.ndarray]:
-    """The slice of the ascending ``grid`` within ``_GAUSSIAN_REACH`` sigmas
-    of ``center``, and the normalized Gaussian on it.  The Gaussian is
-    exactly 0 on the rest of the grid, so adding its multiples there would
-    change no bit of a sum."""
+def _broadened(grid: np.ndarray, sigma: float, peaks: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Sum of weight times the normalized Gaussian of width ``sigma`` at
+    center over the (center, weight) ``peaks``, in order, on the ascending
+    ``grid``.  Each Gaussian is evaluated only within ``_GAUSSIAN_REACH``
+    sigmas of its center: it is exactly 0 beyond, where it would add no bit."""
+    out = np.zeros_like(grid)
     reach = _GAUSSIAN_REACH * sigma
-    lo, hi = np.searchsorted(grid, (center - reach, center + reach)).tolist()
-    return slice(lo, hi), _gaussian(grid[lo:hi] - center, sigma)
+    for center, weight in peaks:
+        lo, hi = np.searchsorted(grid, (center - reach, center + reach)).tolist()
+        out[lo:hi] += weight * _gaussian(grid[lo:hi] - center, sigma)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,19 +230,14 @@ class SpectralFunction:
 
     ``amplitude`` is the square-root convention (sum of |V| Gaussians,
     MHz/meV); ``power`` is the squared-coefficient convention (sum of |V|^2
-    Gaussians, MHz^2/meV) and is present when the function was built from a
-    coupling table.  Synthetic functions constructed directly in the
-    squared domain carry ``power=None``.
+    Gaussians, MHz^2/meV), which only first order integrates, so only
+    order-1 functions built from a coupling table carry it.
 
-    ``grid``, ``amplitude`` and ``power`` are frozen read-only arrays once
-    constructed: a view is copied first, and an array that owns its data is
-    frozen in place, not copied.  Two caches rely on that:
-    ``_diagonal_support``, built once per function, and the CSV writer's
-    grid text, keyed by the identity of the ``grid`` array and shared by
-    every function on that array.  Freezing an array does not freeze the
-    views of it taken before construction: a write through one still
-    changes the function's array, and neither cache follows that change.
-    So never write to an array after passing it in.
+    ``grid``, ``amplitude`` and ``power`` are read-only copies of the arrays
+    passed in: a caller's array is neither kept nor frozen, and no write to
+    it reaches the function.  Two caches rely on that: ``_diagonal_support``,
+    built once per function, and the CSV writer's grid text, shared by every
+    function whose grid has the same bits.
     """
 
     grid: np.ndarray            # meV, ascending, uniform
@@ -255,30 +248,32 @@ class SpectralFunction:
     power: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        grid, amplitude = _owned(self.grid), _owned(self.amplitude)
+        grid, amplitude = _frozen(self.grid), _frozen(self.amplitude)
         if grid.ndim != 1 or len(grid) < 5:
             raise ValueError("grid must be a 1-D array with at least 5 samples")
+        _require({"grid": grid})
         spacing = np.diff(grid)
-        if np.any(spacing <= 0):
+        lowest, highest, first = spacing.min(), spacing.max(), spacing[0]
+        if lowest <= 0:
             raise ValueError("grid must be strictly ascending")
-        if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=1e-12):
+        # np.allclose(spacing, first, rtol=1e-9, atol=1e-12), without its temporaries
+        tolerance = 1e-12 + 1e-9 * abs(first)
+        if not (highest - first <= tolerance and first - lowest <= tolerance):
             raise ValueError("grid must be uniformly spaced")
         if amplitude.shape != grid.shape:
             raise ValueError("amplitude must match the grid shape")
         _require({"amplitude": amplitude}, "nonnegative")
         _require({"broadening width sigma": self.sigma}, "positive")
+        _require_integer({"order": self.order})
         if self.order not in (1, 2):
             raise ValueError(f"interaction order must be 1 or 2, got {self.order}")
-        grid.flags.writeable = False
-        amplitude.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "amplitude", amplitude)
         if self.power is not None:
-            power = _owned(self.power)
+            power = _frozen(self.power)
             if power.shape != grid.shape:
                 raise ValueError("power must match the grid shape")
             _require({"power": power}, "nonnegative")
-            power.flags.writeable = False
             object.__setattr__(self, "power", power)
 
     @property
@@ -309,10 +304,10 @@ def build_spectral_function(
     """Smooth the couplings of one channel/order into a spectral function.
 
     ``amplitude(e) = sum_l |V_l| Gaussian(e - e_l; sigma)`` with a
-    normalized Gaussian; the squared-coefficient ``power`` array is built
-    alongside.  The grid must cover the couplings with 5 sigma of margin.
+    normalized Gaussian; order 1 also gets the squared-coefficient ``power``
+    array.  The grid must cover the couplings with 5 sigma of margin.
     Each Gaussian is evaluated only on the grid within 40 sigma of its
-    center (``_gaussian_window``); it is exactly 0 beyond.
+    center (``_broadened``); it is exactly 0 beyond.
     """
     _require({"broadening width sigma": sigma}, "positive")
     entries = table.for_channel(channel, order)
@@ -320,12 +315,9 @@ def build_spectral_function(
         raise ValueError(f"no coupling entries for channel {channel.value!r}, order {order}")
     grid = default_grid(sigma) if grid is None else np.asarray(grid, dtype=float)
     _require_coverage(grid, max(e.mode_energy for e in entries), sigma)
-    amplitude = np.zeros_like(grid)
-    power = np.zeros_like(grid)
-    for e in entries:
-        window, kernel = _gaussian_window(grid, e.mode_energy, sigma)
-        amplitude[window] += e.amplitude * kernel
-        power[window] += e.amplitude**2 * kernel
+    amplitude = _broadened(grid, sigma, [(e.mode_energy, e.amplitude) for e in entries])
+    power = None if order == 2 else _broadened(
+        grid, sigma, [(e.mode_energy, e.amplitude**2) for e in entries])
     return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel,
                             order=order, sigma=sigma, power=power)
 
@@ -365,12 +357,10 @@ def synthetic_peak_function(
     if not peaks:
         raise ValueError("at least one peak is required")
     grid = default_grid(sigma) if grid is None else np.asarray(grid, dtype=float)
-    f_diag = np.zeros_like(grid)
     for center, area in peaks:
         _require({"peak center": center}, "positive")
         _require({"peak area": area}, "nonnegative")
-        window, kernel = _gaussian_window(grid, center, sigma)
-        f_diag[window] += area * kernel
+    f_diag = _broadened(grid, sigma, peaks)
     _require_coverage(grid, max(center for center, _ in peaks), sigma)
     f_diag *= -np.expm1(-0.5 * (grid / _LOW_ENERGY_WINDOW_MEV) ** 2)
     amplitude = np.sqrt(f_diag) / PLANCK_MEV_PER_MHZ
@@ -670,9 +660,9 @@ _GRID_TEXT_CHUNK = 8192
 _ZERO_ROW = ",0.0\n"
 
 # The text of the last grid formatted: (weakref to the grid, its text, its
-# line offsets).  A grid's values never change (``SpectralFunction`` freezes
-# it), so its identity keys the text; the weakref's callback empties the
-# slot when the grid is freed.
+# line offsets).  A grid's values never change (``SpectralFunction`` holds a
+# frozen copy), so every grid of the same bits shares the text; the
+# weakref's callback empties the slot when the grid is freed.
 _grid_text_slot: tuple[weakref.ref, str, np.ndarray] | None = None
 
 
@@ -772,12 +762,14 @@ def _grid_text(grid: np.ndarray) -> tuple[str, np.ndarray]:
     (86% of the sigma = 0.01 default grid, 64% of the 0.05 meV one) are
     formatted by numpy, the others by ``repr`` (see ``_chunk_lines``); a
     grid whose step is not decimal is formatted by ``repr`` alone.  Formatted
-    once per grid array, ``_GRID_TEXT_CHUNK`` values at a time, so the two
-    channels that share the CLI's grid pay for its energy column once.
+    ``_GRID_TEXT_CHUNK`` values at a time; while the last grid formatted lives,
+    a grid of its bits (-0.0 equals 0.0 but is written apart) reuses its
+    text, so the CLI's two channels pay for their copies of one grid once.
     """
     global _grid_text_slot
     slot = _grid_text_slot
-    if slot is not None and slot[0]() is grid:
+    kept = slot and slot[0]()
+    if kept is not None and np.array_equal(kept.view(np.int64), grid.view(np.int64)):
         return slot[1], slot[2]
     places = _decimal_places(grid)
     chunks, offsets, size = [], [np.zeros(1, dtype=np.intp)], 0

@@ -411,6 +411,20 @@ class TestSpectralCommand:
         peak_idx = np.argmax(amplitude[window])
         assert abs(energy[window][peak_idx] - 160.7) < 0.5
 
+    @pytest.mark.parametrize("sigma", ["0.3", "7.5"])
+    def test_grid_text_formatted_once_per_run(self, tmp_path, monkeypatch, sigma):
+        # each channel holds its own copy of the grid; the second channel's
+        # CSV reuses the text formatted for the first
+        from nvrelax import spectral
+        calls = []
+        formatter = spectral._decimal_places
+        monkeypatch.setattr(spectral, "_decimal_places",
+                            lambda grid: calls.append(len(grid)) or formatter(grid))
+        assert run("spectral", "--sigma", sigma, "-o", str(tmp_path / "once")) == 0
+        assert calls == [len(spectral.default_grid(float(sigma)))]
+        sq, dq = (data_rows((tmp_path / f"once.{c}.csv").read_text()) for c in ("sq", "dq"))
+        assert [r[0] for r in sq] == [r[0] for r in dq]
+
     def test_narrow_sigma_is_near_discrete(self, tmp_path):
         prefix = tmp_path / "narrow"
         assert run("spectral", "--sigma", "0.01", "-o", str(prefix)) == 0

@@ -1,5 +1,7 @@
 """Rate laws, occupation numbers, and coherence bounds."""
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +170,18 @@ class TestTermKernel:
         assert orbach_factor(68.2, 295.0) == column[1]
         assert orbach_factor_ddelta(68.2, 295.0) == slope[1]
 
+    def test_slope_is_negative_zero_where_k_b_t_rounds_to_zero(self):
+        # k_B T is 0 at 5e-324 K and subnormal at 1e-320 K; both freeze the
+        # mode out, so the slope is -0.0, not 0/0, and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (5e-324, 1e-320):
+                slope = orbach_factor_ddelta(60.0, t)
+                assert slope == 0.0 and math.copysign(1.0, slope) == -1.0
+            slopes = orbach_factor_ddelta(60.0, np.array([5e-324, 1e-320, 295.0]))
+        assert slopes.tobytes() == np.array(
+            [-0.0, -0.0, _written_out(60.0, np.array([295.0]))[1][0]]).tobytes()
+
 
 class TestParameterValidation:
     def test_mode_rejects_nonpositive_energy(self):
@@ -194,6 +208,15 @@ class TestParameterValidation:
         for count in (0, 4):
             with pytest.raises(ValueError, match="1 to 3 modes"):
                 RateLaw(ModelSpec("n_mode", count), {})
+
+    @pytest.mark.parametrize("count", [True, 2.0, np.float64(2.0), "2"])
+    def test_mode_count_must_be_an_integer(self, count):
+        message = re.escape(f"n_modes must be an integer, got {count!r}")
+        with pytest.raises(ValueError, match=message):
+            ModelSpec("n_mode", count)
+
+    def test_numpy_integer_mode_count_is_accepted(self):
+        assert ModelSpec("n_mode", np.int64(2)).label == "n-mode:2"
 
     def test_prior_model_rejects_negative(self):
         with pytest.raises(ValueError, match="a2 must be nonnegative"):

@@ -2,6 +2,7 @@
 import dataclasses
 import gc
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -73,6 +74,16 @@ class TestCouplingEntries:
     def test_order_enumerated(self):
         with pytest.raises(ValueError, match="order"):
             CouplingEntry(50.0, 1.0, SQ, 3)
+
+    @pytest.mark.parametrize("order", [2.0, True, np.float64(1.0)])
+    def test_order_must_be_an_integer(self, order):
+        # 2.0 used to pass and be written as "...,2.0", which the parser refuses
+        message = re.escape(f"order must be an integer, got {order!r}")
+        with pytest.raises(ValueError, match=message):
+            CouplingEntry(62.4, 0.6, SQ, order)
+        with pytest.raises(ValueError, match=message):
+            SpectralFunction(grid=np.linspace(0, 10, 11), amplitude=np.zeros(11),
+                             channel=SQ, order=order, sigma=1.0)
 
     def test_for_channel_sorts_and_filters(self):
         table = CouplingTable(entries=(
@@ -195,12 +206,14 @@ class TestBuildSpectralFunction:
         peak = synthetic_peak_function([(68.2, 1e-12)], sigma, SQ)
         assert np.array_equal(f.grid, grid) and np.array_equal(peak.grid, grid)
 
-    def test_power_built_alongside(self):
-        table = CouplingTable(entries=(CouplingEntry(62.4, 2.0, DQ, 2),))
-        f = build_spectral_function(table, DQ, 2, sigma=7.5)
-        assert f.power is not None
+    def test_power_built_for_order_1_alone(self):
+        # first order alone integrates power, so order 2 does not build it
+        table = CouplingTable(entries=(CouplingEntry(62.4, 2.0, DQ, 1),
+                                       CouplingEntry(62.4, 2.0, DQ, 2)))
+        first = build_spectral_function(table, DQ, 1, sigma=7.5)
+        assert build_spectral_function(table, DQ, 2, sigma=7.5).power is None
         # power smooths |V|^2: its peak is 4x the unit-coupling kernel
-        assert np.max(f.power) == pytest.approx(4.0 * 0.05319, rel=1e-3)
+        assert np.max(first.power) == pytest.approx(4.0 * 0.05319, rel=1e-3)
 
     def test_arrays_immutable(self):
         f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma=7.5)
@@ -220,13 +233,15 @@ class TestBuildSpectralFunction:
             CouplingEntry(62.4 + 3.0 * sigma, 1.7, SQ, 2), CouplingEntry(high, 0.07, SQ, 2)))
         grid = default_grid(sigma)
         f = build_spectral_function(table, SQ, 2, sigma, grid)
+        first_order = CouplingTable(entries=tuple(dataclasses.replace(e, order=1) for e in table))
+        f1 = build_spectral_function(first_order, SQ, 1, sigma, grid)
         amplitude, power = np.zeros_like(grid), np.zeros_like(grid)
         for e in table.for_channel(SQ, 2):
             kernel = spectral._gaussian(grid - e.mode_energy, sigma)
             amplitude += e.amplitude * kernel
             power += e.amplitude**2 * kernel
-        assert f.amplitude.tobytes() == amplitude.tobytes()
-        assert f.power.tobytes() == power.tobytes()
+        assert f.amplitude.tobytes() == f1.amplitude.tobytes() == amplitude.tobytes()
+        assert f1.power.tobytes() == power.tobytes()
         peaks = [(low, 1e-12), (65.0, 3e-12), (high, 2e-12)]
         synthetic = synthetic_peak_function(peaks, sigma, SQ, grid)
         f_diag = np.zeros_like(grid)
@@ -242,6 +257,21 @@ class TestSpectralFunctionInvariants:
         with pytest.raises(ValueError, match="uniformly spaced"):
             SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ,
                              order=2, sigma=1.0)
+
+    @pytest.mark.parametrize("wobble, uniform", [(0.9e-6, True), (1.1e-6, False),
+                                                 (-1.1e-6, False)])
+    def test_uniform_means_allclose_to_the_first_step(self, wobble, uniform):
+        # steps of 1000 meV may differ from the first by 1e-12 + 1e-9 * 1000
+        grid = np.arange(6.0) * 1000.0
+        grid[3] += wobble
+        steps = np.diff(grid)
+        assert np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12) == uniform
+        if uniform:
+            SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ, order=2, sigma=1.0)
+        else:
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ,
+                                 order=2, sigma=1.0)
 
     def test_grid_must_ascend(self):
         grid = np.array([0.0, 2.0, 1.0, 3.0, 4.0])
@@ -272,6 +302,12 @@ class TestSpectralFunctionInvariants:
             SpectralFunction(grid=np.linspace(0, 10, n), amplitude=np.zeros(n),
                              channel=SQ, order=order, sigma=1.0, power=power)
 
+    def test_nonfinite_grid_named(self):
+        grid = np.linspace(0.0, 0.5, 6)
+        grid[4] = math.nan
+        with pytest.raises(ValueError, match=r"^grid\[4\] must be finite, got nan$"):
+            SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ, order=2, sigma=1.0)
+
     def test_view_of_a_writeable_array_is_copied(self):
         # the grid text slot and _diagonal_support keep what they first saw,
         # so a caller must not reach a function's arrays through another
@@ -287,20 +323,31 @@ class TestSpectralFunctionInvariants:
         assert not (f.grid.flags.writeable or f.amplitude.flags.writeable
                     or f.power.flags.writeable)
 
+    def test_array_changed_through_an_earlier_view_is_not_seen(self):
+        # a view taken before construction reaches the caller's array, never
+        # the function's copy, so neither cache can go stale
+        peak = synthetic_peak_function([(65.0, 1e-12)], 7.5, SQ)
+        base, amplitude = peak.grid.copy(), peak.amplitude.copy()
+        view = base[:]
+        f = SpectralFunction(grid=base, amplitude=amplitude, channel=SQ, order=2, sigma=7.5)
+        text, rate = spectral_to_csv_text(f), second_order_rate(f, 300.0)
+        view[:] = view * 2
+        amplitude[:] = 5.0
+        assert base.flags.writeable and amplitude.flags.writeable
+        assert f.grid is not base and f.amplitude is not amplitude
+        assert f.grid.tobytes() == peak.grid.tobytes()
+        assert f.amplitude.tobytes() == peak.amplitude.tobytes()
+        assert spectral_to_csv_text(f) == text == _reference_csv(f)
+        assert second_order_rate(f, 300.0) == rate == second_order_rate(peak, 300.0)
+
     @pytest.mark.parametrize("sigma", [0.001, 0.01, 0.3, 0.5, 1.0, 7.5, 15.0])
-    def test_default_grid_is_linspace_in_an_owning_array(self, sigma):
+    def test_default_grid_is_linspace(self, sigma):
         spacing = min(0.05, sigma / 10.0)
         grid = default_grid(sigma)
-        assert grid.flags.owndata
-        assert np.array_equal(grid, np.linspace(0.0, MAX_MODE_ENERGY_MEV,
-                                                round(MAX_MODE_ENERGY_MEV / spacing) + 1))
-
-    def test_array_that_owns_its_data_is_kept(self):
-        # so the CLI's two channels share one default grid and its text
-        grid = default_grid(1.0)
-        functions = [build_spectral_function(anchor_coupling_table(), channel, 2, 1.0, grid)
-                     for channel in (SQ, DQ)]
-        assert all(f.grid is grid for f in functions) and not grid.flags.writeable
+        assert grid.tobytes() == np.linspace(0.0, MAX_MODE_ENERGY_MEV,
+                                             round(MAX_MODE_ENERGY_MEV / spacing) + 1).tobytes()
+        f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma, grid)
+        assert f.grid is not grid and grid.flags.writeable
 
     def test_no_peaks_or_intermediate_states_rejected(self):
         with pytest.raises(ValueError, match="at least one peak"):
@@ -853,6 +900,16 @@ class TestSpectralCsvRows:
                              channel=DQ, order=2, sigma=0.1)
         assert spectral_to_csv_text(f) == _reference_csv(f)
 
+    def test_negative_zero_grid_gets_its_own_text(self):
+        # -0.0 == 0.0, but repr writes them apart: grids share text by bits
+        amplitude = [0.0, 1.0, 0.0, 0.0, 0.0]
+        signed, unsigned = (SpectralFunction(grid=[zero, 0.1, 0.2, 0.3, 0.4], amplitude=amplitude,
+                                             channel=SQ, order=2, sigma=0.1)
+                            for zero in (-0.0, 0.0))
+        for f in (signed, unsigned, signed):
+            assert spectral_to_csv_text(f) == _reference_csv(f)
+        assert spectral_to_csv_text(signed).splitlines()[4] == "-0.0,0.0"
+
     @pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 7.5])
     def test_cli_functions(self, sigma):
         grid = default_grid(sigma)
@@ -863,14 +920,16 @@ class TestSpectralCsvRows:
 
     def test_grid_text_follows_its_grid(self):
         amplitude = [0.0, 1.0, 0.0, 0.0, 0.0]
-        grid = np.linspace(0.0, 0.4, 5)
+        # a grid no other live function holds, so the slot cannot hit first
+        grid = np.linspace(0.0, 0.28, 5)
         first = SpectralFunction(grid=grid, amplitude=amplitude, channel=SQ, order=2, sigma=0.1)
         twin = SpectralFunction(grid=grid.copy(), amplitude=amplitude, channel=SQ, order=2,
                                 sigma=0.1)
         assert twin.grid is not first.grid
         assert spectral_to_csv_text(first) == spectral_to_csv_text(twin)
+        # equal grids share the text formatted for the first
         ref = spectral._grid_text_slot[0]
-        assert ref() is twin.grid
+        assert ref() is first.grid
         # the slot lets its grid go, and a new grid (which may reuse the old
         # one's address) gets its own text
         del first, twin, grid
