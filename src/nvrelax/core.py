@@ -293,6 +293,16 @@ def _csv_rows(text: str, header: str, kind: str, error: type[ValueError]):
         yield lineno, fields
 
 
+def _csv_field(raw: str, kind: type, lineno: int, column: str, error: type[ValueError]):
+    """``kind(raw)`` (``float`` or ``int``), or ``error`` naming the line and
+    the column of a field that does not read as one."""
+    try:
+        return kind(raw)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise error(f"line {lineno}, column {column}: not {what}: {raw!r}") from None
+
+
 def parse_dataset_text(text: str, provenance: str = "") -> Dataset:
     """Parse canonical CSV text into a Dataset.
 
@@ -303,12 +313,7 @@ def parse_dataset_text(text: str, provenance: str = "") -> Dataset:
     for lineno, fields in _csv_rows(text, CSV_HEADER, "dataset", DatasetError):
         numbers = []
         for name, raw in zip(_NUMERIC_COLUMNS, fields[2:]):
-            try:
-                numbers.append(float(raw))
-            except ValueError:
-                raise DatasetError(
-                    f"line {lineno}, column {name}: not a number: {raw!r}"
-                ) from None
+            numbers.append(_csv_field(raw, float, lineno, name, DatasetError))
             if not math.isfinite(numbers[-1]):
                 raise DatasetError(f"line {lineno}, column {name}: not finite: {raw!r}")
         t = numbers[0]

@@ -8,18 +8,19 @@ dataset rows:
 
 Both rate laws are ordered sums of Orbach and T^5 terms, laid out once by
 :attr:`ModelSpec.terms`; mode energies and coefficients are global across
-samples, the constant floors are per sample and added last.  Columns and
-slopes come from ``models._term_column``, sums from the helper of ``rates``,
-so fit and evaluation agree bit for bit.  Given the mode energies, both laws
-are linear in coefficients and floors, which :func:`_project` solves
-exactly, both channels of every grid cell in one batched non-negative least
-squares (:func:`_nnls`) in which each problem stops at the support that
-meets the optimality conditions; a fit searches the 1 to 3 log energies
-alone (variable projection), from the best minima of a grid profile, the
-only start path.  The polish adds NL2SOL's structured secant estimate of the
-residual curvature to Gauss-Newton where it predicts better (Dennis, Gay &
-Welsch, ACM TOMS 7 (1981) 348), so it converges superlinearly on
-large-residual fits.  Each parameter's bounds are fixed by its kind;
+samples, the constant floors are per sample and added last.  Given the mode
+energies, both laws are linear in coefficients and floors, on one basis
+(Orbach columns, T^5, floor indicators) that :func:`_model` evaluates, its
+columns and slopes from ``models._term_column`` and its sums from the helper
+of ``rates``, so fit and evaluation agree bit for bit.  :func:`_project`
+solves that basis exactly, both channels of every grid cell in one batched
+non-negative least squares (:func:`_nnls`) in which each problem stops at
+the support that meets the optimality conditions; a fit searches the 1 to 3
+log energies alone (variable projection), from the best minima of a grid
+profile, the only start path.  The polish adds NL2SOL's structured secant
+estimate of the residual curvature to Gauss-Newton where it predicts better
+(Dennis, Gay & Welsch, ACM TOMS 7 (1981) 348), so it converges superlinearly
+on large-residual fits.  Each parameter's bounds are fixed by its kind;
 uncertainties come from the log-space Jacobian by the delta method.  Nothing
 is random.
 """
@@ -96,7 +97,10 @@ class FitProblem:
 class _Assembled:
     """Every layout fact of one fit, decided once by :func:`_assemble`.  Data
     and errors are C-contiguous (matmul rounds by memory order); residuals,
-    labels and Jacobian rows interleave the channels (omega, gamma) per row."""
+    labels and Jacobian rows interleave the channels (omega, gamma) per row.
+    The one basis layout of :func:`_project` and :func:`_model`: each
+    channel's ``channel_cols`` (Orbach, T^5, floors) multiply the Orbach
+    columns at the mode energies, then ``fixed_rows``."""
 
     names: tuple[str, ...]
     temps: np.ndarray           # per row
@@ -104,19 +108,12 @@ class _Assembled:
     data: np.ndarray            # (channel, row)
     err: np.ndarray             # (channel, row)
     labels: tuple[tuple[str, str, float, str], ...]  # (nv_id, sample, T, channel)
-    terms: tuple[_Term, ...]    # fields are parameter columns
     modes: np.ndarray           # (Orbach term, (delta, a, b) column), term order
     linear: np.ndarray          # every column but the mode energies, ascending
     lo: np.ndarray              # each column's bounds, by parameter kind
     hi: np.ndarray
-    floor_cols: np.ndarray | None   # (channel, row): that row's floor column
-    floor_jac: np.ndarray | None    # (channel, row): that entry's flat index in _model's jac
-    # what _project needs per channel, built once: the coefficient and
-    # floor columns in basis order (Orbach, T^5, floors), and the basis rows
-    # that do not depend on the mode energies (the T^5 column, then each
-    # sample's floor indicator) over the errors
-    channel_cols: np.ndarray      # (channel, basis column)
-    fixed_basis: np.ndarray       # (channel, T^5 and floor column, row)
+    channel_cols: np.ndarray    # (channel, basis column)
+    fixed_rows: np.ndarray      # (T^5, then each sample's floor indicator; row)
 
 
 def _assemble(problem: FitProblem) -> _Assembled:
@@ -146,12 +143,6 @@ def _assemble(problem: FitProblem) -> _Assembled:
     )
     orbach = [t for t in terms if t.delta is not None]
     fixed = [t for t in terms if t.delta is None]
-    floors = [[col[f"{c}3_{s}"] for s in samples] for c in "ab"]    # (channel, sample)
-    floor_cols = floor_jac = None
-    if samples:
-        floor_cols = np.array([[col[f"{c}3_{r.sample}"] for r in rows] for c in "ab"])
-        floor_jac = (2 * np.arange(len(rows)) + np.arange(2)[:, None]) * len(names) + floor_cols
-
     modes = np.array(orbach)
     # bounds by parameter kind: floors, coefficients (T^5's are tiny in
     # s^-1 K^-5), mode energies
@@ -160,7 +151,7 @@ def _assemble(problem: FitProblem) -> _Assembled:
         lo[[t.a, t.b]], hi[[t.a, t.b]] = (1e-18, 1e-3) if t.delta is None else (1e-6, 1e9)
     lo[modes[:, 0]], hi[modes[:, 0]] = 5.0, 400.0
     fixed_rows = [_term_column(None, temps) for _ in fixed]
-    fixed_rows += [floor_cols[0] == a3 for a3 in floors[0]]
+    fixed_rows += [[r.sample == s for r in rows] for s in samples]
     return _Assembled(
         names=tuple(names),
         temps=temps,
@@ -168,45 +159,37 @@ def _assemble(problem: FitProblem) -> _Assembled:
         data=data,
         err=err,
         labels=labels,
-        terms=terms,
         modes=modes,
         linear=np.array([j for j in range(len(names)) if j not in modes[:, 0]]),
         lo=lo,
         hi=hi,
-        floor_cols=floor_cols,
-        floor_jac=floor_jac,
-        channel_cols=np.array([[getattr(t, field) for t in orbach + fixed] + floors[k]
-                               for k, field in enumerate("ab")]),
-        fixed_basis=np.reshape(fixed_rows, (1, -1, len(rows))) / err[:, None, :],
+        channel_cols=np.array([[getattr(t, c) for t in orbach + fixed]
+                               + [col[f"{c}3_{s}"] for s in samples] for c in "ab"]),
+        fixed_rows=np.array(fixed_rows, dtype=float).reshape(-1, len(rows)),
     )
 
 
 def _model(asm: _Assembled, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized residuals at ``p``, summed by the helper ``rates`` uses
-    (floors last) so they match its rates bit for bit, and their Jacobian
-    d r / d log p, each column and delta-slope from :func:`_term_column`.
+    """Normalized residuals at ``p`` and their Jacobian d r / d log p on the
+    basis :func:`_project` solves, summed by the helper ``rates`` uses (floors
+    last, as indicator columns) so they match its rates bit for bit.
     """
-    jac = np.zeros((len(asm.temps), 2, len(p)))     # (row, channel, parameter)
-    triples = []
+    deltas = p[asm.modes[:, 0]]
+    coef = p[asm.channel_cols.T]                    # (basis column, channel)
+    jac = np.zeros((len(p), 2, len(asm.temps)))     # (parameter, channel, row)
     # an overflow (inf, or 0 * inf) is caught below and named by its temperature
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in asm.terms:
-            column, slope = _term_column(None if t.delta is None else p[t.delta],
-                                         asm.temps, asm.kT, slope=True)
-            for k, c in enumerate((t.a, t.b)):
-                if slope is not None:
-                    jac[:, k, t.delta] = p[c] * slope * p[t.delta] / asm.err[k]
-                jac[:, k, c] = column * p[c] / asm.err[k]
-            triples.append((column, p[t.a], p[t.b]))
-    finite = np.isfinite(jac).all(axis=(1, 2))
+        columns, slopes = _term_column(deltas[:, None], asm.temps, asm.kT, slope=True)
+        basis = np.concatenate((columns, asm.fixed_rows))
+        jac[asm.channel_cols.T, [0, 1]] = basis[:, None] * coef[..., None] / asm.err
+        jac[asm.modes[:, 0]] = (coef[:len(deltas), :, None] * slopes[:, None]
+                                * deltas[:, None, None] / asm.err)
+    finite = np.isfinite(jac).all(axis=(0, 1))
     if not finite.all():
         raise ValueError(f"the fit's Jacobian is not finite at temperature "
                          f"{float(asm.temps[np.flatnonzero(~finite)[0]])!r} K")
-    model = np.array(_sum_terms(triples))
-    if asm.floor_cols is not None:
-        model += p[asm.floor_cols]
-        jac.reshape(-1)[asm.floor_jac] = p[asm.floor_cols] / asm.err
-    return ((model - asm.data) / asm.err).T.ravel(), jac.reshape(-1, len(p))
+    model = np.array(_sum_terms(zip(basis, *coef.T)))
+    return ((model - asm.data) / asm.err).T.ravel(), jac.T.reshape(-1, len(p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,7 +288,7 @@ def _project(asm: _Assembled, log_deltas: np.ndarray,
     modes = columns.shape[-2]
     basis = np.empty((*deltas.shape[:-1], *asm.channel_cols.shape, len(asm.temps)))
     np.divide(columns[..., None, :, :], asm.err[:, None, :], out=basis[..., :modes, :])
-    basis[..., modes:, :] = asm.fixed_basis
+    basis[..., modes:, :] = asm.fixed_rows / asm.err[:, None, :]
     norm = np.sqrt(np.einsum("...ij,...ij->...i", basis, basis))
     norm[norm == 0.0] = 1.0
     basis /= norm[..., None]

@@ -109,7 +109,8 @@ def orbach_factor_ddelta(delta: float, temperature):
 
 
 def _sum_terms(triples):
-    """(omega, gamma) summed over (column, a, b) triples in term order, from zero."""
+    """(omega, gamma) summed over (column, a, b) triples in term order, from
+    zero; floors after the sum, or as last triples of 0/1 columns, add alike."""
     omega = gamma = 0.0
     for column, a, b in triples:
         omega = omega + a * column
@@ -140,6 +141,8 @@ class ModelSpec:
         _require_integer({"n_modes": self.n_modes})
         if self.kind == "n_mode" and not 1 <= self.n_modes <= 3:
             raise ValueError(f"1 to 3 modes supported, got {self.n_modes}")
+        if self.kind == "prior" and self.n_modes != 2:
+            raise ValueError(f"the prior law takes the default n_modes, 2, got {self.n_modes}")
 
     @classmethod
     def parse(cls, token: str) -> "ModelSpec":

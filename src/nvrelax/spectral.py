@@ -39,6 +39,7 @@ from .core import (
     Dataset,
     RateMeasurement,
     TransitionChannel,
+    _csv_field,
     _csv_rows,
     _csv_text,
     _require,
@@ -154,9 +155,12 @@ def parse_coupling_text(text: str) -> CouplingTable:
     entries = []
     rows = _csv_rows(text, COUPLING_CSV_HEADER, "coupling table", ValueError)
     for lineno, (energy, amplitude, channel, order) in rows:
+        energy = _csv_field(energy, float, lineno, "energy_mev", ValueError)
+        amplitude = _csv_field(amplitude, float, lineno, "amplitude_mhz", ValueError)
+        order = _csv_field(order, int, lineno, "order", ValueError)
         try:
-            entries.append(CouplingEntry(float(energy), float(amplitude),
-                                         TransitionChannel.parse(channel), int(order)))
+            entries.append(CouplingEntry(energy, amplitude, TransitionChannel.parse(channel),
+                                         order))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return CouplingTable(entries=tuple(entries))

@@ -203,7 +203,7 @@ class TestDatasetIO:
 
     def test_malformed_number_names_line_and_column(self):
         text = CSV_HEADER + "\nNVA,A,295.0,sixty,3.0,128.0,7.0\n"
-        with pytest.raises(DatasetError, match="line 2, column omega_s"):
+        with pytest.raises(DatasetError, match="^line 2, column omega_s: not a number: 'sixty'$"):
             parse_dataset_text(text)
 
     def test_wrong_field_count_names_line(self):

@@ -1,4 +1,5 @@
 """Tests for the weighted nonlinear least-squares machinery."""
+import dataclasses
 import itertools
 import math
 import warnings
@@ -92,6 +93,11 @@ class TestModelSpec:
             ModelSpec("n_mode", 0)
         with pytest.raises(ValueError):
             ModelSpec("n_mode", 4)
+
+    def test_prior_has_one_spelling(self):
+        assert ModelSpec("prior", 2) == ModelSpec.parse("prior")
+        with pytest.raises(ValueError, match="n_modes"):
+            ModelSpec("prior", 7)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown model kind"):
@@ -264,7 +270,7 @@ def _start_points(dataset, token, constants="per_sample", count=2):
     return asm, points
 
 
-def _reference_jacobian(asm, dataset, u):
+def _reference_jacobian(asm, model, dataset, u):
     """The log-space Jacobian with its columns written out here rather than
     taken from the kernel ``_model`` shares with ``models``: physical-space
     columns from n = 1/expm1(delta / k_B T), 0 past x = 700, then ``* p``,
@@ -272,20 +278,22 @@ def _reference_jacobian(asm, dataset, u):
     p = np.exp(u)
     jac = np.zeros((asm.data.size, len(p)))
     kT = BOLTZMANN_MEV_PER_K * asm.temps
-    for t in asm.terms:
+    col = {name: j for j, name in enumerate(asm.names)}
+    for t in model.terms:
+        a, b = col[t.a], col[t.b]
         if t.delta is None:
             column = asm.temps**5
         else:
-            x = p[t.delta] / kT
+            d = col[t.delta]
+            x = p[d] / kT
             n = np.zeros_like(x)
             n[x <= 700.0] = 1.0 / np.expm1(x[x <= 700.0])
             column = n * (n + 1.0)
             df = -(2.0 * n + 1.0) * n * (n + 1.0) / kT
-            jac[0::2, t.delta] = p[t.a] * df
-            jac[1::2, t.delta] = p[t.b] * df
-        jac[0::2, t.a] = column
-        jac[1::2, t.b] = column
-    col = {name: j for j, name in enumerate(asm.names)}
+            jac[0::2, d] = p[a] * df
+            jac[1::2, d] = p[b] * df
+        jac[0::2, a] = column
+        jac[1::2, b] = column
     for i, row in enumerate(dataset):
         if f"a3_{row.sample}" in col:
             jac[2 * i, col[f"a3_{row.sample}"]] = 1.0
@@ -293,29 +301,54 @@ def _reference_jacobian(asm, dataset, u):
     return (jac * p[None, :]) / asm.err.T.reshape(-1, 1)
 
 
+def _interleaved(dataset):
+    """``dataset`` with its rows relabelled so that three samples interleave,
+    A, C, B, A, ...: the floor indicators are not in sorted sample order."""
+    rows = tuple(dataclasses.replace(r, sample="ACB"[i % 3]) for i, r in enumerate(dataset))
+    return Dataset(rows=rows, provenance=dataset.provenance + "-interleaved")
+
+
 class TestJacobianBitIdentity:
     @pytest.mark.parametrize("constants", ["per_sample", "none"])
     @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "n-mode:3", "prior"])
     def test_matches_reference_formula_bit_for_bit(self, builtin_dataset, token, constants):
-        asm, points = _start_points(builtin_dataset, token, constants, count=4)
+        self._check(builtin_dataset, token, constants)
+
+    @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "n-mode:3", "prior"])
+    def test_matches_reference_formula_with_interleaved_samples(self, builtin_dataset, token):
+        self._check(_interleaved(builtin_dataset), token, "per_sample")
+
+    @staticmethod
+    def _check(dataset, token, constants):
+        asm, points = _start_points(dataset, token, constants, count=4)
         # every mode at 600 meV: the occupancy underflows to 0 on the cold rows
         frozen = points[0].copy()
         frozen[asm.modes[:, 0]] = np.log(600.0)
         for u in [*points, frozen]:
             got = _model(asm, np.exp(u))[1]
-            assert got.tobytes() == _reference_jacobian(asm, builtin_dataset, u).tobytes()
+            expected = _reference_jacobian(asm, ModelSpec.parse(token), dataset, u)
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestFitEvalAgreement:
     @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "n-mode:3", "prior"])
     def test_rates_reproduce_fit_residuals_exactly(self, builtin_dataset, token):
+        self._check(builtin_dataset, token)
+
+    @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "n-mode:3", "prior"])
+    def test_rates_reproduce_fit_residuals_with_interleaved_samples(self, builtin_dataset,
+                                                                     token):
+        self._check(_interleaved(builtin_dataset), token)
+
+    @staticmethod
+    def _check(dataset, token):
         # fit and evaluation share one summation path, so evaluating the fitted
         # parameters row by row rebuilds the fit's residuals bit for bit
-        result = fit(FitProblem(dataset=builtin_dataset, model=ModelSpec.parse(token),
+        result = fit(FitProblem(dataset=dataset, model=ModelSpec.parse(token),
                                 constants="per_sample"))
         params = result.to_model_params()
         rebuilt = []
-        for row in builtin_dataset:
+        for row in dataset:
             omega, gamma = params.rates(row.sample, row.temperature)
             rebuilt += [(omega - row.omega) / row.omega_err,
                         (gamma - row.gamma) / row.gamma_err]

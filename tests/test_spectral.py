@@ -71,6 +71,22 @@ class TestCouplingEntries:
         with pytest.raises(ValueError, match="line 3: amplitude must be finite"):
             parse_coupling_text(text)
 
+    @pytest.mark.parametrize("column, row", [
+        ("energy_mev", "abc,2.0,double_quantum,2"),
+        ("amplitude_mhz", "62.4,abc,double_quantum,2"),
+    ])
+    def test_parse_names_the_column_of_an_unreadable_number(self, column, row):
+        text = COUPLING_CSV_HEADER + "\n62.4,2.0,double_quantum,2\n" + row + "\n"
+        with pytest.raises(ValueError, match=f"^line 3, column {column}: not a number: 'abc'$"):
+            parse_coupling_text(text)
+
+    @pytest.mark.parametrize("raw", ["2.0", "two", ""])
+    def test_parse_names_the_order_column_of_a_non_integer(self, raw):
+        text = COUPLING_CSV_HEADER + f"\n62.4,2.0,double_quantum,{raw}\n"
+        message = re.escape(f"line 2, column order: not an integer: {raw!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_coupling_text(text)
+
     def test_order_enumerated(self):
         with pytest.raises(ValueError, match="order"):
             CouplingEntry(50.0, 1.0, SQ, 3)
