@@ -48,7 +48,6 @@ from .spectral import (
     COUPLING_CSV_HEADER,
     anchor_coupling_table,
     build_spectral_function,
-    default_grid,
     parse_coupling_text,
     rate_curve,
     refit_theory_curve,
@@ -202,14 +201,12 @@ def _cmd_spectral(args) -> int:
         table, coupling_text = _read_input(args.coupling, "coupling", _second_order_table)
     checksum = _sha256(coupling_text)
 
-    # one default grid for both channels; each function keeps a copy of it
-    grid = default_grid(args.sigma)
+    # each channel on its own default grid: the CSV writer formats the
+    # grid's text once for both, since the two grids have the same bits
     f_sq = build_spectral_function(
-        table, TransitionChannel.SINGLE_QUANTUM, order=2, sigma=args.sigma,
-        grid=grid)
+        table, TransitionChannel.SINGLE_QUANTUM, order=2, sigma=args.sigma)
     f_dq = build_spectral_function(
-        table, TransitionChannel.DOUBLE_QUANTUM, order=2, sigma=args.sigma,
-        grid=grid)
+        table, TransitionChannel.DOUBLE_QUANTUM, order=2, sigma=args.sigma)
     temps = _temperature_grid(args, geometric=True)
     curve = rate_curve(f_sq, f_dq, temps)
     # a failed refit must leave no files behind, so it runs before any write

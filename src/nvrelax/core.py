@@ -72,6 +72,7 @@ def convert_energy(value: float, from_unit: str, to_unit: str) -> float:
     e.g. ``convert_energy(2.87, "GHz", "meV")`` gives the zero-field
     splitting in meV.  Round trips are exact to 1e-12 relative.
     """
+    _require({"value": value})
     src = _canonical_unit(from_unit)
     dst = _canonical_unit(to_unit)
     in_mev = {

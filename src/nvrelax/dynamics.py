@@ -237,8 +237,12 @@ def simulate_experiment(rates: RateMatrix, spec: ProtocolSpec,
     Bit-reproducible for a fixed seed: one generator drives both branches
     in a fixed order, init |0> read as (0, -1), then init |+1> read as
     (+1, -1).  The generator treats +1 and -1 alike, so the mirror
-    pairings measure the same two decays.
+    pairings measure the same two decays.  ``seed`` is a nonnegative
+    integer.
     """
+    _require_integer({"seed": seed})
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     omega_taus = _branch_grid(spec, 3.0 * rates.omega, "3 Omega")
     gamma_taus = _branch_grid(spec, rates.omega + 2.0 * rates.gamma, "Omega + 2 gamma")

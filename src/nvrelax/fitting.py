@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BOLTZMANN_MEV_PER_K, Dataset, _require
+from .core import Dataset, _require
 from .models import ModelSpec, RateLaw, _Term, _sum_terms, _term_column
 
 __all__ = [
@@ -104,7 +104,6 @@ class _Assembled:
 
     names: tuple[str, ...]
     temps: np.ndarray           # per row
-    kT: np.ndarray              # k_B T per row, meV
     data: np.ndarray            # (channel, row)
     err: np.ndarray             # (channel, row)
     labels: tuple[tuple[str, str, float, str], ...]  # (nv_id, sample, T, channel)
@@ -155,7 +154,6 @@ def _assemble(problem: FitProblem) -> _Assembled:
     return _Assembled(
         names=tuple(names),
         temps=temps,
-        kT=BOLTZMANN_MEV_PER_K * temps,
         data=data,
         err=err,
         labels=labels,
@@ -179,7 +177,7 @@ def _model(asm: _Assembled, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     jac = np.zeros((len(p), 2, len(asm.temps)))     # (parameter, channel, row)
     # an overflow (inf, or 0 * inf) is caught below and named by its temperature
     with np.errstate(over="ignore", invalid="ignore"):
-        columns, slopes = _term_column(deltas[:, None], asm.temps, asm.kT, slope=True)
+        columns, slopes = _term_column(deltas[:, None], asm.temps, slope=True)
         basis = np.concatenate((columns, asm.fixed_rows))
         jac[asm.channel_cols.T, [0, 1]] = basis[:, None] * coef[..., None] / asm.err
         jac[asm.modes[:, 0]] = (coef[:len(deltas), :, None] * slopes[:, None]
@@ -284,7 +282,7 @@ def _project(asm: _Assembled, log_deltas: np.ndarray,
     entry in ``held`` (a parameter vector) is not NaN keeps that value; the
     channels may hold different columns."""
     deltas = np.exp(log_deltas)
-    columns = _term_column(deltas[..., None], asm.temps, asm.kT)     # (..., mode, row)
+    columns = _term_column(deltas[..., None], asm.temps)     # (..., mode, row)
     modes = columns.shape[-2]
     basis = np.empty((*deltas.shape[:-1], *asm.channel_cols.shape, len(asm.temps)))
     np.divide(columns[..., None, :, :], asm.err[:, None, :], out=basis[..., :modes, :])

@@ -43,15 +43,15 @@ def _bose_einstein(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _term_column(delta, temperature, kT=None, slope: bool = False):
+def _term_column(delta, temperature, slope: bool = False):
     """Basis column of a rate-law term over ``temperature`` (K): n(n+1) at mode
     energy ``delta`` (meV), or T^5 if ``delta`` is None; with ``slope`` also
     d/d delta, -(2n+1) n(n+1) / k_B T (None for T^5; -0.0, not 0/0, where k_B T
-    rounds to 0, as 5e-324 stands in for it).  ``kT`` is k_B T if the caller
-    keeps it.  Callers check their own arguments and catch overflow."""
+    rounds to 0, as 5e-324 stands in for it).  Callers check their own
+    arguments and catch overflow."""
     if delta is None:
         return (temperature**5, None) if slope else temperature**5
-    kT = BOLTZMANN_MEV_PER_K * temperature if kT is None else kT
+    kT = BOLTZMANN_MEV_PER_K * temperature
     n = _bose_einstein(delta / kT)
     column = n * (n + 1.0)
     return (column, -(2.0 * n + 1.0) * n * (n + 1.0) / np.maximum(kT, 5e-324)) if slope else column

@@ -5,8 +5,10 @@ spectral functions with normalized Gaussians, then relaxation rates follow
 by quadrature:
 
     second order:  Gamma = (4 pi / hbar) * integral de n(n+1) F(e, e)
-    first order:   Gamma = (4 pi / hbar) * sum_i integral de n(n+1)
-                            F1_in(e) F1_out(e) / e^2
+    first order:   Gamma = (4 pi / hbar) * sum_i integral de n(n+1) F1_i(e)^2 / e^2
+
+Both are one integral of n(n+1) w(e), over the samples where the function's
+w(e) is nonzero (``SpectralFunction._support``).
 
 Two broadening conventions mirror how the two orders use the couplings:
 ``amplitude`` smooths |V| (the square-root convention; the second-order
@@ -239,9 +241,10 @@ class SpectralFunction:
 
     ``grid``, ``amplitude`` and ``power`` are read-only copies of the arrays
     passed in: a caller's array is neither kept nor frozen, and no write to
-    it reaches the function.  Two caches rely on that: ``_diagonal_support``,
-    built once per function, and the CSV writer's grid text, shared by every
-    function whose grid has the same bits.
+    it reaches the function.  Two caches rely on that: ``_support``, the
+    rate integrand's samples and weights, built once per function of either
+    order, and the CSV writer's grid text, shared by every function whose
+    grid has the same bits.
     """
 
     grid: np.ndarray            # meV, ascending, uniform
@@ -289,11 +292,22 @@ class SpectralFunction:
         return (PLANCK_MEV_PER_MHZ * self.amplitude) ** 2
 
     @cached_property
-    def _diagonal_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Energies, F(e, e) and the full- and halved-grid Simpson weights on
-        the samples where F != 0, built once; the other samples would add
-        exactly 0 to every quadrature sum, so no weight is computed for them."""
-        values = self.diagonal_values()
+    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Energies, the rate integrand's w(e) and the full- and halved-grid
+        Simpson weights on the samples where w != 0, built once: w = F(e, e)
+        at order 2, w = F1(e)^2 / e^2 on e > 0 at order 1, with F1 = h^2 power
+        in meV.  The other samples would add exactly 0 to every quadrature
+        sum, so no weight is computed for them."""
+        if self.order == 2:
+            values = self.diagonal_values()
+        elif self.power is None:
+            raise ValueError("first-order rate needs the squared-coefficient convention; "
+                             "build the function from a coupling table")
+        else:
+            positive = self.grid > 0
+            f1 = PLANCK_MEV_PER_MHZ**2 * self.power[positive]
+            values = np.zeros_like(self.grid)
+            values[positive] = f1 * f1 / self.grid[positive] ** 2
         keep = np.flatnonzero(values)
         return (self.grid[keep], values[keep], *_quadrature_weights(self.grid, keep))
 
@@ -389,18 +403,6 @@ def two_peak_reference_functions(sigma: float) -> tuple[SpectralFunction, Spectr
     return f_sq, f_dq
 
 
-def _occupancy_weight(grid: np.ndarray, temperature: float) -> np.ndarray:
-    """n(n+1) over the energy grid; the zero-energy sample contributes 0."""
-    weight = np.zeros_like(grid)
-    positive = grid > 0
-    # e / k_B T is inf at a subnormal T (k_B T may round to 0): n = 0
-    with np.errstate(over="ignore", divide="ignore"):
-        weight[positive] = _term_column(grid[positive], temperature)
-    if not np.isfinite(weight).all():
-        raise ValueError(f"n(n+1) is not finite at temperature {float(temperature)!r} K")
-    return weight
-
-
 def simpson(y: np.ndarray, *, dx: float) -> np.ndarray:
     """Simpson's rule along the last axis of samples ``dx`` apart, in scipy's
     (>= 1.11) arithmetic, Cartwright's last interval included for an even
@@ -448,14 +450,21 @@ def _quadrature_weights(grid: np.ndarray, indices: np.ndarray) -> tuple[np.ndarr
     return _simpson_weights(n, float(grid[1] - grid[0]), indices), half * (indices % 2 == 0)
 
 
-def _integrate_checked(integrand: np.ndarray, energies: np.ndarray,
-                       full_weights: np.ndarray, half_weights: np.ndarray,
-                       spacing: float) -> tuple[float, float]:
-    """Simpson quadrature with a halved-grid Richardson error check.
+def _integrate_checked(f: SpectralFunction, temperature: float) -> tuple[float, float]:
+    """Simpson quadrature of n(n+1) w(e) over ``f._support``, with a
+    halved-grid Richardson error check; n(n+1) is 0 at e <= 0.
 
-    ``energies`` are the samples' grid energies.  Returns the integral and
-    the relative error estimate reached.
+    Returns the integral and the relative error estimate reached.
     """
+    energies, values, full_weights, half_weights = f._support
+    weight = np.zeros_like(energies)
+    positive = energies > 0
+    # e / k_B T is inf at a subnormal T (k_B T may round to 0): n = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        weight[positive] = _term_column(energies[positive], temperature)
+    if not np.isfinite(weight).all():
+        raise ValueError(f"n(n+1) is not finite at temperature {float(temperature)!r} K")
+    integrand = weight * values
     full = float(full_weights @ integrand)
     half = float(half_weights @ integrand)
     if full == 0.0 and half == 0.0:
@@ -464,8 +473,9 @@ def _integrate_checked(integrand: np.ndarray, energies: np.ndarray,
     # result overestimates the fine-grid error by 15x
     error = abs(full - half) / 15.0
     if error > QUADRATURE_REL_TOL * abs(full):
-        # n(n+1) grows as 1/e^2: where F does not vanish at e = 0, the sample
+        # n(n+1) grows as 1/e^2: where w does not vanish at e = 0, the sample
         # nearest zero alone outweighs the tolerance and grows as h shrinks
+        spacing = f.spacing
         nearest_zero = integrand[(energies > 0.0) & (energies <= spacing)]
         refinable = not np.any(nearest_zero * spacing > QUADRATURE_REL_TOL * abs(full))
         advice = (f"refine the energy grid to spacing <= {spacing / 2.0:g} meV" if refinable
@@ -494,62 +504,34 @@ class QuadratureRate(float):
 def second_order_rate(f: SpectralFunction, temperature: float) -> QuadratureRate:
     """Second-order Raman rate (4 pi / hbar) * integral de n(n+1) F(e, e).
 
-    Only the samples where F != 0 are integrated, so the occupancy is
-    evaluated there alone.  The result is a float that also carries the
-    Richardson relative error estimate reached, as ``rel_error``.
+    Only the samples where F != 0 are integrated (``_integrate_checked``).
+    The result is a float that also carries the Richardson relative error
+    estimate reached, as ``rel_error``.
     """
     if f.order != 2:
         raise ValueError(f"second-order rate needs an order-2 function, got order {f.order}")
     _require({"temperature": temperature}, "positive")
-    energies, values, full_weights, half_weights = f._diagonal_support
-    integrand = _occupancy_weight(energies, temperature) * values
-    integral, rel_error = _integrate_checked(integrand, energies, full_weights,
-                                             half_weights, f.spacing)
+    integral, rel_error = _integrate_checked(f, temperature)
     return QuadratureRate(4.0 * math.pi / HBAR_MEV_S * integral, rel_error)
 
 
-def first_order_raman_rate(
-    f_by_intermediate: Mapping[object, SpectralFunction | tuple[SpectralFunction, SpectralFunction]],
-    temperature: float,
-) -> float:
-    """First-order Raman rate summed over intermediate spin states.
+def first_order_raman_rate(f_by_intermediate: Mapping[object, SpectralFunction],
+                           temperature: float) -> float:
+    """First-order Raman rate (4 pi / hbar) * sum_i integral de n(n+1) F1_i(e)^2 / e^2
+    over intermediate spin states i.
 
     Each map value is the order-1 spectral function shared by both matrix
-    elements of that intermediate state, or an (incoming, outgoing) pair.
-    All functions must share one grid.
+    elements of that intermediate state; each state is integrated on its
+    own function's grid, so the states' grids may differ.
     """
     _require({"temperature": temperature}, "positive")
     if not f_by_intermediate:
         raise ValueError("at least one intermediate state is required")
-    pairs = []
-    for key, value in f_by_intermediate.items():
-        f_in, f_out = value if isinstance(value, tuple) else (value, value)
-        for f in (f_in, f_out):
-            if f.order != 1:
-                raise ValueError(
-                    f"first-order rate needs order-1 functions; intermediate "
-                    f"{key!r} has order {f.order}"
-                )
-            if f.power is None:
-                raise ValueError(
-                    "first-order rate needs the squared-coefficient convention; "
-                    "build the function from a coupling table"
-                )
-        pairs.append((f_in, f_out))
-    grid = pairs[0][0].grid
-    if not all(np.array_equal(f.grid, grid) for pair in pairs for f in pair):
-        raise ValueError("all spectral functions must share one energy grid")
-
-    total = 0.0
-    for f_in, f_out in pairs:
-        # as in second_order_rate, only where the integrand can be nonzero
-        keep = np.flatnonzero((grid > 0) & (f_in.power != 0) & (f_out.power != 0))
-        energies = grid[keep]
-        # F1 in energy units (meV): (h MHz)^2-scaled power density
-        f1_in, f1_out = (PLANCK_MEV_PER_MHZ**2 * f.power[keep] for f in (f_in, f_out))
-        integrand = _occupancy_weight(energies, temperature) * f1_in * f1_out / energies**2
-        total += _integrate_checked(integrand, energies, *_quadrature_weights(grid, keep),
-                                    pairs[0][0].spacing)[0]
+    for key, f in f_by_intermediate.items():
+        if f.order != 1:
+            raise ValueError(f"first-order rate needs order-1 functions; intermediate "
+                             f"{key!r} has order {f.order}")
+    total = sum(_integrate_checked(f, temperature)[0] for f in f_by_intermediate.values())
     return 4.0 * math.pi / HBAR_MEV_S * total
 
 
@@ -587,7 +569,9 @@ class RamanRateCurve:
             if errors and len(errors) != len(self.temperatures):
                 raise ValueError("error estimates must match the temperatures in length")
         _require({"temperatures": self.temperatures}, "positive")
-        _require({"omega": self.omega, "gamma": self.gamma}, "nonnegative")
+        _require({"omega": self.omega, "gamma": self.gamma,
+                  "omega_rel_error": self.omega_rel_error,
+                  "gamma_rel_error": self.gamma_rel_error}, "nonnegative")
 
     def __len__(self) -> int:
         return len(self.temperatures)

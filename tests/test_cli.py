@@ -571,6 +571,13 @@ class TestSimulateCommand:
         assert "expected decay rate 3 Omega is zero" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    def test_negative_seed_is_named_input_error(self, tmp_path, capsys):
+        assert run("simulate", "--omega", "60", "--gamma", "128", "--noise-free",
+                   "--seed", "-1", "-o", str(tmp_path / "neg")) == 1
+        err = capsys.readouterr().err
+        assert "seed must be a nonnegative integer, got -1" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_negative_truth_rate_is_input_error(self, tmp_path, capsys):
         assert run("simulate", "--omega", "-5", "--gamma", "128",
                    "--shots", "100", "-o", str(tmp_path / "neg")) == 1

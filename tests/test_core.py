@@ -338,8 +338,16 @@ BOUNDARIES = {
                                     lambda x: RamanRateCurve((x,), (1.0,), (1.0,), "")),
     "RamanRateCurve rates": ("omega[0]", "nonnegative",
                              lambda x: RamanRateCurve((300.0,), (x,), (1.0,), "")),
+    "RamanRateCurve omega errors": ("omega_rel_error[0]", "nonnegative",
+                                    lambda x: RamanRateCurve((300.0,), (1.0,), (1.0,), "",
+                                                             omega_rel_error=(x,))),
+    "RamanRateCurve gamma errors": ("gamma_rel_error[0]", "nonnegative",
+                                    lambda x: RamanRateCurve((300.0,), (1.0,), (1.0,), "",
+                                                             omega_rel_error=(0.0,),
+                                                             gamma_rel_error=(x,))),
     "order_dominance_ratio": ("zero-field splitting d_ghz", "nonnegative",
                               lambda x: order_dominance_ratio(x, 60.0)),
+    "convert_energy": ("value", "finite", lambda x: convert_energy(x, "GHz", "meV")),
     "evolve": ("evolution time tau", "nonnegative",
                lambda x: evolve(RateMatrix(60.0, 128.0), "0", x)),
     "FitProblem t_min": ("t_min", "positive",
@@ -357,11 +365,15 @@ class TestBoundaryCheck:
     @pytest.mark.parametrize("entry", sorted(BOUNDARIES))
     def test_rejects_naming_the_field(self, entry, bad):
         field, domain, call = BOUNDARIES[entry]
-        if bad == "out of domain":
-            value, reason = (0.0 if domain == "positive" else -1.0), domain
+        if bad == "out of domain" and domain == "finite":
+            # no finite number lies outside "finite": probe a boolean instead
+            value, message = True, "a number, not a boolean$"
+        elif bad == "out of domain":
+            value = 0.0 if domain == "positive" else -1.0
+            message = f"{domain}, got "
         else:
-            value, reason = float(bad), "finite"
-        with pytest.raises(ValueError, match=f"^{re.escape(field)} must be {reason}, got "):
+            value, message = float(bad), "finite, got "
+        with pytest.raises(ValueError, match=f"^{re.escape(field)} must be {message}"):
             call(value)
 
 

@@ -1,6 +1,7 @@
 """Tests for three-level dynamics, protocol simulation, and rate extraction."""
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,23 @@ class TestSimulateExperiment:
         a = simulate_experiment(self.RM, spec, seed=1)
         b = simulate_experiment(self.RM, spec, seed=2)
         assert a.omega_branch.values != b.omega_branch.values
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be a nonnegative integer, got -1"),
+        (np.int64(-3), "seed must be a nonnegative integer, got -3"),
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (1.0, "seed must be an integer, got 1.0"),
+        (None, "seed must be an integer, got None"),
+    ])
+    def test_seed_must_be_a_nonnegative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_experiment(self.RM, ProtocolSpec(shots=100), seed=seed)
+
+    def test_numpy_integer_seed_is_the_python_one(self):
+        spec = ProtocolSpec(shots=1000)
+        assert simulate_experiment(self.RM, spec, seed=np.int64(5)) == \
+            simulate_experiment(self.RM, spec, seed=5)
 
     def test_noise_free_values_are_exact(self):
         sim = simulate_experiment(self.RM, ProtocolSpec(shots=None))

@@ -325,7 +325,7 @@ class TestSpectralFunctionInvariants:
             SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ, order=2, sigma=1.0)
 
     def test_view_of_a_writeable_array_is_copied(self):
-        # the grid text slot and _diagonal_support keep what they first saw,
+        # the grid text slot and _support keep what they first saw,
         # so a caller must not reach a function's arrays through another
         base = np.linspace(0.0, 0.4, 5).copy()
         amplitude, power = np.ones((2, 5))
@@ -472,12 +472,6 @@ class TestFirstOrderRate:
                 * f1_area / center**2)
         assert abs(got - want) / want < 1e-3
 
-    def test_pair_form_matches_shared_form(self):
-        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 1),))
-        f = build_spectral_function(table, SQ, 1, sigma=7.5)
-        assert first_order_raman_rate({"0": (f, f)}, 295.0) == \
-            first_order_raman_rate({"0": f}, 295.0)
-
     def test_intermediate_states_sum(self):
         table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 1),))
         f = build_spectral_function(table, SQ, 1, sigma=7.5)
@@ -485,13 +479,30 @@ class TestFirstOrderRate:
         two = first_order_raman_rate({"0": f, "+1": f}, 295.0)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
-    def test_grid_mismatch_rejected(self):
-        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 1),))
+    def test_states_on_different_grids_sum(self):
+        # each state is integrated on its own grid: no grid is shared
+        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 1),
+                                       CouplingEntry(160.7, 0.3, SQ, 1)))
         f_a = build_spectral_function(table, SQ, 1, sigma=7.5)
-        f_b = build_spectral_function(table, SQ, 1, sigma=7.5,
+        f_b = build_spectral_function(table, SQ, 1, sigma=3.0,
                                       grid=np.linspace(0.0, 250.0, 10001))
-        with pytest.raises(ValueError, match="share one energy grid"):
-            first_order_raman_rate({"0": f_a, "+1": f_b}, 295.0)
+        one, other = (first_order_raman_rate({key: f}, 295.0)
+                      for key, f in (("0", f_a), ("+1", f_b)))
+        assert one != other
+        assert first_order_raman_rate({"0": f_a, "+1": f_b}, 295.0) == \
+            pytest.approx(one + other, rel=1e-15, abs=0)
+
+    def test_weights_built_once_per_function(self, monkeypatch):
+        calls = []
+        weights = spectral._quadrature_weights
+        monkeypatch.setattr(spectral, "_quadrature_weights",
+                            lambda grid, keep: calls.append(len(keep)) or weights(grid, keep))
+        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 1),))
+        f = build_spectral_function(table, SQ, 1, sigma=7.5)
+        first = first_order_raman_rate({"0": f}, 295.0)
+        assert first_order_raman_rate({"0": f, "+1": f}, 295.0) == pytest.approx(
+            2.0 * first, rel=1e-15, abs=0)
+        assert len(calls) == 1 and 0 < calls[0] < len(f.grid)
 
     def test_order_checked(self):
         f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma=7.5)
