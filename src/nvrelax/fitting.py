@@ -457,7 +457,7 @@ class _Polish(NamedTuple):
     chi2: float
     nfev: int           # projections
     njev: int           # projected Jacobians
-    converged: bool     # False when the evaluation cap ended the solve
+    converged: bool     # False when the evaluation cap or a failed evaluation ended it
 
 
 def least_squares(asm: _Assembled, p0: np.ndarray) -> _Polish:
@@ -483,6 +483,11 @@ def least_squares(asm: _Assembled, p0: np.ndarray) -> _Polish:
     does not descend, as an indefinite S can make, raises lambda as a
     rejected one does.  The solve stops when the Gauss-Newton predicted or
     the actual fall of chi2 is within chi2's rounding error.
+
+    A chi2, gradient or K^T K that overflows is a failed evaluation: such a
+    trial is rejected, and at the current point the start ends unconverged
+    with chi2 = inf, so it never wins.  An update of S that overflows is
+    dropped for Gauss-Newton.
     """
     deltas, linear, lo, hi = asm.modes[:, 0], asm.linear, asm.lo, asm.hi
     u_lo, u_hi = np.log(lo[deltas]), np.log(hi[deltas])
@@ -498,7 +503,8 @@ def least_squares(asm: _Assembled, p0: np.ndarray) -> _Polish:
             p = _project(asm, u, held)[1]
         p = np.clip(p, lo, hi)
         r, jac = _model(asm, p)
-        return p, float(r @ r), u, r, jac
+        with np.errstate(over="ignore"):    # an overflowed chi2 is a failed evaluation
+            return p, float(r @ r), u, r, jac
 
     point = evaluate(np.clip(np.log(p0[deltas]), u_lo, u_hi))
     nfev, njev, damping = 1, 0, 1e-3
@@ -507,23 +513,29 @@ def least_squares(asm: _Assembled, p0: np.ndarray) -> _Polish:
         p, chi2, u, r, jac = point
         inside = jac[:, linear[(lo[linear] < p[linear]) & (p[linear] < hi[linear])]]
         kaufman = jac[:, deltas] - inside @ np.linalg.lstsq(inside, jac[:, deltas], rcond=None)[0]
-        gradient, njev = kaufman.T @ r, njev + 1
-        if last is not None:    # Dennis-Gay-Welsch update over the accepted step
-            s, y = last[0], gradient - last[1]
-            y_sharp = gradient - last[2].T @ r
-            if (ys := y @ s) > 0.0:
-                if (sss := s @ secant @ s) != 0.0:
-                    secant *= min(1.0, abs(s @ y_sharp) / abs(sss))
-                z = y_sharp - secant @ s
-                secant += (np.outer(z, y) + np.outer(y, z)) / ys - (s @ z) / ys**2 * np.outer(y, y)
-        frozen = (((u <= u_lo) & (gradient > 0.0)) | ((u >= u_hi) & (gradient < 0.0))
-                  | (np.linalg.norm(kaufman, axis=0) <= np.linalg.norm(scale)))
-        k = np.where(frozen, 0.0, kaufman)
+        with np.errstate(over="ignore", invalid="ignore"):    # an overflow is checked below
+            gradient, njev = kaufman.T @ r, njev + 1
+            if last is not None:    # Dennis-Gay-Welsch update over the accepted step
+                s, y = last[0], gradient - last[1]
+                y_sharp = gradient - last[2].T @ r
+                if (ys := y @ s) > 0.0:
+                    if (sss := s @ secant @ s) != 0.0:
+                        secant *= min(1.0, abs(s @ y_sharp) / abs(sss))
+                    z = y_sharp - secant @ s
+                    secant += ((np.outer(z, y) + np.outer(y, z)) / ys
+                               - (s @ z) / ys**2 * np.outer(y, y))
+            frozen = (((u <= u_lo) & (gradient > 0.0)) | ((u >= u_hi) & (gradient < 0.0))
+                      | (np.linalg.norm(kaufman, axis=0) <= np.linalg.norm(scale)))
+            k = np.where(frozen, 0.0, kaufman)
+            g, gram = k.T @ r, k.T @ k
+        if not (np.isfinite(chi2) and np.isfinite(gradient).all() and np.isfinite(gram).all()):
+            return _Polish(p, np.inf, nfev, njev, False)
+        if not np.isfinite(secant).all():
+            secant = np.zeros_like(secant)
         rounding = 2.0 * float(np.linalg.norm(r * scale)) + float(scale @ scale)
         fall = k @ np.linalg.lstsq(k, r, rcond=None)[0]
         if float(fall @ fall) <= rounding:
             return _Polish(p, chi2, nfev, njev, True)
-        g, gram = k.T @ r, k.T @ k
         s_term = np.where(frozen[:, None] | frozen, 0.0, secant)
         curvature = gram + np.diag(frozen.astype(float)) + (s_term if use_secant else 0.0)
         while nfev < _MAX_EVALUATIONS:
@@ -550,11 +562,14 @@ def fit(problem: FitProblem) -> FitResult:
     """Minimize the weighted chi-squared: assemble the problem, profile the
     mode energies, and polish every distinct minimum of :func:`_profile` by
     :func:`least_squares`.  Ties break by lowest chi2, then fewest
-    evaluations, then start index.
+    evaluations, then start index.  Raises RuntimeError when every start
+    failed on an overflow.
     """
     asm = _assemble(problem)
     results = [least_squares(asm, p0) for _, p0 in _profile(asm)]
     best = min(results, key=lambda r: (r.chi2, r.nfev))     # first start on a tie
+    if best.chi2 == np.inf:
+        raise RuntimeError("chi2 or its derivatives overflow at every start of the fit")
     p_best = _canonical_order(asm, best.p)
     residuals, jac_log = _model(asm, p_best)
     chi2 = float(residuals @ residuals)

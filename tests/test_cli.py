@@ -1,4 +1,5 @@
 """CLI-level tests: subcommands, exit codes, metadata, determinism."""
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 import nvrelax
 from nvrelax.cli import main
 from nvrelax.core import parse_dataset_text
-from nvrelax.fitting import FitProblem, ModelSpec, fit
+from nvrelax.fitting import FitProblem, ModelSpec, fit, residual_diagnostics
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -257,6 +258,26 @@ class TestExitCodes:
             assert "Traceback" not in err and "Warning" not in err
             assert "rank-deficient fit" in err
 
+    def test_overflowing_fit_is_a_numerical_failure_without_warnings(self, tmp_path, capsys):
+        # rates of 1e-300 to 1e-260 1/s at 1-2 K with 1% errors: a start whose
+        # coefficients are raised to their 1e-6 lower bound overflows chi2 or
+        # its gradient. No such start may count as converged
+        rates = np.geomspace(1e-300, 1e-260, 12).tolist()
+        data = tmp_path / "tiny.csv"
+        data.write_text("nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s\n"
+                        + "".join(f"T{i},A,{1 + i / 11!r},{r!r},{r / 100!r},{2 * r!r},{r / 50!r}\n"
+                                  for i, r in enumerate(rates)))
+        for model in ("n-mode:1", "n-mode:2", "n-mode:3", "prior"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run("fit", "--constants", "none", "--model", model, "--data", str(data),
+                           "-o", str(tmp_path / "fit.json"))
+            err = capsys.readouterr().err
+            assert code == 2, (model, err)
+            assert err.startswith("numerical failure: ") and "Traceback" not in err
+        assert "overflow at every start" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.csv"]
+
     def test_successful_fit_exits_zero(self, tmp_path):
         assert run("fit", "--model", "prior", "-o", str(tmp_path / "r.json")) == 0
 
@@ -330,6 +351,20 @@ class TestFitCommand:
         assert run("fit", "--model", "n-mode:1", "-o", str(out)) == 0
         report = json.loads(out.read_text())
         assert 3.4 <= report["fit"]["chi2_reduced"] <= 4.4
+
+    def test_residuals_hold_the_diagnostics(self, tmp_path, two_mode_fit):
+        # the report's residuals give back residual_diagnostics bit for bit:
+        # its mean, its variance and its outliers beyond 2.5 sigma
+        out = tmp_path / "fit2.json"
+        assert run("fit", "--model", "n-mode:2", "-o", str(out)) == 0
+        residuals = json.loads(out.read_text())["residuals"]
+        values = np.array([e["value"] for e in residuals])
+        diag = residual_diagnostics(two_mode_fit)
+        assert (float(np.mean(values)), float(np.var(values))) == (diag.mean, diag.variance)
+        outliers = [tuple(e.values()) for e in residuals
+                    if abs(e["value"]) > diag.outlier_threshold]
+        assert outliers == [dataclasses.astuple(o) for o in diag.outliers]
+        assert (round(diag.mean, 3), round(diag.variance, 3), len(outliers)) == (-0.087, 1.302, 3)
 
     def test_phonon_limited_fit(self, tmp_path):
         out = tmp_path / "fitp.json"
@@ -424,6 +459,19 @@ class TestSpectralCommand:
         assert calls == [len(spectral.default_grid(float(sigma)))]
         sq, dq = (data_rows((tmp_path / f"once.{c}.csv").read_text()) for c in ("sq", "dq"))
         assert [r[0] for r in sq] == [r[0] for r in dq]
+
+    def test_overflowing_refit_is_a_numerical_failure_without_warnings(self, tmp_path,
+                                                                         capsys):
+        # rates near 1e-298 1/s at 1-2 K: three of the six starts overflow
+        # chi2 and fail, the best of the others is rank deficient: no file
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("spectral", "--sigma", "1", "--t-min", "1", "--t-max", "2", "--refit",
+                       "-o", str(tmp_path / "cold"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_narrow_sigma_is_near_discrete(self, tmp_path):
         prefix = tmp_path / "narrow"
@@ -638,13 +686,18 @@ class TestCompareCommand:
         assert 30.0 <= div["A"]["omega_pct"] <= 70.0
         assert 10.0 <= div["A"]["gamma_pct"] <= 30.0
 
-    def test_mode_count_ladder(self, tmp_path):
+    def test_mode_count_ladder(self, tmp_path, one_mode_fit, two_mode_fit, three_mode_fit,
+                               prior_fit):
+        # the ranking rows are the fits: chi2, dof and chi2_reduced bit for bit
         out = tmp_path / "ladder.json"
-        assert run("compare", "--models", "n-mode:1", "n-mode:2", "-o", str(out)) == 0
-        report = json.loads(out.read_text())
-        by_label = {r["model"]: r["chi2_reduced"] for r in report["ranking"]}
-        assert 3.4 <= by_label["n-mode:1"] <= 4.4
-        assert 1.1 <= by_label["n-mode:2"] <= 1.5
+        assert run("compare", "--models", "n-mode:1", "n-mode:2", "n-mode:3", "prior",
+                   "-o", str(out)) == 0
+        rows = {r["model"]: (r["chi2"], r["dof"], r["chi2_reduced"])
+                for r in json.loads(out.read_text())["ranking"]}
+        assert rows == {r.label: (r.chi2, r.dof, r.chi2_reduced)
+                        for r in (one_mode_fit, two_mode_fit, three_mode_fit, prior_fit)}
+        assert 3.4 <= rows["n-mode:1"][2] <= 4.4
+        assert 1.1 <= rows["n-mode:2"][2] <= 1.5
 
 
 class TestFloatRangeTemperatures:

@@ -544,6 +544,34 @@ class TestPolish:
         assert all(p.converged for p in polished)
         assert sum(p.nfev for p in polished) <= most
 
+    @pytest.mark.parametrize("token, table, failed", [
+        # raised to their 1e-6 lower bound, the profile's zero coefficients
+        # overflow chi2 at every start but n-mode:2's last, whose model
+        # underflows to 0 instead
+        ("n-mode:2", (1e-300, 1e-260, 1.0, 2.0, 12), [True, True, True, False]),
+        ("prior", (1e-300, 1e-260, 1.0, 2.0, 12), [True, True, True]),
+        # chi2 is finite where K^T K overflows: a NaN step (which ended in a
+        # non-finite Jacobian, an input error) or a zero step, retried forever
+        ("n-mode:1", (1e-170, 1e-160, 2.0, 3.0, 8), [False, True, False]),
+        ("prior", (1e-170, 1e-160, 8.0, 13.0, 12), [True, True]),
+    ], ids=["n-mode:2-chi2", "prior-chi2", "n-mode:1-nan-step", "prior-zero-step"])
+    def test_an_overflowed_start_fails_without_warning(self, token, table, failed):
+        # rates from ``low`` to ``high`` 1/s with 1% errors at ``n`` temperatures
+        low, high, t_min, t_max, n = table
+        tiny = Dataset(rows=tuple(
+            RateMeasurement(nv_id=f"T{i}", sample="A", temperature=t, omega=r,
+                            omega_err=r / 100, gamma=2 * r, gamma_err=r / 50)
+            for i, (t, r) in enumerate(zip(np.linspace(t_min, t_max, n).tolist(),
+                                           np.geomspace(low, high, n).tolist()))),
+            provenance="tiny")
+        problem = FitProblem(dataset=tiny, model=ModelSpec.parse(token), constants="none")
+        asm = _assemble(problem)
+        polished = [least_squares(asm, p0) for _, p0 in _profile(asm)]
+        assert [p.chi2 == np.inf for p in polished] == failed
+        assert not any(p.converged for p in polished if p.chi2 == np.inf)
+        with pytest.raises(RuntimeError):
+            fit(problem)
+
     @pytest.mark.parametrize("law, temps, most", [
         ("shifted", (15.0, 500.0, 16), (6, 13)),
         ("published", (10.0, 480.0, 24), (6,)),

@@ -11,8 +11,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 @pytest.mark.parametrize("script, argv, header", [
     ("protocol_calibration.py", ["--n-seeds", "3"], "|pull|<=1"),
     ("raman_bias_experiment.py", ["--sigmas", "7.5"], "delta_1"),
-    ("fit_rate_models.py", [], "model ranking (best first):"),
-], ids=["protocol_calibration", "raman_bias_experiment", "fit_rate_models"])
+], ids=["protocol_calibration", "raman_bias_experiment"])
 def test_script_main_prints_its_table(script, argv, header, monkeypatch, capsys):
     path = SCRIPTS / script
     main = runpy.run_path(str(path))["main"]
