@@ -482,6 +482,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except np.linalg.LinAlgError as exc:
+        # a ValueError to Python, but numerical: LAPACK failed on finite input
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (DatasetError, ValueError, KeyError, OSError, MemoryError) as exc:
         # args[0] drops a KeyError's quotes, but of an OSError it is the errno
         # and of numpy's MemoryError the array shape

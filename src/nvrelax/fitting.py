@@ -199,20 +199,30 @@ def _supports(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched normal equations; if any is singular (a held or an
-    underflowed column is all zero), the ones whose LU factorization meets
-    an exact zero pivot (LAPACK's getrf, which ``solve`` runs too) go to one
-    batched pseudo-inverse and the others to one batched solve, so no
-    problem's bits depend on its batch-mates."""
+    """Batched normal equations.  A problem whose LU factorization meets an
+    exact zero pivot (LAPACK's getrf, which ``solve`` runs too) has dependent
+    columns and gets a NaN solution, so its support is never a candidate;
+    the others go to one batched solve, so no problem's bits depend on its
+    batch-mates."""
     try:
         return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         with np.errstate(divide="ignore"):
             singular = np.linalg.slogdet(gram)[0] == 0
-        x = np.empty(rhs.shape)
+        x = np.full(rhs.shape, np.nan)
         x[~singular] = np.linalg.solve(gram[~singular], rhs[~singular])
-        x[singular] = np.linalg.pinv(gram[singular]) @ rhs[singular]
         return x
+
+
+def _finite_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
+    """:func:`_solve`, and which solutions are finite: the others, set to 0
+    so no product meets an inf or a NaN, are no candidates."""
+    x = _solve(gram, rhs)
+    if np.isfinite(x).all():
+        return x, True
+    fine = np.isfinite(x).all(axis=(1, 2))
+    x[~fine] = 0.0
+    return x, fine
 
 
 def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,10 +234,12 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     conditions (Lawson & Hanson, *Solving Least Squares Problems*, 1974,
     ch. 23): x >= 0 on the support and a^T (b - a x) <= 0 off it, or
     a^T b <= 0 for x = 0.  With full-rank columns that is the unique
-    optimum.  A problem that no support certifies (rounding can do that
-    where columns are degenerate) takes the feasible support with the least
-    |a x - b|^2, x = 0 included, the first in the order full, then ascending
-    size on a tie.
+    optimum.  A support with dependent columns, or whose solve is not
+    finite, is never a candidate: an optimum can always be written on
+    independent columns (ibid.).  A problem that no support certifies
+    (rounding can do that where columns are degenerate) takes the feasible
+    support with the least |a x - b|^2, x = 0 included, the first in the
+    order full, then ascending size on a tie.
     """
     at = np.swapaxes(a, -1, -2)
     gram, rhs = at @ a, at @ b[..., None]
@@ -237,9 +249,9 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     todo = np.arange(len(flat_rhs))     # problems not yet certified
     for cols, rest in _supports(k):
         g, r = flat_gram[todo], flat_rhs[todo]
-        x_s = _solve(g[:, cols[:, None], cols], r[:, cols])
+        x_s, fine = _finite_solve(g[:, cols[:, None], cols], r[:, cols])
         w = r[:, rest, 0] - (g[:, rest[:, None], cols] @ x_s)[..., 0]
-        done = np.all(x_s >= 0.0, axis=(1, 2)) & np.all(w <= 0.0, axis=1)
+        done = fine & np.all(x_s >= 0.0, axis=(1, 2)) & np.all(w <= 0.0, axis=1)
         flat_x[todo[done][:, None], cols] = x_s[done]
         todo = todo[~done]
         if len(todo) == 0:
@@ -264,11 +276,11 @@ def _best_feasible(a: np.ndarray, b: np.ndarray, gram: np.ndarray,
     supports = _supports(a.shape[-1])
     x, best = np.zeros(rhs.shape), np.sum(b * b, axis=-1)
     for cols, _ in supports[:1] + tuple(sorted(supports[1:], key=lambda s: len(s[0]))):
-        x_s = _solve(gram[:, cols[:, None], cols], rhs[:, cols])
+        x_s, fine = _finite_solve(gram[:, cols[:, None], cols], rhs[:, cols])
         trial = np.zeros(rhs.shape)
         trial[:, cols] = x_s
         r2 = np.sum(((a @ trial)[..., 0] - b) ** 2, axis=-1)
-        better = np.all(x_s >= 0.0, axis=(1, 2)) & (r2 < best)
+        better = fine & np.all(x_s >= 0.0, axis=(1, 2)) & (r2 < best)
         x[better], best[better] = trial[better], r2[better]
     return x
 
@@ -280,31 +292,39 @@ def _project(asm: _Assembled, log_deltas: np.ndarray,
     :func:`_nnls` call on the basis columns scaled by the errors, then to
     unit norm (T^5 would dwarf a floor indicator unscaled).  A column whose
     entry in ``held`` (a parameter vector) is not NaN keeps that value; the
-    channels may hold different columns."""
+    channels may hold different columns.  A cell whose scaled numbers are
+    not finite (an error so small that they overflow) gets chi2 = inf."""
     deltas = np.exp(log_deltas)
     columns = _term_column(deltas[..., None], asm.temps)     # (..., mode, row)
     modes = columns.shape[-2]
     basis = np.empty((*deltas.shape[:-1], *asm.channel_cols.shape, len(asm.temps)))
-    np.divide(columns[..., None, :, :], asm.err[:, None, :], out=basis[..., :modes, :])
-    basis[..., modes:, :] = asm.fixed_rows / asm.err[:, None, :]
-    norm = np.sqrt(np.einsum("...ij,...ij->...i", basis, basis))
-    norm[norm == 0.0] = 1.0
-    basis /= norm[..., None]
-    target = asm.data / asm.err
-    fix = np.zeros(basis.shape[-3:-1], bool) if held is None else ~np.isnan(held[asm.channel_cols])
-    if fix.any():
-        shift = np.zeros(basis.shape[:-2] + basis.shape[-1:])
-        for k in np.flatnonzero(fix.any(axis=1)):
-            cols = asm.channel_cols[k][fix[k]]
-            shift[..., k, :] = np.einsum("...i,...ij->...j", held[cols] * norm[..., k, fix[k]],
-                                         basis[..., k, fix[k], :])
-        target = target - shift
-        basis[..., fix, :] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):      # checked below
+        np.divide(columns[..., None, :, :], asm.err[:, None, :], out=basis[..., :modes, :])
+        basis[..., modes:, :] = asm.fixed_rows / asm.err[:, None, :]
+        norm = np.sqrt(np.einsum("...ij,...ij->...i", basis, basis))
+        norm[norm == 0.0] = 1.0
+        basis /= norm[..., None]
+        target = asm.data / asm.err
+        fix = np.zeros(basis.shape[-3:-1], bool) if held is None else ~np.isnan(held[asm.channel_cols])
+        if fix.any():
+            shift = np.zeros(basis.shape[:-2] + basis.shape[-1:])
+            for k in np.flatnonzero(fix.any(axis=1)):
+                cols = asm.channel_cols[k][fix[k]]
+                shift[..., k, :] = np.einsum("...i,...ij->...j", held[cols] * norm[..., k, fix[k]],
+                                             basis[..., k, fix[k], :])
+            target = target - shift
+            basis[..., fix, :] = 0.0
+    failed = np.zeros(norm.shape[:-2], bool)
+    # a finite norm bounds its column; a failed cell is solved on zeros, so
+    # no product meets an inf or a NaN
+    if not (np.isfinite(norm).all() and np.isfinite(target).all()):
+        failed = ~(np.isfinite(basis).all(axis=(-3, -2, -1)) & np.isfinite(target).all(axis=(-2, -1)))
+        basis[failed], target = 0.0, np.where(failed[..., None, None], 0.0, target)
     x, r2 = _nnls(np.swapaxes(basis, -1, -2), target)
     p = np.zeros((*deltas.shape[:-1], len(asm.names)))
     p[..., asm.modes[:, 0]] = deltas
     p[..., asm.channel_cols] = x / norm
-    chi2 = r2[..., 0] + r2[..., 1]
+    chi2 = np.where(failed, np.inf, r2[..., 0] + r2[..., 1])
     return chi2, p if held is None else np.where(np.isnan(held), p, held)
 
 
@@ -484,10 +504,11 @@ def least_squares(asm: _Assembled, p0: np.ndarray) -> _Polish:
     rejected one does.  The solve stops when the Gauss-Newton predicted or
     the actual fall of chi2 is within chi2's rounding error.
 
-    A chi2, gradient or K^T K that overflows is a failed evaluation: such a
-    trial is rejected, and at the current point the start ends unconverged
-    with chi2 = inf, so it never wins.  An update of S that overflows is
-    dropped for Gauss-Newton.
+    A projection whose scaled numbers are not finite, or a chi2, gradient
+    or K^T K that overflows, is a failed evaluation: such a trial is
+    rejected, and at the current point the start ends unconverged with
+    chi2 = inf, so it never wins.  An update of S that overflows is dropped
+    for Gauss-Newton.
     """
     deltas, linear, lo, hi = asm.modes[:, 0], asm.linear, asm.lo, asm.hi
     u_lo, u_hi = np.log(lo[deltas]), np.log(hi[deltas])
@@ -496,11 +517,13 @@ def least_squares(asm: _Assembled, p0: np.ndarray) -> _Polish:
 
     def evaluate(u):
         held = np.full(len(lo), np.nan)
-        p = _project(asm, u, held)[1]
+        projected, p = _project(asm, u, held)
         while (p[linear] > hi[linear]).any():   # hold the furthest over, re-solve the rest
             j = linear[np.argmax(p[linear] / hi[linear])]
             held[j] = hi[j]
-            p = _project(asm, u, held)[1]
+            projected, p = _project(asm, u, held)
+        if projected == np.inf:     # scaled numbers not finite: a failed evaluation
+            return p, np.inf, u, None, None
         p = np.clip(p, lo, hi)
         r, jac = _model(asm, p)
         with np.errstate(over="ignore"):    # an overflowed chi2 is a failed evaluation
@@ -511,6 +534,8 @@ def least_squares(asm: _Assembled, p0: np.ndarray) -> _Polish:
     secant, use_secant, last = np.zeros((len(deltas), len(deltas))), False, None
     while nfev < _MAX_EVALUATIONS:
         p, chi2, u, r, jac = point
+        if not np.isfinite(chi2):   # a failed evaluation: no product may touch it
+            return _Polish(p, np.inf, nfev, njev, False)
         inside = jac[:, linear[(lo[linear] < p[linear]) & (p[linear] < hi[linear])]]
         kaufman = jac[:, deltas] - inside @ np.linalg.lstsq(inside, jac[:, deltas], rcond=None)[0]
         with np.errstate(over="ignore", invalid="ignore"):    # an overflow is checked below
@@ -528,7 +553,7 @@ def least_squares(asm: _Assembled, p0: np.ndarray) -> _Polish:
                       | (np.linalg.norm(kaufman, axis=0) <= np.linalg.norm(scale)))
             k = np.where(frozen, 0.0, kaufman)
             g, gram = k.T @ r, k.T @ k
-        if not (np.isfinite(chi2) and np.isfinite(gradient).all() and np.isfinite(gram).all()):
+        if not (np.isfinite(gradient).all() and np.isfinite(gram).all()):
             return _Polish(p, np.inf, nfev, njev, False)
         if not np.isfinite(secant).all():
             secant = np.zeros_like(secant)
@@ -562,14 +587,15 @@ def fit(problem: FitProblem) -> FitResult:
     """Minimize the weighted chi-squared: assemble the problem, profile the
     mode energies, and polish every distinct minimum of :func:`_profile` by
     :func:`least_squares`.  Ties break by lowest chi2, then fewest
-    evaluations, then start index.  Raises RuntimeError when every start
-    failed on an overflow.
+    evaluations, then start index.  Raises RuntimeError when no start
+    ends with a finite chi2.
     """
     asm = _assemble(problem)
     results = [least_squares(asm, p0) for _, p0 in _profile(asm)]
-    best = min(results, key=lambda r: (r.chi2, r.nfev))     # first start on a tie
-    if best.chi2 == np.inf:
+    finite = [r for r in results if np.isfinite(r.chi2)]
+    if not finite:
         raise RuntimeError("chi2 or its derivatives overflow at every start of the fit")
+    best = min(finite, key=lambda r: (r.chi2, r.nfev))      # first start on a tie
     p_best = _canonical_order(asm, best.p)
     residuals, jac_log = _model(asm, p_best)
     chi2 = float(residuals @ residuals)

@@ -278,6 +278,64 @@ class TestExitCodes:
         assert "overflow at every start" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.csv"]
 
+    @staticmethod
+    def _write_table(path, temps, omega, gamma):
+        # one sample, 10% errors on both rates
+        path.write_text("nv_id,sample,temperature_k,omega_s,omega_err_s,gamma_s,gamma_err_s\n"
+                        + "".join(f"T{i},A,{t!r},{o!r},{o / 10!r},{g!r},{g / 10!r}\n"
+                                  for i, (t, o, g) in enumerate(zip(temps.tolist(), omega.tolist(),
+                                                                    gamma.tolist()))))
+
+    @pytest.mark.parametrize("model", ["n-mode:1", "n-mode:2", "n-mode:3", "prior"])
+    def test_non_finite_support_solve_is_no_candidate(self, model, tmp_path, capsys):
+        # rates of 1.9e-121 to 3.9e-49 1/s at 3.8-8.4 K: columns whose squares
+        # underflow leave a zero on a gram's diagonal, so some support solves
+        # are inf or NaN; such a support is no candidate, and no product
+        # (the walk's test, the fallback's residual) may touch it
+        rates = np.logspace(np.log10(1.9e-121), np.log10(3.9e-49), 11)
+        data = tmp_path / "steep.csv"
+        self._write_table(data, np.linspace(3.8, 8.4, 11), rates, rates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("fit", "--model", model, "--data", str(data),
+                       "-o", str(tmp_path / "fit.json"))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("numerical failure: rank-deficient fit") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["steep.csv"]
+
+    @pytest.mark.parametrize("model", ["n-mode:1", "n-mode:2", "n-mode:3", "prior"])
+    @pytest.mark.parametrize("low, high", [(1.7e-314, 1.5e-304), (1e-320, 1e-318)])
+    def test_overflowing_scaled_basis_is_a_numerical_failure(self, low, high, model, tmp_path,
+                                                             capsys):
+        # rates from ``low`` to ``high`` 1/s at 20-60 K: the basis divided by
+        # the subnormal errors overflows, so the profile cells get chi2 = inf
+        # and the polish fails at once.  The prior law's T^5 column overflows
+        # in every cell; its NaN gram ended in "SVD did not converge" (exit 1).
+        # Below 1e-318 the Jacobian overflows even at the coefficients' lower
+        # bound: the failed projection must stop the polish before it
+        omega = np.geomspace(low, high, 8)
+        data = tmp_path / "subnormal.csv"
+        self._write_table(data, np.linspace(20.0, 60.0, 8), omega, 2 * omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("fit", "--constants", "none", "--model", model, "--data", str(data),
+                       "-o", str(tmp_path / "fit.json"))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("numerical failure: ") and "overflow at every start" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["subnormal.csv"]
+
+    def test_lapack_failure_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # numpy's LinAlgError is a ValueError, but not an input fault
+        def fail(problem):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr("nvrelax.cli.fit", fail)
+        assert run("fit", "-o", str(tmp_path / "r.json")) == 2
+        assert capsys.readouterr().err == "numerical failure: SVD did not converge\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_successful_fit_exits_zero(self, tmp_path):
         assert run("fit", "--model", "prior", "-o", str(tmp_path / "r.json")) == 0
 

@@ -109,9 +109,10 @@ class TestEvolve:
             evolve(RateMatrix(60.0, 128.0), "2", 0.0)
 
     def test_integer_state_labels_accepted(self):
-        p_int = evolve(RateMatrix(60.0, 128.0), -1, 1e-3)
-        p_str = evolve(RateMatrix(60.0, 128.0), "-1", 1e-3)
-        np.testing.assert_array_equal(p_int, p_str)
+        for number, label in ((-1, "-1"), (1, "+1"), (0, "0")):
+            p_int = evolve(RateMatrix(60.0, 128.0), number, 1e-3)
+            p_str = evolve(RateMatrix(60.0, 128.0), label, 1e-3)
+            np.testing.assert_array_equal(p_int, p_str)
 
     @given(w=RATES, g=RATES, tau=st.floats(min_value=0.0, max_value=100.0),
            state=st.sampled_from(["0", "-1", "+1"]))
@@ -668,6 +669,30 @@ class TestSeparableFit:
             _fit_single_exponential(sim.gamma_branch)
         (fit,) = solves
         assert fit.converged and fit.nfev <= 20
+
+    def test_far_probe_that_raises_chi2_is_counted_and_left(self, monkeypatch):
+        # a noisy 7-point curve (one of a seeded search over 3-7 point
+        # curves with random starts) whose steps from r0 ~ 973 twice shrink
+        # the Jacobian faster than themselves, so the solve tries the
+        # largest step outward; chi^2 rises there, so the solve goes on from
+        # its current point to the minimum near r = 37
+        taus = np.linspace(0.0, 0.007242319537648811, 7)
+        values = np.array([0.979845565762685, 0.7657670017071223, 0.965636038977671,
+                           0.2697955483916902, 0.4279557046742261, 1.0861902166978323,
+                           0.6808806906786241])
+        calls, projected = [], dynamics._projected
+        monkeypatch.setattr(dynamics, "_projected",
+                            lambda u, *args: calls.append((u, projected(u, *args)[3]))
+                            or projected(u, *args))
+        fit = dynamics.least_squares(taus, values, np.full(7, 0.3), 973.459643229182)
+        assert fit.converged and fit.nfev == len(calls) == 15
+        (probe,) = [i for i in range(1, len(calls))
+                    if calls[i][0] == calls[i - 1][0] - dynamics._MAX_STEP]
+        assert probe == 5 and calls[probe][1] > calls[probe - 1][1]
+        # the next trial steps from the point before the probe, and lowers chi^2
+        assert calls[probe + 1][0] < calls[probe - 1][0]
+        assert calls[probe + 1][1] < calls[probe - 1][1]
+        assert math.log(fit.rate) == calls[-1][0] and 37.0 < fit.rate < 37.5
 
     def test_rate_running_to_infinity_stops_within_twenty_evaluations(self):
         # 1, 0, 0.33, 0: a spike at tau = 0 fits best, so r runs off to

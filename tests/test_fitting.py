@@ -596,23 +596,28 @@ class TestPolish:
 
 def _nnls_reference(a, b):
     """The support enumeration that _nnls stops early: every support's
-    normal equations, the full one first and then by ascending size, and
-    the feasible one with the least |a x - b|^2 (x = 0 to beat) wins."""
+    normal equations, the full one first and then by ascending size, each
+    problem solved alone, and the feasible one with the least |a x - b|^2
+    (x = 0 to beat) wins.  A support that LAPACK finds singular, or whose
+    solve is not finite, is no candidate."""
     at = np.swapaxes(a, -1, -2)
     gram, rhs = at @ a, at @ b[..., None]
     k = a.shape[-1]
     x, best = np.zeros(rhs.shape), np.full(gram.shape[:-2], np.sum(b * b, axis=-1))
     for cols in [list(range(k))] + [list(c) for size in range(1, k)
                                     for c in itertools.combinations(range(k), size)]:
-        g = gram[..., cols, :][..., :, cols]
-        try:
-            x_s = np.linalg.solve(g, rhs[..., cols, :])
-        except np.linalg.LinAlgError:
-            x_s = np.linalg.pinv(g) @ rhs[..., cols, :]
+        g, r = gram[..., cols, :][..., :, cols], rhs[..., cols, :]
+        x_s = np.full(r.shape, np.nan)
+        for i in np.ndindex(g.shape[:-2]):
+            try:
+                x_s[i] = np.linalg.solve(g[i], r[i])
+            except np.linalg.LinAlgError:
+                pass
+        fine = np.isfinite(x_s).all(axis=(-2, -1))
         trial = np.zeros(rhs.shape)
-        trial[..., cols, :] = x_s
+        trial[..., cols, :] = np.where(fine[..., None, None], x_s, 0.0)
         r2 = np.sum(((a @ trial)[..., 0] - b) ** 2, axis=-1)
-        better = np.all(x_s >= 0.0, axis=(-2, -1)) & (r2 < best)
+        better = fine & np.all(x_s >= 0.0, axis=(-2, -1)) & (r2 < best)
         x[better], best[better] = trial[better], r2[better]
         if len(cols) == k and better.all():
             break       # the full support is feasible everywhere
@@ -651,9 +656,21 @@ class TestNNLS:
         x = _best_feasible(a, b, at @ a, at @ b[..., None])[..., 0]
         assert np.array_equal(x, _nnls_reference(a, b)[0])
 
+    def test_non_finite_support_solve_is_no_candidate(self):
+        # the first column's square underflows, so the full support's solve
+        # overflows to x = (inf, 1e10), which x >= 0 alone would certify
+        a = np.array([[1e-300, 1.0], [0.0, 1.0], [0.0, 0.5]])
+        b = np.array([1e10, 2e10, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, r2 = _nnls(a, b)
+        assert x[0] == 0.0 and np.isfinite(x).all()
+        assert np.array_equal(x, _nnls_reference(a, b)[0])
+        assert r2 == np.sum((a @ x - b) ** 2)
+
     def test_singular_problem_leaves_its_batch_mates_bits(self):
-        # only the singular problems go to the pseudo-inverse, all in one
-        # call: every problem keeps the bits of its own solve alone
+        # a problem whose columns are dependent gets NaN, no candidate for
+        # _nnls; every other problem keeps the bits of its own solve alone
         rng = np.random.default_rng(5)
         a = rng.standard_normal((7, 12, 3))
         a[1, :, 0] = 0.0
@@ -662,14 +679,13 @@ class TestNNLS:
         gram, rhs = np.swapaxes(a, -1, -2) @ a, rng.standard_normal((7, 3, 1))
         gram[2] = 0.0
         x = _solve(gram, rhs)
-        assert np.array_equal(x[2], np.zeros((3, 1)))
         for i in (1, 2, 4, 5):
-            assert np.array_equal(x[i], np.linalg.pinv(gram[i]) @ rhs[i]), i
+            assert np.isnan(x[i]).all(), i
         for i in (0, 3, 6):
             assert np.array_equal(x[i], np.linalg.solve(gram[i], rhs[i])), i
 
-    def test_singular_problems_share_one_pseudo_inverse(self, monkeypatch):
-        # and the others one solve, after the batch's own attempt
+    def test_singular_problems_call_no_pseudo_inverse(self, monkeypatch):
+        # the others go to one solve, after the batch's own attempt
         rng = np.random.default_rng(6)
         a = rng.standard_normal((9, 12, 2))
         a[::2, :, 1] = 0.0
@@ -677,16 +693,17 @@ class TestNNLS:
         pinv, solve = np.linalg.pinv, np.linalg.solve
         monkeypatch.setattr(np.linalg, "pinv", lambda m: calls.append(len(m)) or pinv(m))
         monkeypatch.setattr(np.linalg, "solve", lambda m, b: solves.append(len(m)) or solve(m, b))
-        _solve(np.swapaxes(a, -1, -2) @ a, rng.standard_normal((9, 2, 1)))
-        assert calls == [5]
+        x = _solve(np.swapaxes(a, -1, -2) @ a, rng.standard_normal((9, 2, 1)))
+        assert calls == []
         assert solves == [9, 4]
+        assert np.isnan(x[::2]).all() and np.isfinite(x[1::2]).all()
 
     @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "prior"])
     def test_singular_verdict_is_each_problems_own_solve(self, token, monkeypatch):
         # on 1.0-1.4 K rows the occupancies underflow over most of the
         # profile, so many batches hold singular problems: the batched
-        # verdict names just those that LAPACK will not solve alone, and
-        # every problem keeps the bits of its own solve or pseudo-inverse
+        # verdict names just those that LAPACK will not solve alone, which
+        # get NaN, and every other problem keeps the bits of its own solve
         dataset = _COLD_TABLE
         batches = []
         monkeypatch.setattr(fitting, "_solve",
@@ -700,8 +717,8 @@ class TestNNLS:
                 try:
                     want = np.linalg.solve(gram[i], rhs[i])
                 except np.linalg.LinAlgError:
-                    want, singular = np.linalg.pinv(gram[i]) @ rhs[i], singular + 1
-                assert np.array_equal(x[i], want)
+                    want, singular = np.full(rhs[i].shape, np.nan), singular + 1
+                assert np.array_equal(x[i], want, equal_nan=True)
         assert singular > 0
 
     @staticmethod
