@@ -201,6 +201,8 @@ class RateMeasurement:
         # the ids are written verbatim into one CSV field each, and must read back unchanged
         for name in ("nv_id", "sample"):
             value = getattr(self, name)
+            if not isinstance(value, str):
+                raise DatasetError(f"{name} must be a string, got {value!r}")
             if ("," in value or "".join(value.splitlines()) != value
                     or value.startswith("#") or value != value.strip()):
                 raise DatasetError(

@@ -328,9 +328,11 @@ def least_squares(taus: np.ndarray, values: np.ndarray, errors: np.ndarray,
     cap.  There the projected Jacobian shrinks faster than the step, while
     a fit closing in on a minimum keeps its Jacobian and shortens its step.
     After two such steps in a row, all in one direction, the solve tries
-    the largest step that way; if chi^2 does not rise there beyond
-    rounding, it stops at that point, where the basis is flat to rounding
-    and a rank check finds the rate undetermined.
+    the largest step that way, once per such run of steps; if chi^2 does
+    not rise there beyond rounding, it stops at that point, where the basis
+    is flat to rounding and a rank check finds the rate undetermined.
+    Otherwise it goes on from where it was, and a fit that keeps closing in
+    on a minimum through a long outward run probes no more.
     """
     weights = 1.0 / errors
     weighted_values = weights * values
@@ -371,14 +373,13 @@ def least_squares(taus: np.ndarray, values: np.ndarray, errors: np.ndarray,
             outward = 0
         previous = (u, gradient, step, jac2)
         rounding = 4.0 * scale * (math.sqrt(chi2) + scale)
-        if outward >= 2:
+        if outward == 2:
             far = u + math.copysign(_MAX_STEP, step)
             trial = _projected(far, taus, weights, weighted_values, tau_max)
             nfev += 1
             if trial is not None and trial[3] <= chi2 + rounding:
                 u, point = far, trial
                 break
-            outward = 0
         gain = -gradient * step    # half the first-order fall of chi^2 for the full step
         t = 1.0
         while True:

@@ -198,31 +198,26 @@ def _supports(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
                  for size in range(k, 0, -1) for cols in itertools.combinations(range(k), size))
 
 
-def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched normal equations.  A problem whose LU factorization meets an
-    exact zero pivot (LAPACK's getrf, which ``solve`` runs too) has dependent
-    columns and gets a NaN solution, so its support is never a candidate;
-    the others go to one batched solve, so no problem's bits depend on its
-    batch-mates."""
+def _solve(gram: np.ndarray, rhs: np.ndarray,
+           cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, candidate) of the normal equations on support ``cols``, over a
+    flat batch of problems.  This is the one rule for which support solves
+    count: a candidate is a finite solution with x >= 0.  A problem whose LU
+    factorization meets an exact zero pivot (LAPACK's getrf, which ``solve``
+    runs too) has dependent columns and is never one; the others go to one
+    batched solve, so no problem's bits depend on its batch-mates.  Every
+    other solution is set to 0, so no product meets an inf or a NaN."""
+    g, r = gram[:, cols[:, None], cols], rhs[:, cols]
     try:
-        return np.linalg.solve(gram, rhs)
+        x = np.linalg.solve(g, r)
     except np.linalg.LinAlgError:
         with np.errstate(divide="ignore"):
-            singular = np.linalg.slogdet(gram)[0] == 0
-        x = np.full(rhs.shape, np.nan)
-        x[~singular] = np.linalg.solve(gram[~singular], rhs[~singular])
-        return x
-
-
-def _finite_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
-    """:func:`_solve`, and which solutions are finite: the others, set to 0
-    so no product meets an inf or a NaN, are no candidates."""
-    x = _solve(gram, rhs)
-    if np.isfinite(x).all():
-        return x, True
-    fine = np.isfinite(x).all(axis=(1, 2))
-    x[~fine] = 0.0
-    return x, fine
+            singular = np.linalg.slogdet(g)[0] == 0
+        x = np.full(r.shape, np.nan)
+        x[~singular] = np.linalg.solve(g[~singular], r[~singular])
+    candidate = np.all((x >= 0.0) & (x < np.inf), axis=(1, 2))     # NaN fails both
+    x[~candidate] = 0.0
+    return x, candidate
 
 
 def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,16 +225,14 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     With at most 5 columns the supports are few, so each problem solves
     their normal equations, the full support first and then by descending
-    size, and stops at the first whose solution meets the Karush-Kuhn-Tucker
-    conditions (Lawson & Hanson, *Solving Least Squares Problems*, 1974,
-    ch. 23): x >= 0 on the support and a^T (b - a x) <= 0 off it, or
+    size, and stops at the first :func:`_solve` candidate that meets the
+    Karush-Kuhn-Tucker conditions (Lawson & Hanson, *Solving Least Squares
+    Problems*, 1974, ch. 23): a^T (b - a x) <= 0 off the support, or
     a^T b <= 0 for x = 0.  With full-rank columns that is the unique
-    optimum.  A support with dependent columns, or whose solve is not
-    finite, is never a candidate: an optimum can always be written on
-    independent columns (ibid.).  A problem that no support certifies
-    (rounding can do that where columns are degenerate) takes the feasible
-    support with the least |a x - b|^2, x = 0 included, the first in the
-    order full, then ascending size on a tie.
+    optimum, and an optimum can always be written on independent columns
+    (ibid.).  A problem that no support certifies (rounding can do that
+    where columns are degenerate) takes the candidate with the least
+    |a x - b|^2, x = 0 included, the first in the same order on a tie.
     """
     at = np.swapaxes(a, -1, -2)
     gram, rhs = at @ a, at @ b[..., None]
@@ -249,9 +242,9 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     todo = np.arange(len(flat_rhs))     # problems not yet certified
     for cols, rest in _supports(k):
         g, r = flat_gram[todo], flat_rhs[todo]
-        x_s, fine = _finite_solve(g[:, cols[:, None], cols], r[:, cols])
+        x_s, candidate = _solve(g, r, cols)
         w = r[:, rest, 0] - (g[:, rest[:, None], cols] @ x_s)[..., 0]
-        done = fine & np.all(x_s >= 0.0, axis=(1, 2)) & np.all(w <= 0.0, axis=1)
+        done = candidate & np.all(w <= 0.0, axis=1)
         flat_x[todo[done][:, None], cols] = x_s[done]
         todo = todo[~done]
         if len(todo) == 0:
@@ -271,16 +264,15 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _best_feasible(a: np.ndarray, b: np.ndarray, gram: np.ndarray,
                    rhs: np.ndarray) -> np.ndarray:
     """:func:`_nnls`'s fallback over a flat batch: the x (column vectors) of
-    the feasible support with the least |a x - b|^2, x = 0 included, the
-    first in the order full, then ascending size on a tie."""
-    supports = _supports(a.shape[-1])
+    the :func:`_solve` candidate with the least |a x - b|^2, x = 0 included,
+    the first in :func:`_supports` order on a tie."""
     x, best = np.zeros(rhs.shape), np.sum(b * b, axis=-1)
-    for cols, _ in supports[:1] + tuple(sorted(supports[1:], key=lambda s: len(s[0]))):
-        x_s, fine = _finite_solve(gram[:, cols[:, None], cols], rhs[:, cols])
+    for cols, _ in _supports(a.shape[-1]):
+        x_s, candidate = _solve(gram, rhs, cols)
         trial = np.zeros(rhs.shape)
         trial[:, cols] = x_s
         r2 = np.sum(((a @ trial)[..., 0] - b) ** 2, axis=-1)
-        better = fine & np.all(x_s >= 0.0, axis=(1, 2)) & (r2 < best)
+        better = candidate & (r2 < best)
         x[better], best[better] = trial[better], r2[better]
     return x
 

@@ -107,6 +107,12 @@ class QuadratureError(RuntimeError):
         self.suggested_spacing = suggested_spacing
 
 
+def _require_channel(channel: object) -> None:
+    """Raise a ``ValueError`` unless ``channel`` is a :class:`TransitionChannel`."""
+    if not isinstance(channel, TransitionChannel):
+        raise ValueError(f"channel must be a TransitionChannel, got {channel!r}")
+
+
 @dataclass(frozen=True)
 class CouplingEntry:
     """One discrete spin-phonon coupling coefficient."""
@@ -124,6 +130,7 @@ class CouplingEntry:
                 f"got {self.mode_energy}"
             )
         _require({"amplitude": self.amplitude}, "nonnegative")
+        _require_channel(self.channel)
         _require_integer({"order": self.order})
         if self.order not in (1, 2):
             raise ValueError(f"interaction order must be 1 or 2, got {self.order}")
@@ -271,6 +278,7 @@ class SpectralFunction:
             raise ValueError("amplitude must match the grid shape")
         _require({"amplitude": amplitude}, "nonnegative")
         _require({"broadening width sigma": self.sigma}, "positive")
+        _require_channel(self.channel)
         _require_integer({"order": self.order})
         if self.order not in (1, 2):
             raise ValueError(f"interaction order must be 1 or 2, got {self.order}")

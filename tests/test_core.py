@@ -377,6 +377,33 @@ class TestBoundaryCheck:
             call(value)
 
 
+# (error, message, call) for a field of the wrong type; each was once
+# accepted, or refused by a message that named no field
+WRONG_TYPES = {
+    "CouplingEntry channel": (ValueError, "channel must be a TransitionChannel, "
+                              "got 'single_quantum'",
+                              lambda: CouplingEntry(62.4, 0.6, "single_quantum", 2)),
+    "SpectralFunction channel": (ValueError, "channel must be a TransitionChannel, got 'sq'",
+                                 lambda: SpectralFunction(np.arange(5.0), np.ones(5),
+                                                          "sq", 2, 7.5)),
+    "synthetic_peak_function channel": (ValueError,
+                                        "channel must be a TransitionChannel, got 'sq'",
+                                        lambda: _peak(channel="sq")),
+    "RateMeasurement nv_id": (DatasetError, "nv_id must be a string, got 1",
+                              lambda: RateMeasurement(1, "A", 300.0, 1.0, 0.1, 1.0, 0.1)),
+    "RateMeasurement sample": (DatasetError, "sample must be a string, got None",
+                               lambda: RateMeasurement("NV", None, 300.0, 1.0, 0.1, 1.0, 0.1)),
+}
+
+
+class TestWrongTypes:
+    @pytest.mark.parametrize("entry", sorted(WRONG_TYPES))
+    def test_rejects_naming_the_field(self, entry):
+        error, message, call = WRONG_TYPES[entry]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+
 def _require_reference(values, domain="finite", error=ValueError):
     """The boundary check before its fast path, kept as the oracle: every
     value goes through a float array, and an array's extremes are found by

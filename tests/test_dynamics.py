@@ -694,6 +694,28 @@ class TestSeparableFit:
         assert calls[probe + 1][1] < calls[probe - 1][1]
         assert math.log(fit.rate) == calls[-1][0] and 37.0 < fit.rate < 37.5
 
+    def test_far_probe_is_tried_once_per_outward_run(self, monkeypatch):
+        # a noisy 5-point curve (curve 5765 of a search with numpy's
+        # default_rng(2026)) that closes in on r = 76 through long runs of
+        # outward steps with a shrinking Jacobian; each run tries the far
+        # step once, where re-probing every other step cost 20 failed
+        # probes and 71 evaluations
+        taus = np.linspace(0.0, 0.0690182081960418, 5)
+        values = np.array([0.5343300937774582, 0.1332755592289134, -0.09572833099610575,
+                           0.2557865551149751, 0.36095919914009283])
+        calls, projected = [], dynamics._projected
+        monkeypatch.setattr(dynamics, "_projected",
+                            lambda u, *args: calls.append(u) or projected(u, *args))
+        fit = dynamics.least_squares(taus, values, np.full(5, 0.3), 35.024540795397215)
+        assert fit.converged and fit.nfev == len(calls) == 53 and fit.njev == 47
+        assert fit.amplitude == 0.5288006936737929 and fit.rate == 76.00183455986735
+        # a probe leaves by the largest step, and the next trial is back
+        # near the point it left; a clipped step would be halved instead
+        probes = [i for i in range(1, len(calls) - 1)
+                  if abs(calls[i] - calls[i - 1]) == dynamics._MAX_STEP
+                  and abs(calls[i + 1] - calls[i - 1]) < 1.0]
+        assert probes == [3]
+
     def test_rate_running_to_infinity_stops_within_twenty_evaluations(self):
         # 1, 0, 0.33, 0: a spike at tau = 0 fits best, so r runs off to
         # infinity, where each Newton step moves r by only about 0.37

@@ -596,16 +596,16 @@ class TestPolish:
 
 def _nnls_reference(a, b):
     """The support enumeration that _nnls stops early: every support's
-    normal equations, the full one first and then by ascending size, each
-    problem solved alone, and the feasible one with the least |a x - b|^2
-    (x = 0 to beat) wins.  A support that LAPACK finds singular, or whose
-    solve is not finite, is no candidate."""
+    normal equations in its walk's order (the full one first, then by
+    descending size), each problem solved alone, and the candidate with the
+    least |a x - b|^2 (x = 0 to beat) wins.  A candidate is a solve that
+    LAPACK finds nonsingular and that is finite and >= 0."""
     at = np.swapaxes(a, -1, -2)
     gram, rhs = at @ a, at @ b[..., None]
     k = a.shape[-1]
     x, best = np.zeros(rhs.shape), np.full(gram.shape[:-2], np.sum(b * b, axis=-1))
-    for cols in [list(range(k))] + [list(c) for size in range(1, k)
-                                    for c in itertools.combinations(range(k), size)]:
+    for cols in [list(c) for size in range(k, 0, -1)
+                 for c in itertools.combinations(range(k), size)]:
         g, r = gram[..., cols, :][..., :, cols], rhs[..., cols, :]
         x_s = np.full(r.shape, np.nan)
         for i in np.ndindex(g.shape[:-2]):
@@ -613,11 +613,11 @@ def _nnls_reference(a, b):
                 x_s[i] = np.linalg.solve(g[i], r[i])
             except np.linalg.LinAlgError:
                 pass
-        fine = np.isfinite(x_s).all(axis=(-2, -1))
+        candidate = np.isfinite(x_s).all(axis=(-2, -1)) & np.all(x_s >= 0.0, axis=(-2, -1))
         trial = np.zeros(rhs.shape)
-        trial[..., cols, :] = np.where(fine[..., None, None], x_s, 0.0)
+        trial[..., cols, :] = np.where(candidate[..., None, None], x_s, 0.0)
         r2 = np.sum(((a @ trial)[..., 0] - b) ** 2, axis=-1)
-        better = fine & np.all(x_s >= 0.0, axis=(-2, -1)) & (r2 < best)
+        better = candidate & (r2 < best)
         x[better], best[better] = trial[better], r2[better]
         if len(cols) == k and better.all():
             break       # the full support is feasible everywhere
@@ -642,19 +642,34 @@ class TestNNLS:
             x_ref, r2_ref = _nnls_reference(a, b)
             assert np.array_equal(x, x_ref) and np.array_equal(r2, r2_ref)
 
-    @pytest.mark.parametrize("degenerate", ["zero-column", "identical-pair"])
-    def test_fallback_is_the_support_enumeration(self, degenerate):
+    @pytest.mark.parametrize("degenerate", ["zero-column", "identical-pair", "summed-column"])
+    def test_fallback_is_the_support_enumeration(self, degenerate, monkeypatch):
         # a problem that no support certifies keeps the enumeration's rule,
-        # ties (as zero or repeated columns make) going to its support order
-        rng = np.random.default_rng(11)
+        # ties (as zero or repeated columns make) going to its support order;
+        # rounding leaves some identical-pair and summed-column problems of
+        # this batch uncertified, so _nnls itself reaches the fallback
+        rng = np.random.default_rng(24)
         a, b = rng.standard_normal((20, 12, 4)), rng.standard_normal((20, 12))
         if degenerate == "zero-column":
             a[:, :, 1] = 0.0
-        else:
+        elif degenerate == "identical-pair":
             a[:, :, 2] = a[:, :, 0]
+        else:
+            a[:, :, 3] = a[:, :, 0] + a[:, :, 1]
+        x_ref, r2_ref = _nnls_reference(a, b)
         at = np.swapaxes(a, -1, -2)
         x = _best_feasible(a, b, at @ a, at @ b[..., None])[..., 0]
-        assert np.array_equal(x, _nnls_reference(a, b)[0])
+        assert np.array_equal(x, x_ref)
+        fallen = []
+        monkeypatch.setattr(fitting, "_best_feasible",
+                            lambda a, b, *rest: fallen.extend(b) or _best_feasible(a, b, *rest))
+        x, r2 = _nnls(a, b)
+        # the walk may certify another optimum where x is not unique; the
+        # problems it leaves take the enumeration's bits
+        taken = [i for i in range(len(b)) if any(np.array_equal(b[i], f) for f in fallen)]
+        assert len(taken) == len(fallen) and (taken != []) == (degenerate != "zero-column")
+        assert np.array_equal(x[taken], x_ref[taken]) and np.array_equal(r2[taken], r2_ref[taken])
+        np.testing.assert_allclose(r2, r2_ref, rtol=1e-12)
 
     def test_non_finite_support_solve_is_no_candidate(self):
         # the first column's square underflows, so the full support's solve
@@ -668,9 +683,23 @@ class TestNNLS:
         assert np.array_equal(x, _nnls_reference(a, b)[0])
         assert r2 == np.sum((a @ x - b) ** 2)
 
+    @staticmethod
+    def _check_own_solves(gram, rhs, cols, x, candidate):
+        # each problem is a candidate exactly when its own solve is finite
+        # and >= 0, and then x holds that solve's bits; any other x is 0
+        singular = 0
+        for i in range(len(gram)):
+            try:
+                want = np.linalg.solve(gram[i][np.ix_(cols, cols)], rhs[i][cols])
+            except np.linalg.LinAlgError:
+                want, singular = np.full(rhs[i][cols].shape, np.nan), singular + 1
+            assert candidate[i] == (np.isfinite(want).all() and np.all(want >= 0.0)), i
+            assert np.array_equal(x[i], want if candidate[i] else np.zeros_like(want)), i
+        return singular
+
     def test_singular_problem_leaves_its_batch_mates_bits(self):
-        # a problem whose columns are dependent gets NaN, no candidate for
-        # _nnls; every other problem keeps the bits of its own solve alone
+        # a problem whose columns are dependent is no candidate for _nnls;
+        # every other problem keeps the bits of its own solve alone
         rng = np.random.default_rng(5)
         a = rng.standard_normal((7, 12, 3))
         a[1, :, 0] = 0.0
@@ -678,11 +707,10 @@ class TestNNLS:
         a[5, :, 1] = 0.0
         gram, rhs = np.swapaxes(a, -1, -2) @ a, rng.standard_normal((7, 3, 1))
         gram[2] = 0.0
-        x = _solve(gram, rhs)
-        for i in (1, 2, 4, 5):
-            assert np.isnan(x[i]).all(), i
-        for i in (0, 3, 6):
-            assert np.array_equal(x[i], np.linalg.solve(gram[i], rhs[i])), i
+        cols = np.arange(3)
+        x, candidate = _solve(gram, rhs, cols)
+        assert not candidate[[1, 2, 4, 5]].any()
+        assert self._check_own_solves(gram, rhs, cols, x, candidate) == 4
 
     def test_singular_problems_call_no_pseudo_inverse(self, monkeypatch):
         # the others go to one solve, after the batch's own attempt
@@ -693,32 +721,31 @@ class TestNNLS:
         pinv, solve = np.linalg.pinv, np.linalg.solve
         monkeypatch.setattr(np.linalg, "pinv", lambda m: calls.append(len(m)) or pinv(m))
         monkeypatch.setattr(np.linalg, "solve", lambda m, b: solves.append(len(m)) or solve(m, b))
-        x = _solve(np.swapaxes(a, -1, -2) @ a, rng.standard_normal((9, 2, 1)))
+        gram, rhs = np.swapaxes(a, -1, -2) @ a, rng.standard_normal((9, 2, 1))
+        x, candidate = _solve(gram, rhs, np.arange(2))
         assert calls == []
         assert solves == [9, 4]
-        assert np.isnan(x[::2]).all() and np.isfinite(x[1::2]).all()
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert not candidate[::2].any()
+        assert self._check_own_solves(gram, rhs, np.arange(2), x, candidate) == 5
 
     @pytest.mark.parametrize("token", ["n-mode:1", "n-mode:2", "prior"])
     def test_singular_verdict_is_each_problems_own_solve(self, token, monkeypatch):
         # on 1.0-1.4 K rows the occupancies underflow over most of the
         # profile, so many batches hold singular problems: the batched
         # verdict names just those that LAPACK will not solve alone, which
-        # get NaN, and every other problem keeps the bits of its own solve
+        # are no candidates, and every other problem is judged on the bits
+        # of its own solve
         dataset = _COLD_TABLE
         batches = []
         monkeypatch.setattr(fitting, "_solve",
-                            lambda gram, rhs: batches.append((gram, rhs)) or _solve(gram, rhs))
+                            lambda *args: batches.append(args) or _solve(*args))
         with pytest.raises(RankDeficiencyError):
             fit(FitProblem(dataset=dataset, model=ModelSpec.parse(token)))
         singular = 0
-        for gram, rhs in batches:
-            x = _solve(gram, rhs)
-            for i in range(len(gram)):
-                try:
-                    want = np.linalg.solve(gram[i], rhs[i])
-                except np.linalg.LinAlgError:
-                    want, singular = np.full(rhs[i].shape, np.nan), singular + 1
-                assert np.array_equal(x[i], want, equal_nan=True)
+        for gram, rhs, cols in batches:
+            x, candidate = _solve(gram, rhs, cols)
+            singular += self._check_own_solves(gram, rhs, cols, x, candidate)
         assert singular > 0
 
     @staticmethod
