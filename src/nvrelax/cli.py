@@ -33,7 +33,7 @@ from .core import (
     DatasetError,
     TransitionChannel,
 )
-from .core import _T_INGEST_MAX_K, _T_INGEST_MIN_K, _csv_rows, _csv_text, _read_input, _sha256
+from .core import _T_INGEST_MAX_K, _T_INGEST_MIN_K, _csv_text, _read_input, _sha256
 from .core import load_dataset as _load_dataset
 from .dynamics import (
     ProtocolSpec,
@@ -45,7 +45,6 @@ from .dynamics import (
 from .fitting import FitProblem, compare_models, fit
 from .models import ModelSpec, RateLaw, coherence_limits
 from .spectral import (
-    COUPLING_CSV_HEADER,
     anchor_coupling_table,
     build_spectral_function,
     parse_coupling_text,
@@ -181,24 +180,12 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------- spectral
 
 
-def _second_order_table(text: str):
-    """:func:`parse_coupling_text` for ``spectral``, which integrates the
-    second-order rate alone: an order-1 row is refused, naming its line."""
-    table = parse_coupling_text(text)
-    rows = _csv_rows(text, COUPLING_CSV_HEADER, "coupling table", ValueError)
-    for (lineno, fields), entry in zip(rows, table):
-        if entry.order != 2:
-            raise ValueError(f"line {lineno}: {','.join(fields)!r} is an order-{entry.order} "
-                             "coupling; spectral integrates the second-order rate alone")
-    return table
-
-
 def _cmd_spectral(args) -> int:
     if args.coupling == ANCHOR_TAG:
         table = anchor_coupling_table()
         coupling_text = table.to_csv_text()
     else:
-        table, coupling_text = _read_input(args.coupling, "coupling", _second_order_table)
+        table, coupling_text = _read_input(args.coupling, "coupling", parse_coupling_text)
     checksum = _sha256(coupling_text)
 
     # each channel on its own default grid: the CSV writer formats the

@@ -2,21 +2,19 @@
 
 Discrete per-mode coupling coefficients are smoothed into continuum
 spectral functions with normalized Gaussians, then relaxation rates follow
-by quadrature:
+by quadrature of the second-order Raman rate alone:
 
-    second order:  Gamma = (4 pi / hbar) * integral de n(n+1) F(e, e)
-    first order:   Gamma = (4 pi / hbar) * sum_i integral de n(n+1) F1_i(e)^2 / e^2
+    Gamma = (4 pi / hbar) * integral de n(n+1) F(e, e)
 
-Both are one integral of n(n+1) w(e), over the samples where the function's
-w(e) is nonzero (``SpectralFunction._support``).
+over the samples where F(e, e) is nonzero (``SpectralFunction._support``).
+First order is not integrated: it is smaller by (2 pi D / omega)^2, 3.0e-8
+at 68.2 meV (``order_dominance_ratio``, acceptance criterion 9), so every
+coupling entry and spectral function is of order 2.
 
-Two broadening conventions mirror how the two orders use the couplings:
 ``amplitude`` smooths |V| (the square-root convention; the second-order
-spectral function is its square), while ``power`` smooths |V|^2 (the
-convention the first-order rate integral is defined with), built for
-order-1 functions alone.  Amplitudes are in MHz and are converted to
-energy via h before squaring, so the diagonal F(e, e) is dimensionless and
-the 4 pi / hbar prefactor yields rates in 1/s.
+spectral function is its square).  Amplitudes are in MHz and are converted
+to energy via h before squaring, so the diagonal F(e, e) is dimensionless
+and the 4 pi / hbar prefactor yields rates in 1/s.
 
 Only diagonal mode pairs enter the second-order rate (the equal-energy
 constraint of the continuum limit); off-diagonal combinations are an
@@ -30,7 +28,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +62,6 @@ __all__ = [
     "anchor_coupling_table",
     "build_spectral_function",
     "default_grid",
-    "first_order_raman_rate",
     "order_dominance_ratio",
     "parse_coupling_text",
     "rate_curve",
@@ -113,6 +110,14 @@ def _require_channel(channel: object) -> None:
         raise ValueError(f"channel must be a TransitionChannel, got {channel!r}")
 
 
+def _require_second_order(order: object) -> None:
+    """Raise a ``ValueError`` naming ``order`` unless it is the integer 2:
+    the second-order rate is the only one integrated."""
+    _require_integer({"order": order})
+    if order != 2:
+        raise ValueError(f"order must be 2, the only interaction order integrated, got {order}")
+
+
 @dataclass(frozen=True)
 class CouplingEntry:
     """One discrete spin-phonon coupling coefficient."""
@@ -120,7 +125,7 @@ class CouplingEntry:
     mode_energy: float          # meV
     amplitude: float            # MHz
     channel: TransitionChannel
-    order: int                  # 1 or 2
+    order: int                  # 2
 
     def __post_init__(self) -> None:
         _require({"mode_energy": self.mode_energy})
@@ -131,9 +136,7 @@ class CouplingEntry:
             )
         _require({"amplitude": self.amplitude}, "nonnegative")
         _require_channel(self.channel)
-        _require_integer({"order": self.order})
-        if self.order not in (1, 2):
-            raise ValueError(f"interaction order must be 1 or 2, got {self.order}")
+        _require_second_order(self.order)
 
 
 @dataclass(frozen=True)
@@ -160,14 +163,18 @@ class CouplingTable:
 
 
 def parse_coupling_text(text: str) -> CouplingTable:
-    """Parse coupling CSV (header ``energy_mev,amplitude_mhz,channel,order``)."""
+    """Parse coupling CSV (header ``energy_mev,amplitude_mhz,channel,order``);
+    a row whose order is not 2 is refused, naming its line and its text."""
     entries = []
-    rows = _csv_rows(text, COUPLING_CSV_HEADER, "coupling table", ValueError)
-    for lineno, (energy, amplitude, channel, order) in rows:
+    for lineno, fields in _csv_rows(text, COUPLING_CSV_HEADER, "coupling table", ValueError):
+        energy, amplitude, channel, order = fields
         energy = _csv_field(energy, float, lineno, "energy_mev", ValueError)
         amplitude = _csv_field(amplitude, float, lineno, "amplitude_mhz", ValueError)
         order = _csv_field(order, int, lineno, "order", ValueError)
         try:
+            if order != 2:
+                raise ValueError(f"{','.join(fields)!r} is an order-{order} coupling; "
+                                 "spectral integrates the second-order rate alone")
             entries.append(CouplingEntry(energy, amplitude, TransitionChannel.parse(channel),
                                          order))
         except ValueError as exc:
@@ -215,6 +222,12 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
+def _require_samples(grid: np.ndarray) -> None:
+    """Refuse a grid that is not a 1-D array of at least 5 samples."""
+    if grid.ndim != 1 or len(grid) < 5:
+        raise ValueError("grid must be a 1-D array with at least 5 samples")
+
+
 def _gaussian(x: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
 
@@ -242,29 +255,25 @@ class SpectralFunction:
     """Broadened spectral content of one channel on a uniform energy grid.
 
     ``amplitude`` is the square-root convention (sum of |V| Gaussians,
-    MHz/meV); ``power`` is the squared-coefficient convention (sum of |V|^2
-    Gaussians, MHz^2/meV), which only first order integrates, so only
-    order-1 functions built from a coupling table carry it.
+    MHz/meV).
 
-    ``grid``, ``amplitude`` and ``power`` are read-only copies of the arrays
-    passed in: a caller's array is neither kept nor frozen, and no write to
-    it reaches the function.  Two caches rely on that: ``_support``, the
-    rate integrand's samples and weights, built once per function of either
-    order, and the CSV writer's grid text, shared by every function whose
-    grid has the same bits.
+    ``grid`` and ``amplitude`` are read-only copies of the arrays passed
+    in: a caller's array is neither kept nor frozen, and no write to it
+    reaches the function.  Two caches rely on that: ``_support``, the rate
+    integrand's samples and weights, built once per function, and the CSV
+    writer's grid text, shared by every function whose grid has the same
+    bits.
     """
 
     grid: np.ndarray            # meV, ascending, uniform
     amplitude: np.ndarray       # MHz / meV
     channel: TransitionChannel
-    order: int
+    order: int                  # 2
     sigma: float                # meV
-    power: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         grid, amplitude = _frozen(self.grid), _frozen(self.amplitude)
-        if grid.ndim != 1 or len(grid) < 5:
-            raise ValueError("grid must be a 1-D array with at least 5 samples")
+        _require_samples(grid)
         _require({"grid": grid})
         spacing = np.diff(grid)
         lowest, highest, first = spacing.min(), spacing.max(), spacing[0]
@@ -279,17 +288,9 @@ class SpectralFunction:
         _require({"amplitude": amplitude}, "nonnegative")
         _require({"broadening width sigma": self.sigma}, "positive")
         _require_channel(self.channel)
-        _require_integer({"order": self.order})
-        if self.order not in (1, 2):
-            raise ValueError(f"interaction order must be 1 or 2, got {self.order}")
+        _require_second_order(self.order)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "amplitude", amplitude)
-        if self.power is not None:
-            power = _frozen(self.power)
-            if power.shape != grid.shape:
-                raise ValueError("power must match the grid shape")
-            _require({"power": power}, "nonnegative")
-            object.__setattr__(self, "power", power)
 
     @property
     def spacing(self) -> float:
@@ -301,21 +302,11 @@ class SpectralFunction:
 
     @cached_property
     def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Energies, the rate integrand's w(e) and the full- and halved-grid
-        Simpson weights on the samples where w != 0, built once: w = F(e, e)
-        at order 2, w = F1(e)^2 / e^2 on e > 0 at order 1, with F1 = h^2 power
-        in meV.  The other samples would add exactly 0 to every quadrature
-        sum, so no weight is computed for them."""
-        if self.order == 2:
-            values = self.diagonal_values()
-        elif self.power is None:
-            raise ValueError("first-order rate needs the squared-coefficient convention; "
-                             "build the function from a coupling table")
-        else:
-            positive = self.grid > 0
-            f1 = PLANCK_MEV_PER_MHZ**2 * self.power[positive]
-            values = np.zeros_like(self.grid)
-            values[positive] = f1 * f1 / self.grid[positive] ** 2
+        """Energies, the rate integrand's w(e) = F(e, e) and the full- and
+        halved-grid Simpson weights on the samples where w != 0, built once.
+        The other samples would add exactly 0 to every quadrature sum, so no
+        weight is computed for them."""
+        values = self.diagonal_values()
         keep = np.flatnonzero(values)
         return (self.grid[keep], values[keep], *_quadrature_weights(self.grid, keep))
 
@@ -330,8 +321,8 @@ def build_spectral_function(
     """Smooth the couplings of one channel/order into a spectral function.
 
     ``amplitude(e) = sum_l |V_l| Gaussian(e - e_l; sigma)`` with a
-    normalized Gaussian; order 1 also gets the squared-coefficient ``power``
-    array.  The grid must cover the couplings with 5 sigma of margin.
+    normalized Gaussian.  The grid must be 1-D, of at least 5 samples, and
+    cover the couplings with 5 sigma of margin.
     Each Gaussian is evaluated only on the grid within 40 sigma of its
     center (``_broadened``); it is exactly 0 beyond.
     """
@@ -340,12 +331,11 @@ def build_spectral_function(
     if not entries:
         raise ValueError(f"no coupling entries for channel {channel.value!r}, order {order}")
     grid = default_grid(sigma) if grid is None else np.asarray(grid, dtype=float)
+    _require_samples(grid)
     _require_coverage(grid, max(e.mode_energy for e in entries), sigma)
     amplitude = _broadened(grid, sigma, [(e.mode_energy, e.amplitude) for e in entries])
-    power = None if order == 2 else _broadened(
-        grid, sigma, [(e.mode_energy, e.amplitude**2) for e in entries])
     return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel,
-                            order=order, sigma=sigma, power=power)
+                            order=order, sigma=sigma)
 
 
 def _require_coverage(grid: np.ndarray, top: float, sigma: float) -> None:
@@ -370,8 +360,8 @@ def synthetic_peak_function(
     the given area, so the zero-width limit of the second-order rate is the
     Orbach-like term (4 pi / hbar) * area * n(n+1) at the center energy.
     Used for delta-function oracles and pipeline-bias studies.  The grid
-    must cover the peaks with 5 sigma of margin, as for
-    :func:`build_spectral_function`.
+    must be 1-D, of at least 5 samples, and cover the peaks with 5 sigma of
+    margin, as for :func:`build_spectral_function`.
 
     Broad peaks leave a Gaussian tail at zero energy where the occupation
     weight grows as 1/e^2 and would make the rate integral ill-posed, so F
@@ -383,6 +373,7 @@ def synthetic_peak_function(
     if not peaks:
         raise ValueError("at least one peak is required")
     grid = default_grid(sigma) if grid is None else np.asarray(grid, dtype=float)
+    _require_samples(grid)
     for center, area in peaks:
         _require({"peak center": center}, "positive")
         _require({"peak area": area}, "nonnegative")
@@ -391,7 +382,7 @@ def synthetic_peak_function(
     f_diag *= -np.expm1(-0.5 * (grid / _LOW_ENERGY_WINDOW_MEV) ** 2)
     amplitude = np.sqrt(f_diag) / PLANCK_MEV_PER_MHZ
     return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel,
-                            order=2, sigma=sigma, power=None)
+                            order=2, sigma=sigma)
 
 
 def two_peak_reference_functions(sigma: float) -> tuple[SpectralFunction, SpectralFunction]:
@@ -516,31 +507,9 @@ def second_order_rate(f: SpectralFunction, temperature: float) -> QuadratureRate
     The result is a float that also carries the Richardson relative error
     estimate reached, as ``rel_error``.
     """
-    if f.order != 2:
-        raise ValueError(f"second-order rate needs an order-2 function, got order {f.order}")
     _require({"temperature": temperature}, "positive")
     integral, rel_error = _integrate_checked(f, temperature)
     return QuadratureRate(4.0 * math.pi / HBAR_MEV_S * integral, rel_error)
-
-
-def first_order_raman_rate(f_by_intermediate: Mapping[object, SpectralFunction],
-                           temperature: float) -> float:
-    """First-order Raman rate (4 pi / hbar) * sum_i integral de n(n+1) F1_i(e)^2 / e^2
-    over intermediate spin states i.
-
-    Each map value is the order-1 spectral function shared by both matrix
-    elements of that intermediate state; each state is integrated on its
-    own function's grid, so the states' grids may differ.
-    """
-    _require({"temperature": temperature}, "positive")
-    if not f_by_intermediate:
-        raise ValueError("at least one intermediate state is required")
-    for key, f in f_by_intermediate.items():
-        if f.order != 1:
-            raise ValueError(f"first-order rate needs order-1 functions; intermediate "
-                             f"{key!r} has order {f.order}")
-    total = sum(_integrate_checked(f, temperature)[0] for f in f_by_intermediate.values())
-    return 4.0 * math.pi / HBAR_MEV_S * total
 
 
 def order_dominance_ratio(d_ghz: float, phonon_energy_mev: float) -> float:
@@ -606,9 +575,6 @@ def rate_curve(
     f_sq: SpectralFunction, f_dq: SpectralFunction, t_grid: Sequence[float]
 ) -> RamanRateCurve:
     """Pointwise second-order rates for both channels over a temperature grid."""
-    for name, f in (("single-quantum", f_sq), ("double-quantum", f_dq)):
-        if f.order != 2:
-            raise ValueError(f"{name} function must be order 2, got order {f.order}")
     temps = tuple(float(t) for t in t_grid)
     omega = [second_order_rate(f_sq, t) for t in temps]
     gamma = [second_order_rate(f_dq, t) for t in temps]
@@ -634,6 +600,8 @@ def refit_theory_curve(curve: RamanRateCurve, t_max: float,
     the fit draws nothing at random.
     """
     _require({"t_max": t_max}, "positive")
+    if not curve.temperatures:
+        raise ValueError(f"curve has no temperatures but t_max={t_max:g} K")
     if max(curve.temperatures) < t_max:
         raise ValueError(
             f"curve reaches only {max(curve.temperatures):g} K but t_max={t_max:g} K"

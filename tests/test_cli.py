@@ -603,8 +603,9 @@ class TestSpectralCommand:
 
     @pytest.mark.parametrize("row, message", [
         ("40.0,1.0,single_quantum,1", "'40.0,1.0,single_quantum,1' is an order-1 coupling"),
+        ("40.0,1.0,single_quantum,3", "'40.0,1.0,single_quantum,3' is an order-3 coupling"),
         ("50.0,1.0,dephasing,2", "unknown channel 'dephasing'"),
-    ], ids=["order-1", "dephasing"])
+    ], ids=["order-1", "order-3", "dephasing"])
     def test_a_row_it_cannot_integrate_is_refused_naming_its_line(self, row, message,
                                                                   tmp_path, capsys):
         # spectral integrates the order-2 rows alone; a row it would drop is

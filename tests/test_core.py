@@ -29,13 +29,11 @@ from nvrelax.fitting import FitProblem, ModelSpec
 from nvrelax.models import ModelSpec, RateLaw, occupation, orbach_factor, orbach_factor_ddelta
 from nvrelax.spectral import (
     CouplingEntry,
-    CouplingTable,
     RamanRateCurve,
     SpectralFunction,
     anchor_coupling_table,
     build_spectral_function,
     default_grid,
-    first_order_raman_rate,
     order_dominance_ratio,
     rate_curve,
     refit_theory_curve,
@@ -310,11 +308,6 @@ def _peak(**kwargs):
                                       "channel": SQ, **kwargs})
 
 
-def _order_one():
-    table = CouplingTable(entries=(CouplingEntry(62.4, 0.6, SQ, 1),))
-    return build_spectral_function(table, SQ, 1, sigma=7.5)
-
-
 # (field named in the message, domain, call taking the probed value)
 BOUNDARIES = {
     "orbach_factor temperature": ("temperature", "positive",
@@ -323,8 +316,6 @@ BOUNDARIES = {
     "RateLaw.rates": ("temperature", "positive", lambda x: RateLaw(
         ModelSpec("n_mode", 1), {"delta_1": 68.2, "a_1": 1.0, "b_1": 1.0}).rates(None, x)),
     "second_order_rate": ("temperature", "positive", lambda x: second_order_rate(_peak(), x)),
-    "first_order_raman_rate": ("temperature", "positive",
-                               lambda x: first_order_raman_rate({"+1": _order_one()}, x)),
     "rate_curve": ("temperature", "positive", lambda x: rate_curve(_peak(), _peak(), [x])),
     "build_spectral_function": ("broadening width sigma", "positive",
                                 lambda x: build_spectral_function(anchor_coupling_table(),

@@ -25,7 +25,6 @@ from nvrelax.spectral import (
     anchor_coupling_table,
     build_spectral_function,
     default_grid,
-    first_order_raman_rate,
     order_dominance_ratio,
     parse_coupling_text,
     rate_curve,
@@ -87,9 +86,14 @@ class TestCouplingEntries:
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_coupling_text(text)
 
-    def test_order_enumerated(self):
-        with pytest.raises(ValueError, match="order"):
-            CouplingEntry(50.0, 1.0, SQ, 3)
+    @pytest.mark.parametrize("order", [1, 0, 3, -1])
+    def test_order_enumerated(self, order):
+        message = f"^order must be 2, the only interaction order integrated, got {order}$"
+        with pytest.raises(ValueError, match=message):
+            CouplingEntry(62.4, 0.6, SQ, order)
+        with pytest.raises(ValueError, match=message):
+            SpectralFunction(grid=np.linspace(0, 10, 11), amplitude=np.zeros(11),
+                             channel=SQ, order=order, sigma=1.0)
 
     @pytest.mark.parametrize("order", [2.0, True, np.float64(1.0)])
     def test_order_must_be_an_integer(self, order):
@@ -144,10 +148,15 @@ class TestCouplingEntries:
         with pytest.raises(ValueError, match="^line 3: unknown channel 'dephasing'"):
             parse_coupling_text(text)
 
-    def test_parse_keeps_order_one_rows(self):
-        # spectral refuses them; first_order_raman_rate's callers need them
-        table = parse_coupling_text(COUPLING_CSV_HEADER + "\n40.0,1.0,single_quantum,1\n")
-        assert list(table) == [CouplingEntry(40.0, 1.0, SQ, 1)]
+    @pytest.mark.parametrize("order", [1, 0, 3, -1])
+    def test_parse_refuses_a_row_not_of_order_two_naming_its_line(self, order):
+        # the rates integrate order 2 alone: a row they would drop is refused
+        row = f"40.0,1.0,single_quantum,{order}"
+        text = COUPLING_CSV_HEADER + f"\n62.4,2.0,double_quantum,2\n {row} \n"
+        with pytest.raises(ValueError) as excinfo:
+            parse_coupling_text(text)
+        assert str(excinfo.value) == (f"line 3: {row!r} is an order-{order} coupling; "
+                                      "spectral integrates the second-order rate alone")
 
     def test_anchor_table_contents(self):
         table = anchor_coupling_table()
@@ -222,15 +231,6 @@ class TestBuildSpectralFunction:
         peak = synthetic_peak_function([(68.2, 1e-12)], sigma, SQ)
         assert np.array_equal(f.grid, grid) and np.array_equal(peak.grid, grid)
 
-    def test_power_built_for_order_1_alone(self):
-        # first order alone integrates power, so order 2 does not build it
-        table = CouplingTable(entries=(CouplingEntry(62.4, 2.0, DQ, 1),
-                                       CouplingEntry(62.4, 2.0, DQ, 2)))
-        first = build_spectral_function(table, DQ, 1, sigma=7.5)
-        assert build_spectral_function(table, DQ, 2, sigma=7.5).power is None
-        # power smooths |V|^2: its peak is 4x the unit-coupling kernel
-        assert np.max(first.power) == pytest.approx(4.0 * 0.05319, rel=1e-3)
-
     def test_arrays_immutable(self):
         f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma=7.5)
         with pytest.raises(ValueError):
@@ -249,15 +249,10 @@ class TestBuildSpectralFunction:
             CouplingEntry(62.4 + 3.0 * sigma, 1.7, SQ, 2), CouplingEntry(high, 0.07, SQ, 2)))
         grid = default_grid(sigma)
         f = build_spectral_function(table, SQ, 2, sigma, grid)
-        first_order = CouplingTable(entries=tuple(dataclasses.replace(e, order=1) for e in table))
-        f1 = build_spectral_function(first_order, SQ, 1, sigma, grid)
-        amplitude, power = np.zeros_like(grid), np.zeros_like(grid)
+        amplitude = np.zeros_like(grid)
         for e in table.for_channel(SQ, 2):
-            kernel = spectral._gaussian(grid - e.mode_energy, sigma)
-            amplitude += e.amplitude * kernel
-            power += e.amplitude**2 * kernel
-        assert f.amplitude.tobytes() == f1.amplitude.tobytes() == amplitude.tobytes()
-        assert f1.power.tobytes() == power.tobytes()
+            amplitude += e.amplitude * spectral._gaussian(grid - e.mode_energy, sigma)
+        assert f.amplitude.tobytes() == amplitude.tobytes()
         peaks = [(low, 1e-12), (65.0, 3e-12), (high, 2e-12)]
         synthetic = synthetic_peak_function(peaks, sigma, SQ, grid)
         f_diag = np.zeros_like(grid)
@@ -307,16 +302,25 @@ class TestSpectralFunctionInvariants:
             SpectralFunction(grid=np.linspace(0, 10, 11), amplitude=amp,
                              channel=SQ, order=2, sigma=1.0)
 
-    @pytest.mark.parametrize("n, order, power_size, message", [
-        (4, 2, None, "at least 5 samples"),
-        (11, 3, None, "interaction order must be 1 or 2, got 3"),
-        (11, 2, 5, "power must match the grid shape"),
-    ], ids=["short-grid", "order", "power-shape"])
-    def test_malformed_function_rejected(self, n, order, power_size, message):
-        power = None if power_size is None else np.zeros(power_size)
+    @pytest.mark.parametrize("n, order, message", [
+        (4, 2, "at least 5 samples"),
+        (11, 3, "order must be 2, the only interaction order integrated, got 3"),
+    ], ids=["short-grid", "order"])
+    def test_malformed_function_rejected(self, n, order, message):
         with pytest.raises(ValueError, match=message):
             SpectralFunction(grid=np.linspace(0, 10, n), amplitude=np.zeros(n),
-                             channel=SQ, order=order, sigma=1.0, power=power)
+                             channel=SQ, order=order, sigma=1.0)
+
+    @pytest.mark.parametrize("grid", [np.zeros(0), np.array(50.0), np.zeros((5, 5))],
+                             ids=["empty", "0-d", "2-d"])
+    @pytest.mark.parametrize("build", [
+        lambda grid: build_spectral_function(anchor_coupling_table(), SQ, 2, 7.5, grid),
+        lambda grid: synthetic_peak_function([(68.2, 1e-12)], 7.5, SQ, grid),
+    ], ids=["build_spectral_function", "synthetic_peak_function"])
+    def test_builders_refuse_a_malformed_grid_by_name(self, grid, build):
+        # checked before the coverage check and the broadening index it
+        with pytest.raises(ValueError, match="^grid must be a 1-D array with at least 5 samples$"):
+            build(grid)
 
     def test_nonfinite_grid_named(self):
         grid = np.linspace(0.0, 0.5, 6)
@@ -328,16 +332,15 @@ class TestSpectralFunctionInvariants:
         # the grid text slot and _support keep what they first saw,
         # so a caller must not reach a function's arrays through another
         base = np.linspace(0.0, 0.4, 5).copy()
-        amplitude, power = np.ones((2, 5))
+        amplitude = np.ones(5)
         f = SpectralFunction(grid=base[:], amplitude=amplitude[:], channel=SQ, order=2,
-                             sigma=1.0, power=power[::1])
+                             sigma=1.0)
         energies, text = base.tolist(), spectral_to_csv_text(f)
-        base[:], amplitude[:], power[:] = 2.0 * base, 2.0, 2.0
+        base[:], amplitude[:] = 2.0 * base, 2.0
         assert f.grid.tolist() == energies
-        assert f.amplitude.tolist() == f.power.tolist() == [1.0] * 5
+        assert f.amplitude.tolist() == [1.0] * 5
         assert spectral_to_csv_text(f) == text == _reference_csv(f)
-        assert not (f.grid.flags.writeable or f.amplitude.flags.writeable
-                    or f.power.flags.writeable)
+        assert not (f.grid.flags.writeable or f.amplitude.flags.writeable)
 
     def test_array_changed_through_an_earlier_view_is_not_seen(self):
         # a view taken before construction reaches the caller's array, never
@@ -365,11 +368,9 @@ class TestSpectralFunctionInvariants:
         f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma, grid)
         assert f.grid is not grid and grid.flags.writeable
 
-    def test_no_peaks_or_intermediate_states_rejected(self):
+    def test_no_peaks_rejected(self):
         with pytest.raises(ValueError, match="at least one peak"):
             synthetic_peak_function([], sigma=7.5, channel=SQ)
-        with pytest.raises(ValueError, match="at least one intermediate state"):
-            first_order_raman_rate({}, 295.0)
 
 
 class TestSecondOrderRate:
@@ -398,11 +399,15 @@ class TestSecondOrderRate:
         f, _ = two_peak_reference_functions(7.5)
         assert second_order_rate(f, 1e-320) == second_order_rate(f, 5e-324) == 0.0
 
-    def test_order_checked(self):
-        table = CouplingTable(entries=(CouplingEntry(62.4, 2.0, DQ, 1),))
-        f = build_spectral_function(table, DQ, 1, sigma=7.5)
-        with pytest.raises(ValueError, match="order-2"):
-            second_order_rate(f, 295.0)
+    def test_weights_built_once_per_function(self, monkeypatch):
+        calls = []
+        weights = spectral._quadrature_weights
+        monkeypatch.setattr(spectral, "_quadrature_weights",
+                            lambda grid, keep: calls.append(len(keep)) or weights(grid, keep))
+        f = build_spectral_function(anchor_coupling_table(), SQ, 2, sigma=1.0)
+        first = second_order_rate(f, 295.0)
+        assert second_order_rate(f, 295.0) == first < second_order_rate(f, 400.0)
+        assert len(calls) == 1 and 0 < calls[0] < len(f.grid)
 
     def test_temperature_positive(self):
         f, _ = two_peak_reference_functions(7.5)
@@ -453,93 +458,6 @@ class TestSecondOrderRate:
         assert second_order_rate(f, t_low + step) > second_order_rate(f, t_low)
 
 
-class TestFirstOrderRate:
-    def test_zero_function_gives_zero(self):
-        table = CouplingTable(entries=(CouplingEntry(62.4, 0.0, SQ, 1),))
-        f = build_spectral_function(table, SQ, 1, sigma=7.5)
-        assert first_order_raman_rate({"0": f}, 295.0) == 0.0
-
-    def test_narrow_peak_closed_form(self):
-        # one coupling V at energy D, both matrix elements alike: the rate
-        # approaches (4 pi / hbar) n(n+1) (h V)^4 / D^2 * Int g(e)^2 de,
-        # and the squared normalized Gaussian integrates to 1/(2 s sqrt(pi))
-        v_mhz, center, sigma = 2.0, 62.4, 0.01
-        table = CouplingTable(entries=(CouplingEntry(center, v_mhz, SQ, 1),))
-        f = build_spectral_function(table, SQ, 1, sigma=sigma, grid=FINE_GRID)
-        got = first_order_raman_rate({"0": f}, 295.0)
-        f1_area = (PLANCK_MEV_PER_MHZ**2 * v_mhz**2) ** 2 / (2 * sigma * math.sqrt(math.pi))
-        want = (4.0 * math.pi / HBAR_MEV_S * orbach_factor(center, 295.0)
-                * f1_area / center**2)
-        assert abs(got - want) / want < 1e-3
-
-    def test_intermediate_states_sum(self):
-        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 1),))
-        f = build_spectral_function(table, SQ, 1, sigma=7.5)
-        one = first_order_raman_rate({"0": f}, 295.0)
-        two = first_order_raman_rate({"0": f, "+1": f}, 295.0)
-        assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_states_on_different_grids_sum(self):
-        # each state is integrated on its own grid: no grid is shared
-        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 1),
-                                       CouplingEntry(160.7, 0.3, SQ, 1)))
-        f_a = build_spectral_function(table, SQ, 1, sigma=7.5)
-        f_b = build_spectral_function(table, SQ, 1, sigma=3.0,
-                                      grid=np.linspace(0.0, 250.0, 10001))
-        one, other = (first_order_raman_rate({key: f}, 295.0)
-                      for key, f in (("0", f_a), ("+1", f_b)))
-        assert one != other
-        assert first_order_raman_rate({"0": f_a, "+1": f_b}, 295.0) == \
-            pytest.approx(one + other, rel=1e-15, abs=0)
-
-    def test_weights_built_once_per_function(self, monkeypatch):
-        calls = []
-        weights = spectral._quadrature_weights
-        monkeypatch.setattr(spectral, "_quadrature_weights",
-                            lambda grid, keep: calls.append(len(keep)) or weights(grid, keep))
-        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 1),))
-        f = build_spectral_function(table, SQ, 1, sigma=7.5)
-        first = first_order_raman_rate({"0": f}, 295.0)
-        assert first_order_raman_rate({"0": f, "+1": f}, 295.0) == pytest.approx(
-            2.0 * first, rel=1e-15, abs=0)
-        assert len(calls) == 1 and 0 < calls[0] < len(f.grid)
-
-    def test_order_checked(self):
-        f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma=7.5)
-        with pytest.raises(ValueError, match="order-1"):
-            first_order_raman_rate({"0": f}, 295.0)
-
-    def test_synthetic_functions_rejected(self):
-        f = synthetic_peak_function([(62.4, 1e-12)], sigma=7.5, channel=SQ)
-        object.__setattr__(f, "order", 1)
-        with pytest.raises(ValueError, match="squared-coefficient"):
-            first_order_raman_rate({"0": f}, 295.0)
-
-    @pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 7.5])
-    def test_support_quadrature_matches_the_whole_grid(self, sigma):
-        # only the samples of positive energy where F1 != 0 are integrated;
-        # leaving out the zero terms moves the sum by rounding alone
-        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 1),
-                                       CouplingEntry(160.7, 0.3, SQ, 1)))
-        f = build_spectral_function(table, SQ, 1, sigma)
-        e = f.grid[1:]
-        n = 1.0 / np.expm1(e / (BOLTZMANN_MEV_PER_K * 295.0))
-        f1 = PLANCK_MEV_PER_MHZ**2 * f.power[1:]
-        integrand = np.concatenate(([0.0], n * (n + 1.0) * f1 * f1 / e**2))
-        want = 4.0 * math.pi / HBAR_MEV_S * float(_whole_grid_weights(f.grid) @ integrand)
-        assert first_order_raman_rate({"0": f}, 295.0) == pytest.approx(want, rel=1e-15, abs=0)
-
-    def test_orders_of_magnitude_below_second_order(self):
-        table = CouplingTable(entries=(
-            CouplingEntry(50.0, 1.0, SQ, 1),
-            CouplingEntry(50.0, 1.0, SQ, 2),
-        ))
-        f1 = build_spectral_function(table, SQ, 1, sigma=7.5)
-        f2 = build_spectral_function(table, SQ, 2, sigma=7.5)
-        ratio = first_order_raman_rate({"0": f1}, 295.0) / second_order_rate(f2, 295.0)
-        assert ratio < 1e-6
-
-
 class TestOrderDominance:
     def test_reference_value(self):
         ratio = order_dominance_ratio(2.87, 50.0)
@@ -575,13 +493,6 @@ class TestRateCurve:
         f_sq, f_dq = two_peak_reference_functions(7.5)
         curve = rate_curve(f_sq, f_dq, np.linspace(125.0, 500.0, 8))
         assert all(g > o for g, o in zip(curve.gamma, curve.omega))
-
-    def test_order_validated(self):
-        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 1),))
-        f1 = build_spectral_function(table, SQ, 1, sigma=7.5)
-        _, f_dq = two_peak_reference_functions(7.5)
-        with pytest.raises(ValueError, match="order 2"):
-            rate_curve(f1, f_dq, [300.0])
 
     def test_csv_and_dataset_export(self):
         f_sq, f_dq = two_peak_reference_functions(7.5)
@@ -797,6 +708,11 @@ class TestRefitTheoryCurve:
         curve = rate_curve(f_sq, f_dq, np.linspace(150.0, 500.0, 15))
         with pytest.raises(ValueError, match="t_max"):
             refit_theory_curve(curve, t_max=5000.0)
+
+    def test_curve_without_temperatures_rejected_by_name(self):
+        curve = RamanRateCurve(temperatures=(), omega=(), gamma=(), provenance="empty")
+        with pytest.raises(ValueError, match="^curve has no temperatures but t_max=400 K$"):
+            refit_theory_curve(curve, t_max=400.0)
 
     def test_bias_windows(self, bias_study):
         d1_n, d2_n = bias_study[7.5]
