@@ -409,6 +409,19 @@ class TestSecondOrderRate:
         assert second_order_rate(f, 295.0) == first < second_order_rate(f, 400.0)
         assert len(calls) == 1 and 0 < calls[0] < len(f.grid)
 
+    @pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 7.5])
+    def test_support_quadrature_matches_the_whole_grid(self, sigma):
+        # only the samples of positive energy where F != 0 are integrated;
+        # leaving out the zero terms moves the sum by rounding alone
+        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 2),
+                                       CouplingEntry(160.7, 0.3, SQ, 2)))
+        f = build_spectral_function(table, SQ, 2, sigma)
+        e = f.grid[1:]
+        n = 1.0 / np.expm1(e / (BOLTZMANN_MEV_PER_K * 295.0))
+        integrand = np.concatenate(([0.0], n * (n + 1.0) * f.diagonal_values()[1:]))
+        want = 4.0 * math.pi / HBAR_MEV_S * float(_whole_grid_weights(f.grid) @ integrand)
+        assert second_order_rate(f, 295.0) == pytest.approx(want, rel=1e-15, abs=0)
+
     def test_temperature_positive(self):
         f, _ = two_peak_reference_functions(7.5)
         with pytest.raises(ValueError, match="temperature"):
