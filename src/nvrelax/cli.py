@@ -190,10 +190,8 @@ def _cmd_spectral(args) -> int:
 
     # each channel on its own default grid: the CSV writer formats the
     # grid's text once for both, since the two grids have the same bits
-    f_sq = build_spectral_function(
-        table, TransitionChannel.SINGLE_QUANTUM, order=2, sigma=args.sigma)
-    f_dq = build_spectral_function(
-        table, TransitionChannel.DOUBLE_QUANTUM, order=2, sigma=args.sigma)
+    f_sq = build_spectral_function(table, TransitionChannel.SINGLE_QUANTUM, sigma=args.sigma)
+    f_dq = build_spectral_function(table, TransitionChannel.DOUBLE_QUANTUM, sigma=args.sigma)
     temps = _temperature_grid(args, geometric=True)
     curve = rate_curve(f_sq, f_dq, temps)
     # a failed refit must leave no files behind, so it runs before any write

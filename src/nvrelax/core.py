@@ -126,7 +126,8 @@ def _require(values: Mapping[str, object], domain: str = "finite",
     A value is a number or an array (or a sequence numpy reads as one).  A
     boolean, an array of them, or a sequence holding one is refused rather
     than read as 0 or 1; numpy reads ``(False, 2.0)`` as floats, so a
-    list's or a tuple's entries are looked at one by one.
+    list's or a tuple's entries are looked at one by one.  So is a string,
+    bytes or complex value (``'300'``, ``['1', 2.0]``), not cast to float.
     A Python or numpy float, or a Python int, passes on ``math.isfinite``
     and the domain test alone; an array of numbers passes on one ``min()``
     and one ``max()`` (a NaN makes both NaN).  Only a value that does not
@@ -142,6 +143,8 @@ def _require(values: Mapping[str, object], domain: str = "finite",
             kind = a.dtype.kind
             if kind == "b" or isinstance(value, (list, tuple)) and _holds_bool(value):
                 raise error(f"{name} must be a number, not a boolean")
+            if kind in "SUc":
+                raise error(f"{name} must be a number, got {value!r}")
             if kind not in "fiu" or not a.size:
                 _refuse(name, value, domain, error)
                 continue

@@ -189,17 +189,18 @@ class RateLaw:
     with column the Orbach factor n(n+1) at the term's mode energy (meV),
     or T^5 for the prior law's Raman tail.  Coefficients are in s^-1 (the
     T^5 ones in s^-1 K^-5).  Every a3_<sample>/b3_<sample> pair in
-    ``values`` is one sample's temperature-independent floor (s^-1);
-    other extra keys are ignored.  Mode energies ascend.
+    ``values`` is one sample's temperature-independent floor (s^-1), each
+    half required; other extra keys are ignored.  Mode energies ascend.
     """
 
     spec: ModelSpec
     values: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        values, floors = self.values, self._floors
+        values = self.values
+        floors = [f"{c}3_{s}" for s in self._floors for c in "ab"]
         _require(values)
-        for name in (*self.spec.param_names, *("b3_" + s for s in floors)):
+        for name in (*self.spec.param_names, *floors):
             if name not in values:
                 raise KeyError(f"missing parameter {name!r}")
         terms = self.spec.terms
@@ -208,7 +209,7 @@ class RateLaw:
         # coefficients and pure rate floors cannot be negative
         _require({name: values[name] for name in
                   (*(n for t in terms for n in (t.a, t.b)),
-                   *(f"{c}3_{s}" for s in floors for c in "ab"))}, "nonnegative")
+                   *floors)}, "nonnegative")
         if energies != sorted(energies):
             raise ValueError("modes must be sorted ascending by energy")
         for lo, hi in zip(energies, energies[1:]):
@@ -220,7 +221,7 @@ class RateLaw:
 
     @property
     def _floors(self) -> list[str]:
-        return sorted(name[3:] for name in self.values if name.startswith("a3_"))
+        return sorted({name[3:] for name in self.values if name.startswith(("a3_", "b3_"))})
 
     @property
     def samples(self) -> tuple[str | None, ...]:

@@ -8,8 +8,8 @@ by quadrature of the second-order Raman rate alone:
 
 over the samples where F(e, e) is nonzero (``SpectralFunction._support``).
 First order is not integrated: it is smaller by (2 pi D / omega)^2, 3.0e-8
-at 68.2 meV (``order_dominance_ratio``, acceptance criterion 9), so every
-coupling entry and spectral function is of order 2.
+at 68.2 meV (``order_dominance_ratio``, criterion 9): coupling entries and
+spectral functions carry no order, and a coupling CSV's order column must read 2.
 
 ``amplitude`` smooths |V| (the square-root convention; the second-order
 spectral function is its square).  Amplitudes are in MHz and are converted
@@ -43,7 +43,6 @@ from .core import (
     _csv_rows,
     _csv_text,
     _require,
-    _require_integer,
     convert_energy,
 )
 from .fitting import FitProblem, FitResult, ModelSpec, fit
@@ -110,14 +109,6 @@ def _require_channel(channel: object) -> None:
         raise ValueError(f"channel must be a TransitionChannel, got {channel!r}")
 
 
-def _require_second_order(order: object) -> None:
-    """Raise a ``ValueError`` naming ``order`` unless it is the integer 2:
-    the second-order rate is the only one integrated."""
-    _require_integer({"order": order})
-    if order != 2:
-        raise ValueError(f"order must be 2, the only interaction order integrated, got {order}")
-
-
 @dataclass(frozen=True)
 class CouplingEntry:
     """One discrete spin-phonon coupling coefficient."""
@@ -125,7 +116,6 @@ class CouplingEntry:
     mode_energy: float          # meV
     amplitude: float            # MHz
     channel: TransitionChannel
-    order: int                  # 2
 
     def __post_init__(self) -> None:
         _require({"mode_energy": self.mode_energy})
@@ -136,7 +126,6 @@ class CouplingEntry:
             )
         _require({"amplitude": self.amplitude}, "nonnegative")
         _require_channel(self.channel)
-        _require_second_order(self.order)
 
 
 @dataclass(frozen=True)
@@ -145,20 +134,20 @@ class CouplingTable:
 
     entries: tuple[CouplingEntry, ...]
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries))
+        for i, entry in enumerate(self.entries):
+            if not isinstance(entry, CouplingEntry):
+                raise ValueError(f"entries[{i}] must be a CouplingEntry, got {entry!r}")
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def for_channel(self, channel: TransitionChannel, order: int) -> tuple[CouplingEntry, ...]:
-        """Entries of one channel and interaction order, sorted by energy."""
-        selected = [e for e in self.entries if e.channel == channel and e.order == order]
+    def for_channel(self, channel: TransitionChannel) -> tuple[CouplingEntry, ...]:
+        """Entries of one channel, sorted by energy."""
+        selected = [e for e in self.entries if e.channel == channel]
         return tuple(sorted(selected, key=lambda e: e.mode_energy))
 
     def to_csv_text(self) -> str:
         return _csv_text(COUPLING_CSV_HEADER, [
-            f"{e.mode_energy!r},{e.amplitude!r},{e.channel.value},{e.order}"
+            f"{e.mode_energy!r},{e.amplitude!r},{e.channel.value},2"
             for e in self.entries])
 
 
@@ -175,16 +164,15 @@ def parse_coupling_text(text: str) -> CouplingTable:
             if order != 2:
                 raise ValueError(f"{','.join(fields)!r} is an order-{order} coupling; "
                                  "spectral integrates the second-order rate alone")
-            entries.append(CouplingEntry(energy, amplitude, TransitionChannel.parse(channel),
-                                         order))
+            entries.append(CouplingEntry(energy, amplitude, TransitionChannel.parse(channel)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return CouplingTable(entries=tuple(entries))
+    return CouplingTable(entries=entries)
 
 
 def anchor_coupling_table() -> CouplingTable:
-    """The two strongest quasilocalized E-mode couplings (order 2) of a
-    512-atom supercell.
+    """The two strongest quasilocalized E-mode couplings of a 512-atom
+    supercell.
 
     The 62.4 meV mode carries 2 MHz (double-quantum) and 0.6 MHz
     (single-quantum); the 160.7 meV mode carries 0.34 and 0.07 MHz.
@@ -193,10 +181,10 @@ def anchor_coupling_table() -> CouplingTable:
     dq = TransitionChannel.DOUBLE_QUANTUM
     return CouplingTable(
         entries=(
-            CouplingEntry(62.4, 0.6, sq, 2),
-            CouplingEntry(62.4, 2.0, dq, 2),
-            CouplingEntry(160.7, 0.07, sq, 2),
-            CouplingEntry(160.7, 0.34, dq, 2),
+            CouplingEntry(62.4, 0.6, sq),
+            CouplingEntry(62.4, 2.0, dq),
+            CouplingEntry(160.7, 0.07, sq),
+            CouplingEntry(160.7, 0.34, dq),
         ),
     )
 
@@ -268,7 +256,6 @@ class SpectralFunction:
     grid: np.ndarray            # meV, ascending, uniform
     amplitude: np.ndarray       # MHz / meV
     channel: TransitionChannel
-    order: int                  # 2
     sigma: float                # meV
 
     def __post_init__(self) -> None:
@@ -288,7 +275,6 @@ class SpectralFunction:
         _require({"amplitude": amplitude}, "nonnegative")
         _require({"broadening width sigma": self.sigma}, "positive")
         _require_channel(self.channel)
-        _require_second_order(self.order)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "amplitude", amplitude)
 
@@ -314,11 +300,10 @@ class SpectralFunction:
 def build_spectral_function(
     table: CouplingTable,
     channel: TransitionChannel,
-    order: int,
     sigma: float,
     grid: np.ndarray | None = None,
 ) -> SpectralFunction:
-    """Smooth the couplings of one channel/order into a spectral function.
+    """Smooth the couplings of one channel into a spectral function.
 
     ``amplitude(e) = sum_l |V_l| Gaussian(e - e_l; sigma)`` with a
     normalized Gaussian.  The grid must be 1-D, of at least 5 samples, and
@@ -327,15 +312,14 @@ def build_spectral_function(
     center (``_broadened``); it is exactly 0 beyond.
     """
     _require({"broadening width sigma": sigma}, "positive")
-    entries = table.for_channel(channel, order)
+    entries = table.for_channel(channel)
     if not entries:
-        raise ValueError(f"no coupling entries for channel {channel.value!r}, order {order}")
+        raise ValueError(f"no coupling entries for channel {channel.value!r}, order 2")
     grid = default_grid(sigma) if grid is None else np.asarray(grid, dtype=float)
     _require_samples(grid)
     _require_coverage(grid, max(e.mode_energy for e in entries), sigma)
     amplitude = _broadened(grid, sigma, [(e.mode_energy, e.amplitude) for e in entries])
-    return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel,
-                            order=order, sigma=sigma)
+    return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel, sigma=sigma)
 
 
 def _require_coverage(grid: np.ndarray, top: float, sigma: float) -> None:
@@ -381,8 +365,7 @@ def synthetic_peak_function(
     _require_coverage(grid, max(center for center, _ in peaks), sigma)
     f_diag *= -np.expm1(-0.5 * (grid / _LOW_ENERGY_WINDOW_MEV) ** 2)
     amplitude = np.sqrt(f_diag) / PLANCK_MEV_PER_MHZ
-    return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel,
-                            order=2, sigma=sigma)
+    return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel, sigma=sigma)
 
 
 def two_peak_reference_functions(sigma: float) -> tuple[SpectralFunction, SpectralFunction]:
@@ -766,7 +749,7 @@ def spectral_to_csv_text(f: SpectralFunction) -> str:
     # one growing copy, in place of the pieces and their join
     out = io.StringIO()
     out.write(_csv_text("energy_mev,amplitude_mhz_per_mev", [], {
-        "channel": f.channel.value, "order": f.order, "sigma_mev": repr(f.sigma)}))
+        "channel": f.channel.value, "order": 2, "sigma_mev": repr(f.sigma)}))
     done, cut = 0, len(_ZERO_ROW)
     for end, a in zip(offsets[rows + 1].tolist(), amplitude[rows].tolist()):
         out.write(text[done:end - cut])

@@ -18,6 +18,7 @@ import nvrelax
 from nvrelax.cli import main
 from nvrelax.core import parse_dataset_text
 from nvrelax.fitting import FitProblem, ModelSpec, fit, residual_diagnostics
+from nvrelax.spectral import anchor_coupling_table
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -151,11 +152,15 @@ class TestExitCodes:
         assert err.startswith(f"error: {message}") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["published.json"]
 
-    def test_missing_parameter_is_named(self, tmp_path, capsys):
+    # a lone b3_X once exited 0, its floor silently not used
+    @pytest.mark.parametrize("extra, missing", [("", "b_1"), (',"b_1":1,"a3_X":1', "b3_X"),
+                                                (',"b_1":1,"b3_X":1', "a3_X")],
+                             ids=["b_1", "lone-a3", "lone-b3"])
+    def test_missing_parameter_is_named(self, extra, missing, tmp_path, capsys):
         params = tmp_path / "params.json"
-        params.write_text('{"model":"n-mode:1","parameters":{"delta_1":60,"a_1":1}}')
+        params.write_text('{"model":"n-mode:1","parameters":{"delta_1":60,"a_1":1' + extra + '}}')
         assert run("eval", "--params", str(params), "--temps", "300") == 1
-        assert capsys.readouterr().err == "error: missing parameter 'b_1'\n"
+        assert capsys.readouterr().err == f"error: missing parameter '{missing}'\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
     @pytest.mark.parametrize("command", [("fit",), ("compare", "--models", "n-mode:1", "prior")],
@@ -503,6 +508,19 @@ class TestSpectralCommand:
         window = (energy > 140) & (energy < 180)
         peak_idx = np.argmax(amplitude[window])
         assert abs(energy[window][peak_idx] - 160.7) < 0.5
+
+    def test_accepted_coupling_file_round_trips(self, tmp_path):
+        # the anchor table read back from a file gives the anchor run's
+        # checksum and bytes; only the # config: line (its --coupling) differs
+        coupling = tmp_path / "anchor.csv"
+        coupling.write_text(anchor_coupling_table().to_csv_text())
+        for name, source in (("tag", "anchor-modes"), ("file", str(coupling))):
+            assert run("spectral", "--sigma", "7.5", "--n-temps", "8", "--coupling", source,
+                       "-o", str(tmp_path / name)) == 0
+        for suffix in (".sq.csv", ".dq.csv", ".rates.csv"):
+            tag, file = ([line for line in (tmp_path / f"{name}{suffix}").read_text().splitlines()
+                          if not line.startswith("# config: ")] for name in ("tag", "file"))
+            assert file == tag
 
     @pytest.mark.parametrize("sigma", ["0.3", "7.5"])
     def test_grid_text_formatted_once_per_run(self, tmp_path, monkeypatch, sigma):

@@ -29,6 +29,7 @@ from nvrelax.fitting import FitProblem, ModelSpec
 from nvrelax.models import ModelSpec, RateLaw, occupation, orbach_factor, orbach_factor_ddelta
 from nvrelax.spectral import (
     CouplingEntry,
+    CouplingTable,
     RamanRateCurve,
     SpectralFunction,
     anchor_coupling_table,
@@ -266,7 +267,7 @@ class TestDatasetIO:
             "# provenance: literal\ntemperature_k,omega_s,gamma_s\n"
             "100.0,0.25,1.5\n300.5,60.0,128.0\n")
         f = SpectralFunction(grid=[0.0, 0.5, 1.0, 1.5, 2.0], amplitude=[0.0, 0.25, 1.0, 0.25, 0.0],
-                             channel=TransitionChannel.DOUBLE_QUANTUM, order=2, sigma=0.5)
+                             channel=TransitionChannel.DOUBLE_QUANTUM, sigma=0.5)
         assert spectral_to_csv_text(f) == (
             "# channel: double_quantum\n# order: 2\n# sigma_mev: 0.5\n"
             "energy_mev,amplitude_mhz_per_mev\n"
@@ -319,7 +320,7 @@ BOUNDARIES = {
     "rate_curve": ("temperature", "positive", lambda x: rate_curve(_peak(), _peak(), [x])),
     "build_spectral_function": ("broadening width sigma", "positive",
                                 lambda x: build_spectral_function(anchor_coupling_table(),
-                                                                  SQ, 2, sigma=x)),
+                                                                  SQ, sigma=x)),
     "default_grid": ("broadening width sigma", "positive", default_grid),
     "synthetic_peak_function sigma": ("broadening width sigma", "positive",
                                       lambda x: _peak(sigma=x)),
@@ -373,10 +374,14 @@ class TestBoundaryCheck:
 WRONG_TYPES = {
     "CouplingEntry channel": (ValueError, "channel must be a TransitionChannel, "
                               "got 'single_quantum'",
-                              lambda: CouplingEntry(62.4, 0.6, "single_quantum", 2)),
+                              lambda: CouplingEntry(62.4, 0.6, "single_quantum")),
     "SpectralFunction channel": (ValueError, "channel must be a TransitionChannel, got 'sq'",
-                                 lambda: SpectralFunction(np.arange(5.0), np.ones(5),
-                                                          "sq", 2, 7.5)),
+                                 lambda: SpectralFunction(np.arange(5.0), np.ones(5), "sq", 7.5)),
+    "CouplingTable entry": (ValueError, "entries[0] must be a CouplingEntry, got "
+                            "(62.4, 1.0, <TransitionChannel.SINGLE_QUANTUM: 'single_quantum'>)",
+                            lambda: CouplingTable(entries=((62.4, 1.0, SQ),))),
+    "CouplingTable entries": (ValueError, "entries[0] must be a CouplingEntry, got 'a'",
+                              lambda: CouplingTable(entries="abc")),
     "synthetic_peak_function channel": (ValueError,
                                         "channel must be a TransitionChannel, got 'sq'",
                                         lambda: _peak(channel="sq")),
@@ -486,6 +491,19 @@ class TestRequireFastPath:
         # the reference reads True as 1.0; the check refuses it instead
         with pytest.raises(error, match=r"^flag must be a number, not a boolean$"):
             _require({"omega": 1.0, "flag": value}, domain, error)
+
+    @pytest.mark.parametrize("value", ["300", b"1", ["1", 2.0], 1 + 0j, np.complex128(2.0)],
+                             ids=["str", "bytes", "str-list", "complex", "numpy-complex"])
+    @pytest.mark.parametrize("error, field, call", [
+        (ValueError, "t", lambda v: _require({"omega": 1.0, "t": v})),
+        (DatasetError, "temperature", lambda v: RateMeasurement("NV", "A", v, 1.0, 0.1, 2.0, 0.2)),
+        (ValueError, "gamma", lambda v: RateMatrix(60.0, v)),
+    ], ids=["_require", "RateMeasurement", "RateMatrix"])
+    def test_refuses_strings_bytes_and_complex_naming_the_field(self, value, error, field, call):
+        # each was once cast to float: '300' built a row its CSV reader refuses
+        message = re.escape(f"{field} must be a number, got {value!r}")
+        with pytest.raises(error, match=f"^{message}$"):
+            call(value)
 
     def test_booleans_are_refused_at_the_dataclasses(self):
         with pytest.raises(ValueError, match="^omega must be a number, not a boolean$"):

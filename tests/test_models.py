@@ -226,6 +226,9 @@ class TestParameterValidation:
         with pytest.raises(KeyError, match="missing parameter 'b3_A'"):
             RateLaw(ModelSpec("n_mode", 1),
                     {"delta_1": 68.2, "a_1": 1.0, "b_1": 1.0, "a3_A": 0.1})
+        # a lone b3_A was once dropped, and its floor silently not used
+        with pytest.raises(KeyError, match="missing parameter 'a3_A'"):
+            RateLaw(ModelSpec("n_mode", 1), {"delta_1": 68.2, "a_1": 1.0, "b_1": 1.0, "b3_A": 0.1})
 
     def test_finiteness_checked_before_names(self):
         with pytest.raises(ValueError, match="a_1 must be finite"):

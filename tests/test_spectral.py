@@ -49,21 +49,21 @@ COARSE_GRID = np.linspace(0.0, MAX_MODE_ENERGY_MEV, 5001)
 class TestCouplingEntries:
     def test_energy_band_limits(self):
         with pytest.raises(ValueError, match="mode energy"):
-            CouplingEntry(0.0, 1.0, SQ, 2)
+            CouplingEntry(0.0, 1.0, SQ)
         with pytest.raises(ValueError, match="mode energy"):
-            CouplingEntry(251.0, 1.0, SQ, 2)
-        CouplingEntry(250.0, 1.0, SQ, 2)
+            CouplingEntry(251.0, 1.0, SQ)
+        CouplingEntry(250.0, 1.0, SQ)
 
     def test_amplitude_nonnegative(self):
         with pytest.raises(ValueError, match="amplitude"):
-            CouplingEntry(50.0, -0.1, SQ, 2)
+            CouplingEntry(50.0, -0.1, SQ)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_values_rejected_naming_field(self, bad):
         with pytest.raises(ValueError, match="amplitude must be finite"):
-            CouplingEntry(50.0, bad, SQ, 2)
+            CouplingEntry(50.0, bad, SQ)
         with pytest.raises(ValueError, match="mode_energy must be finite"):
-            CouplingEntry(bad, 1.0, SQ, 2)
+            CouplingEntry(bad, 1.0, SQ)
 
     def test_parse_names_line_of_nonfinite_amplitude(self):
         text = COUPLING_CSV_HEADER + "\n62.4,2.0,double_quantum,2\n62.4,nan,double_quantum,2\n"
@@ -86,34 +86,20 @@ class TestCouplingEntries:
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_coupling_text(text)
 
-    @pytest.mark.parametrize("order", [1, 0, 3, -1])
-    def test_order_enumerated(self, order):
-        message = f"^order must be 2, the only interaction order integrated, got {order}$"
-        with pytest.raises(ValueError, match=message):
-            CouplingEntry(62.4, 0.6, SQ, order)
-        with pytest.raises(ValueError, match=message):
-            SpectralFunction(grid=np.linspace(0, 10, 11), amplitude=np.zeros(11),
-                             channel=SQ, order=order, sigma=1.0)
-
-    @pytest.mark.parametrize("order", [2.0, True, np.float64(1.0)])
-    def test_order_must_be_an_integer(self, order):
-        # 2.0 used to pass and be written as "...,2.0", which the parser refuses
-        message = re.escape(f"order must be an integer, got {order!r}")
-        with pytest.raises(ValueError, match=message):
-            CouplingEntry(62.4, 0.6, SQ, order)
-        with pytest.raises(ValueError, match=message):
-            SpectralFunction(grid=np.linspace(0, 10, 11), amplitude=np.zeros(11),
-                             channel=SQ, order=order, sigma=1.0)
-
     def test_for_channel_sorts_and_filters(self):
         table = CouplingTable(entries=(
-            CouplingEntry(160.7, 0.34, DQ, 2),
-            CouplingEntry(62.4, 2.0, DQ, 2),
-            CouplingEntry(62.4, 0.6, SQ, 2),
+            CouplingEntry(160.7, 0.34, DQ),
+            CouplingEntry(62.4, 2.0, DQ),
+            CouplingEntry(62.4, 0.6, SQ),
         ))
-        selected = table.for_channel(DQ, 2)
+        selected = table.for_channel(DQ)
         assert [e.mode_energy for e in selected] == [62.4, 160.7]
-        assert table.for_channel(SQ, 1) == ()
+        assert table.for_channel(SQ) == (CouplingEntry(62.4, 0.6, SQ),)
+
+    def test_entries_are_stored_as_a_tuple(self):
+        # a list left the frozen table unhashable
+        table = CouplingTable(entries=list(anchor_coupling_table().entries))
+        assert table == anchor_coupling_table() and hash(table) == hash(anchor_coupling_table())
 
     def test_csv_round_trip(self):
         table = anchor_coupling_table()
@@ -141,7 +127,7 @@ class TestCouplingEntries:
     def test_parse_skips_comments(self):
         text = "# note\n" + COUPLING_CSV_HEADER + "\n62.4,2.0,double_quantum,2\n"
         table = parse_coupling_text(text)
-        assert len(table) == 1 and list(table) == [CouplingEntry(62.4, 2.0, DQ, 2)]
+        assert table.entries == (CouplingEntry(62.4, 2.0, DQ),)
 
     def test_parse_refuses_a_dephasing_row_naming_its_line(self):
         text = COUPLING_CSV_HEADER + "\n62.4,2.0,double_quantum,2\n50.0,1.0,dephasing,2\n"
@@ -160,16 +146,16 @@ class TestCouplingEntries:
 
     def test_anchor_table_contents(self):
         table = anchor_coupling_table()
-        dq = table.for_channel(DQ, 2)
+        dq = table.for_channel(DQ)
         assert [e.amplitude for e in dq] == [2.0, 0.34]
-        sq = table.for_channel(SQ, 2)
+        sq = table.for_channel(SQ)
         assert [e.amplitude for e in sq] == [0.6, 0.07]
 
 
 class TestBuildSpectralFunction:
     def test_single_entry_peak_value(self):
-        table = CouplingTable(entries=(CouplingEntry(62.4, 2.0, DQ, 2),))
-        f = build_spectral_function(table, DQ, 2, sigma=7.5)
+        table = CouplingTable(entries=(CouplingEntry(62.4, 2.0, DQ),))
+        f = build_spectral_function(table, DQ, sigma=7.5)
         i = np.argmax(f.amplitude)
         assert f.grid[i] == pytest.approx(62.4, abs=f.spacing)
         # normalized Gaussian at its center: 2 / (7.5 sqrt(2 pi)) = 0.1064
@@ -177,28 +163,27 @@ class TestBuildSpectralFunction:
 
     def test_narrow_width_integrates_to_total_coupling(self):
         table = anchor_coupling_table()
-        f = build_spectral_function(table, DQ, 2, sigma=0.5)
+        f = build_spectral_function(table, DQ, sigma=0.5)
         integral = float(simpson(f.amplitude, x=f.grid))
         assert abs(integral - 2.34) / 2.34 < 1e-6
 
     def test_two_equal_entries_double(self):
-        one = CouplingTable(entries=(CouplingEntry(80.0, 1.5, SQ, 2),))
-        two = CouplingTable(entries=(CouplingEntry(80.0, 1.5, SQ, 2),
-                                     CouplingEntry(80.0, 1.5, SQ, 2)))
-        f1 = build_spectral_function(one, SQ, 2, sigma=5.0)
-        f2 = build_spectral_function(two, SQ, 2, sigma=5.0)
+        one = CouplingTable(entries=(CouplingEntry(80.0, 1.5, SQ),))
+        two = CouplingTable(entries=(CouplingEntry(80.0, 1.5, SQ), CouplingEntry(80.0, 1.5, SQ)))
+        f1 = build_spectral_function(one, SQ, sigma=5.0)
+        f2 = build_spectral_function(two, SQ, sigma=5.0)
         assert np.allclose(f2.amplitude, 2.0 * f1.amplitude)
 
     def test_empty_channel_rejected(self):
-        table = CouplingTable(entries=(CouplingEntry(62.4, 0.6, SQ, 2),))
+        table = CouplingTable(entries=(CouplingEntry(62.4, 0.6, SQ),))
         with pytest.raises(ValueError, match="no coupling entries for channel 'double_quantum'"):
-            build_spectral_function(table, DQ, 2, sigma=7.5)
+            build_spectral_function(table, DQ, sigma=7.5)
 
     def test_grid_coverage_enforced(self):
         table = anchor_coupling_table()
         short = np.linspace(0.0, 100.0, 2001)
         with pytest.raises(ValueError, match="grid must cover"):
-            build_spectral_function(table, DQ, 2, sigma=7.5, grid=short)
+            build_spectral_function(table, DQ, sigma=7.5, grid=short)
         # a peak past the default grid's 250 meV, or one whose 5 sigma
         # margin it cuts off, would lose its area rather than be refused
         with pytest.raises(ValueError, match=r"grid must cover \[0, 305\] meV"):
@@ -219,7 +204,7 @@ class TestBuildSpectralFunction:
 
     def test_sigma_positive(self):
         with pytest.raises(ValueError, match="broadening width"):
-            build_spectral_function(anchor_coupling_table(), DQ, 2, sigma=0.0)
+            build_spectral_function(anchor_coupling_table(), DQ, sigma=0.0)
 
     @pytest.mark.parametrize("sigma, n_points", [(7.5, 5001), (0.5, 5001), (0.3, 8334),
                                                  (0.01, 250001)])
@@ -227,12 +212,12 @@ class TestBuildSpectralFunction:
         grid = default_grid(sigma)
         assert len(grid) == n_points
         assert np.array_equal(grid, _cli_grid(sigma))
-        f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma)
+        f = build_spectral_function(anchor_coupling_table(), DQ, sigma)
         peak = synthetic_peak_function([(68.2, 1e-12)], sigma, SQ)
         assert np.array_equal(f.grid, grid) and np.array_equal(peak.grid, grid)
 
     def test_arrays_immutable(self):
-        f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma=7.5)
+        f = build_spectral_function(anchor_coupling_table(), DQ, sigma=7.5)
         with pytest.raises(ValueError):
             f.amplitude[0] = 1.0
         with pytest.raises(ValueError):
@@ -245,12 +230,12 @@ class TestBuildSpectralFunction:
         # windows clipped, and beyond the window exp underflows to 0
         low, high = 20.0 * min(sigma, 0.5), MAX_MODE_ENERGY_MEV - 5.0 * sigma
         table = CouplingTable(entries=(
-            CouplingEntry(low, 0.3, SQ, 2), CouplingEntry(62.4, 0.6, SQ, 2),
-            CouplingEntry(62.4 + 3.0 * sigma, 1.7, SQ, 2), CouplingEntry(high, 0.07, SQ, 2)))
+            CouplingEntry(low, 0.3, SQ), CouplingEntry(62.4, 0.6, SQ),
+            CouplingEntry(62.4 + 3.0 * sigma, 1.7, SQ), CouplingEntry(high, 0.07, SQ)))
         grid = default_grid(sigma)
-        f = build_spectral_function(table, SQ, 2, sigma, grid)
+        f = build_spectral_function(table, SQ, sigma, grid)
         amplitude = np.zeros_like(grid)
-        for e in table.for_channel(SQ, 2):
+        for e in table.for_channel(SQ):
             amplitude += e.amplitude * spectral._gaussian(grid - e.mode_energy, sigma)
         assert f.amplitude.tobytes() == amplitude.tobytes()
         peaks = [(low, 1e-12), (65.0, 3e-12), (high, 2e-12)]
@@ -266,8 +251,7 @@ class TestSpectralFunctionInvariants:
     def test_grid_must_be_uniform(self):
         grid = np.array([0.0, 1.0, 2.0, 4.0, 5.0, 6.0])
         with pytest.raises(ValueError, match="uniformly spaced"):
-            SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ,
-                             order=2, sigma=1.0)
+            SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ, sigma=1.0)
 
     @pytest.mark.parametrize("wobble, uniform", [(0.9e-6, True), (1.1e-6, False),
                                                  (-1.1e-6, False)])
@@ -278,43 +262,36 @@ class TestSpectralFunctionInvariants:
         steps = np.diff(grid)
         assert np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12) == uniform
         if uniform:
-            SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ, order=2, sigma=1.0)
+            SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ, sigma=1.0)
         else:
             with pytest.raises(ValueError, match="uniformly spaced"):
-                SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ,
-                                 order=2, sigma=1.0)
+                SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ, sigma=1.0)
 
     def test_grid_must_ascend(self):
         grid = np.array([0.0, 2.0, 1.0, 3.0, 4.0])
         with pytest.raises(ValueError, match="ascending"):
-            SpectralFunction(grid=grid, amplitude=np.zeros(5), channel=SQ,
-                             order=2, sigma=1.0)
+            SpectralFunction(grid=grid, amplitude=np.zeros(5), channel=SQ, sigma=1.0)
 
     def test_amplitude_shape_checked(self):
         with pytest.raises(ValueError, match="match the grid"):
             SpectralFunction(grid=np.linspace(0, 10, 11), amplitude=np.zeros(5),
-                             channel=SQ, order=2, sigma=1.0)
+                             channel=SQ, sigma=1.0)
 
     def test_amplitude_nonnegative(self):
         amp = np.zeros(11)
         amp[3] = -1.0
         with pytest.raises(ValueError, match="nonnegative"):
-            SpectralFunction(grid=np.linspace(0, 10, 11), amplitude=amp,
-                             channel=SQ, order=2, sigma=1.0)
+            SpectralFunction(grid=np.linspace(0, 10, 11), amplitude=amp, channel=SQ, sigma=1.0)
 
-    @pytest.mark.parametrize("n, order, message", [
-        (4, 2, "at least 5 samples"),
-        (11, 3, "order must be 2, the only interaction order integrated, got 3"),
-    ], ids=["short-grid", "order"])
-    def test_malformed_function_rejected(self, n, order, message):
-        with pytest.raises(ValueError, match=message):
-            SpectralFunction(grid=np.linspace(0, 10, n), amplitude=np.zeros(n),
-                             channel=SQ, order=order, sigma=1.0)
+    def test_malformed_function_rejected(self):
+        with pytest.raises(ValueError, match="at least 5 samples"):
+            SpectralFunction(grid=np.linspace(0, 10, 4), amplitude=np.zeros(4),
+                             channel=SQ, sigma=1.0)
 
     @pytest.mark.parametrize("grid", [np.zeros(0), np.array(50.0), np.zeros((5, 5))],
                              ids=["empty", "0-d", "2-d"])
     @pytest.mark.parametrize("build", [
-        lambda grid: build_spectral_function(anchor_coupling_table(), SQ, 2, 7.5, grid),
+        lambda grid: build_spectral_function(anchor_coupling_table(), SQ, 7.5, grid),
         lambda grid: synthetic_peak_function([(68.2, 1e-12)], 7.5, SQ, grid),
     ], ids=["build_spectral_function", "synthetic_peak_function"])
     def test_builders_refuse_a_malformed_grid_by_name(self, grid, build):
@@ -326,15 +303,14 @@ class TestSpectralFunctionInvariants:
         grid = np.linspace(0.0, 0.5, 6)
         grid[4] = math.nan
         with pytest.raises(ValueError, match=r"^grid\[4\] must be finite, got nan$"):
-            SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ, order=2, sigma=1.0)
+            SpectralFunction(grid=grid, amplitude=np.zeros(6), channel=SQ, sigma=1.0)
 
     def test_view_of_a_writeable_array_is_copied(self):
         # the grid text slot and _support keep what they first saw,
         # so a caller must not reach a function's arrays through another
         base = np.linspace(0.0, 0.4, 5).copy()
         amplitude = np.ones(5)
-        f = SpectralFunction(grid=base[:], amplitude=amplitude[:], channel=SQ, order=2,
-                             sigma=1.0)
+        f = SpectralFunction(grid=base[:], amplitude=amplitude[:], channel=SQ, sigma=1.0)
         energies, text = base.tolist(), spectral_to_csv_text(f)
         base[:], amplitude[:] = 2.0 * base, 2.0
         assert f.grid.tolist() == energies
@@ -348,7 +324,7 @@ class TestSpectralFunctionInvariants:
         peak = synthetic_peak_function([(65.0, 1e-12)], 7.5, SQ)
         base, amplitude = peak.grid.copy(), peak.amplitude.copy()
         view = base[:]
-        f = SpectralFunction(grid=base, amplitude=amplitude, channel=SQ, order=2, sigma=7.5)
+        f = SpectralFunction(grid=base, amplitude=amplitude, channel=SQ, sigma=7.5)
         text, rate = spectral_to_csv_text(f), second_order_rate(f, 300.0)
         view[:] = view * 2
         amplitude[:] = 5.0
@@ -365,7 +341,7 @@ class TestSpectralFunctionInvariants:
         grid = default_grid(sigma)
         assert grid.tobytes() == np.linspace(0.0, MAX_MODE_ENERGY_MEV,
                                              round(MAX_MODE_ENERGY_MEV / spacing) + 1).tobytes()
-        f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma, grid)
+        f = build_spectral_function(anchor_coupling_table(), DQ, sigma, grid)
         assert f.grid is not grid and grid.flags.writeable
 
     def test_no_peaks_rejected(self):
@@ -404,7 +380,7 @@ class TestSecondOrderRate:
         weights = spectral._quadrature_weights
         monkeypatch.setattr(spectral, "_quadrature_weights",
                             lambda grid, keep: calls.append(len(keep)) or weights(grid, keep))
-        f = build_spectral_function(anchor_coupling_table(), SQ, 2, sigma=1.0)
+        f = build_spectral_function(anchor_coupling_table(), SQ, sigma=1.0)
         first = second_order_rate(f, 295.0)
         assert second_order_rate(f, 295.0) == first < second_order_rate(f, 400.0)
         assert len(calls) == 1 and 0 < calls[0] < len(f.grid)
@@ -413,9 +389,9 @@ class TestSecondOrderRate:
     def test_support_quadrature_matches_the_whole_grid(self, sigma):
         # only the samples of positive energy where F != 0 are integrated;
         # leaving out the zero terms moves the sum by rounding alone
-        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ, 2),
-                                       CouplingEntry(160.7, 0.3, SQ, 2)))
-        f = build_spectral_function(table, SQ, 2, sigma)
+        table = CouplingTable(entries=(CouplingEntry(62.4, 1.0, SQ),
+                                       CouplingEntry(160.7, 0.3, SQ)))
+        f = build_spectral_function(table, SQ, sigma)
         e = f.grid[1:]
         n = 1.0 / np.expm1(e / (BOLTZMANN_MEV_PER_K * 295.0))
         integrand = np.concatenate(([0.0], n * (n + 1.0) * f.diagonal_values()[1:]))
@@ -438,7 +414,7 @@ class TestSecondOrderRate:
     def test_peaks_reaching_zero_energy_get_no_spacing(self):
         # F(0, 0) != 0 at sigma = 15 meV and n(n+1) grows as 1/e^2 there, so
         # a finer grid makes the error estimate larger, not smaller
-        f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma=15.0)
+        f = build_spectral_function(anchor_coupling_table(), DQ, sigma=15.0)
         with pytest.raises(QuadratureError, match="grows towards e = 0") as exc:
             second_order_rate(f, 300.0)
         assert exc.value.suggested_spacing is None
@@ -447,19 +423,17 @@ class TestSecondOrderRate:
         table = anchor_coupling_table()
         coarse_grid = COARSE_GRID
         fine_grid = np.linspace(0.0, 250.0, 10001)
-        coarse = second_order_rate(build_spectral_function(table, DQ, 2, 7.5,
-                                                           coarse_grid), 295.0)
-        fine = second_order_rate(build_spectral_function(table, DQ, 2, 7.5,
-                                                         fine_grid), 295.0)
+        coarse = second_order_rate(build_spectral_function(table, DQ, 7.5, coarse_grid), 295.0)
+        fine = second_order_rate(build_spectral_function(table, DQ, 7.5, fine_grid), 295.0)
         assert abs(fine - coarse) / fine < 1e-6
 
     @settings(max_examples=20, deadline=None)
     @given(scale=st.floats(0.1, 10.0))
     def test_quadratic_in_amplitude(self, scale):
-        base = build_spectral_function(anchor_coupling_table(), DQ, 2, 7.5)
+        base = build_spectral_function(anchor_coupling_table(), DQ, 7.5)
         scaled = SpectralFunction(grid=base.grid.copy(),
                                   amplitude=scale * base.amplitude,
-                                  channel=base.channel, order=2, sigma=base.sigma)
+                                  channel=base.channel, sigma=base.sigma)
         r_base = second_order_rate(base, 295.0)
         r_scaled = second_order_rate(scaled, 295.0)
         assert abs(r_scaled - scale**2 * r_base) / r_scaled < 1e-9
@@ -467,7 +441,7 @@ class TestSecondOrderRate:
     @settings(max_examples=20, deadline=None)
     @given(t_low=st.floats(50.0, 900.0), step=st.floats(10.0, 300.0))
     def test_strictly_increasing_in_temperature(self, t_low, step):
-        f = build_spectral_function(anchor_coupling_table(), DQ, 2, 7.5)
+        f = build_spectral_function(anchor_coupling_table(), DQ, 7.5)
         assert second_order_rate(f, t_low + step) > second_order_rate(f, t_low)
 
 
@@ -610,8 +584,8 @@ class TestQuadratureEquivalence:
         grid = _cli_grid(sigma)
         assert len(grid) == n_points
         table = anchor_coupling_table()
-        f_sq = build_spectral_function(table, SQ, 2, sigma, grid)
-        f_dq = build_spectral_function(table, DQ, 2, sigma, grid)
+        f_sq = build_spectral_function(table, SQ, sigma, grid)
+        f_dq = build_spectral_function(table, DQ, sigma, grid)
         temps = np.geomspace(100.0, 5000.0, 6)
         curve = rate_curve(f_sq, f_dq, temps)
         for f, rates, errors in ((f_sq, curve.omega, curve.omega_rel_error),
@@ -630,8 +604,8 @@ class TestQuadratureEquivalence:
         assert exc.value.suggested_spacing == pytest.approx(0.025)
 
     def test_all_zero_function_gives_zero(self):
-        table = CouplingTable(entries=(CouplingEntry(62.4, 0.0, SQ, 2),))
-        f = build_spectral_function(table, SQ, 2, sigma=7.5)
+        table = CouplingTable(entries=(CouplingEntry(62.4, 0.0, SQ),))
+        f = build_spectral_function(table, SQ, sigma=7.5)
         assert second_order_rate(f, 295.0) == 0.0
         curve = rate_curve(f, f, [100.0, 295.0])
         assert curve.omega == curve.gamma == (0.0, 0.0)
@@ -685,8 +659,8 @@ class TestRefitTheoryCurve:
         # all parameters once stopped at chi2 0.214 on its evaluation cap from
         # this cell, and only a second start reached the optimum
         table = anchor_coupling_table()
-        curve = rate_curve(build_spectral_function(table, SQ, 2, sigma=1.0),
-                           build_spectral_function(table, DQ, 2, sigma=1.0),
+        curve = rate_curve(build_spectral_function(table, SQ, sigma=1.0),
+                           build_spectral_function(table, DQ, sigma=1.0),
                            np.geomspace(100.0, 5000.0, 40))
         result = refit_theory_curve(curve, t_max=5000.0)
         assert result.converged
@@ -699,8 +673,8 @@ class TestRefitTheoryCurve:
         # The polish's path there still hangs on its start to 1e-14, so this
         # pins the profiled start of the 30-point grid, not every start
         table = anchor_coupling_table()
-        curve = rate_curve(build_spectral_function(table, SQ, 2, sigma=7.5),
-                           build_spectral_function(table, DQ, 2, sigma=7.5),
+        curve = rate_curve(build_spectral_function(table, SQ, sigma=7.5),
+                           build_spectral_function(table, DQ, sigma=7.5),
                            np.geomspace(100.0, 5000.0, 40))
         omega = np.array(curve.omega)
         curves = [curve]
@@ -742,7 +716,7 @@ class TestRefitTheoryCurve:
 
 class TestSpectralCsv:
     def test_header_and_metadata(self):
-        f = build_spectral_function(anchor_coupling_table(), DQ, 2, sigma=7.5)
+        f = build_spectral_function(anchor_coupling_table(), DQ, sigma=7.5)
         text = spectral_to_csv_text(f)
         lines = text.splitlines()
         assert lines[0] == "# channel: double_quantum"
@@ -753,7 +727,7 @@ class TestSpectralCsv:
 
 def _reference_csv(f):
     """The CSV text of ``f`` formatted one row at a time."""
-    return (f"# channel: {f.channel.value}\n# order: {f.order}\n# sigma_mev: {f.sigma!r}\n"
+    return (f"# channel: {f.channel.value}\n# order: 2\n# sigma_mev: {f.sigma!r}\n"
             "energy_mev,amplitude_mhz_per_mev\n"
             + "".join(f"{e!r},{a!r}\n" for e, a in zip(f.grid.tolist(), f.amplitude.tolist())))
 
@@ -797,7 +771,7 @@ def _functions_on_grid(draw, count, grids=_float_grids()):
     n = len(grid)
     return [SpectralFunction(grid=grid, amplitude=draw(st.lists(_AMPLITUDES, min_size=n,
                                                                   max_size=n)),
-                             channel=SQ, order=2, sigma=float(grid[-1] - grid[0]) / n)
+                             channel=SQ, sigma=float(grid[-1] - grid[0]) / n)
             for _ in range(count)]
 
 
@@ -825,8 +799,7 @@ class TestSpectralCsvRows:
     def test_grid_without_a_decimal_step_falls_back_to_repr(self):
         grid = np.linspace(0.0, MAX_MODE_ENERGY_MEV, 8334)    # step 0.0300012 meV
         assert spectral._decimal_places(grid) is None
-        f = SpectralFunction(grid=grid, amplitude=np.zeros(8334), channel=SQ, order=2,
-                             sigma=0.3)
+        f = SpectralFunction(grid=grid, amplitude=np.zeros(8334), channel=SQ, sigma=0.3)
         assert spectral_to_csv_text(f) == _reference_csv(f)
 
     @pytest.mark.parametrize("places, values", [
@@ -853,14 +826,14 @@ class TestSpectralCsvRows:
     ], ids=["nonzero-ends", "all-zero", "all-nonzero", "negative-zeros", "subnormal"])
     def test_edge_rows(self, amplitude):
         f = SpectralFunction(grid=np.linspace(0.0, 0.4, 5), amplitude=amplitude,
-                             channel=DQ, order=2, sigma=0.1)
+                             channel=DQ, sigma=0.1)
         assert spectral_to_csv_text(f) == _reference_csv(f)
 
     def test_negative_zero_grid_gets_its_own_text(self):
         # -0.0 == 0.0, but repr writes them apart: grids share text by bits
         amplitude = [0.0, 1.0, 0.0, 0.0, 0.0]
         signed, unsigned = (SpectralFunction(grid=[zero, 0.1, 0.2, 0.3, 0.4], amplitude=amplitude,
-                                             channel=SQ, order=2, sigma=0.1)
+                                             channel=SQ, sigma=0.1)
                             for zero in (-0.0, 0.0))
         for f in (signed, unsigned, signed):
             assert spectral_to_csv_text(f) == _reference_csv(f)
@@ -869,7 +842,7 @@ class TestSpectralCsvRows:
     @pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 7.5])
     def test_cli_functions(self, sigma):
         grid = default_grid(sigma)
-        functions = [build_spectral_function(anchor_coupling_table(), channel, 2, sigma, grid)
+        functions = [build_spectral_function(anchor_coupling_table(), channel, sigma, grid)
                      for channel in (SQ, DQ)]
         for f in functions:
             assert spectral_to_csv_text(f) == _reference_csv(f)
@@ -878,9 +851,8 @@ class TestSpectralCsvRows:
         amplitude = [0.0, 1.0, 0.0, 0.0, 0.0]
         # a grid no other live function holds, so the slot cannot hit first
         grid = np.linspace(0.0, 0.28, 5)
-        first = SpectralFunction(grid=grid, amplitude=amplitude, channel=SQ, order=2, sigma=0.1)
-        twin = SpectralFunction(grid=grid.copy(), amplitude=amplitude, channel=SQ, order=2,
-                                sigma=0.1)
+        first = SpectralFunction(grid=grid, amplitude=amplitude, channel=SQ, sigma=0.1)
+        twin = SpectralFunction(grid=grid.copy(), amplitude=amplitude, channel=SQ, sigma=0.1)
         assert twin.grid is not first.grid
         assert spectral_to_csv_text(first) == spectral_to_csv_text(twin)
         # equal grids share the text formatted for the first
@@ -893,5 +865,5 @@ class TestSpectralCsvRows:
         assert ref() is None
         assert spectral._grid_text_slot is None
         moved = SpectralFunction(grid=np.linspace(1.0, 1.4, 5), amplitude=amplitude,
-                                 channel=SQ, order=2, sigma=0.1)
+                                 channel=SQ, sigma=0.1)
         assert spectral_to_csv_text(moved) == _reference_csv(moved)
