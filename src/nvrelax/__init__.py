@@ -8,7 +8,7 @@ Library layout:
   values as one :class:`RateLaw`, under the names fit reports use),
   occupation numbers, and relaxation-limited coherence bounds.
 * :mod:`nvrelax.fitting` -- weighted nonlinear least squares from profiled
-  starts, covariance estimates, diagnostics, and model comparison.
+  starts, covariance estimates, and model comparison.
 * :mod:`nvrelax.spectral` -- Gaussian-broadened spin-phonon spectral functions
   and Raman rate integrals.
 * :mod:`nvrelax.dynamics` -- three-level rate-equation simulator for the
@@ -25,7 +25,6 @@ from .core import (
     TransitionChannel,
     convert_energy,
     load_dataset,
-    write_dataset,
 )
 from .models import (
     CoherenceLimit,
@@ -51,6 +50,5 @@ __all__ = [
     "occupation",
     "orbach_factor",
     "ratio_curve",
-    "write_dataset",
     "__version__",
 ]

@@ -148,7 +148,7 @@ def _parse_params(text: str) -> tuple[str, dict[str, float]]:
             if isinstance(value, bool):    # float(true) would read it as 1
                 raise TypeError
             values[name] = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int too large for a float overflows
             raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
     return document["model"], values
 

@@ -29,7 +29,6 @@ __all__ = [
     "convert_energy",
     "load_dataset",
     "parse_dataset_text",
-    "write_dataset",
 ]
 
 # CODATA 2018 values, full precision; rounded forms appear in docstrings.
@@ -127,12 +126,14 @@ def _require(values: Mapping[str, object], domain: str = "finite",
     boolean, an array of them, or a sequence holding one is refused rather
     than read as 0 or 1; numpy reads ``(False, 2.0)`` as floats, so a
     list's or a tuple's entries are looked at one by one.  So is a string,
-    bytes or complex value (``'300'``, ``['1', 2.0]``), not cast to float.
-    A Python or numpy float, or a Python int, passes on ``math.isfinite``
-    and the domain test alone; an array of numbers passes on one ``min()``
-    and one ``max()`` (a NaN makes both NaN).  Only a value that does not
-    pass this way is looked at again, by :func:`_refuse`, which builds the
-    message and names an array's failing element by its flat index.
+    bytes, complex or other object value (``'300'``, ``['1', 2.0]``,
+    ``None``, a ``Fraction``), not cast to float, and an int too large for
+    a float is refused as not finite.  A Python or numpy float, or a Python
+    int, passes on ``math.isfinite`` and the domain test alone; an array of
+    numbers passes on one ``min()`` and one ``max()`` (a NaN makes both
+    NaN).  Only a value that does not pass this way is looked at again, by
+    :func:`_refuse`, which builds the message and names an array's failing
+    element by its flat index.
     """
     within = _DOMAINS[domain]
     for name, value in values.items():
@@ -143,13 +144,17 @@ def _require(values: Mapping[str, object], domain: str = "finite",
             kind = a.dtype.kind
             if kind == "b" or isinstance(value, (list, tuple)) and _holds_bool(value):
                 raise error(f"{name} must be a number, not a boolean")
-            if kind in "SUc":
+            if kind in "SUcO":
                 raise error(f"{name} must be a number, got {value!r}")
             if kind not in "fiu" or not a.size:
                 _refuse(name, value, domain, error)
                 continue
             lowest, highest = a.min(), a.max()
-        if not (math.isfinite(lowest) and math.isfinite(highest) and within(lowest)):
+        try:
+            passes = math.isfinite(lowest) and math.isfinite(highest) and within(lowest)
+        except OverflowError:   # an int beyond the float range
+            raise error(f"{name} must be finite, got {value!r}") from None
+        if not passes:
             _refuse(name, value, domain, error)
 
 
@@ -367,12 +372,6 @@ def _read_input(path: str, kind: str, parse: Callable[[str], object]) -> tuple[o
     except ValueError as exc:
         error = DatasetError if isinstance(exc, DatasetError) else ValueError
         raise error(f"{kind} file {path!r}: {exc}") from None
-
-
-def write_dataset(dataset: Dataset, path: str, metadata: dict[str, str] | None = None) -> None:
-    """Write canonical CSV, optionally preceded by '#'-prefixed metadata lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_text(None, [], metadata) + dataset.to_csv_text())
 
 
 # Published measured rates, transcribed verbatim: 53 rows, 35 sample A and

@@ -40,12 +40,9 @@ __all__ = [
     "ModelSpec",
     "FitProblem",
     "FitResult",
-    "ResidualDiagnostics",
-    "ResidualOutlier",
     "RankDeficiencyError",
     "fit",
     "compare_models",
-    "residual_diagnostics",
     "estimate_covariance",
 ]
 
@@ -54,9 +51,6 @@ __all__ = [
 _RANK_RCOND = 1e-10
 
 _MAX_EVALUATIONS = 100     # projections in one polish
-
-# residual_diagnostics: outlier cut, in sigma
-_OUTLIER_THRESHOLD = 2.5
 
 # profile grid points per mode energy, by Orbach term count (cells ~ points^n/n!)
 _PROFILE_POINTS = {1: 30, 2: 30, 3: 15}
@@ -629,41 +623,3 @@ def compare_models(results: Sequence[FitResult]) -> tuple[FitResult, ...]:
         raise ValueError("fits compare different datasets; checksums differ")
     return tuple(sorted(results, key=lambda r: r.chi2_reduced))
 
-
-@dataclass(frozen=True)
-class ResidualOutlier:
-    nv_id: str
-    sample: str
-    temperature: float
-    channel: str
-    value: float
-
-
-@dataclass(frozen=True)
-class ResidualDiagnostics:
-    """Normality summary of normalized residuals (population variance)."""
-
-    mean: float
-    variance: float
-    outliers: tuple[ResidualOutlier, ...]
-    outlier_threshold: float
-
-
-def residual_diagnostics(result: FitResult) -> ResidualDiagnostics:
-    """Summarize residual normality for a converged fit."""
-    if not result.converged:
-        raise ValueError("diagnostics need a converged fit")
-    r = result.residuals_normalized
-    mean = float(np.mean(r))
-    variance = float(np.var(r))  # population convention (divide by N)
-    outliers = tuple(
-        ResidualOutlier(nv, sample, t, channel, float(value))
-        for (nv, sample, t, channel), value in zip(result.residual_labels, r)
-        if abs(value) > _OUTLIER_THRESHOLD
-    )
-    return ResidualDiagnostics(
-        mean=mean,
-        variance=variance,
-        outliers=outliers,
-        outlier_threshold=_OUTLIER_THRESHOLD,
-    )

@@ -150,7 +150,7 @@ class ModelSpec:
         if token == "prior":
             return cls(kind="prior")
         kind, _, count = token.partition(":")
-        if kind in ("n-mode", "n_mode") and count.strip().isdecimal():
+        if kind == "n-mode" and count.strip().isdecimal():
             return cls(kind="n_mode", n_modes=int(count))
         raise ValueError(f"unknown model {token!r}; expected 'n-mode:<1|2|3>' or 'prior'")
 

@@ -135,7 +135,11 @@ class CouplingTable:
     entries: tuple[CouplingEntry, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+        try:
+            object.__setattr__(self, "entries", tuple(self.entries))
+        except TypeError:
+            raise ValueError(f"entries must be a sequence of CouplingEntry, "
+                             f"got {self.entries!r}") from None
         for i, entry in enumerate(self.entries):
             if not isinstance(entry, CouplingEntry):
                 raise ValueError(f"entries[{i}] must be a CouplingEntry, got {entry!r}")

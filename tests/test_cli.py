@@ -1,5 +1,4 @@
 """CLI-level tests: subcommands, exit codes, metadata, determinism."""
-import dataclasses
 import hashlib
 import json
 import math
@@ -17,7 +16,7 @@ import pytest
 import nvrelax
 from nvrelax.cli import main
 from nvrelax.core import parse_dataset_text
-from nvrelax.fitting import FitProblem, ModelSpec, fit, residual_diagnostics
+from nvrelax.fitting import FitProblem, ModelSpec, fit
 from nvrelax.spectral import anchor_coupling_table
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -83,7 +82,7 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
 
     def test_repeated_model_compare_is_input_error(self, capsys):
-        assert run("compare", "--models", "n-mode:2", "prior", "N_MODE:2") == 1
+        assert run("compare", "--models", "n-mode:2", "prior", "N-MODE:2") == 1
         assert "model n-mode:2 given more than once" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
@@ -210,6 +209,12 @@ class TestExitCodes:
         ('{"model":"n-mode:1","parameters":{"delta_1":[1],"a_1":1,"b_1":2}}', "'delta_1'"),
         ('{"model":"n-mode:1","parameters":{"delta_1":"x","a_1":1,"b_1":2}}', "'delta_1'"),
         ('{"model":"n-mode:1","parameters":{"delta_1":60,"a_1":true,"b_1":2}}', "'a_1'"),
+        # a 401-digit integer, which float() overflows on, in either form
+        pytest.param('{"model":"n-mode:1","parameters":{"delta_1":1%s,"a_1":600,"b_1":1500}}'
+                     % ("0" * 400), "parameter 'delta_1' must be a number", id="huge-mapping"),
+        pytest.param('{"model":"n-mode:1","parameters":[{"name":"delta_1","value":1%s},'
+                     '{"name":"a_1","value":600},{"name":"b_1","value":1500}]}' % ("0" * 400),
+                     "parameter 'delta_1' must be a number", id="huge-list"),
     ])
     def test_misshapen_parameter_json_is_input_error(self, document, field, tmp_path, capsys):
         params = tmp_path / "params.json"
@@ -416,18 +421,19 @@ class TestFitCommand:
         assert 3.4 <= report["fit"]["chi2_reduced"] <= 4.4
 
     def test_residuals_hold_the_diagnostics(self, tmp_path, two_mode_fit):
-        # the report's residuals give back residual_diagnostics bit for bit:
-        # its mean, its variance and its outliers beyond 2.5 sigma
+        # README's outlier recipe reads the report alone: its residuals are
+        # the fit's normalized residuals byte for byte, and the entries
+        # beyond 2.5 in magnitude are the outliers
         out = tmp_path / "fit2.json"
         assert run("fit", "--model", "n-mode:2", "-o", str(out)) == 0
         residuals = json.loads(out.read_text())["residuals"]
         values = np.array([e["value"] for e in residuals])
-        diag = residual_diagnostics(two_mode_fit)
-        assert (float(np.mean(values)), float(np.var(values))) == (diag.mean, diag.variance)
-        outliers = [tuple(e.values()) for e in residuals
-                    if abs(e["value"]) > diag.outlier_threshold]
-        assert outliers == [dataclasses.astuple(o) for o in diag.outliers]
-        assert (round(diag.mean, 3), round(diag.variance, 3), len(outliers)) == (-0.087, 1.302, 3)
+        assert values.tobytes() == np.asarray(two_mode_fit.residuals_normalized).tobytes()
+        assert [(e["nv_id"], e["sample"], e["temperature_k"], e["channel"]) for e in residuals] \
+            == [tuple(label) for label in two_mode_fit.residual_labels]
+        outliers = [e for e in residuals if abs(e["value"]) > 2.5]
+        assert (round(float(np.mean(values)), 3), round(float(np.var(values)), 3),
+                len(outliers)) == (-0.087, 1.302, 3)
 
     def test_phonon_limited_fit(self, tmp_path):
         out = tmp_path / "fitp.json"

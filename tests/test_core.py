@@ -2,6 +2,8 @@
 import math
 import re
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,11 +24,17 @@ from nvrelax.core import (
     convert_energy,
     load_dataset,
     parse_dataset_text,
-    write_dataset,
 )
 from nvrelax.dynamics import ProtocolSpec, RateMatrix, evolve
 from nvrelax.fitting import FitProblem, ModelSpec
-from nvrelax.models import ModelSpec, RateLaw, occupation, orbach_factor, orbach_factor_ddelta
+from nvrelax.models import (
+    ModelSpec,
+    RateLaw,
+    coherence_limits,
+    occupation,
+    orbach_factor,
+    orbach_factor_ddelta,
+)
 from nvrelax.spectral import (
     CouplingEntry,
     CouplingTable,
@@ -184,7 +192,7 @@ class TestDatasetIO:
 
     def test_write_then_load(self, builtin_dataset, tmp_path):
         path = tmp_path / "rates.csv"
-        write_dataset(builtin_dataset, str(path), metadata={"note": "test copy"})
+        path.write_text(builtin_dataset.to_csv_text(), encoding="utf-8")
         again = load_dataset(str(path))
         assert again.rows == builtin_dataset.rows
 
@@ -254,7 +262,7 @@ class TestDatasetIO:
         assert full == builtin_dataset.checksum()  # stable
         assert Dataset(rows=builtin_dataset.rows[:-1]).checksum() != full
 
-    def test_writers_bytes(self, tmp_path):
+    def test_writers_bytes(self):
         # comment lines in the order given, then the header, then one line
         # per row, every line ending in a newline
         assert anchor_coupling_table().to_csv_text() == (
@@ -277,11 +285,6 @@ class TestDatasetIO:
         assert ds.to_csv_text() == table
         assert ds.checksum() == (
             "b6b7c1b9c1cb85b2469472610bb5da0202d133edb835634797f0b0b5ea0f4518")
-        path = tmp_path / "one.csv"
-        write_dataset(ds, str(path), metadata={"source": "x", "seed": "1"})
-        assert path.read_text(encoding="utf-8") == "# source: x\n# seed: 1\n" + table
-        write_dataset(ds, str(path))
-        assert path.read_text(encoding="utf-8") == table
 
     @given(
         temperature=st.floats(min_value=1.0, max_value=2000.0),
@@ -382,6 +385,10 @@ WRONG_TYPES = {
                             lambda: CouplingTable(entries=((62.4, 1.0, SQ),))),
     "CouplingTable entries": (ValueError, "entries[0] must be a CouplingEntry, got 'a'",
                               lambda: CouplingTable(entries="abc")),
+    "CouplingTable entries int": (ValueError, "entries must be a sequence of CouplingEntry, "
+                                  "got 5", lambda: CouplingTable(entries=5)),
+    "CouplingTable entries None": (ValueError, "entries must be a sequence of CouplingEntry, "
+                                   "got None", lambda: CouplingTable(entries=None)),
     "synthetic_peak_function channel": (ValueError,
                                         "channel must be a TransitionChannel, got 'sq'",
                                         lambda: _peak(channel="sq")),
@@ -403,11 +410,15 @@ class TestWrongTypes:
 def _require_reference(values, domain="finite", error=ValueError):
     """The boundary check before its fast path, kept as the oracle: every
     value goes through a float array, and an array's extremes are found by
-    argmin and argmax."""
+    argmin and argmax.  An int that overflows the cast is refused as not
+    finite, as the check does."""
     within = {"finite": lambda v: True, "nonnegative": lambda v: v >= 0.0,
               "positive": lambda v: v > 0.0}[domain]
     for name, value in values.items():
-        a = np.asarray(value, dtype=float)
+        try:
+            a = np.asarray(value, dtype=float)
+        except OverflowError:
+            raise error(f"{name} must be finite, got {value!r}") from None
         if a.ndim == 0:
             extremes = [(name, float(a))]
         elif a.size:
@@ -504,6 +515,27 @@ class TestRequireFastPath:
         message = re.escape(f"{field} must be a number, got {value!r}")
         with pytest.raises(error, match=f"^{message}$"):
             call(value)
+
+    @pytest.mark.parametrize("error, message, call", [
+        (ValueError, f"omega must be finite, got {10**400!r}", lambda: RateMatrix(10**400, 1)),
+        (ValueError, f"omega must be finite, got {10**400!r}",
+         lambda: coherence_limits(10**400, 1)),
+        (DatasetError, f"temperature must be finite, got {10**400!r}",
+         lambda: RateMeasurement("A", "A", 10**400, 1.0, 0.1, 2.0, 0.2)),
+        (ValueError, "omega must be a number, got None", lambda: RateMatrix(None, 1.0)),
+        (DatasetError, "temperature must be a number, got {'t': 1}",
+         lambda: RateMeasurement("A", "A", {"t": 1}, 1.0, 0.1, 2.0, 0.2)),
+        (ValueError, "x must be a number, got {1.0}", lambda: _require({"x": {1.0}})),
+        (ValueError, "gamma must be a number, got Fraction(1, 2)",
+         lambda: RateMatrix(1.0, Fraction(1, 2))),
+        (ValueError, "t must be a number, got (1.0, Decimal('2'))",
+         lambda: _require({"t": (1.0, Decimal("2"))})),
+    ], ids=["huge-int-RateMatrix", "huge-int-coherence_limits", "huge-int-RateMeasurement",
+            "None", "dict", "set", "Fraction", "Decimal"])
+    def test_refuses_what_no_float_holds_naming_the_field(self, error, message, call):
+        # each once raised OverflowError or TypeError, or read None as NaN
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_booleans_are_refused_at_the_dataclasses(self):
         with pytest.raises(ValueError, match="^omega must be a number, not a boolean$"):

@@ -20,7 +20,6 @@ from nvrelax.fitting import (
     compare_models,
     estimate_covariance,
     fit,
-    residual_diagnostics,
 )
 from nvrelax.fitting import (
     _assemble,
@@ -905,47 +904,3 @@ class TestCompareModels:
         assert ranked[0] is two_mode_fit and ranked[1] is one_mode_fit
         assert [r.label for r in ranked] == ["n-mode:2", "n-mode:1"]
 
-
-class TestResidualDiagnostics:
-    @staticmethod
-    def _result_with_residuals(values, converged=True):
-        values = np.asarray(values, dtype=float)
-        labels = tuple(
-            (f"NV{i}", "A", 100.0 + i, "omega" if i % 2 == 0 else "gamma")
-            for i in range(len(values))
-        )
-        chi2 = float(values @ values)
-        return FitResult(
-            model=ModelSpec("n_mode", 2), param_names=("delta_1",),
-            params={"delta_1": 70.0}, sigma={"delta_1": 1.0},
-            covariance=np.eye(1), chi2=chi2, dof=len(values) - 1,
-            chi2_reduced=chi2 / (len(values) - 1),
-            residuals_normalized=values, residual_labels=labels,
-            converged=converged, n_iterations=5, gradient_norm=0.0,
-            start_chi2=(chi2,), constants="none", t_min=None,
-            dataset_checksum="abc", dataset_provenance="stub",
-        )
-
-    def test_unit_residuals_have_unit_population_variance(self):
-        diag = residual_diagnostics(self._result_with_residuals([-1, 1, -1, 1]))
-        assert diag.mean == 0.0
-        assert diag.variance == 1.0
-        assert len(diag.outliers) == 0
-
-    def test_outliers_carry_provenance(self):
-        diag = residual_diagnostics(self._result_with_residuals([0.1, -0.2, 3.1, 0.0]))
-        assert len(diag.outliers) == 1
-        out = diag.outliers[0]
-        assert out.nv_id == "NV2"
-        assert out.value == pytest.approx(3.1)
-        assert out.channel == "omega"
-
-    def test_requires_converged_fit(self):
-        result = self._result_with_residuals([0.1, 0.2], converged=False)
-        with pytest.raises(ValueError, match="converged"):
-            residual_diagnostics(result)
-
-    def test_two_mode_residuals_near_normal(self, two_mode_fit):
-        diag = residual_diagnostics(two_mode_fit)
-        assert abs(diag.mean) < 0.2
-        assert 0.8 <= diag.variance <= 1.6
