@@ -2,8 +2,8 @@
 
 Library layout:
 
-* :mod:`nvrelax.core` -- physical constants, unit conversion, the measured-rate
-  dataset schema, and the bundled published dataset.
+* :mod:`nvrelax.core` -- physical constants, the measured-rate dataset
+  schema, and the bundled published dataset.
 * :mod:`nvrelax.models` -- closed-form rate laws (a :class:`ModelSpec` and its
   values as one :class:`RateLaw`, under the names fit reports use),
   occupation numbers, and relaxation-limited coherence bounds.
@@ -23,7 +23,6 @@ from .core import (
     Dataset,
     RateMeasurement,
     TransitionChannel,
-    convert_energy,
     load_dataset,
 )
 from .models import (
@@ -33,7 +32,6 @@ from .models import (
     coherence_limits,
     occupation,
     orbach_factor,
-    ratio_curve,
 )
 
 __all__ = [
@@ -45,10 +43,8 @@ __all__ = [
     "RateMeasurement",
     "TransitionChannel",
     "coherence_limits",
-    "convert_energy",
     "load_dataset",
     "occupation",
     "orbach_factor",
-    "ratio_curve",
     "__version__",
 ]

@@ -1,8 +1,7 @@
 """Units, shared domain types, and the bundled measured-rate dataset.
 
 The internal unit system is fixed: energies in meV, temperatures in K,
-rates in s^-1, spin-phonon coupling amplitudes in MHz.  Conversions happen
-only at I/O boundaries, through :func:`convert_energy`.
+rates in s^-1, spin-phonon coupling amplitudes in MHz.
 """
 from __future__ import annotations
 
@@ -26,7 +25,6 @@ __all__ = [
     "Dataset",
     "TransitionChannel",
     "DatasetError",
-    "convert_energy",
     "load_dataset",
     "parse_dataset_text",
 ]
@@ -49,42 +47,6 @@ DEFAULT_SEED = 1729
 # ingestion bounds for measured data; synthetic model curves may go beyond
 _T_INGEST_MIN_K = 1.0
 _T_INGEST_MAX_K = 2000.0
-
-# the energy-equivalent units of convert_energy, by lower-case name
-_UNITS = {"mev": "meV", "ghz": "GHz", "k": "K"}
-
-
-def _canonical_unit(unit: str) -> str:
-    try:
-        return _UNITS[unit.strip().lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown energy unit {unit!r}; expected one of meV, GHz (times h), "
-            f"K (times k_B)"
-        ) from None
-
-
-def convert_energy(value: float, from_unit: str, to_unit: str) -> float:
-    """Convert between energy-equivalent units: meV, GHz (via h), K (via k_B).
-
-    Frequencies are treated as energies h*f and temperatures as k_B*T, so
-    e.g. ``convert_energy(2.87, "GHz", "meV")`` gives the zero-field
-    splitting in meV.  Round trips are exact to 1e-12 relative.
-    """
-    _require({"value": value})
-    src = _canonical_unit(from_unit)
-    dst = _canonical_unit(to_unit)
-    in_mev = {
-        "meV": value,
-        "GHz": PLANCK_MEV_S * value * 1e9,
-        "K": BOLTZMANN_MEV_PER_K * value,
-    }[src]
-    return {
-        "meV": in_mev,
-        "GHz": in_mev / (PLANCK_MEV_S * 1e9),
-        "K": in_mev / BOLTZMANN_MEV_PER_K,
-    }[dst]
-
 
 class TransitionChannel(enum.Enum):
     """Spin-phonon transition channels of the triplet ground state.
@@ -211,6 +173,9 @@ class RateMeasurement:
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise DatasetError(f"{name} must be a string, got {value!r}")
+            # a blank sample would fit floors named a3_ and b3_
+            if not value:
+                raise DatasetError(f"{name} must not be empty")
             if ("," in value or "".join(value.splitlines()) != value
                     or value.startswith("#") or value != value.strip()):
                 raise DatasetError(
@@ -359,14 +324,16 @@ def load_dataset(source: str) -> Dataset:
 
 
 def _read_input(path: str, kind: str, parse: Callable[[str], object]) -> tuple[object, str]:
-    """(``parse(text)``, ``text``) of the UTF-8 file at ``path``.
+    """(``parse(text)``, ``text``) of the UTF-8 file at ``path``, less the
+    byte-order mark a spreadsheet may write first: such a file gives the
+    same text, so the same checksum, as the same file without one.
 
     Bytes that do not decode, and any ValueError of ``parse``, raise
     ValueError (a DatasetError stays one) naming the ``kind`` file and its
     path; an OSError's message names the path already.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
         return parse(text), text
     except ValueError as exc:

@@ -178,9 +178,6 @@ class DecayCurve:
         _require({"tau_grid": self.tau_grid, "values": self.values})
         _require({"errors": self.errors}, "positive")
 
-    def __len__(self) -> int:
-        return len(self.tau_grid)
-
 
 @dataclass(frozen=True)
 class SimulationResult:

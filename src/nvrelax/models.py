@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "occupation",
     "orbach_factor",
     "coherence_limits",
-    "ratio_curve",
 ]
 
 # exp argument beyond which the occupation underflows to exactly zero
@@ -257,15 +256,11 @@ class RateLaw:
         return RatePair(omega.reshape(t.shape), gamma.reshape(t.shape))
 
 
-@dataclass(frozen=True)
-class RatePair:
+class RatePair(NamedTuple):
     """Model rates at one temperature (or arrays over a grid)."""
 
     omega: float
     gamma: float
-
-    def __iter__(self):
-        return iter((self.omega, self.gamma))
 
 
 @dataclass(frozen=True)
@@ -297,19 +292,3 @@ def coherence_limits(omega: float, gamma: float) -> CoherenceLimit:
         t1=1.0 / (3.0 * omega) if omega > 0 else math.inf,
     )
 
-
-def ratio_curve(
-    params: RateLaw, sample: str | None, t_grid: Sequence[float]
-) -> list[tuple[float, float]]:
-    """gamma/omega evaluated pointwise over a caller-supplied grid.
-
-    Most meaningful in the phonon-limited regime (roughly 125 K and above);
-    raises if omega vanishes at any requested point.
-    """
-    out = []
-    for t in t_grid:
-        rates = params.rates(sample, float(t))
-        if rates.omega == 0:
-            raise ZeroDivisionError(f"omega vanishes at T = {t} K; ratio undefined")
-        out.append((float(t), rates.gamma / rates.omega))
-    return out

@@ -36,6 +36,7 @@ from .core import (
     DEFAULT_SEED,
     HBAR_MEV_S,
     PLANCK_MEV_PER_MHZ,
+    PLANCK_MEV_S,
     Dataset,
     RateMeasurement,
     TransitionChannel,
@@ -43,7 +44,6 @@ from .core import (
     _csv_rows,
     _csv_text,
     _require,
-    convert_energy,
 )
 from .fitting import FitProblem, FitResult, ModelSpec, fit
 from .models import _term_column
@@ -96,11 +96,7 @@ _THEORY_REL_ERR = 0.01
 
 class QuadratureError(RuntimeError):
     """Energy grid too coarse for the requested quadrature tolerance; the
-    ``suggested_spacing`` is None when no finer grid can help."""
-
-    def __init__(self, message: str, suggested_spacing: float | None):
-        super().__init__(message)
-        self.suggested_spacing = suggested_spacing
+    message says to what spacing to refine it, or that no finer grid helps."""
 
 
 def _require_channel(channel: object) -> None:
@@ -229,17 +225,31 @@ def _gaussian(x: np.ndarray, sigma: float) -> np.ndarray:
 _GAUSSIAN_REACH = 40.0
 
 
-def _broadened(grid: np.ndarray, sigma: float, peaks: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Sum of weight times the normalized Gaussian of width ``sigma`` at
-    center over the (center, weight) ``peaks``, in order, on the ascending
-    ``grid``.  Each Gaussian is evaluated only within ``_GAUSSIAN_REACH``
+def _broadened(grid: np.ndarray | None, sigma: float,
+               peaks: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, sum of weight times the normalized Gaussian of width ``sigma``
+    at center over the (center, weight) ``peaks``, in order), the grid
+    ``default_grid(sigma)`` when None.
+
+    The grid must be 1-D, of at least 5 samples, and reach from 0 to 5 sigma
+    above the highest center: a Gaussian it cuts off would lose its area
+    silently.  Each Gaussian is evaluated only within ``_GAUSSIAN_REACH``
     sigmas of its center: it is exactly 0 beyond, where it would add no bit."""
+    _require({"broadening width sigma": sigma}, "positive")
+    grid = default_grid(sigma) if grid is None else np.asarray(grid, dtype=float)
+    _require_samples(grid)
+    top = max(center for center, _ in peaks)
+    if grid[0] > 0.0 or grid[-1] < top + 5.0 * sigma:
+        raise ValueError(
+            f"grid must cover [0, {top + 5.0 * sigma:g}] meV, got [{grid[0]:g}, {grid[-1]:g}]: "
+            f"the highest center {top:g} meV plus a 5 sigma margin of "
+            f"{5.0 * sigma:g} meV at sigma = {sigma:g} meV")
     out = np.zeros_like(grid)
     reach = _GAUSSIAN_REACH * sigma
     for center, weight in peaks:
         lo, hi = np.searchsorted(grid, (center - reach, center + reach)).tolist()
         out[lo:hi] += weight * _gaussian(grid[lo:hi] - center, sigma)
-    return out
+    return grid, out
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,25 +325,12 @@ def build_spectral_function(
     Each Gaussian is evaluated only on the grid within 40 sigma of its
     center (``_broadened``); it is exactly 0 beyond.
     """
-    _require({"broadening width sigma": sigma}, "positive")
+    _require_channel(channel)
     entries = table.for_channel(channel)
     if not entries:
         raise ValueError(f"no coupling entries for channel {channel.value!r}, order 2")
-    grid = default_grid(sigma) if grid is None else np.asarray(grid, dtype=float)
-    _require_samples(grid)
-    _require_coverage(grid, max(e.mode_energy for e in entries), sigma)
-    amplitude = _broadened(grid, sigma, [(e.mode_energy, e.amplitude) for e in entries])
+    grid, amplitude = _broadened(grid, sigma, [(e.mode_energy, e.amplitude) for e in entries])
     return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel, sigma=sigma)
-
-
-def _require_coverage(grid: np.ndarray, top: float, sigma: float) -> None:
-    """Refuse a grid that does not reach from 0 to 5 sigma above ``top``, the
-    highest center: a Gaussian it cuts off would lose its area silently."""
-    if grid[0] > 0.0 or grid[-1] < top + 5.0 * sigma:
-        raise ValueError(
-            f"grid must cover [0, {top + 5.0 * sigma:g}] meV, got [{grid[0]:g}, {grid[-1]:g}]: "
-            f"the highest center {top:g} meV plus a 5 sigma margin of "
-            f"{5.0 * sigma:g} meV at sigma = {sigma:g} meV")
 
 
 def synthetic_peak_function(
@@ -357,16 +354,12 @@ def synthetic_peak_function(
     w = 10 meV: couplings to long-wavelength acoustic phonons vanish
     quadratically.
     """
-    _require({"broadening width sigma": sigma}, "positive")
     if not peaks:
         raise ValueError("at least one peak is required")
-    grid = default_grid(sigma) if grid is None else np.asarray(grid, dtype=float)
-    _require_samples(grid)
     for center, area in peaks:
         _require({"peak center": center}, "positive")
         _require({"peak area": area}, "nonnegative")
-    f_diag = _broadened(grid, sigma, peaks)
-    _require_coverage(grid, max(center for center, _ in peaks), sigma)
+    grid, f_diag = _broadened(grid, sigma, peaks)
     f_diag *= -np.expm1(-0.5 * (grid / _LOW_ENERGY_WINDOW_MEV) ** 2)
     amplitude = np.sqrt(f_diag) / PLANCK_MEV_PER_MHZ
     return SpectralFunction(grid=grid, amplitude=amplitude, channel=channel, sigma=sigma)
@@ -469,9 +462,7 @@ def _integrate_checked(f: SpectralFunction, temperature: float) -> tuple[float, 
                        "does not vanish, so refining the energy grid will not help")
         raise QuadratureError(
             f"quadrature error estimate {error / abs(full):.2e} above relative "
-            f"tolerance {QUADRATURE_REL_TOL:g}; {advice}",
-            suggested_spacing=spacing / 2.0 if refinable else None,
-        )
+            f"tolerance {QUADRATURE_REL_TOL:g}; {advice}")
     return full, error / abs(full)
 
 
@@ -507,7 +498,7 @@ def order_dominance_ratio(d_ghz: float, phonon_energy_mev: float) -> float:
     """
     _require({"zero-field splitting d_ghz": d_ghz}, "nonnegative")
     _require({"phonon energy phonon_energy_mev": phonon_energy_mev}, "positive")
-    return (convert_energy(d_ghz, "GHz", "meV") / phonon_energy_mev) ** 2
+    return (PLANCK_MEV_S * d_ghz * 1e9 / phonon_energy_mev) ** 2
 
 
 @dataclass(frozen=True)
@@ -536,9 +527,6 @@ class RamanRateCurve:
         _require({"omega": self.omega, "gamma": self.gamma,
                   "omega_rel_error": self.omega_rel_error,
                   "gamma_rel_error": self.gamma_rel_error}, "nonnegative")
-
-    def __len__(self) -> int:
-        return len(self.temperatures)
 
     def to_csv_text(self) -> str:
         return _csv_text(RATE_CURVE_CSV_HEADER, [

@@ -15,7 +15,7 @@ import pytest
 
 import nvrelax
 from nvrelax.cli import main
-from nvrelax.core import parse_dataset_text
+from nvrelax.core import _BUILTIN_TABLE, parse_dataset_text
 from nvrelax.fitting import FitProblem, ModelSpec, fit
 from nvrelax.spectral import anchor_coupling_table
 
@@ -399,6 +399,43 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['scipy']"     # only the blocked entry
+
+
+class TestInputFiles:
+    # a spreadsheet saving "CSV UTF-8" writes a byte-order mark first
+    @pytest.mark.parametrize("name, text, argv", [
+        ("t.csv", _BUILTIN_TABLE, ("fit", "--model", "n-mode:1", "--data", "t.csv",
+                                   "-o", "f.json")),
+        ("c.csv", anchor_coupling_table().to_csv_text(),
+         ("spectral", "--coupling", "c.csv", "--sigma", "7.5", "--n-temps", "8", "-o", "s")),
+        ("p.json", json.dumps(PUBLISHED_PARAMS), ("eval", "--params", "p.json",
+                                                  "--temps", "300,400", "-o", "e.csv")),
+    ], ids=["dataset", "coupling", "params"])
+    def test_byte_order_mark_changes_no_output(self, tmp_path, monkeypatch, capsys,
+                                               name, text, argv):
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            directory = tmp_path / encoding
+            directory.mkdir()
+            (directory / name).write_text(text, encoding=encoding)
+            monkeypatch.chdir(directory)
+            code = run(*argv)
+            files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())
+                     if p.name != name}
+            outputs.append((code, capsys.readouterr(), files))
+        assert (tmp_path / "utf-8-sig" / name).read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[0][0] == 0 and outputs[0][2]
+        assert outputs[1] == outputs[0]
+
+    def test_blank_sample_is_input_error_naming_line(self, tmp_path, capsys):
+        # blank sample fields would fit floors named a3_ and b3_, and compare
+        # would file their floored prediction under "lattice"
+        data = tmp_path / "blank.csv"
+        data.write_text(_BUILTIN_TABLE.replace(",A,", ",,"))
+        out = tmp_path / "f.json"
+        assert run("fit", "--data", str(data), "-o", str(out)) == 1
+        assert "blank.csv': line 2: sample must not be empty" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFitCommand:

@@ -21,7 +21,6 @@ from nvrelax.core import (
     RateMeasurement,
     TransitionChannel,
     _require,
-    convert_energy,
     load_dataset,
     parse_dataset_text,
 )
@@ -54,37 +53,10 @@ from nvrelax.spectral import (
 SQ = TransitionChannel.SINGLE_QUANTUM
 
 
-class TestConvertEnergy:
-    def test_ghz_to_mev_zero_field_splitting(self):
-        # h * 2.87 GHz with CODATA h; frozen from direct evaluation
-        assert convert_energy(2.87, "GHz", "meV") == pytest.approx(0.01186936628752, rel=1e-9)
-
-    def test_kelvin_to_mev(self):
-        assert convert_energy(295.08, "K", "meV") == pytest.approx(25.428027, rel=1e-6)
-
-    def test_zero_is_zero_in_any_unit(self):
-        for src in ("meV", "GHz", "K"):
-            for dst in ("meV", "GHz", "K"):
-                assert convert_energy(0.0, src, dst) == 0.0
-
-    def test_unknown_unit_raises(self):
-        with pytest.raises(ValueError, match="unknown energy unit"):
-            convert_energy(1.0, "eV", "meV")
-
-    @given(
-        value=st.floats(min_value=1e-6, max_value=1e6),
-        src=st.sampled_from(["meV", "GHz", "K"]),
-        dst=st.sampled_from(["meV", "GHz", "K"]),
-    )
-    def test_round_trip_identity(self, value, src, dst):
-        """Converting there and back reproduces the input to 1e-12 relative."""
-        back = convert_energy(convert_energy(value, src, dst), dst, src)
-        assert back == pytest.approx(value, rel=1e-12)
-
-    def test_constants_are_consistent(self):
-        # h = 2 pi hbar must hold between the stored constants
-        assert PLANCK_MEV_S == pytest.approx(2.0 * math.pi * HBAR_MEV_S, rel=1e-9)
-        assert BOLTZMANN_MEV_PER_K == pytest.approx(8.617333262e-2, rel=1e-12)
+def test_constants_are_consistent():
+    # h = 2 pi hbar must hold between the stored constants
+    assert PLANCK_MEV_S == pytest.approx(2.0 * math.pi * HBAR_MEV_S, rel=1e-9)
+    assert BOLTZMANN_MEV_PER_K == pytest.approx(8.617333262e-2, rel=1e-12)
 
 
 class TestTransitionChannel:
@@ -132,6 +104,19 @@ class TestRateMeasurementValidation:
         values[field] = bad
         with pytest.raises(DatasetError, match=f"^{('nv_id', 'sample')[field]} must hold"):
             RateMeasurement(*values)
+
+    @pytest.mark.parametrize("field", [0, 1])
+    def test_empty_id_rejected_naming_field(self, field):
+        values = ["NVA", "A", 295.0, 60.0, 3.0, 128.0, 7.0]
+        values[field] = ""
+        with pytest.raises(DatasetError, match=f"^{('nv_id', 'sample')[field]} must not be empty$"):
+            RateMeasurement(*values)
+
+    def test_blank_sample_column_names_line(self):
+        # a blank sample would otherwise fit floors named a3_ and b3_
+        text = CSV_HEADER + "\nNVA,A,124.1,1.0,0.09,3.4,0.4\nNVA,,148.4,2.64,0.16,7.0,0.6\n"
+        with pytest.raises(DatasetError, match="^line 3: sample must not be empty$"):
+            parse_dataset_text(text)
 
     def test_comma_space_separated_row_names_sample(self):
         text = CSV_HEADER + "\nNVA, A, 295.0, 60.0, 3.0, 128.0, 7.0\n"
@@ -342,7 +327,6 @@ BOUNDARIES = {
                                                              gamma_rel_error=(x,))),
     "order_dominance_ratio": ("zero-field splitting d_ghz", "nonnegative",
                               lambda x: order_dominance_ratio(x, 60.0)),
-    "convert_energy": ("value", "finite", lambda x: convert_energy(x, "GHz", "meV")),
     "evolve": ("evolution time tau", "nonnegative",
                lambda x: evolve(RateMatrix(60.0, 128.0), "0", x)),
     "FitProblem t_min": ("t_min", "positive",
@@ -389,6 +373,10 @@ WRONG_TYPES = {
                                   "got 5", lambda: CouplingTable(entries=5)),
     "CouplingTable entries None": (ValueError, "entries must be a sequence of CouplingEntry, "
                                    "got None", lambda: CouplingTable(entries=None)),
+    "build_spectral_function channel": (ValueError,
+                                        "channel must be a TransitionChannel, got 'sq'",
+                                        lambda: build_spectral_function(
+                                            anchor_coupling_table(), "sq", 7.5)),
     "synthetic_peak_function channel": (ValueError,
                                         "channel must be a TransitionChannel, got 'sq'",
                                         lambda: _peak(channel="sq")),

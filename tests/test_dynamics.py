@@ -293,7 +293,7 @@ class TestSimulateExperiment:
     def test_noise_free_values_are_exact(self):
         sim = simulate_experiment(self.RM, ProtocolSpec(shots=None))
         taus = np.asarray(sim.omega_branch.tau_grid)
-        assert len(sim.omega_branch) == len(taus) == ProtocolSpec(shots=None).n_tau
+        assert len(sim.omega_branch.tau_grid) == len(taus) == ProtocolSpec(shots=None).n_tau
         np.testing.assert_allclose(sim.omega_branch.values,
                                    np.exp(-180.0 * taus), atol=1e-14)
 

@@ -17,7 +17,6 @@ from nvrelax.models import (
     occupation,
     orbach_factor,
     orbach_factor_ddelta,
-    ratio_curve,
 )
 from nvrelax.models import _term_column
 
@@ -397,25 +396,3 @@ class TestCoherenceLimits:
         assert 1.0 / limits.t2_dq == pytest.approx(omega + gamma, rel=1e-12)
         assert 3.0 * omega * limits.t1 == pytest.approx(1.0, rel=1e-12)
 
-
-class TestRatioCurve:
-    def test_room_temperature_ratio_near_two(self, published_params):
-        ((_, ratio),) = ratio_curve(published_params, "A", [295.0])
-        assert ratio == pytest.approx(2.1548, abs=0.1)
-
-    def test_declines_across_phonon_limited_range(self, published_params):
-        points = ratio_curve(published_params, "A", np.linspace(200.0, 474.0, 24))
-        ratios = [r for _, r in points]
-        assert all(b < a for a, b in zip(ratios, ratios[1:]))
-        assert ratios[0] == pytest.approx(2.5, abs=0.15)
-        assert 1.5 <= ratios[-1] <= 2.0
-
-    def test_identical_coefficient_vectors_give_unity(self):
-        params = n_mode((68.2, 580.0, 580.0), (167.0, 9000.0, 9000.0))
-        points = ratio_curve(params, None, [150.0, 300.0, 450.0])
-        assert all(r == 1.0 for _, r in points)
-
-    def test_vanishing_omega_raises(self):
-        params = n_mode((68.2, 0.0, 100.0))
-        with pytest.raises(ZeroDivisionError, match="T = 295"):
-            ratio_curve(params, None, [295.0])

@@ -407,9 +407,9 @@ class TestSecondOrderRate:
         # a 0.01 meV peak is unresolvable on a 0.05 meV grid
         f = synthetic_peak_function([(68.2, 1e-12)], sigma=0.01, channel=SQ,
                                     grid=COARSE_GRID)
-        with pytest.raises(QuadratureError, match="refine the energy grid") as exc:
+        with pytest.raises(QuadratureError, match="refine the energy grid to spacing "
+                                                  r"<= 0\.025 meV$"):
             second_order_rate(f, 295.0)
-        assert exc.value.suggested_spacing == pytest.approx(0.025)
 
     def test_peaks_reaching_zero_energy_get_no_spacing(self):
         # F(0, 0) != 0 at sigma = 15 meV and n(n+1) grows as 1/e^2 there, so
@@ -417,7 +417,8 @@ class TestSecondOrderRate:
         f = build_spectral_function(anchor_coupling_table(), DQ, sigma=15.0)
         with pytest.raises(QuadratureError, match="grows towards e = 0") as exc:
             second_order_rate(f, 300.0)
-        assert exc.value.suggested_spacing is None
+        assert str(exc.value).endswith("will not help")
+        assert "spacing <=" not in str(exc.value)
 
     def test_halving_grid_is_stable(self):
         table = anchor_coupling_table()
@@ -488,7 +489,7 @@ class TestRateCurve:
         assert "temperature_k,omega_s,gamma_s" in text
         assert text.startswith("# provenance:")
         ds = curve.to_dataset()
-        assert len(ds) == len(curve) == 2
+        assert len(ds) == len(curve.temperatures) == 2
         row = ds.rows[0]
         assert row.omega_err == pytest.approx(0.01 * row.omega)
         assert row.gamma_err == pytest.approx(0.01 * row.gamma)
@@ -599,9 +600,9 @@ class TestQuadratureEquivalence:
     def test_coarse_grid_still_raises_from_rate_curve(self):
         f = synthetic_peak_function([(68.2, 1e-12)], sigma=0.01, channel=SQ,
                                     grid=COARSE_GRID)
-        with pytest.raises(QuadratureError, match="refine the energy grid") as exc:
+        with pytest.raises(QuadratureError, match="refine the energy grid to spacing "
+                                                  r"<= 0\.025 meV$"):
             rate_curve(f, f, [295.0])
-        assert exc.value.suggested_spacing == pytest.approx(0.025)
 
     def test_all_zero_function_gives_zero(self):
         table = CouplingTable(entries=(CouplingEntry(62.4, 0.0, SQ),))
