@@ -13,6 +13,7 @@ from nvrelax.models import (
     CoherenceLimit,
     ModelSpec,
     RateLaw,
+    RatePair,
     coherence_limits,
     occupation,
     orbach_factor,
@@ -350,6 +351,22 @@ class TestEvalPriorModel:
         assert orbach_only.rates(None, t).omega == pytest.approx(
             single.rates(None, t).omega, rel=1e-12
         )
+
+
+class TestRatePair:
+    def test_unpacks_into_its_named_fields(self):
+        pair = n_mode((68.2, 1.0, 1.0)).rates(None, 295.0)
+        assert isinstance(pair, RatePair)
+        omega, gamma = pair
+        assert (omega, gamma) == (pair.omega, pair.gamma)
+        assert repr(RatePair(1.5, 3.0)) == "RatePair(omega=1.5, gamma=3.0)"
+
+    def test_fields_are_read_only(self):
+        pair = n_mode((68.2, 1.0, 1.0)).rates(None, 295.0)
+        with pytest.raises(AttributeError):
+            pair.omega = 0.0
+        with pytest.raises(AttributeError):
+            pair.gamma = 0.0
 
 
 class TestCoherenceLimits:

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from nvrelax import spectral
-from nvrelax.core import BOLTZMANN_MEV_PER_K, HBAR_MEV_S, PLANCK_MEV_PER_MHZ, TransitionChannel
+from nvrelax.core import (
+    BOLTZMANN_MEV_PER_K,
+    HBAR_MEV_S,
+    PLANCK_MEV_PER_MHZ,
+    PLANCK_MEV_S,
+    TransitionChannel,
+)
 from nvrelax.models import ModelSpec, RateLaw, orbach_factor
 from nvrelax.spectral import (
     COUPLING_CSV_HEADER,
@@ -205,6 +211,27 @@ class TestBuildSpectralFunction:
     def test_sigma_positive(self):
         with pytest.raises(ValueError, match="broadening width"):
             build_spectral_function(anchor_coupling_table(), DQ, sigma=0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda sigma: build_spectral_function(anchor_coupling_table(), SQ, sigma),
+        lambda sigma: synthetic_peak_function([(68.2, 1e-12)], sigma, SQ),
+    ], ids=["build_spectral_function", "synthetic_peak_function"])
+    def test_builders_refuse_a_bad_sigma_by_name(self, build):
+        # both take sigma through the one grid-and-coverage path
+        for sigma, reason in [(0.0, "positive"), (-1.0, "positive"), (math.nan, "finite")]:
+            with pytest.raises(ValueError, match=f"^broadening width sigma must be {reason}"):
+                build(sigma)
+
+    def test_own_checks_come_before_the_grid_checks(self):
+        # each builder checks its own input first: a bad sigma or grid is
+        # named only once the entries or the peaks are sound
+        table = CouplingTable(entries=(CouplingEntry(62.4, 0.6, SQ),))
+        with pytest.raises(ValueError, match="no coupling entries for channel 'double_quantum'"):
+            build_spectral_function(table, DQ, sigma=0.0)
+        with pytest.raises(ValueError, match="at least one peak is required"):
+            synthetic_peak_function([], sigma=0.0, channel=SQ, grid=np.zeros(0))
+        with pytest.raises(ValueError, match="peak center"):
+            synthetic_peak_function([(-1.0, 1e-12)], sigma=0.0, channel=SQ)
 
     @pytest.mark.parametrize("sigma, n_points", [(7.5, 5001), (0.5, 5001), (0.3, 8334),
                                                  (0.01, 250001)])
@@ -454,6 +481,13 @@ class TestOrderDominance:
 
     def test_zero_splitting(self):
         assert order_dominance_ratio(0.0, 50.0) == 0.0
+
+    def test_splitting_is_converted_through_planck(self):
+        # at a 1 meV phonon the ratio's root is h D in meV: h * 2.87 GHz
+        # with CODATA h, frozen from direct evaluation
+        assert math.sqrt(order_dominance_ratio(2.87, 1.0)) == \
+            pytest.approx(0.01186936628752, rel=1e-9)
+        assert order_dominance_ratio(2.87, 68.2) == (PLANCK_MEV_S * 2.87e9 / 68.2) ** 2
 
     def test_quadratic_scaling(self):
         assert order_dominance_ratio(5.74, 50.0) == \
