@@ -158,7 +158,11 @@ def _temperature_grid(args, geometric: bool) -> np.ndarray:
         return np.array([float(t) for t in args.temps.split(",")])
     if args.t_max <= args.t_min:
         raise ValueError("t-max must exceed t-min")
-    return (np.geomspace if geometric else np.linspace)(args.t_min, args.t_max, args.n_temps)
+    try:
+        return (np.geomspace if geometric else np.linspace)(args.t_min, args.t_max, args.n_temps)
+    except (ValueError, MemoryError):
+        raise ValueError(f"--n-temps {args.n_temps} asks for more temperatures than can "
+                         "be allocated") from None
 
 
 def _cmd_eval(args) -> int:

@@ -196,7 +196,11 @@ def _branch_grid(spec: ProtocolSpec, expected_rate: float, name: str) -> np.ndar
                          "tau grid (a library caller may pass an explicit tau_grid)")
     tau_end = spec.tau_max_scale / expected_rate
     _require({f"tau grid end tau_max_scale / ({name})": tau_end})
-    return np.linspace(0.0, tau_end, spec.n_tau)
+    try:
+        return np.linspace(0.0, tau_end, spec.n_tau)
+    except (ValueError, MemoryError):
+        raise ValueError(f"n_tau = {spec.n_tau} asks for a tau grid of more delays than can "
+                         "be allocated") from None
 
 
 def _measure_branch(rates: RateMatrix, init: str, pair: tuple[str, str],

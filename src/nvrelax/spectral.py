@@ -612,7 +612,7 @@ def _drop_grid_text(ref: weakref.ref) -> None:
 
 
 def _decimal_places(grid: np.ndarray) -> int | None:
-    """The fewest decimal places d at which the grid's step is a whole
+    """The fewest decimal places d >= 1 at which the grid's step is a whole
     multiple of 10^-d, to within 1e-9 of itself, searched until the step
     reaches 10^6 such units; None when there is none (the 250/8333 meV step
     of the sigma = 0.3 default grid has none)."""
@@ -620,7 +620,7 @@ def _decimal_places(grid: np.ndarray) -> int | None:
     for places in range(16):
         scaled = step * 10.0**places
         if abs(scaled - round(scaled)) <= 1e-9 * scaled:
-            return places
+            return max(places, 1)       # repr writes one fractional digit
         if scaled >= 1e6:
             break
     return None
@@ -632,63 +632,158 @@ def _repr_lines(values: np.ndarray) -> bytes:
     return (repr(values.tolist())[1:-1].replace(", ", _ZERO_ROW) + _ZERO_ROW).encode("ascii")
 
 
-def _chunk_lines(values: np.ndarray, places: int | None) -> bytes:
-    """``_repr_lines(values)``, with the values that are exact decimals of
-    ``places`` decimal places written by numpy rather than by ``repr``.
+# Veltkamp's constant 2^27 + 1, which splits a double into two halves whose
+# products are exact (Dekker's two-product)
+_SPLIT = 134217729.0
 
-    Such a value g has k = rint(g 10^d) < 10^15 and k / 10^d == g, the
+# 5^j, each exact; the last m tried is 21, the largest with 8 5^m < 2^53
+_POW5 = np.array([5**j for j in range(22)], dtype=float)
+
+# What follows the d places of a value of offset code 10 j + c (c = 1...9):
+# j - 1 zeros and the digit c; b"" for the other codes
+_TAILS = np.array([b"0" * (code // 10 - 1) + b"%d" % (code % 10)
+                   if code % 10 and code >= 10 else b"" for code in range(10 * len(_POW5))],
+                  dtype=object)
+
+
+def _offset_codes(values: np.ndarray, places: int) -> np.ndarray:
+    """For each value v, positive and normal, that is not the decimal
+    k 10^-d nearest it (d = ``places``): 10 (m - d) + c when ``repr(v)`` is
+    k's digits with all d places, m - d - 1 zeros and the digit c; 0 when
+    that cannot be shown.
+
+    With u = ulp(v), e = 2 (v 10^d - k) / (u 2^d) is an integer, computed
+    exactly from Dekker's two-product while |e| < 8 5^d.  At m places the
+    decimal nearest v is k 10^-d + c 10^-m with c = rint(e 5^(m-d) / P),
+    P = 2^(1-m) / u, and it rounds to v iff |c P - e 5^(m-d)| <= 5^m (<
+    when v's last bit is odd, as rounding breaks ties to even), every
+    product exact for m <= 21.  c is 0, and k 10^-d does not round to v,
+    until v - k 10^-d reaches half of 10^-m; from there on the first m that
+    passes gives the shortest decimal that rounds to v, and the nearest of
+    its length: ``repr(v)``.  Two m are tried, from the m at which c first
+    reaches 1 as logarithms place it, checked by c = 0 one place before.
+    A tie in either rint, a power of two (whose rounding interval is
+    lopsided), a value below k 10^-d and c outside 1-9 keep code 0.
+    """
+    scale = 10.0**places
+    hi = _SPLIT * values
+    hi -= hi - values
+    lo = values - hi
+    scale_hi = _SPLIT * scale - (_SPLIT * scale - scale)
+    scale_lo = scale - scale_hi
+    product = values * scale
+    error = ((hi * scale_hi - product) + hi * scale_lo + lo * scale_hi) + lo * scale_lo
+    k = np.rint(product)
+    ulp = np.spacing(values)
+    e = ((product - k) + error) / (ulp * 2.0**(places - 1))
+    bits = values.view(np.int64)
+    # a power of two has no mantissa bits below its sign and exponent
+    shown = (np.abs(product - k) < 0.5) & (e > 0) & (e < 8 * _POW5[places]) & (bits << 12 != 0)
+    e, inverse, odd = e[shown], 1.0 / ulp[shown], bits[shown] & 1 == 1
+    first = np.ceil(np.log10(_POW5[places] * inverse / e))
+    first = np.clip(first, places + 1, len(_POW5) - 2).astype(np.int32)
+    # (v - k 10^-d) 10^first <= 5: c is 0 one place before ``first``
+    todo = e * _POW5[first - places] <= 5 * np.ldexp(inverse, 1 - first)
+    found = np.zeros(len(e), dtype=np.uint8)
+    for m in (first, first + 1):
+        power = np.ldexp(inverse, 1 - m)
+        target = e * _POW5[m - places]
+        quotient = target / power               # (v - k 10^-d) 10^m
+        c = np.rint(quotient)
+        miss = np.abs(c * power - target)
+        bound = _POW5[m]
+        fits = (miss < bound) | ((miss == bound) & ~odd)
+        proven = todo & fits & (c <= 9) & (np.abs(quotient - c) != 0.5)
+        found[proven] = (10 * (m - places) + c)[proven]
+        todo &= ~fits
+    codes = np.zeros(len(values), dtype=np.uint8)
+    codes[shown] = found
+    return codes
+
+
+def _decimal_rows(values: np.ndarray, places: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which values at and above 1e-4 are exact decimals of ``places``
+    decimal places, and the ``_offset_codes`` of the others (0 below 1e-4)."""
+    scale = 10.0**places
+    exact = np.empty(len(values), dtype=bool)
+    candidates = []
+    for start in range(0, len(values), _GRID_TEXT_CHUNK):
+        chunk = values[start:start + _GRID_TEXT_CHUNK]
+        with np.errstate(all="ignore"):
+            k = np.rint(chunk * scale)
+            written = (chunk >= 1e-4) & (k < 1e15)
+            decimal = k / scale == chunk
+        exact[start:start + len(chunk)] = written & decimal
+        candidates.append(np.flatnonzero(written & ~decimal) + start)
+    candidates = np.concatenate(candidates)
+    codes = np.zeros(len(values), dtype=np.uint8)
+    codes[candidates] = _offset_codes(values[candidates], places)
+    return exact, codes
+
+
+def _chunk_lines(values: np.ndarray, places: int, exact: np.ndarray,
+                 codes: np.ndarray) -> bytes:
+    """``_repr_lines(values)``, with the values that ``exact`` marks as
+    exact decimals of ``places`` decimal places, and those that ``codes``
+    writes as such a decimal, zeros and one more digit, written by numpy.
+
+    An exact decimal g has k = rint(g 10^d) < 10^15 and k / 10^d == g, the
     division correctly rounded.  Two different decimals of at most 15
     significant digits never round to the same double, so no shorter
     decimal than k 10^-d rounds to g, and ``repr(g)`` is k's digits with a
     point d places from the right, less the trailing zeros after the first
-    fractional digit.  ``repr`` writes values below 1e-4 in exponent form,
-    so they, 0, negative values and every other value keep ``repr``.
+    fractional digit.  A coded value keeps all d places, followed by the
+    tail of its code (``_offset_codes``).  ``repr`` writes values below
+    1e-4 in exponent form, so they, 0, negative values and every other value
+    keep ``repr``.
 
-    The exact values' lines are laid out as rows of a digit matrix, of
-    which one mask keeps the digits ``repr`` would write.  Each other row
-    keeps a NUL in place of its value, and the values are spliced in there
-    from one ``repr`` of a list.
+    The lines are laid out as rows of a digit matrix, of which one mask
+    keeps the characters ``repr`` would write.  A coded row keeps a NUL
+    where its tail goes, each other row a NUL in place of its line, and
+    the tails and the ``_repr_lines`` of those rows are spliced in there.
     """
-    if places is None:
+    coded = codes != 0
+    fast = exact | coded
+    if not fast.any():
         return _repr_lines(values)
-    places = max(places, 1)             # repr writes one fractional digit
-    scale = 10.0**places
     with np.errstate(all="ignore"):
-        k = np.rint(values * scale)
-        exact = (values >= 1e-4) & (k < 1e15) & (k / scale == values)
-    if not exact.any():
-        return _repr_lines(values)
-    k = np.where(exact, k, 0.0).astype(np.int64)
+        k = np.where(fast, np.rint(values * 10.0**places), 0.0).astype(np.int64)
     digits = max(len(str(int(k.max()))), places + 1)
     whole = digits - places                     # digits before the point
-    cells = np.empty((len(values), digits + 1 + len(_ZERO_ROW)), dtype=np.uint8)
+    cells = np.empty((len(values), digits + 2 + len(_ZERO_ROW)), dtype=np.uint8)
     keep = np.ones(cells.shape, dtype=bool)
     cells[:, whole] = ord(".")
-    cells[:, digits + 1:] = np.frombuffer(_ZERO_ROW.encode("ascii"), dtype=np.uint8)
+    cells[:, digits + 1] = 0                    # where a coded value's tail goes
+    keep[:, digits + 1] = coded
+    cells[:, digits + 2:] = np.frombuffer(_ZERO_ROW.encode("ascii"), dtype=np.uint8)
     previous = np.zeros_like(k)
     for j in range(digits):
         power = 10 ** (digits - 1 - j)
         leading = k // power                    # k less the digits right of digit j
         column = j if j < whole else j + 1
         cells[:, column] = leading - 10 * previous + ord("0")
-        # drop the leading zeros before the point's last digit, and the
-        # trailing zeros after the first fractional digit
+        # drop the leading zeros before the point's last digit, and an
+        # exact value's trailing zeros after the first fractional digit
         if j < whole - 1:
             keep[:, column] = leading != 0
         elif j > whole:
-            keep[:, column] = previous * (10 * power) != k
+            keep[:, column] = (previous * (10 * power) != k) | coded
         previous = leading
-    slow = np.flatnonzero(~exact)
-    keep[slow, :digits + 1] = False
+    slow = np.flatnonzero(~fast)
+    keep[slow] = False
     keep[slow, 0] = True
     cells[slow, 0] = 0
     text = np.compress(keep.ravel(), cells.ravel()).tobytes()
-    if not len(slow):
+    marked = codes[~exact]                      # the code of each NUL, in order
+    if not len(marked):
         return text
+    inserts = _TAILS[marked]
+    if len(slow):
+        inserts[marked == 0] = _repr_lines(values[slow]).splitlines(keepends=True)
     lines = text.split(b"\0")
     spliced = [b""] * (2 * len(lines) - 1)
     spliced[::2] = lines
-    spliced[1::2] = repr(values[slow].tolist())[1:-1].encode("ascii").split(b", ")
+    spliced[1::2] = inserts.tolist()
     return b"".join(spliced)
 
 
@@ -697,10 +792,12 @@ def _grid_text(grid: np.ndarray) -> tuple[str, np.ndarray]:
     newline-terminated line, all in one string, and the offsets of those
     lines in it: line i is ``text[offsets[i]:offsets[i + 1]]``.
 
-    Values that are exact decimals at the decimal places of the grid's step
-    (86% of the sigma = 0.01 default grid, 64% of the 0.05 meV one) are
-    formatted by numpy, the others by ``repr`` (see ``_chunk_lines``); a
-    grid whose step is not decimal is formatted by ``repr`` alone.  Formatted
+    Values that are exact decimals at the decimal places d of the grid's
+    step (86% of the sigma = 0.01 default grid, 64% of the 0.05 meV one),
+    and values a few ulps above one whose ``repr`` is that decimal followed
+    by zeros and one nonzero digit (the other 14% and 36%, all but 0.0),
+    are formatted by numpy, the others by ``repr`` (see ``_chunk_lines``);
+    a grid whose step is not decimal is formatted by ``repr`` alone.  Formatted
     ``_GRID_TEXT_CHUNK`` values at a time; while the last grid formatted lives,
     a grid of its bits (-0.0 equals 0.0 but is written apart) reuses its
     text, so the CLI's two channels pay for their copies of one grid once.
@@ -711,9 +808,13 @@ def _grid_text(grid: np.ndarray) -> tuple[str, np.ndarray]:
     if kept is not None and np.array_equal(kept.view(np.int64), grid.view(np.int64)):
         return slot[1], slot[2]
     places = _decimal_places(grid)
+    if places is not None:
+        exact, codes = _decimal_rows(grid, places)
     chunks, offsets, size = [], [np.zeros(1, dtype=np.intp)], 0
     for start in range(0, len(grid), _GRID_TEXT_CHUNK):
-        chunk = _chunk_lines(grid[start:start + _GRID_TEXT_CHUNK], places)
+        rows = slice(start, start + _GRID_TEXT_CHUNK)
+        chunk = (_repr_lines(grid[rows]) if places is None
+                 else _chunk_lines(grid[rows], places, exact[rows], codes[rows]))
         newlines = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
         offsets.append(newlines + (size + 1))
         size += len(chunk)

@@ -134,14 +134,23 @@ class TestExitCodes:
         (("spectral", "--sigma", "1e-300", "-o", "t"), "broadening width sigma = 1e-300 meV"),
         (("spectral", "--sigma", "1e-305", "-o", "t"), "broadening width sigma = 1e-305 meV"),
         (("spectral", "--sigma", "5e-324", "-o", "t"), "broadening width sigma = 5e-324 meV"),
-        (("eval", "--n-temps", "1000000000000000"), "Unable to allocate"),
+        (("eval", "--n-temps", "1000000000000000"),
+         "--n-temps 1000000000000000 asks for more temperatures than can be allocated\n"),
+        (("eval", "--n-temps", str(10**20)),
+         f"--n-temps {10**20} asks for more temperatures than can be allocated\n"),
+        (("spectral", "--n-temps", str(10**20), "-o", "t"),
+         f"--n-temps {10**20} asks for more temperatures than can be allocated\n"),
         (("simulate", "--omega", "60", "--gamma", "128", "--shots", "100",
-          "--n-tau", "1000000000000000", "-o", "b"), "Unable to allocate"),
+          "--n-tau", "1000000000000000", "-o", "b"),
+         "n_tau = 1000000000000000 asks for a tau grid of more delays than can be allocated\n"),
+        (("simulate", "--omega", "60", "--gamma", "128", "--shots", "100",
+          "--n-tau", str(10**20), "-o", "b"),
+         f"n_tau = {10**20} asks for a tau grid of more delays than can be allocated\n"),
         (("simulate", "--omega", "60", "--gamma", "128",
           "--shots", "1" + "0" * 30, "-o", "a"), "shot count must be <= 2**63 - 1"),
     ], ids=["spectral-grid", "spectral-grid-size", "spectral-grid-overflow",
-            "spectral-grid-zero-spacing", "eval-grid",
-            "simulate-grid", "simulate-shots"])
+            "spectral-grid-zero-spacing", "eval-grid", "eval-grid-size", "spectral-temps-size",
+            "simulate-grid", "simulate-grid-size", "simulate-shots"])
     def test_oversized_request_is_input_error(self, argv, message, published_params_file,
                                               tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

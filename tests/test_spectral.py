@@ -788,8 +788,15 @@ def _float_grids(draw):
 def _decimal_grids(draw):
     """A grid of step k 10^-d (d = 0...6) that starts at 0, at a negative
     value, or a few steps below 1e-4, so that its values fall on both sides
-    of 1e-4 (below which repr writes an exponent)."""
+    of 1e-4 (below which repr writes an exponent); or, as ``default_grid``
+    builds them, ``np.linspace`` between two decimals of d places with up
+    to 5000 samples, many of which lie an ulp or more off a decimal."""
     places = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        n = draw(st.integers(5, 5000))
+        start = draw(st.integers(-10**4, 10**6))
+        stop = start + draw(st.integers(1, 999)) * (n - 1)
+        return np.linspace(start / 10**places, stop / 10**places, n)
     step = draw(st.integers(1, 999)) / 10**places
     n = draw(st.integers(5, 40))
     start = draw(st.one_of(
@@ -801,13 +808,21 @@ def _decimal_grids(draw):
 
 @st.composite
 def _functions_on_grid(draw, count, grids=_float_grids()):
-    """``count`` spectral functions sharing one grid array."""
+    """``count`` spectral functions sharing one grid array; beyond 40
+    samples, each has nonzero amplitudes at no more than 40 of them."""
     grid = draw(grids)
     n = len(grid)
-    return [SpectralFunction(grid=grid, amplitude=draw(st.lists(_AMPLITUDES, min_size=n,
-                                                                  max_size=n)),
-                             channel=SQ, sigma=float(grid[-1] - grid[0]) / n)
-            for _ in range(count)]
+    functions = []
+    for _ in range(count):
+        if n <= 40:
+            amplitude = draw(st.lists(_AMPLITUDES, min_size=n, max_size=n))
+        else:
+            amplitude = np.zeros(n)
+            rows = draw(st.dictionaries(st.integers(0, n - 1), _AMPLITUDES, max_size=40))
+            amplitude[list(rows)] = list(rows.values())
+        functions.append(SpectralFunction(grid=grid, amplitude=amplitude, channel=SQ,
+                                          sigma=float(grid[-1] - grid[0]) / n))
+    return functions
 
 
 class TestSpectralCsvRows:
@@ -843,14 +858,35 @@ class TestSpectralCsvRows:
     ], ids=["0", "1", "3", "6", "14", "15", "all-exact"])
     def test_exact_decimal_rule_at_its_edges(self, places, values):
         # both sides of 1e-4 and of k = 10^15, zeros, negative values, huge
-        # values, and the neighbours of exact decimals, at any decimal places
+        # values, and the neighbours of exact decimals one and two ulps off,
+        # at any decimal places
         if values is None:
             edges = [1e-4, 1.5e-4, 9.5e-5, 0.0, -0.0, -2.5, 5e-324, 1e-310, 0.1, 0.2, 0.3,
                      0.30000000000000004, 123.456, 250.0, 1e15 / 10**places,
                      (10**15 - 1) / 10**places, (10**15 + 1) / 10**places, 1e15, 1e300]
-            values = np.array(edges + [np.nextafter(v, np.inf) for v in edges]
+            above = [np.nextafter(v, np.inf) for v in edges]
+            values = np.array(edges + above + [np.nextafter(v, np.inf) for v in above]
                               + [np.nextafter(v, -np.inf) for v in edges])
-        assert spectral._chunk_lines(values, places) == spectral._repr_lines(values)
+        # a grid of whole step is written at one decimal place, as repr
+        # writes one fractional digit
+        places = max(places, 1)
+        exact, codes = spectral._decimal_rows(values, places)
+        assert (spectral._chunk_lines(values, places, exact, codes)
+                == spectral._repr_lines(values))
+
+    @pytest.mark.parametrize("sigma", [0.01, 7.5])
+    def test_default_grids_send_only_zero_to_repr(self, sigma, monkeypatch):
+        # every other energy of these grids is an exact decimal of 3 or 2
+        # places or lies an ulp above one (14% and 36% of the values)
+        reached = []
+        reference = spectral._repr_lines
+        monkeypatch.setattr(spectral, "_repr_lines",
+                            lambda values: reached.extend(values.tolist()) or reference(values))
+        monkeypatch.setattr(spectral, "_grid_text_slot", None)
+        grid = default_grid(sigma)
+        text, _ = spectral._grid_text(grid)
+        assert reached == [0.0]
+        assert text == "".join(f"{v!r},0.0\n" for v in grid.tolist())
 
     @pytest.mark.parametrize("amplitude", [
         [1.0, 0.0, 0.0, 0.0, 2.5],
@@ -874,7 +910,7 @@ class TestSpectralCsvRows:
             assert spectral_to_csv_text(f) == _reference_csv(f)
         assert spectral_to_csv_text(signed).splitlines()[4] == "-0.0,0.0"
 
-    @pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 7.5])
+    @pytest.mark.parametrize("sigma", [0.01, 0.04, 0.25, 0.3, 1.0, 7.5])
     def test_cli_functions(self, sigma):
         grid = default_grid(sigma)
         functions = [build_spectral_function(anchor_coupling_table(), channel, sigma, grid)
