@@ -1,4 +1,5 @@
-"""Units, shared domain types, and the bundled measured-rate dataset.
+"""Units, shared domain types, the bundled measured-rate dataset, and the
+Gauss-Newton covariance that the fits of both fitting and dynamics take.
 
 The internal unit system is fixed: energies in meV, temperatures in K,
 rates in s^-1, spin-phonon coupling amplitudes in MHz.
@@ -9,7 +10,7 @@ import enum
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +26,8 @@ __all__ = [
     "Dataset",
     "TransitionChannel",
     "DatasetError",
+    "RankDeficiencyError",
+    "estimate_covariance",
     "load_dataset",
     "parse_dataset_text",
 ]
@@ -118,6 +121,40 @@ def _require(values: Mapping[str, object], domain: str = "finite",
             raise error(f"{name} must be finite, got {value!r}") from None
         if not passes:
             _refuse(name, value, domain, error)
+
+
+# singular-value ratio below which the normal equations count as rank deficient
+_RANK_RCOND = 1e-10
+
+
+class RankDeficiencyError(RuntimeError):
+    """Normal equations singular: some parameter combination is unconstrained."""
+
+
+def estimate_covariance(jacobian: np.ndarray, param_names: Sequence[str]) -> np.ndarray:
+    """Gauss-Newton covariance (J^T J)^-1 for a residual Jacobian.
+
+    The Jacobian must be of normalized residuals with respect to the
+    parameters the covariance is wanted in.  Raises RankDeficiencyError
+    naming the most degenerate parameter pair when the normal equations are
+    numerically singular, as they always are with fewer residuals than
+    parameters (none included).
+    """
+    jacobian = np.asarray(jacobian, dtype=float)
+    rows, cols = jacobian.shape
+    # a wide Jacobian's full SVD puts a vector of its null space in vt[-1]
+    _, s, vt = np.linalg.svd(jacobian, full_matrices=rows < cols)
+    # LAPACK may return a singular value of -0.0; an all-zero Jacobian has s[0] == 0
+    ratio = abs(s[-1]) / s[0] if rows >= cols and s[0] != 0 else 0.0
+    if ratio < _RANK_RCOND:
+        worst = np.argsort(np.abs(vt[-1]))[::-1][:2]
+        pair = " and ".join(str(param_names[i]) for i in sorted(worst))
+        raise RankDeficiencyError(
+            f"rank-deficient fit: parameters {pair} are degenerate "
+            f"(singular-value ratio {ratio:.2e})"
+        )
+    inv_s2 = 1.0 / s**2
+    return (vt.T * inv_s2) @ vt
 
 
 def _require_integer(values: Mapping[str, object]) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SEED, RateMeasurement, _require, _require_integer
+from .core import DEFAULT_SEED, RateMeasurement, _require, _require_integer, estimate_covariance
 
 __all__ = [
     "RateMatrix",
@@ -406,11 +406,10 @@ def _fit_single_exponential(curve: DecayCurve) -> tuple[float, float]:
 
     The amplitude enters linearly, so :func:`least_squares` projects it out
     and solves the one-dimensional problem in log r.  sigma_r comes from
-    :func:`~nvrelax.fitting.estimate_covariance` of the (log A, log r)
+    :func:`~nvrelax.core.estimate_covariance` of the (log A, log r)
     Jacobian at the optimum, which raises ``RankDeficiencyError`` (a
-    ``RuntimeError``) for a degenerate curve.  A curve of fewer than two
-    points, or whose best amplitude is not positive, raises
-    ``RuntimeError`` too.
+    ``RuntimeError``) for a degenerate curve, one of a single point too.  A
+    curve whose best amplitude is not positive raises ``RuntimeError`` too.
     """
     taus = np.asarray(curve.tau_grid)
     values = np.asarray(curve.values)
@@ -430,16 +429,11 @@ def _fit_single_exponential(curve: DecayCurve) -> tuple[float, float]:
     if not fit.amplitude > 0.0:
         raise RuntimeError("exponential fit is degenerate; widen the tau grid "
                            f"(best amplitude {fit.amplitude!r} is not positive)")
-    if len(taus) < 2:
-        raise RuntimeError("exponential fit is degenerate; widen the tau grid")
     r = fit.rate
     model = fit.amplitude * np.exp(-r * taus) / errors
     jac = np.empty((len(taus), 2))
     jac[:, 0] = model
     jac[:, 1] = -r * taus * model
-    # imported on first use: building fitting's dataclasses lengthens a cold
-    # `import nvrelax.dynamics`, which a simulation without a fit never needs
-    from .fitting import estimate_covariance
     cov_log = estimate_covariance(jac, ("log A", "log r"))
     if not fit.converged:
         raise RuntimeError(

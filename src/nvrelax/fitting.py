@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Dataset, _require
+from .core import Dataset, RankDeficiencyError, _require, estimate_covariance
 from .models import ModelSpec, RateLaw, _Term, _sum_terms, _term_column
 
 __all__ = [
@@ -46,18 +46,10 @@ __all__ = [
     "estimate_covariance",
 ]
 
-# relative singular-value cutoff below which the normal equations are
-# treated as rank deficient
-_RANK_RCOND = 1e-10
-
 _MAX_EVALUATIONS = 100     # projections in one polish
 
 # profile grid points per mode energy, by Orbach term count (cells ~ points^n/n!)
 _PROFILE_POINTS = {1: 30, 2: 30, 3: 15}
-
-
-class RankDeficiencyError(RuntimeError):
-    """Normal equations singular: some parameter combination is unconstrained."""
 
 
 @dataclass(frozen=True)
@@ -431,29 +423,6 @@ class FitResult:
                 )
             ],
         }
-
-
-def estimate_covariance(jacobian: np.ndarray, param_names: Sequence[str]) -> np.ndarray:
-    """Gauss-Newton covariance (J^T J)^-1 for a residual Jacobian.
-
-    The Jacobian must be of normalized residuals with respect to the
-    parameters the covariance is wanted in.  Raises RankDeficiencyError
-    naming the most degenerate parameter pair when the normal equations are
-    numerically singular.
-    """
-    jacobian = np.asarray(jacobian, dtype=float)
-    _, s, vt = np.linalg.svd(jacobian, full_matrices=False)
-    # LAPACK may return a singular value of -0.0; an all-zero Jacobian has s[0] == 0
-    ratio = abs(s[-1]) / s[0] if s[0] != 0 else 0.0
-    if ratio < _RANK_RCOND:
-        worst = np.argsort(np.abs(vt[-1]))[::-1][:2]
-        pair = " and ".join(str(param_names[i]) for i in sorted(worst))
-        raise RankDeficiencyError(
-            f"rank-deficient fit: parameters {pair} are degenerate "
-            f"(singular-value ratio {ratio:.2e})"
-        )
-    inv_s2 = 1.0 / s**2
-    return (vt.T * inv_s2) @ vt
 
 
 class _Polish(NamedTuple):

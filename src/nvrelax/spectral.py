@@ -613,16 +613,16 @@ def _drop_grid_text(ref: weakref.ref) -> None:
 
 def _decimal_places(grid: np.ndarray) -> int | None:
     """The fewest decimal places d >= 1 at which the grid's step is a whole
-    multiple of 10^-d, to within 1e-9 of itself, searched until the step
-    reaches 10^6 such units; None when there is none (the 250/8333 meV step
-    of the sigma = 0.3 default grid has none)."""
+    multiple of 10^-d, to within 1e-9 of itself, searched while the step is
+    under 10^6 such units (sigma = 0.07's 250/35714 meV is 7000056.0004 units
+    of 10^-9); None when there is none, as for sigma = 0.3's 250/8333 meV."""
     step = (float(grid[-1]) - float(grid[0])) / (len(grid) - 1)
     for places in range(16):
         scaled = step * 10.0**places
-        if abs(scaled - round(scaled)) <= 1e-9 * scaled:
-            return max(places, 1)       # repr writes one fractional digit
         if scaled >= 1e6:
             break
+        if abs(scaled - round(scaled)) <= 1e-9 * scaled:
+            return max(places, 1)       # repr writes one fractional digit
     return None
 
 

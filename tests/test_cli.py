@@ -380,14 +380,21 @@ class TestExitCodes:
         assert "nvrelax" in proc.stdout
 
 
+def _fresh_python(code, cwd):
+    """Run ``code`` in a new interpreter that imports this nvrelax, with
+    RuntimeWarnings as errors."""
+    src = Path(nvrelax.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+
+
 def test_runs_without_scipy(tmp_path):
     # every subcommand exits 0 with scipy unimportable and loads no scipy
     # module, and the two-mode energies land in criterion 1's windows
     # (published value +- 2 sigma)
-    src = Path(nvrelax.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = """
+    proc = _fresh_python("""
 import json, sys
 sys.modules["scipy"] = None
 from nvrelax.cli import main
@@ -403,11 +410,23 @@ assert abs(values["delta_1"] - 68.2) <= 3.4, values
 assert abs(values["delta_2"] - 167.0) <= 24.0, values
 assert "numpy.ma" not in sys.modules
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-"""
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
+""", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['scipy']"     # only the blocked entry
+
+
+def test_protocol_run_leaves_fitting_unloaded(tmp_path):
+    # dynamics takes the decay fits' covariance from core, so a simulation
+    # and its rate extraction never import fitting
+    proc = _fresh_python("""
+import sys
+from nvrelax.dynamics import ProtocolSpec, RateMatrix, extract_rates, simulate_experiment
+run = simulate_experiment(RateMatrix(60.0, 128.0), ProtocolSpec(shots=1000))
+print(extract_rates(run.omega_branch, run.gamma_branch).omega > 0)
+assert "nvrelax.fitting" not in sys.modules
+""", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 class TestInputFiles:

@@ -756,8 +756,9 @@ class TestSeparableFit:
             dynamics.least_squares(np.array(taus), np.ones(n), np.full(n, 0.01), rate0)
 
     def test_one_point_curve_is_degenerate(self):
+        # a 1x2 Jacobian: the covariance's rank verdict names both parameters
         one = DecayCurve("0", ("0", "-1"), (0.0,), (0.998,), (0.002,))
-        with pytest.raises(RuntimeError, match="degenerate"):
+        with pytest.raises(RankDeficiencyError, match="log A and log r"):
             _fit_single_exponential(one)
 
     def test_negative_amplitude_is_degenerate(self):

@@ -133,12 +133,16 @@ class TestEstimateCovariance:
     @pytest.mark.parametrize("jac", [
         np.zeros((4, 2)),                                            # s[0] == 0
         np.array([[-1.0, 0.0], [0.0, -0.0], [0.0, 0.0], [0.0, 0.0]]),  # s[-1] == -0.0
+        # fewer residuals than parameters, none included: J^T J is singular
+        *(np.random.default_rng(7).normal(size=shape) for shape in
+          [(1, 2), (2, 3), (3, 5), (0, 2)]),
     ])
     def test_zero_singular_value_raises_without_warning(self, jac):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RankDeficiencyError, match="ratio 0.00e") as info:
-                estimate_covariance(jac, ["a", "b"])
+            with pytest.raises(RankDeficiencyError, match=r"parameters [a-e] and [a-e] are "
+                               r"degenerate \(singular-value ratio 0\.00e\+00\)") as info:
+                estimate_covariance(jac, "abcde"[:jac.shape[1]])
         assert "-0.00" not in str(info.value)
 
     def test_symmetric_positive_definite(self):

@@ -846,6 +846,17 @@ class TestSpectralCsvRows:
         for f in functions:
             assert spectral_to_csv_text(f) == _reference_csv(f)
 
+    def test_decimal_places_of_the_default_grids(self):
+        # every default grid of sigma = 0.005, 0.01, ..., 0.5 meV and three
+        # of the 0.05 meV one; a step first within 1e-9 of a whole number of
+        # units at 10^6 units or more has no d (sigma = 0.07's 250/35714 meV
+        # is 7000056.0004 units of 10^-9), so repr alone writes its grid
+        places = {0.005: 4, 0.01: 3, 0.02: 3, 0.025: 4, 0.04: 3, 0.05: 3, 0.08: 3, 0.1: 2,
+                  0.125: 4, 0.15: 7, 0.16: 3, 0.2: 2, 0.25: 3, 0.35: 7, 0.4: 2, 0.5: 2,
+                  1.0: 2, 7.5: 2, 15.0: 2}
+        for sigma in [round(0.005 * k, 3) for k in range(1, 101)] + [1.0, 7.5, 15.0]:
+            assert spectral._decimal_places(default_grid(sigma)) == places.get(sigma), sigma
+
     def test_grid_without_a_decimal_step_falls_back_to_repr(self):
         grid = np.linspace(0.0, MAX_MODE_ENERGY_MEV, 8334)    # step 0.0300012 meV
         assert spectral._decimal_places(grid) is None
