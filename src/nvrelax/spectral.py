@@ -568,7 +568,8 @@ def refit_theory_curve(curve: RamanRateCurve, t_max: float,
                        seed: int = DEFAULT_SEED) -> FitResult:
     """Fit the two-mode law (no constant floors) to a quadrature rate curve.
 
-    The curve must extend to ``t_max``; uniform 1% relative errors weight
+    The curve must extend to ``t_max``, and its rows above ``t_max`` are
+    neither checked nor fitted; uniform 1% relative errors weight
     all temperatures alike on a log scale, so only the lineshape matters.
     Every distinct minimum of the mode-energy profile is polished (see
     :func:`~nvrelax.fitting.fit`).  ``seed`` is only recorded by callers:
@@ -581,18 +582,20 @@ def refit_theory_curve(curve: RamanRateCurve, t_max: float,
         raise ValueError(
             f"curve reaches only {max(curve.temperatures):g} K but t_max={t_max:g} K"
         )
+    curve = RamanRateCurve(*(tuple(x for t, x in zip(curve.temperatures, xs) if t <= t_max)
+                             for xs in (curve.temperatures, curve.omega, curve.gamma)),
+                           provenance=curve.provenance)
     for t, o, g in zip(curve.temperatures, curve.omega, curve.gamma):
-        if t <= t_max and _THEORY_REL_ERR * min(o, g) == 0.0:
+        if _THEORY_REL_ERR * min(o, g) == 0.0:
             raise ValueError(f"a rate at temperature {t!r} K is too small to weight: "
                              f"its {_THEORY_REL_ERR:.0%} error is 0")
-    dataset = curve.to_dataset()
-    rows = tuple(r for r in dataset if r.temperature <= t_max)
-    dataset = Dataset(rows=rows, provenance=dataset.provenance)
-    return fit(FitProblem(dataset=dataset, model=ModelSpec("n_mode", 2), constants="none"))
+    return fit(FitProblem(dataset=curve.to_dataset(), model=ModelSpec("n_mode", 2),
+                          constants="none"))
 
 
 # Rows of grid values formatted at a time: a bound on the Python floats,
-# strings and digit matrices alive at once while a grid is formatted.
+# strings and digit matrices alive at once while a grid is formatted (its
+# values are classified in one pass, by ``_decimal_rows``).
 _GRID_TEXT_CHUNK = 8192
 
 # What follows each energy in the grid text: the row of a zero amplitude.
@@ -613,15 +616,17 @@ def _drop_grid_text(ref: weakref.ref) -> None:
 
 def _decimal_places(grid: np.ndarray) -> int | None:
     """The fewest decimal places d >= 1 at which the grid's step is a whole
-    multiple of 10^-d, to within 1e-9 of itself, searched while the step is
+    multiple of 10^-d, to within 1e-12 of itself, searched while the step is
     under 10^6 such units (sigma = 0.07's 250/35714 meV is 7000056.0004 units
-    of 10^-9); None when there is none, as for sigma = 0.3's 250/8333 meV."""
+    of 10^-9); None when there is none, as for sigma = 0.3's 250/8333 meV and
+    sigma = 0.35's 250/7143 meV (349993.00014 units of 10^-7, 4e-10 of
+    itself off a whole number)."""
     step = (float(grid[-1]) - float(grid[0])) / (len(grid) - 1)
     for places in range(16):
         scaled = step * 10.0**places
         if scaled >= 1e6:
             break
-        if abs(scaled - round(scaled)) <= 1e-9 * scaled:
+        if abs(scaled - round(scaled)) <= 1e-12 * scaled:
             return max(places, 1)       # repr writes one fractional digit
     return None
 
@@ -703,22 +708,17 @@ def _offset_codes(values: np.ndarray, places: int) -> np.ndarray:
 
 def _decimal_rows(values: np.ndarray, places: int) -> tuple[np.ndarray, np.ndarray]:
     """Which values at and above 1e-4 are exact decimals of ``places``
-    decimal places, and the ``_offset_codes`` of the others (0 below 1e-4)."""
+    decimal places, and the ``_offset_codes`` of the others (0 below 1e-4),
+    for the whole grid in one pass."""
     scale = 10.0**places
-    exact = np.empty(len(values), dtype=bool)
-    candidates = []
-    for start in range(0, len(values), _GRID_TEXT_CHUNK):
-        chunk = values[start:start + _GRID_TEXT_CHUNK]
-        with np.errstate(all="ignore"):
-            k = np.rint(chunk * scale)
-            written = (chunk >= 1e-4) & (k < 1e15)
-            decimal = k / scale == chunk
-        exact[start:start + len(chunk)] = written & decimal
-        candidates.append(np.flatnonzero(written & ~decimal) + start)
-    candidates = np.concatenate(candidates)
+    with np.errstate(all="ignore"):
+        k = np.rint(values * scale)
+        written = (values >= 1e-4) & (k < 1e15)
+        decimal = k / scale == values
+    candidates = written & ~decimal
     codes = np.zeros(len(values), dtype=np.uint8)
     codes[candidates] = _offset_codes(values[candidates], places)
-    return exact, codes
+    return written & decimal, codes
 
 
 def _chunk_lines(values: np.ndarray, places: int, exact: np.ndarray,
@@ -744,8 +744,6 @@ def _chunk_lines(values: np.ndarray, places: int, exact: np.ndarray,
     """
     coded = codes != 0
     fast = exact | coded
-    if not fast.any():
-        return _repr_lines(values)
     with np.errstate(all="ignore"):
         k = np.where(fast, np.rint(values * 10.0**places), 0.0).astype(np.int64)
     digits = max(len(str(int(k.max()))), places + 1)
@@ -775,8 +773,6 @@ def _chunk_lines(values: np.ndarray, places: int, exact: np.ndarray,
     cells[slow, 0] = 0
     text = np.compress(keep.ravel(), cells.ravel()).tobytes()
     marked = codes[~exact]                      # the code of each NUL, in order
-    if not len(marked):
-        return text
     inserts = _TAILS[marked]
     if len(slow):
         inserts[marked == 0] = _repr_lines(values[slow]).splitlines(keepends=True)
@@ -797,10 +793,11 @@ def _grid_text(grid: np.ndarray) -> tuple[str, np.ndarray]:
     and values a few ulps above one whose ``repr`` is that decimal followed
     by zeros and one nonzero digit (the other 14% and 36%, all but 0.0),
     are formatted by numpy, the others by ``repr`` (see ``_chunk_lines``);
-    a grid whose step is not decimal is formatted by ``repr`` alone.  Formatted
-    ``_GRID_TEXT_CHUNK`` values at a time; while the last grid formatted lives,
-    a grid of its bits (-0.0 equals 0.0 but is written apart) reuses its
-    text, so the CLI's two channels pay for their copies of one grid once.
+    a grid whose step is not decimal is formatted by ``repr`` alone.  Any
+    other grid is classified in one pass (``_decimal_rows``), then formatted
+    ``_GRID_TEXT_CHUNK`` values at a time.  While the last grid formatted
+    lives, a grid of its bits (-0.0 equals 0.0 but is written apart) reuses
+    its text, so the CLI's two channels pay for their copies of one grid once.
     """
     global _grid_text_slot
     slot = _grid_text_slot

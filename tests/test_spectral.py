@@ -689,6 +689,25 @@ class TestRefitTheoryCurve:
         with pytest.raises(ValueError, match="rate at temperature 0.3 K is too small"):
             refit_theory_curve(curve, t_max=400.0)
 
+    def test_rows_above_t_max_are_not_read(self):
+        # a zero rate above t_max has no weight but is never fitted: the
+        # refit is that of the curve cut at t_max
+        params = RateLaw(ModelSpec("n_mode", 2), {
+            "delta_1": 65.0, "a_1": 70.0, "b_1": 910.0,
+            "delta_2": 155.0, "a_2": 169.0, "b_2": 2940.0,
+        })
+        temps = (100.0, 150.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0, 900.0,
+                 950.0, 1000.0)
+        rates = [params.rates(None, t) for t in temps]
+        omega = tuple(r.omega for r in rates[:-1]) + (0.0,)
+        curve = RamanRateCurve(temperatures=temps, omega=omega,
+                               gamma=tuple(r.gamma for r in rates), provenance="stub")
+        cut = RamanRateCurve(temperatures=temps[:10], omega=omega[:10],
+                             gamma=curve.gamma[:10], provenance="stub")
+        got, want = refit_theory_curve(curve, t_max=900.0), refit_theory_curve(cut, t_max=900.0)
+        for field in dataclasses.fields(got):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
     def test_default_refit_converges_from_its_best_profile_cell(self):
         # `nvrelax spectral --refit` at the default sigma = 1 meV: a polish of
         # all parameters once stopped at chi2 0.214 on its evaluation cap from
@@ -848,14 +867,21 @@ class TestSpectralCsvRows:
 
     def test_decimal_places_of_the_default_grids(self):
         # every default grid of sigma = 0.005, 0.01, ..., 0.5 meV and three
-        # of the 0.05 meV one; a step first within 1e-9 of a whole number of
+        # of the 0.05 meV one; a step first within 1e-12 of a whole number of
         # units at 10^6 units or more has no d (sigma = 0.07's 250/35714 meV
-        # is 7000056.0004 units of 10^-9), so repr alone writes its grid
+        # is 7000056.0004 units of 10^-9), so repr alone writes its grid, as
+        # it does sigma = 0.15's and 0.35's (4e-10 off 7-place steps).  A
+        # grid given a d has at least half its values written by digits
         places = {0.005: 4, 0.01: 3, 0.02: 3, 0.025: 4, 0.04: 3, 0.05: 3, 0.08: 3, 0.1: 2,
-                  0.125: 4, 0.15: 7, 0.16: 3, 0.2: 2, 0.25: 3, 0.35: 7, 0.4: 2, 0.5: 2,
+                  0.125: 4, 0.16: 3, 0.2: 2, 0.25: 3, 0.4: 2, 0.5: 2,
                   1.0: 2, 7.5: 2, 15.0: 2}
         for sigma in [round(0.005 * k, 3) for k in range(1, 101)] + [1.0, 7.5, 15.0]:
-            assert spectral._decimal_places(default_grid(sigma)) == places.get(sigma), sigma
+            grid = default_grid(sigma)
+            d = spectral._decimal_places(grid)
+            assert d == places.get(sigma), sigma
+            if d is not None:
+                exact, codes = spectral._decimal_rows(grid, d)
+                assert 2 * np.count_nonzero(exact | (codes != 0)) >= len(grid), sigma
 
     def test_grid_without_a_decimal_step_falls_back_to_repr(self):
         grid = np.linspace(0.0, MAX_MODE_ENERGY_MEV, 8334)    # step 0.0300012 meV
@@ -866,7 +892,9 @@ class TestSpectralCsvRows:
     @pytest.mark.parametrize("places, values", [
         *((places, None) for places in (0, 1, 3, 6, 14, 15)),
         (1, 1.0 + 0.5 * np.arange(400)),      # every value exact: none left for repr
-    ], ids=["0", "1", "3", "6", "14", "15", "all-exact"])
+        # every value negative or below 1e-4: all left for repr
+        (3, np.concatenate([-0.25 * np.arange(200), 5e-7 * np.arange(200)])),
+    ], ids=["0", "1", "3", "6", "14", "15", "all-exact", "all-repr"])
     def test_exact_decimal_rule_at_its_edges(self, places, values):
         # both sides of 1e-4 and of k = 10^15, zeros, negative values, huge
         # values, and the neighbours of exact decimals one and two ulps off,
