@@ -35,7 +35,13 @@ _EXP_ARG_MAX = 700.0
 
 
 def _bose_einstein(x: np.ndarray) -> np.ndarray:
-    """n = 1/expm1(x) for x = energy/k_B T, exactly 0 past _EXP_ARG_MAX."""
+    """n = 1/expm1(x) for x = energy/k_B T, exactly 0 past _EXP_ARG_MAX (and
+    at a NaN).  ``x`` is a temporary of the caller's, overwritten with n when
+    no entry is frozen out; only an array that holds one takes the masked
+    path, so expm1 never sees an argument past _EXP_ARG_MAX."""
+    if x.max(initial=-np.inf) <= _EXP_ARG_MAX:      # a NaN maximum fails this
+        np.expm1(x, out=x)
+        return np.divide(1.0, x, out=x)
     out = np.zeros_like(x)
     live = x <= _EXP_ARG_MAX
     out[live] = 1.0 / np.expm1(x[live])
@@ -47,13 +53,24 @@ def _term_column(delta, temperature, slope: bool = False):
     energy ``delta`` (meV), or T^5 if ``delta`` is None; with ``slope`` also
     d/d delta, -(2n+1) n(n+1) / k_B T (None for T^5; -0.0, not 0/0, where k_B T
     rounds to 0, as 5e-324 stands in for it).  Callers check their own
-    arguments and catch overflow."""
+    arguments and catch overflow.  The products are formed in place, in the
+    order of that formula, so each keeps its bits."""
     if delta is None:
         return (temperature**5, None) if slope else temperature**5
     kT = BOLTZMANN_MEV_PER_K * temperature
     n = _bose_einstein(delta / kT)
-    column = n * (n + 1.0)
-    return (column, -(2.0 * n + 1.0) * n * (n + 1.0) / np.maximum(kT, 5e-324)) if slope else column
+    n_plus_1 = n + 1.0
+    if not slope:
+        n_plus_1 *= n       # (n + 1) n, the bits of n (n + 1)
+        return n_plus_1
+    column = n * n_plus_1
+    ddelta = 2.0 * n
+    ddelta += 1.0
+    np.negative(ddelta, out=ddelta)
+    ddelta *= n
+    ddelta *= n_plus_1
+    ddelta /= np.maximum(kT, 5e-324)
+    return column, ddelta
 
 
 def _evaluate(delta: float, temperature, evaluate):

@@ -429,20 +429,55 @@ def _quadrature_weights(grid: np.ndarray, indices: np.ndarray) -> tuple[np.ndarr
     return _simpson_weights(n, float(grid[1] - grid[0]), indices), half * (indices % 2 == 0)
 
 
+# The occupancy weight n(n+1) of the last support integrated: (weakref to
+# the support's energies, the temperature, the weight).  A support's energies
+# never change (``SpectralFunction._support`` is built once from a frozen
+# grid), so a support of the same bits at the same temperature, as the other
+# channel's often is, reuses the weight; the weakref's callback empties the
+# slot when the energies are freed.
+_weight_slot: tuple[weakref.ref, float, np.ndarray] | None = None
+
+
+def _drop_weight(ref: weakref.ref) -> None:
+    global _weight_slot
+    if _weight_slot is not None and _weight_slot[0] is ref:
+        _weight_slot = None
+
+
+def _occupancy_weight(energies: np.ndarray, temperature: float) -> np.ndarray:
+    """Read-only n(n+1) at ``energies`` (ascending), 0 at e <= 0, refused
+    unless finite; the last support's weight when it has these bits and this
+    temperature."""
+    global _weight_slot
+    slot = _weight_slot
+    kept = slot and slot[0]()
+    if (kept is not None and slot[1] == temperature
+            and np.array_equal(kept.view(np.int64), energies.view(np.int64))):
+        return slot[2]
+    start = int(np.searchsorted(energies, 0.0, side="right"))
+    # e / k_B T is inf at a subnormal T (k_B T may round to 0): n = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        weight = _term_column(energies[start:], temperature)
+    if start:
+        weight = np.concatenate((np.zeros(start), weight))
+    if not np.isfinite(weight).all():
+        raise ValueError(f"n(n+1) is not finite at temperature {temperature!r} K")
+    weight.flags.writeable = False
+    _weight_slot = (weakref.ref(energies, _drop_weight), temperature, weight)
+    return weight
+
+
 def _integrate_checked(f: SpectralFunction, temperature: float) -> tuple[float, float]:
     """Simpson quadrature of n(n+1) w(e) over ``f._support``, with a
-    halved-grid Richardson error check; n(n+1) is 0 at e <= 0.
+    halved-grid Richardson error check; n(n+1) is 0 at e <= 0.  The weight
+    comes from ``_occupancy_weight``, so a channel pair whose supports hold
+    the same energies pays for one n(n+1) per temperature when integrated in
+    turn at each temperature, as :func:`rate_curve` does.
 
     Returns the integral and the relative error estimate reached.
     """
     energies, values, full_weights, half_weights = f._support
-    weight = np.zeros_like(energies)
-    positive = energies > 0
-    # e / k_B T is inf at a subnormal T (k_B T may round to 0): n = 0
-    with np.errstate(over="ignore", divide="ignore"):
-        weight[positive] = _term_column(energies[positive], temperature)
-    if not np.isfinite(weight).all():
-        raise ValueError(f"n(n+1) is not finite at temperature {float(temperature)!r} K")
+    weight = _occupancy_weight(energies, temperature)
     integrand = weight * values
     full = float(full_weights @ integrand)
     half = float(half_weights @ integrand)
@@ -478,6 +513,15 @@ class QuadratureRate(float):
         return self
 
 
+def _temperature(value: object) -> float:
+    """``value`` as a float once it is checked to be one positive number (a
+    numpy scalar or 0-d array passes, a sequence does not)."""
+    _require({"temperature": value}, "positive")
+    if np.ndim(value):
+        raise ValueError(f"temperature must be one number, got {value!r}")
+    return float(value)
+
+
 def second_order_rate(f: SpectralFunction, temperature: float) -> QuadratureRate:
     """Second-order Raman rate (4 pi / hbar) * integral de n(n+1) F(e, e).
 
@@ -485,8 +529,7 @@ def second_order_rate(f: SpectralFunction, temperature: float) -> QuadratureRate
     The result is a float that also carries the Richardson relative error
     estimate reached, as ``rel_error``.
     """
-    _require({"temperature": temperature}, "positive")
-    integral, rel_error = _integrate_checked(f, temperature)
+    integral, rel_error = _integrate_checked(f, _temperature(temperature))
     return QuadratureRate(4.0 * math.pi / HBAR_MEV_S * integral, rel_error)
 
 
@@ -549,10 +592,21 @@ class RamanRateCurve:
 def rate_curve(
     f_sq: SpectralFunction, f_dq: SpectralFunction, t_grid: Sequence[float]
 ) -> RamanRateCurve:
-    """Pointwise second-order rates for both channels over a temperature grid."""
-    temps = tuple(float(t) for t in t_grid)
-    omega = [second_order_rate(f_sq, t) for t in temps]
-    gamma = [second_order_rate(f_dq, t) for t in temps]
+    """Pointwise second-order rates for both channels over a temperature grid,
+    a sequence (or 1-D array) of positive numbers, each checked by name.
+
+    At each temperature the single-quantum rate is integrated, then the
+    double-quantum one, so that two channels whose supports hold the same
+    energies share one occupancy weight per temperature (``_integrate_checked``).
+    """
+    if (isinstance(t_grid, (str, bytes)) or not isinstance(t_grid, (Sequence, np.ndarray))
+            or getattr(t_grid, "ndim", 1) != 1):
+        raise ValueError(f"t_grid must be a sequence of temperatures, got {t_grid!r}")
+    temps = tuple(map(_temperature, t_grid))
+    omega, gamma = [], []
+    for t in temps:
+        omega.append(second_order_rate(f_sq, t))
+        gamma.append(second_order_rate(f_dq, t))
     provenance = (
         f"second-order quadrature, sigma_sq={f_sq.sigma:g} meV, "
         f"sigma_dq={f_dq.sigma:g} meV"

@@ -380,6 +380,36 @@ WRONG_TYPES = {
     "synthetic_peak_function channel": (ValueError,
                                         "channel must be a TransitionChannel, got 'sq'",
                                         lambda: _peak(channel="sq")),
+    # a grid entry is checked as one temperature before any float() reads
+    # a boolean as 1 K or a string as a number
+    "rate_curve True": (ValueError, "temperature must be a number, not a boolean",
+                        lambda: rate_curve(_peak(), _peak(), [300.0, True])),
+    "rate_curve numpy True": (ValueError, "temperature must be a number, not a boolean",
+                              lambda: rate_curve(_peak(), _peak(), np.array([np.True_]))),
+    "rate_curve string": (ValueError, "temperature must be a number, got '300'",
+                          lambda: rate_curve(_peak(), _peak(), ["300"])),
+    "rate_curve exponent string": (ValueError, "temperature must be a number, got '1e3'",
+                                   lambda: rate_curve(_peak(), _peak(), ("1e3",))),
+    "rate_curve bytes": (ValueError, "temperature must be a number, got b'300'",
+                         lambda: rate_curve(_peak(), _peak(), [b"300"])),
+    "rate_curve None entry": (ValueError, "temperature must be a number, got None",
+                              lambda: rate_curve(_peak(), _peak(), [None])),
+    "rate_curve nested entry": (ValueError, "temperature must be one number, got [300.0]",
+                                lambda: rate_curve(_peak(), _peak(), [[300.0]])),
+    "rate_curve None grid": (ValueError, "t_grid must be a sequence of temperatures, got None",
+                             lambda: rate_curve(_peak(), _peak(), None)),
+    "rate_curve scalar grid": (ValueError, "t_grid must be a sequence of temperatures, "
+                               "got 300.0", lambda: rate_curve(_peak(), _peak(), 300.0)),
+    "rate_curve 0-d grid": (ValueError, "t_grid must be a sequence of temperatures, "
+                            "got array(300.)", lambda: rate_curve(_peak(), _peak(),
+                                                                  np.array(300.0))),
+    "rate_curve string grid": (ValueError, "t_grid must be a sequence of temperatures, "
+                               "got '300'", lambda: rate_curve(_peak(), _peak(), "300")),
+    "second_order_rate list": (ValueError, "temperature must be one number, got [300.0]",
+                               lambda: second_order_rate(_peak(), [300.0])),
+    "second_order_rate array": (ValueError, "temperature must be one number, "
+                                "got array([300., 400.])",
+                                lambda: second_order_rate(_peak(), np.array([300.0, 400.0]))),
     "RateMeasurement nv_id": (DatasetError, "nv_id must be a string, got 1",
                               lambda: RateMeasurement(1, "A", 300.0, 1.0, 0.1, 1.0, 0.1)),
     "RateMeasurement sample": (DatasetError, "sample must be a string, got None",

@@ -19,7 +19,7 @@ from nvrelax.models import (
     orbach_factor,
     orbach_factor_ddelta,
 )
-from nvrelax.models import _term_column
+from nvrelax.models import _bose_einstein, _term_column
 
 # strategy for a well-separated mode ladder with strictly positive coefficients
 mode_energies = st.lists(
@@ -153,6 +153,40 @@ class TestTermKernel:
                     (_term_column(delta, temps), want[1])):
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         assert want[0][0] == 0.0
+
+    @pytest.mark.parametrize("x", [
+        [1e-3, 0.5, 2.0, 37.0, 699.999],                    # all live: the whole-array path
+        [700.0, -3.0, 1.5],                                 # 700 itself is live
+        [699.9, 700.0, np.nextafter(700.0, np.inf), 1e4],   # mixed across 700
+        [0.7, np.inf, 3.0],
+        [0.7, np.nan, 3.0],
+        [np.nan, np.inf, -np.inf],
+        [],
+    ])
+    def test_occupation_is_the_masked_formula_bit_for_bit(self, x):
+        x = np.array(x, dtype=float)
+        want = np.zeros_like(x)
+        live = x <= 700.0
+        want[live] = 1.0 / np.expm1(x[live])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _bose_einstein(x.copy())
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("temps", [
+        [5.0, 77.0, 295.0, 1e4],            # every entry live: the whole-array path
+        [0.1, 0.9946, 0.9947, 295.0],       # 60 meV crosses x = 700 near 0.99467 K
+    ])
+    @pytest.mark.parametrize("deltas", [[60.0], [60.0, 145.0, 230.0], [60.0, np.inf, np.nan]])
+    def test_mode_by_row_shapes_are_the_written_out_formula_bit_for_bit(self, deltas, temps):
+        # the fitter's (mode, row) layout; an inf or NaN delta gives n = 0
+        deltas, temps = np.array(deltas)[:, None], np.array(temps)
+        want = _written_out(deltas, temps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (_term_column(deltas, temps, slope=True), _term_column(deltas, temps))
+        assert [g.tobytes() for g in (*got[0], got[1])] == \
+            [w.tobytes() for w in (*want, want[0])]
 
     def test_t5_rule_has_no_slope(self):
         temps = np.array([1.0, 300.0, 1e4])

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import math
 import re
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -425,6 +426,13 @@ class TestSecondOrderRate:
         want = 4.0 * math.pi / HBAR_MEV_S * float(_whole_grid_weights(f.grid) @ integrand)
         assert second_order_rate(f, 295.0) == pytest.approx(want, rel=1e-15, abs=0)
 
+    def test_one_number_of_any_numeric_type_gives_the_same_bits(self):
+        f, _ = two_peak_reference_functions(7.5)
+        want = second_order_rate(f, 300.0)
+        for t in (300, np.float64(300.0), np.int64(300), np.array(300.0)):
+            got = second_order_rate(f, t)
+            assert (got.hex(), got.rel_error) == (want.hex(), want.rel_error)
+
     def test_temperature_positive(self):
         f, _ = two_peak_reference_functions(7.5)
         with pytest.raises(ValueError, match="temperature"):
@@ -532,6 +540,95 @@ class TestRateCurve:
         with pytest.raises(ValueError, match="equal length"):
             RamanRateCurve(temperatures=(1.0, 2.0), omega=(1.0,), gamma=(1.0, 2.0),
                            provenance="x")
+
+
+def _anchor_pair(sigma):
+    table = anchor_coupling_table()
+    return build_spectral_function(table, SQ, sigma), build_spectral_function(table, DQ, sigma)
+
+
+# channel pairs whose supports hold the same energies (5000 samples each),
+# and do not (1076 and 1080 samples)
+CHANNEL_PAIRS = {
+    "equal supports": lambda: two_peak_reference_functions(7.5),
+    "unequal supports": lambda: _anchor_pair(0.01),
+}
+
+
+def _counting(monkeypatch, name):
+    """Replace ``spectral.<name>`` by a wrapper that logs each call's arguments."""
+    calls, original = [], getattr(spectral, name)
+    monkeypatch.setattr(spectral, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def _bits(rates):
+    return [float(r).hex() for r in rates]
+
+
+class TestSharedOccupancyWeight:
+    """The one-slot memo of n(n+1) that lets two channels share it per temperature."""
+
+    TEMPS = np.geomspace(100.0, 500.0, 6)
+
+    @pytest.mark.parametrize("pair", sorted(CHANNEL_PAIRS))
+    def test_curve_is_each_channel_integrated_alone_bit_for_bit(self, pair):
+        f_sq, f_dq = CHANNEL_PAIRS[pair]()
+        curve = rate_curve(f_sq, f_dq, self.TEMPS)
+        for f, rates, errors in ((f_sq, curve.omega, curve.omega_rel_error),
+                                 (f_dq, curve.gamma, curve.gamma_rel_error)):
+            alone = []
+            for t in self.TEMPS:
+                spectral._weight_slot = None
+                alone.append(second_order_rate(f, t))
+            assert _bits(rates) == _bits(alone)
+            assert _bits(errors) == _bits(r.rel_error for r in alone)
+
+    @pytest.mark.parametrize("pair", sorted(CHANNEL_PAIRS))
+    def test_one_rate_per_channel_and_one_weight_per_distinct_support(self, pair, monkeypatch):
+        f_sq, f_dq = CHANNEL_PAIRS[pair]()
+        shared = np.array_equal(f_sq._support[0], f_dq._support[0])
+        assert shared == (pair == "equal supports")
+        rates = _counting(monkeypatch, "second_order_rate")
+        kernel = _counting(monkeypatch, "_term_column")
+        spectral._weight_slot = None
+        rate_curve(f_sq, f_dq, self.TEMPS)
+        assert [(f, float(t)) for f, t in rates] == [
+            (f, t) for t in self.TEMPS.tolist() for f in (f_sq, f_dq)]
+        assert len(kernel) == len(self.TEMPS) * (1 if shared else 2)
+
+    def test_misses_on_another_temperature_or_other_energy_bits(self, monkeypatch):
+        f, _ = two_peak_reference_functions(7.5)
+        # the same amplitude on a grid scaled by one part in 2^40: a support
+        # of the same length whose energies differ in their last bits
+        moved = SpectralFunction(grid=f.grid * (1.0 + 2.0**-40), amplitude=f.amplitude,
+                                 channel=SQ, sigma=7.5)
+        twin = SpectralFunction(grid=f.grid.copy(), amplitude=2.0 * f.amplitude,
+                                channel=SQ, sigma=7.5)
+        assert len(moved._support[0]) == len(f._support[0])
+        kernel = _counting(monkeypatch, "_term_column")
+        spectral._weight_slot = None
+        steps = ((f, 300.0, 1), (f, 300.0, 1), (twin, 300.0, 1), (f, 301.0, 2),
+                 (moved, 301.0, 3), (f, 301.0, 4))
+        rates = []
+        for g, t, calls in steps:
+            rates.append(second_order_rate(g, t))
+            assert len(kernel) == calls
+        alone = []
+        for g, t, _ in steps:
+            spectral._weight_slot = None
+            alone.append(second_order_rate(g, t))
+        assert _bits(rates) == _bits(alone)
+
+    def test_slot_lets_a_freed_support_go(self):
+        f_sq, f_dq = two_peak_reference_functions(7.5)
+        spectral._weight_slot = None
+        rate_curve(f_sq, f_dq, [300.0])
+        energies = weakref.ref(f_dq._support[0])
+        assert spectral._weight_slot[0]() is f_sq._support[0]
+        del f_sq, f_dq
+        gc.collect()
+        assert energies() is None and spectral._weight_slot is None
 
 
 def _cli_grid(sigma):
